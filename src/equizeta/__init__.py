@@ -27,7 +27,6 @@ from .errors import (
     InvalidResolution,
     NotExpandable,
     NotInvariant,
-    NotSeriesExpandable,
     ParseError,
     RankTooLarge,
     SchemaError,
@@ -63,7 +62,7 @@ __all__ = [
     "ZetaRational", "Divisor", "GroupSpec", "ResolutionData", "StratumEntry",
     "ComparisonReport", "denef_loeser", "display", "distinguish",
     "EquizetaError", "ZeroDenominator", "DivisionByZero", "NotExpandable",
-    "NotSeriesExpandable", "UnknownAtom", "RankTooLarge", "TailMismatch",
+    "UnknownAtom", "RankTooLarge", "TailMismatch",
     "ParseError", "SchemaError", "UnknownFixture", "InvalidResolution",
     "NotInvariant", "arcs", "catalog", "cohomology", "gspace", "resolution",
     "zeta",

@@ -49,34 +49,33 @@ def _load_resolution(ref: str) -> resolution.ResolutionData:
     return catalog.get(ref)
 
 
-def _validated(res: resolution.ResolutionData) -> resolution.ResolutionData:
-    diags = resolution.validate(res)
-    if diags:
-        raise InvalidResolution(diags)
-    return res
+def _non_negative(value, flag: str):
+    if value is not None and value < 0:
+        raise EquizetaError(f"{flag} must be non-negative, got {value}")
 
 
 def _cmd_compute(args) -> int:
-    res = _validated(_load_resolution(args.input))
+    _non_negative(args.expand, "--expand")
+    res = _load_resolution(args.input)
+    if args.format == "json":
+        print(_emit(zeta.zeta_json(res, args.variant, args.expand)))
+        return EXIT_OK
+    z = zeta.denef_loeser(res, args.variant)
     if args.format == "display":
-        print(zeta.display(res, args.variant))
-        return EXIT_OK
-    if args.format == "rational":
-        print(_emit(zeta.denef_loeser(res, args.variant).to_json()))
-        return EXIT_OK
-    if args.format == "series":
+        print(zeta.display(z))
+    elif args.format == "rational":
+        print(_emit(z.to_json()))
+    else:
         if args.expand is None:
             raise EquizetaError("--format series requires --expand N")
-        z = zeta.denef_loeser(res, args.variant)
         print(_emit(z.t_series(args.expand).to_json()))
-        return EXIT_OK
-    print(_emit(zeta.zeta_json(res, args.variant, args.expand)))
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
-    a = _validated(_load_resolution(args.lhs))
-    b = _validated(_load_resolution(args.rhs))
+    _non_negative(args.order, "--order")
+    a = _load_resolution(args.lhs)
+    b = _load_resolution(args.rhs)
     report = zeta.distinguish(a, b, args.variant, args.order)
     print(_emit(report.to_json()))
     return EXIT_OK if report.equal else EXIT_UNEQUAL
@@ -90,6 +89,7 @@ def _parse_int_list(text: str, flag: str):
 
 
 def _cmd_oracle(args) -> int:
+    _non_negative(args.order, "--order")
     exponents = _parse_int_list(args.exponents, "--exponents")
     sign = {"+1": 1, "-1": -1, "1": 1}[args.sign]
     germ = MonomialGerm(exponents, sign)

@@ -17,10 +17,6 @@ class NotExpandable(EquizetaError):
     """A rational function has no integer Laurent expansion in u^-1."""
 
 
-class NotSeriesExpandable(EquizetaError):
-    """The T-constant part of a denominator vanishes, so no T-power-series exists."""
-
-
 class UnknownAtom(EquizetaError):
     """A G-space atom name is not in the catalog."""
 

@@ -5,7 +5,8 @@ powers with no trailing zeros (the empty tuple is 0).  On top of those sit:
 
 * ``RatFunc``      -- reduced fractions of integer polynomials in u,
 * ``BiPoly``       -- integer polynomials in (u, T) as sparse coefficient maps,
-* ``ZetaRational`` -- fractions of ``BiPoly`` compared by cross-multiplication,
+* ``ZetaRational`` -- sums of coeff * prod T^N / (u^nu - T^N) terms, with a
+  certified equality and a cleared ``BiPoly`` fraction built on demand,
 * ``TSeries``      -- truncated power series in T with ``RatFunc`` coefficients.
 
 Everything is arbitrary-precision and immutable; there is no floating point
@@ -14,14 +15,15 @@ anywhere in this package.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import (
     DivisionByZero,
     NotExpandable,
-    NotSeriesExpandable,
     SchemaError,
     ZeroDenominator,
 )
@@ -90,13 +92,6 @@ def pprimitive(a: tuple) -> tuple:
     return tuple(c // g for c in a)
 
 
-def peval(a: tuple, x: int) -> int:
-    out = 0
-    for c in reversed(a):
-        out = out * x + c
-    return out
-
-
 def _qdivmod(num: list, den: list):
     """Division with remainder over Fraction coefficient lists."""
     num = list(num)
@@ -146,12 +141,6 @@ def pdivexact(a: tuple, b: tuple) -> tuple:
             raise ValueError("inexact polynomial division")
         out.append(int(c))
     return ptrim(out)
-
-
-def plcm(a: tuple, b: tuple) -> tuple:
-    if not a or not b:
-        return ()
-    return pprimitive(pdivexact(pmul(a, b), pgcd(a, b)))
 
 
 def pstr(a: tuple, var: str = "u") -> str:
@@ -342,9 +331,6 @@ class RatFunc:
             ints.append(int(c))
         return ints
 
-    def eval_fraction(self, x: int) -> Fraction:
-        return Fraction(peval(self.num, x), peval(self.den, x))
-
     # -- presentation -----------------------------------------------------------
 
     def __str__(self) -> str:
@@ -385,12 +371,6 @@ def _ints_from_json(seq) -> tuple:
         except ValueError as exc:
             raise SchemaError(f"bad polynomial coefficient {c!r}") from exc
     return tuple(out)
-
-
-ZERO = RatFunc(0)
-ONE = RatFunc(1)
-U = RatFunc.monomial(1)
-U_MINUS_1 = RatFunc.poly((-1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +419,6 @@ class BiPoly:
                 out.pop(k, None)
         return BiPoly(out)
 
-    def __neg__(self):
-        return BiPoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if not self.terms or not other.terms:
             return BiPoly()
@@ -464,45 +438,11 @@ class BiPoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def eval_at(self, u0: int, t0: int) -> int:
-        return sum(c * u0**ue * t0**te for (ue, te), c in self.terms.items())
-
-    def t_profile(self) -> dict:
-        """Group coefficients by T-exponent into u-polynomial tuples."""
-        byt = {}
-        for (ue, te), c in self.terms.items():
-            byt.setdefault(te, {})[ue] = c
-        out = {}
-        for te, umap in byt.items():
-            width = max(umap) + 1
-            row = [0] * width
-            for ue, c in umap.items():
-                row[ue] = c
-            out[te] = ptrim(row)
-        return out
-
     def to_json(self) -> list:
         return [
             {"u": ue, "t": te, "c": str(c)}
             for (ue, te), c in sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
         ]
-
-    @classmethod
-    def from_json(cls, obj) -> "BiPoly":
-        if not isinstance(obj, list):
-            raise SchemaError("bivariate polynomial must be an array")
-        terms = {}
-        for entry in obj:
-            if not isinstance(entry, dict) or not {"u", "t", "c"} <= set(entry):
-                raise SchemaError("bivariate term must be {u, t, c}")
-            try:
-                terms[(int(entry["u"]), int(entry["t"]))] = int(entry["c"])
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"bad bivariate term {entry!r}") from exc
-        return cls(terms)
 
     def __repr__(self):
         return f"BiPoly({self.terms!r})"
@@ -512,81 +452,176 @@ BI_ONE = BiPoly({(0, 0): 1})
 
 
 # ---------------------------------------------------------------------------
-# zeta-function fractions
+# zeta functions as sums of per-stratum terms
 # ---------------------------------------------------------------------------
 
-class ZetaRational:
-    """Fraction of bivariate polynomials; equality by cross-multiplication.
+def _lcm_fold(polys):
+    """LCM of u-polynomials, order-insensitive (inputs sorted first)."""
+    out = (1,)
+    for p in sorted(polys):
+        g = pgcd(out, p)
+        out = pdivexact(pmul(out, p), g)
+    return out
 
-    Deliberately not gcd-reduced: bivariate gcds are expensive and equality
-    does not need them.  Engine outputs keep their denominator as a product
-    of (u^nu - T^N) factors and powers of u and (u - 1).
+
+def _common_den(terms) -> tuple:
+    """A common multiple of the terms' coefficient denominators."""
+    return _lcm_fold([coeff.den for coeff, _ in terms])
+
+
+def _factor_max(terms) -> Counter:
+    """Each distinct (nu, N) factor at its largest multiplicity in one term."""
+    out = Counter()
+    for _, factors in terms:
+        for key, count in Counter(factors).items():
+            out[key] = max(out[key], count)
+    return out
+
+
+def _t_bound(terms) -> int:
+    """T-degree of the common denominator prod (u^nu - T^N)^multiplicity."""
+    return sum(N * count for (_, N), count in _factor_max(terms).items())
+
+
+def _expand(terms, den_u: tuple, order: int) -> list:
+    """T^0..T^order coefficients of den_u * sum(terms), as {u exponent: int}.
+
+    Each factor T^N / (u^nu - T^N) is the geometric series
+    sum_{m>=1} u^(-m nu) T^(m N), so a coefficient is a sparse convolution of
+    Laurent monomials; den_u must be a multiple of every coefficient's
+    denominator, which keeps every coefficient a Laurent polynomial.
+    """
+    grouped = {}
+    for coeff, factors in terms:
+        scaled = pmul(coeff.num, pdivexact(den_u, coeff.den))
+        grouped[factors] = padd(grouped.get(factors, ()), scaled)
+    out = [{} for _ in range(order + 1)]
+    for factors, poly in grouped.items():
+        series = {0: {0: 1}}
+        for nu, N in factors:
+            product = {}
+            for t, laurent in series.items():
+                for m in range(1, (order - t) // N + 1):
+                    target = product.setdefault(t + m * N, {})
+                    for e, c in laurent.items():
+                        target[e - m * nu] = target.get(e - m * nu, 0) + c
+            series = product
+        for t, laurent in series.items():
+            acc = out[t]
+            for e, c in laurent.items():
+                for i, p in enumerate(poly):
+                    if p:
+                        acc[e + i] = acc.get(e + i, 0) + c * p
+    return [{e: c for e, c in acc.items() if c} for acc in out]
+
+
+def _laurent_over(laurent: dict, den_u: tuple) -> RatFunc:
+    """The Laurent polynomial sum c_e u^e divided by den_u, canonical."""
+    if not laurent:
+        return RatFunc(0)
+    low = min(laurent)
+    num = [0] * (max(laurent) - low + 1)
+    for e, c in laurent.items():
+        num[e - low] = c
+    if low >= 0:
+        return RatFunc(pmul(pmonomial(low), tuple(num)), den_u)
+    return RatFunc(tuple(num), pmul(pmonomial(-low), den_u))
+
+
+class ZetaRational:
+    """A zeta function as the sum of coeff * prod T^N / (u^nu - T^N) terms.
+
+    ``terms`` holds (RatFunc coefficient, sorted tuple of (nu, N) factors)
+    pairs in the order given.  The T-series, equality and the cleared
+    fraction ``num / den`` all derive from them.  Equality is certified: the
+    difference of two sums is P / D with deg_T P <= deg_T D = dT, the sum of
+    N times the largest multiplicity over the distinct (nu, N) of both sides,
+    and D(u, 0) != 0, so series agreement through T^dT proves P = 0.
     """
 
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: BiPoly, den: BiPoly = BI_ONE):
-        if den.is_zero():
-            raise ZeroDenominator("zeta denominator is zero")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+    def __init__(self, terms=()):
+        object.__setattr__(
+            self,
+            "terms",
+            tuple((coeff, tuple(sorted(factors))) for coeff, factors in terms),
+        )
 
     def __setattr__(self, *args):
         raise AttributeError("ZetaRational is immutable")
 
-    @classmethod
-    def zero(cls) -> "ZetaRational":
-        return cls(BiPoly(), BI_ONE)
-
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return self == ZetaRational()
+
+    def first_difference(self, other: "ZetaRational"):
+        """(n, own T^n coefficient, other's) at the smallest differing n.
+
+        None when the two are equal.  Both sides are expanded over one shared
+        u-denominator through the bound dT of the class docstring, so an
+        unequal pair always returns some n <= dT.
+        """
+        both = self.terms + other.terms
+        den_u = _common_den(both)
+        bound = _t_bound(both)
+        mine = _expand(self.terms, den_u, bound)
+        theirs = _expand(other.terms, den_u, bound)
+        for n in range(bound + 1):
+            if mine[n] != theirs[n]:
+                return n, _laurent_over(mine[n], den_u), _laurent_over(theirs[n], den_u)
+        return None
 
     def __eq__(self, other):
         if not isinstance(other, ZetaRational):
             return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        raise TypeError("ZetaRational is not hashable (no canonical form)")
-
-    def __add__(self, other):
-        if not isinstance(other, ZetaRational):
-            return NotImplemented
-        return ZetaRational(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        return self.first_difference(other) is None
 
     def t_series(self, order: int) -> "TSeries":
         """Unique power-series expansion in T through T^order."""
         if order < 0:
             raise ValueError("order must be non-negative")
-        nprof = self.num.t_profile()
-        dprof = self.den.t_profile()
-        d0 = dprof.get(0, ())
-        if not d0:
-            raise NotSeriesExpandable("denominator has zero T-constant part")
-        d0rf = RatFunc.poly(d0)
-        coeffs = []
-        for n in range(order + 1):
-            acc = RatFunc.poly(nprof.get(n, ()))
-            for j in range(1, n + 1):
-                dj = dprof.get(j)
-                if dj:
-                    acc = acc - RatFunc.poly(dj) * coeffs[n - j]
-            coeffs.append(acc / d0rf)
-        return TSeries(tuple(coeffs))
+        den_u = _common_den(self.terms)
+        return TSeries(tuple(_laurent_over(c, den_u) for c in _expand(self.terms, den_u, order)))
+
+    @cached_property
+    def _cleared(self):
+        """(num, den) over den_u * prod (u^nu - T^N)^max multiplicity.
+
+        Not gcd-reduced: bivariate gcds are expensive and nothing needs them.
+        """
+        factor_max = _factor_max(self.terms)
+        den_u = _common_den(self.terms)
+        den = BiPoly.from_upoly(den_u)
+        for (nu, N), count in sorted(factor_max.items()):
+            piece = BiPoly({(nu, 0): 1, (0, N): -1})
+            for _ in range(count):
+                den = den * piece
+        num = BiPoly()
+        for coeff, factors in self.terms:
+            scaled = pmul(coeff.num, pdivexact(den_u, coeff.den))
+            t_total = sum(N for _, N in factors)
+            part = BiPoly.from_upoly(scaled) * BiPoly.monomial(0, t_total)
+            missing = factor_max - Counter(factors)
+            for (nu, N), count in sorted(missing.items()):
+                piece = BiPoly({(nu, 0): 1, (0, N): -1})
+                for _ in range(count):
+                    part = part * piece
+            num = num + part
+        if num.is_zero():
+            return BiPoly(), BI_ONE
+        return num, den
+
+    @property
+    def num(self) -> BiPoly:
+        return self._cleared[0]
+
+    @property
+    def den(self) -> BiPoly:
+        return self._cleared[1]
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
 
-    @classmethod
-    def from_json(cls, obj) -> "ZetaRational":
-        if not isinstance(obj, dict) or "num" not in obj or "den" not in obj:
-            raise SchemaError("zeta fraction must be {num, den}")
-        return cls(BiPoly.from_json(obj["num"]), BiPoly.from_json(obj["den"]))
-
     def __repr__(self):
-        return f"ZetaRational({self.num!r}, {self.den!r})"
+        return f"ZetaRational({self.terms!r})"
 
 
 # ---------------------------------------------------------------------------

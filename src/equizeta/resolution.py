@@ -256,6 +256,8 @@ def resolution_from_json(obj) -> ResolutionData:
     name = _require(obj, "name", str, "resolution")
     group_obj = _require(obj, "group", dict, "resolution")
     order = _require(group_obj, "order", int, "group")
+    if order < 1:
+        raise SchemaError("group.order: must be >= 1")
     generators = group_obj.get("generators", [])
     if not isinstance(generators, list):
         raise SchemaError("group.generators: expected array")

@@ -6,22 +6,20 @@ Given resolution data, each declared stratum orbit contributes
 
 where e is the size of the representative subset for the naive variant and
 one less for the signed variants (which read the cover values instead of
-beta).  Negative powers of u never appear: every u^-nu T^N / (1 - u^-nu T^N)
-is stored cleared as T^N / (u^nu - T^N).  The sum is put over one common
-denominator -- the least common multiple of the coefficient denominators
-times each distinct (nu, N) factor at its maximal multiplicity -- without any
-bivariate gcd reduction.
+beta).  Every u^-nu T^N / (1 - u^-nu T^N) is stored as the factor
+(nu, N) of T^N / (u^nu - T^N).  The engine returns the sum of these terms
+as a ``ZetaRational``; its display, series, equality and cleared fraction
+all derive from that one object.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvalidResolution
 from .gspace import beta_value
-from .ratpoly import BiPoly, RatFunc, ZetaRational, pdivexact, pgcd, pmul
+from .ratpoly import RatFunc, ZetaRational
 from .resolution import ResolutionData, StratumEntry, validate
 
 VARIANTS = ("naive", "plus", "minus")
@@ -55,66 +53,26 @@ def _stratum_terms(res: ResolutionData, variant: str):
         exponent = len(st.divisors) - (0 if variant == "naive" else 1)
         for _ in range(exponent):
             coeff = coeff * u_minus_1
-        factors = sorted((dmap[i].nu, dmap[i].N) for i in st.divisors)
+        factors = [(dmap[i].nu, dmap[i].N) for i in st.divisors]
         terms.append((coeff, factors))
     return terms
 
 
-def _lcm_fold(polys):
-    """LCM of u-polynomials, order-insensitive (inputs sorted first)."""
-    out = (1,)
-    for p in sorted(polys):
-        g = pgcd(out, p)
-        out = pdivexact(pmul(out, p), g)
-    return out
-
-
 def denef_loeser(res: ResolutionData, variant: str = "naive") -> ZetaRational:
-    """Closed-form zeta function of validated resolution data."""
+    """Closed-form zeta function of resolution data, validated here."""
     _check_variant(variant)
     diags = validate(res)
     if diags:
         raise InvalidResolution(diags)
-    terms = _stratum_terms(res, variant)
-    if not terms:
-        return ZetaRational.zero()
-
-    den_u = _lcm_fold([coeff.den for coeff, _ in terms])
-    factor_max = Counter()
-    for _, factors in terms:
-        for key, count in Counter(factors).items():
-            factor_max[key] = max(factor_max[key], count)
-
-    den = BiPoly.from_upoly(den_u)
-    for (nu, N), count in sorted(factor_max.items()):
-        piece = BiPoly({(nu, 0): 1, (0, N): -1})
-        for _ in range(count):
-            den = den * piece
-
-    num = BiPoly()
-    for coeff, factors in terms:
-        scaled = pmul(coeff.num, pdivexact(den_u, coeff.den))
-        t_total = sum(N for _, N in factors)
-        part = BiPoly.from_upoly(scaled) * BiPoly.monomial(0, t_total)
-        missing = factor_max - Counter(factors)
-        for (nu, N), count in sorted(missing.items()):
-            piece = BiPoly({(nu, 0): 1, (0, N): -1})
-            for _ in range(count):
-                part = part * piece
-        num = num + part
-    if num.is_zero():
-        return ZetaRational.zero()
-    return ZetaRational(num, den)
+    return ZetaRational(_stratum_terms(res, variant))
 
 
-def display(res: ResolutionData, variant: str = "naive") -> str:
+def display(z: ZetaRational) -> str:
     """Per-stratum sum in the u^-nu T^N notation, for eyeballing."""
-    _check_variant(variant)
-    terms = _stratum_terms(res, variant)
-    if not terms:
+    if not z.terms:
         return "0"
     parts = []
-    for coeff, factors in terms:
+    for coeff, factors in z.terms:
         text = str(coeff)
         if " " in text or "/" in text:
             text = f"({text})"
@@ -155,26 +113,19 @@ def distinguish(
 ) -> ComparisonReport:
     """Compare a zeta variant of two germs' resolution data.
 
-    Equality is exact (cross-multiplied).  When unequal, the series are
-    expanded through T^order looking for the smallest separating coefficient;
-    if none exists in that window the report carries no witness order.
+    Equality is certified (``ZetaRational.first_difference``).  When the
+    smallest separating T-order lies within T^order, the two coefficients
+    there come along as the witness; otherwise the report carries none.
     """
     za = denef_loeser(a, variant)
     zb = denef_loeser(b, variant)
-    if za == zb:
+    diff = za.first_difference(zb)
+    if diff is None:
         return ComparisonReport(equal=True, variant=variant)
-    sa = za.t_series(order)
-    sb = zb.t_series(order)
-    for n in range(order + 1):
-        if sa[n] != sb[n]:
-            return ComparisonReport(
-                equal=False,
-                variant=variant,
-                first_differing_T_order=n,
-                lhs_coeff=sa[n],
-                rhs_coeff=sb[n],
-            )
-    return ComparisonReport(equal=False, variant=variant)
+    n, lhs, rhs = diff
+    if n > order:
+        return ComparisonReport(equal=False, variant=variant)
+    return ComparisonReport(False, variant, n, lhs, rhs)
 
 
 def zeta_json(res: ResolutionData, variant: str, expand_order: Optional[int] = None) -> dict:
@@ -184,6 +135,6 @@ def zeta_json(res: ResolutionData, variant: str, expand_order: Optional[int] = N
         "variant": variant,
         "rational": z.to_json(),
         "series": None if expand_order is None else z.t_series(expand_order).to_json(),
-        "display": display(res, variant),
+        "display": display(z),
     }
     return out

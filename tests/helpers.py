@@ -2,28 +2,67 @@
 
 from fractions import Fraction
 
-from equizeta.ratpoly import BiPoly, RatFunc, ZetaRational
+from equizeta.ratpoly import RatFunc, TSeries, ZetaRational
 
 
-def term(coef_terms, factors):
-    """coef * prod_i T^N_i / (u^nu_i - T^N_i) as a cleared fraction.
+def term(coef, factors):
+    """The one-term sum coef * prod_i T^N_i / (u^nu_i - T^N_i).
 
-    ``coef_terms`` is a BiPoly term dict for the coefficient polynomial (in u
-    only); ``factors`` is a list of (nu, N) pairs.
+    ``coef`` is a RatFunc, or a {(u_exp, 0): c} term dict for a polynomial
+    in u; ``factors`` is a list of (nu, N) pairs.
     """
-    num = BiPoly(coef_terms)
-    den = BiPoly({(0, 0): 1})
-    for nu, N in factors:
-        num = num * BiPoly({(0, N): 1})
-        den = den * BiPoly({(nu, 0): 1, (0, N): -1})
-    return ZetaRational(num, den)
+    if not isinstance(coef, RatFunc):
+        coeffs = [0] * (max(ue for ue, _ in coef) + 1)
+        for (ue, _), c in coef.items():
+            coeffs[ue] = c
+        coef = RatFunc.poly(coeffs)
+    return ZetaRational([(coef, factors)])
 
 
 def zsum(*parts):
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    return total
+    return ZetaRational([t for p in parts for t in p.terms])
+
+
+# -- the cleared fraction, by the cross-multiplication the engine replaced ----
+
+def eval_at(bipoly, u0, t0):
+    return sum(c * u0**ue * t0**te for (ue, te), c in bipoly.terms.items())
+
+
+def eval_fraction(r: RatFunc, x) -> Fraction:
+    def at(p):
+        return sum(Fraction(c) * Fraction(x) ** k for k, c in enumerate(p))
+
+    return at(r.num) / at(r.den)
+
+
+def cleared_equal(a: ZetaRational, b: ZetaRational) -> bool:
+    """Equality of the cleared fractions by bivariate cross-multiplication."""
+    return a.num * b.den == b.num * a.den
+
+
+def _t_profile(bipoly):
+    """Coefficients grouped by T-exponent, as RatFunc polynomials in u."""
+    byt = {}
+    for (ue, te), c in bipoly.terms.items():
+        row = byt.setdefault(te, [0] * (ue + 1))
+        row.extend([0] * (ue + 1 - len(row)))
+        row[ue] = c
+    return {te: RatFunc.poly(row) for te, row in byt.items()}
+
+
+def cleared_t_series(z: ZetaRational, order: int) -> TSeries:
+    """T-series of the cleared fraction num/den by RatFunc long division."""
+    nprof = _t_profile(z.num)
+    dprof = _t_profile(z.den)
+    coeffs = []
+    for n in range(order + 1):
+        acc = nprof.get(n, RatFunc(0))
+        for j in range(1, n + 1):
+            if j in dprof:
+                acc = acc - dprof[j] * coeffs[n - j]
+        coeffs.append(acc / dprof[0])
+    return TSeries(tuple(coeffs))
 
 
 # -- the worked examples' closed forms, term by term ----------------------------
@@ -48,23 +87,18 @@ def displayed_x4_y2():
 
 def displayed_x2k(k, variant):
     if variant == "naive":
-        return ZetaRational(
-            BiPoly({(1, 2 * k): 1}), BiPoly({(1, 0): 1, (0, 2 * k): -1})
-        )
+        return term({(1, 0): 1}, [(1, 2 * k)])
     if variant == "plus":
-        return ZetaRational(
-            BiPoly({(0, 2 * k): 1}), BiPoly({(1, 0): 1, (0, 2 * k): -1})
-        )
-    return ZetaRational.zero()
+        return term({(0, 0): 1}, [(1, 2 * k)])
+    return ZetaRational()
 
 
 def displayed_x2_plus_y2(variant):
     if variant == "naive":
         return term({(2, 0): 1, (1, 0): 1}, [(2, 2)])
     if variant == "plus":
-        base = term({(2, 0): 1, (1, 0): 1}, [(2, 2)])
-        return ZetaRational(base.num, base.den * BiPoly({(1, 0): 1, (0, 0): -1}))
-    return ZetaRational.zero()
+        return term(RatFunc((0, 1, 1), (-1, 1)), [(2, 2)])
+    return ZetaRational()
 
 
 def displayed_minus_x2_minus_y4(variant):
@@ -80,7 +114,7 @@ def displayed_minus_x2_minus_y4(variant):
             term({(1, 0): 1}, [(3, 4)]),
             term({(1, 0): 2}, [(2, 2), (3, 4)]),
         )
-    return ZetaRational.zero()
+    return ZetaRational()
 
 
 def displayed_gk_mixed(k):
@@ -145,6 +179,6 @@ def series_values_match(z: ZetaRational, series, u_points=(2, 3, 5)) -> bool:
     for u0 in u_points:
         numeric = numeric_t_series(z, u0, series.order)
         for n in range(series.order + 1):
-            if series[n].eval_fraction(u0) != numeric[n]:
+            if eval_fraction(series[n], u0) != numeric[n]:
                 return False
     return True

@@ -5,7 +5,7 @@ import pytest
 
 from equizeta import catalog, cohomology
 from equizeta.cli import main
-from equizeta.ratpoly import TSeries, ZetaRational
+from equizeta.ratpoly import BiPoly, TSeries
 from equizeta.resolution import resolution_to_json, serialize
 
 
@@ -66,10 +66,10 @@ class TestCompute:
         code, out, _ = run("compute", "x2k_Z2(2)", "--format", "rational")
         assert code == 0
         doc = json.loads(out)
-        z = ZetaRational.from_json(doc)
-        from equizeta.zeta import denef_loeser
-
-        assert z == denef_loeser(catalog.get("x2k_Z2(2)"))
+        assert doc == {
+            "num": [{"c": "1", "t": 4, "u": 1}],
+            "den": [{"c": "1", "t": 0, "u": 1}, {"c": "-1", "t": 4, "u": 0}],
+        }
 
     def test_json_round_trips(self, run, tmp_path):
         path = write_fixture(tmp_path, "-x2-y4_Z2")
@@ -78,7 +78,7 @@ class TestCompute:
         )
         assert code == 0
         doc = json.loads(out)
-        ZetaRational.from_json(doc["rational"])
+        assert doc["rational"]["num"] and doc["rational"]["den"]
         series = TSeries.from_json(doc["series"])
         assert series.order == 6
 
@@ -97,6 +97,29 @@ class TestCompute:
 
     def test_series_format_requires_expand(self, run):
         assert run("compute", "x2+y2_Z2", "--format", "series")[0] == 2
+
+    def test_negative_expand_exits_2(self, run):
+        for fmt in ("series", "json", "display"):
+            code, out, err = run("compute", "x2+y2_Z2", "--format", fmt, "--expand", "-1")
+            assert code == 2 and not out
+            assert "--expand must be non-negative" in err
+
+    def test_group_order_below_one_exits_3(self, run, tmp_path):
+        doc = resolution_to_json(catalog.get("x2+y2_Z2"))
+        doc["group"]["order"] = 0
+        bad = tmp_path / "order0.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run("compute", str(bad))
+        assert code == 3
+        assert "group.order" in err
+
+    def test_series_never_clears_the_fraction(self, run, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("BiPoly multiplication on the series path")
+
+        monkeypatch.setattr(BiPoly, "__mul__", refuse)
+        code, out, _ = run("compute", "gk(5,+,-)", "--format", "series", "--expand", "12")
+        assert code == 0 and json.loads(out)["order"] == 12
 
 
 class TestCompare:
@@ -119,6 +142,21 @@ class TestCompare:
         code, out, _ = run("compare", "y4-x2_triv", "x4-y2_triv")
         assert code == 0
         assert json.loads(out)["equal"] is True
+
+    def test_negative_order_exits_2(self, run):
+        for lhs, rhs in (("y4-x2_Z2", "y4-x2_Z2"), ("y4-x2_Z2", "x4-y2_Z2")):
+            code, out, err = run("compare", lhs, rhs, "--order", "-1")
+            assert code == 2 and not out
+            assert "--order must be non-negative" in err
+
+    def test_compare_never_clears_the_fraction(self, run, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("BiPoly multiplication on the compare path")
+
+        monkeypatch.setattr(BiPoly, "__mul__", refuse)
+        assert run("compare", "gk(6,+,-)", "gk(6,+,-)")[0] == 0
+        code, out, _ = run("compare", "y4-x2_Z2", "x4-y2_Z2", "--order", "8")
+        assert code == 1 and json.loads(out)["first_differing_T_order"] == 4
 
 
 class TestOracle:
@@ -146,6 +184,11 @@ class TestOracle:
         code, _, err = run("oracle", "--exponents", "1,1", "--action", "-1,1")
         assert code == 2
         assert "invariant" in err
+
+    def test_negative_order_exits_2(self, run):
+        code, out, err = run("oracle", "--exponents", "2", "--action", "-1", "--order", "-1")
+        assert code == 2 and not out
+        assert "--order must be non-negative" in err
 
     def test_trivial_group_flag(self, run):
         code, out, _ = run(

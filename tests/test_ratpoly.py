@@ -1,19 +1,15 @@
 import pytest
+from helpers import cleared_equal, cleared_t_series, series_values_match, term, zsum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equizeta.errors import (
-    DivisionByZero,
-    NotSeriesExpandable,
-    ZeroDenominator,
-)
+from equizeta.errors import DivisionByZero, ZeroDenominator
 from equizeta.ratpoly import (
     BiPoly,
     RatFunc,
     TSeries,
     ZetaRational,
     pgcd,
-    pmul,
 )
 
 PT = RatFunc((0, 1), (-1, 1))  # u/(u-1), the series of a fixed point
@@ -117,36 +113,41 @@ class TestLaurent:
 
 
 class TestBiPoly:
+    """The cleared fraction num / den that term sums build on demand."""
+
     def test_cross_multiplied_equality(self):
-        t2 = BiPoly({(0, 2): 1})
-        d = BiPoly({(2, 0): 1, (0, 2): -1})
-        assert ZetaRational(t2, d) == ZetaRational(t2, d)
+        z = term({(0, 0): 1}, [(2, 2)])
+        assert z == z
+        assert z.num == BiPoly({(0, 2): 1})
+        assert z.den == BiPoly({(2, 0): 1, (0, 2): -1})
 
     def test_clearing_invariance(self):
-        # uT/(u-T) equals its rescaling by any nonzero bivariate factor
-        num = BiPoly({(1, 1): 1})
-        den = BiPoly({(1, 0): 1, (0, 1): -1})
-        scale = BiPoly({(3, 2): 7})
-        assert ZetaRational(num, den) == ZetaRational(num * scale, den * scale)
+        # uT/(u-T) written over (u-1) clears to a different fraction, yet
+        # both the term sums and their cleared fractions are equal
+        plain = term({(1, 0): 1}, [(1, 1)])
+        split = zsum(
+            term(RatFunc((0, 0, 1), (-1, 1)), [(1, 1)]),
+            term(RatFunc((0, -1), (-1, 1)), [(1, 1)]),
+        )
+        assert plain.den != split.den
+        assert plain == split and cleared_equal(plain, split)
 
     def test_distinct_fractions_differ(self):
-        a = ZetaRational(BiPoly({(1, 1): 1}), BiPoly({(1, 0): 1, (0, 1): -1}))
-        b = ZetaRational(BiPoly({(0, 1): 1}), BiPoly({(1, 0): 1, (0, 1): -1}))
+        a = term({(1, 0): 1}, [(1, 1)])
+        b = term({(0, 0): 1}, [(1, 1)])
         assert a != b
+        assert a.first_difference(b) == (1, RatFunc(1), RatFunc((1,), (0, 1)))
 
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDenominator):
-            ZetaRational(BiPoly({(0, 0): 1}), BiPoly())
-
-    def test_json_round_trip(self):
-        p = BiPoly({(2, 0): 1, (0, 2): -1, (5, 7): 123456789012345678901234567890})
-        assert BiPoly.from_json(p.to_json()) == p
+    def test_cancelling_terms_clear_to_zero(self):
+        z = zsum(term({(0, 0): 1}, [(2, 2)]), term({(0, 0): -1}, [(2, 2)]))
+        assert z.is_zero()
+        assert z.to_json() == ZetaRational().to_json()
 
 
 class TestTSeriesExpansion:
     def test_x2_closed_form_by_hand(self):
         # uT^2/(u - T^2): T^2 coefficient 1, T^4 coefficient 1/u
-        z = ZetaRational(BiPoly({(1, 2): 1}), BiPoly({(1, 0): 1, (0, 2): -1}))
+        z = term({(1, 0): 1}, [(1, 2)])
         s = z.t_series(4)
         assert s.coeffs == (
             RatFunc(0),
@@ -157,35 +158,30 @@ class TestTSeriesExpansion:
         )
 
     def test_geometric_series(self):
-        z = ZetaRational(BiPoly({(0, 1): 1}), BiPoly({(1, 0): 1, (0, 1): -1}))
+        z = term({(0, 0): 1}, [(1, 1)])
         s = z.t_series(2)
         assert s.coeffs == (RatFunc(0), RatFunc((1,), (0, 1)), RatFunc((1,), (0, 0, 1)))
 
     def test_order_zero(self):
-        z = ZetaRational(BiPoly({(1, 2): 1}), BiPoly({(1, 0): 1, (0, 2): -1}))
+        z = term({(1, 0): 1}, [(1, 2)])
         assert z.t_series(0).coeffs == (RatFunc(0),)
 
     def test_truncation_coherence(self):
-        z = ZetaRational(
-            BiPoly({(1, 2): 1, (0, 1): 3}), BiPoly({(2, 0): 2, (0, 2): -1, (1, 1): 1})
+        z = zsum(
+            term(RatFunc((3,), (-1, 1)), [(2, 1), (1, 3)]),
+            term({(2, 0): -2, (0, 0): 5}, [(1, 3), (1, 3)]),
         )
         full = z.t_series(9)
         for m in (0, 3, 7, 9):
             assert full.truncate(m) == z.t_series(m)
 
-    def test_vanishing_constant_part_rejected(self):
-        z = ZetaRational(BiPoly({(0, 0): 1}), BiPoly({(0, 1): 1}))
-        with pytest.raises(NotSeriesExpandable):
-            z.t_series(3)
-
     def test_numeric_long_division_agrees(self):
-        from helpers import series_values_match
-
-        z = ZetaRational(
-            BiPoly({(1, 2): 1, (3, 5): -2}),
-            BiPoly({(2, 0): 1, (0, 2): -1, (1, 3): 4}),
+        z = zsum(
+            term(RatFunc((1, 2), (0, 0, 1)), [(2, 2), (3, 5)]),
+            term({(3, 0): -2}, [(1, 3)]),
         )
         assert series_values_match(z, z.t_series(10))
+        assert z.t_series(10) == cleared_t_series(z, 10)
 
 
 class TestSeriesContainer:
@@ -238,21 +234,44 @@ def test_gcd_divides_both_arguments(a, b):
     assert g[-1] > 0
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
-                          st.integers(-5, 5)), max_size=6))
-def test_birat_eq_equivalence_relation(entries):
-    base_num = BiPoly({(u, t): c for u, t, c in entries})
-    den = BiPoly({(1, 0): 1, (0, 1): -1})
-    scalers = [BiPoly({(0, 0): 1}), BiPoly({(1, 0): 2}), BiPoly({(2, 3): -1, (0, 0): 1})]
-    reps = [
-        ZetaRational(base_num * s, den * s) for s in scalers
-    ]
-    for a in reps:
-        assert a == a
-    for a in reps:
-        for b in reps:
-            assert (a == b) == (b == a)
-            assert a == b
-    # transitivity across the chain
-    assert reps[0] == reps[2]
+small_coeffs = st.builds(
+    RatFunc,
+    st.lists(st.integers(-4, 4), min_size=1, max_size=3),
+    st.sampled_from([(1,), (-1, 1), (1, -2, 1), (0, 1), (2,)]),
+)
+factor_lists = st.lists(
+    st.tuples(st.integers(1, 3), st.integers(1, 4)), min_size=1, max_size=3
+)
+term_lists = st.lists(st.tuples(small_coeffs, factor_lists), max_size=4)
+
+
+def t_bound(*sums):
+    """sum of N * largest multiplicity over the distinct (nu, N) of all sides"""
+    most = {}
+    for z in sums:
+        for _, factors in z.terms:
+            for f in set(factors):
+                most[f] = max(most.get(f, 0), factors.count(f))
+    return sum(N * count for (_, N), count in most.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_lists, term_lists, st.randoms(use_true_random=False))
+def test_birat_eq_equivalence_relation(lhs, rhs, rng):
+    a, b = ZetaRational(lhs), ZetaRational(rhs)
+    assert (a == b) == cleared_equal(a, b) == (b == a)
+    shuffled = list(lhs)
+    rng.shuffle(shuffled)
+    assert ZetaRational(shuffled) == a
+    if lhs:
+        coeff, factors = lhs[0]
+        part = RatFunc((rng.randint(-3, 3), 1), (-1, 1))
+        split = ZetaRational([(coeff - part, factors), (part, factors)] + lhs[1:])
+        assert split == a and cleared_equal(split, a)
+    diff = a.first_difference(b)
+    if diff is not None:
+        n, lhs_coeff, rhs_coeff = diff
+        assert n <= t_bound(a, b)
+        sa, sb = a.t_series(n), b.t_series(n)
+        assert (sa[n], sb[n]) == (lhs_coeff, rhs_coeff)
+        assert lhs_coeff != rhs_coeff and sa.coeffs[:n] == sb.coeffs[:n]
