@@ -19,6 +19,7 @@ Exact for constant units only, which is all a monomial germ has.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -97,10 +98,18 @@ def _order_vectors(exps, n):
         k += 1
 
 
-def _affine_weight(germ, n, k):
-    """Dimension of the affine factor of one stratum."""
+def _affine_sum(germ, n):
+    """Sum of u^(affine dimension) over the order vectors of arc order n."""
     support = germ.support()
-    return sum(n - ki for ki in k) + n * (germ.d - len(support))
+    weights = [germ.exponents[i] for i in support]
+    off_support = n * (germ.d - len(support))
+    dims = Counter(
+        sum(n - ki for ki in k) + off_support for k in _order_vectors(weights, n)
+    )
+    coeffs = [0] * (max(dims, default=-1) + 1)
+    for dim, count in dims.items():
+        coeffs[dim] = count
+    return RatFunc.poly(coeffs)
 
 
 def arc_beta_naive(germ: MonomialGerm, action: SignAction, n: int) -> RatFunc:
@@ -108,16 +117,11 @@ def arc_beta_naive(germ: MonomialGerm, action: SignAction, n: int) -> RatFunc:
     _require_invariant(germ, action)
     if n < 1:
         raise ValueError("arc order must be positive")
-    support = germ.support()
-    weights = [germ.exponents[i] for i in support]
     point = RatFunc(1) if action.trivial else _POINT
     punct = RatFunc(1)
-    for _ in support:
+    for _ in germ.support():
         punct = punct * _U_MINUS_1
-    total = RatFunc(0)
-    for k in _order_vectors(weights, n):
-        total = total + RatFunc.monomial(_affine_weight(germ, n, k))
-    return punct * point * total
+    return punct * point * _affine_sum(germ, n)
 
 
 def _sign_factor(germ: MonomialGerm, action: SignAction, target: int) -> RatFunc:
@@ -160,15 +164,10 @@ def arc_beta_signed(
     _require_invariant(germ, action)
     if n < 1:
         raise ValueError("arc order must be positive")
-    support = germ.support()
-    weights = [germ.exponents[i] for i in support]
     wfac = _sign_factor(germ, action, 1 if sign == "plus" else -1)
     if wfac.is_zero():
         return RatFunc(0)
-    total = RatFunc(0)
-    for k in _order_vectors(weights, n):
-        total = total + RatFunc.monomial(_affine_weight(germ, n, k))
-    return wfac * total
+    return wfac * _affine_sum(germ, n)
 
 
 def oracle_series(

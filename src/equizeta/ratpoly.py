@@ -9,14 +9,15 @@ powers with no trailing zeros (the empty tuple is 0).  On top of those sit:
   certified equality and a cleared ``BiPoly`` fraction built on demand,
 * ``TSeries``      -- truncated power series in T with ``RatFunc`` coefficients.
 
-Everything is arbitrary-precision and immutable; there is no floating point
-anywhere in this package.
+Everything is immutable and uses arbitrary-precision integers only: one long
+division over Z serves exact quotients and Laurent expansions, and gcds run
+as a primitive pseudo-remainder sequence, so no rational coefficient and no
+floating point appears anywhere in this package.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
@@ -38,11 +39,6 @@ def ptrim(coeffs: Iterable[int]) -> tuple:
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
-
-
-def pdeg(a: tuple) -> int:
-    """Degree; -1 for the zero polynomial."""
-    return len(a) - 1
 
 
 def padd(a: tuple, b: tuple) -> tuple:
@@ -92,55 +88,50 @@ def pprimitive(a: tuple) -> tuple:
     return tuple(c // g for c in a)
 
 
-def _qdivmod(num: list, den: list):
-    """Division with remainder over Fraction coefficient lists."""
-    num = list(num)
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    d = len(den) - 1
-    lead = den[-1]
-    for k in range(len(num) - 1, d - 1, -1):
-        if num[k] == 0:
-            continue
-        c = num[k] / lead
-        q[k - d] = c
-        for j, cd in enumerate(den):
-            num[k - d + j] -= c * cd
-    while num and num[-1] == 0:
-        num.pop()
-    return q, num
+def _zdivmod(a: tuple, b: tuple):
+    """Long division over Z from the top power down: (q, r) with a = q*b + r
+    and deg r < deg b, or None once a quotient coefficient is not an integer.
+
+    ``b`` must be nonzero.
+    """
+    r = list(a)
+    d = len(b) - 1
+    lead = b[-1]
+    q = [0] * max(len(r) - d, 0)
+    for k in range(len(r) - 1, d - 1, -1):
+        c, rem = divmod(r[k], lead)
+        if rem:
+            return None
+        if c:
+            q[k - d] = c
+            for j in range(d):
+                r[k - d + j] -= c * b[j]
+    return tuple(q), ptrim(r[:d])
 
 
 def pgcd(a: tuple, b: tuple) -> tuple:
-    """Primitive gcd with positive leading coefficient (Euclid over Q)."""
-    fa = [Fraction(c) for c in a]
-    fb = [Fraction(c) for c in b]
-    while fb:
-        _, fa = _qdivmod(fa, fb)
-        fa, fb = fb, fa
-    if not fa:
-        return ()
-    # clear denominators, then reduce to primitive form
-    mult = 1
-    for c in fa:
-        mult = mult * c.denominator // gcd(mult, c.denominator)
-    return pprimitive(tuple(int(c * mult) for c in fa))
+    """Primitive gcd with positive leading coefficient (primitive PRS over Z).
+
+    Each step replaces (a, b) by (b, primitive part of the pseudo-remainder
+    of a by b), the remainder of lead(b)^(deg a - deg b + 1) * a, which is
+    an integer polynomial.
+    """
+    a, b = pprimitive(a), pprimitive(b)
+    while b:
+        scale = b[-1] ** max(len(a) - len(b) + 1, 0)
+        _, r = _zdivmod(tuple(scale * c for c in a), b)
+        a, b = b, pprimitive(r)
+    return a
 
 
 def pdivexact(a: tuple, b: tuple) -> tuple:
     """Exact quotient a / b; raises if b does not divide a over the integers."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return ()
-    q, r = _qdivmod([Fraction(c) for c in a], [Fraction(c) for c in b])
-    if r:
+    qr = _zdivmod(a, b)
+    if qr is None or qr[1]:
         raise ValueError("inexact polynomial division")
-    out = []
-    for c in q:
-        if c.denominator != 1:
-            raise ValueError("inexact polynomial division")
-        out.append(int(c))
-    return ptrim(out)
+    return qr[0]
 
 
 def pstr(a: tuple, var: str = "u") -> str:
@@ -305,31 +296,15 @@ class RatFunc:
         deg(num) - deg(den) down to ``k_min``.  Empty when ``k_min`` exceeds
         the top exponent.
         """
-        if self.is_zero():
-            return []
-        top = pdeg(self.num) - pdeg(self.den)
-        if k_min > top:
-            return []
-        # reverse both polynomials so the expansion becomes an ordinary
-        # power-series division in v = u^-1
-        n_rev = [Fraction(c) for c in reversed(self.num)]
-        d_rev = [Fraction(c) for c in reversed(self.den)]
-        if d_rev[0] == 0:
-            raise NotExpandable("denominator has no leading coefficient")
-        count = top - k_min + 1
-        out = []
-        for j in range(count):
-            acc = n_rev[j] if j < len(n_rev) else Fraction(0)
-            for i in range(1, min(j, len(d_rev) - 1) + 1):
-                acc -= d_rev[i] * out[j - i]
-            c = acc / d_rev[0]
-            out.append(c)
-        ints = []
-        for c in out:
-            if c.denominator != 1:
-                raise NotExpandable("expansion has non-integer coefficients")
-            ints.append(int(c))
-        return ints
+        # the quotient of num * u^-k_min by den, shifted so both stay
+        # polynomials, holds exactly the coefficients of u^top .. u^k_min
+        qr = _zdivmod(
+            pmul(self.num, pmonomial(max(0, -k_min))),
+            pmul(self.den, pmonomial(max(0, k_min))),
+        )
+        if qr is None:
+            raise NotExpandable("expansion has non-integer coefficients")
+        return list(reversed(qr[0]))
 
     # -- presentation -----------------------------------------------------------
 
@@ -456,16 +431,16 @@ BI_ONE = BiPoly({(0, 0): 1})
 # ---------------------------------------------------------------------------
 
 def _lcm_fold(polys):
-    """LCM of u-polynomials, order-insensitive (inputs sorted first)."""
+    """LCM over Z of u-polynomials with positive leading coefficients."""
     out = (1,)
-    for p in sorted(polys):
-        g = pgcd(out, p)
-        out = pdivexact(pmul(out, p), g)
+    for p in polys:
+        c = gcd(pcontent(out), pcontent(p))
+        out = pdivexact(pmul(out, p), tuple(c * x for x in pgcd(out, p)))
     return out
 
 
 def _common_den(terms) -> tuple:
-    """A common multiple of the terms' coefficient denominators."""
+    """The least common multiple of the terms' coefficient denominators."""
     return _lcm_fold([coeff.den for coeff, _ in terms])
 
 

@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
-from equizeta.ratpoly import RatFunc, TSeries, ZetaRational
+from math import gcd
+
+from equizeta.errors import NotExpandable
+from equizeta.ratpoly import RatFunc, TSeries, ZetaRational, pprimitive
 
 
 def term(coef, factors):
@@ -21,6 +24,61 @@ def term(coef, factors):
 
 def zsum(*parts):
     return ZetaRational([t for p in parts for t in p.terms])
+
+
+# -- polynomial division over Q, the references for the integer routines -------
+
+def fraction_divmod(num, den):
+    """Division with remainder over Fraction coefficient lists."""
+    num = [Fraction(c) for c in num]
+    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    d = len(den) - 1
+    lead = Fraction(den[-1])
+    for k in range(len(num) - 1, d - 1, -1):
+        if num[k] == 0:
+            continue
+        c = num[k] / lead
+        q[k - d] = c
+        for j, cd in enumerate(den):
+            num[k - d + j] -= c * cd
+    while num and num[-1] == 0:
+        num.pop()
+    return q, num
+
+
+def euclid_gcd(a, b):
+    """Primitive gcd with positive leading coefficient, by Euclid over Q."""
+    fa, fb = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    while fb:
+        _, fa = fraction_divmod(fa, fb)
+        fa, fb = fb, fa
+    if not fa:
+        return ()
+    mult = 1
+    for c in fa:
+        mult = mult * c.denominator // gcd(mult, c.denominator)
+    return pprimitive(tuple(int(c * mult) for c in fa))
+
+
+def recurrence_laurent(r: RatFunc, k_min: int) -> list:
+    """Coefficients of u^top .. u^k_min of r, by the power-series recurrence
+    in v = u^-1 over Q; NotExpandable if one is not an integer."""
+    if r.is_zero():
+        return []
+    top = (len(r.num) - 1) - (len(r.den) - 1)
+    if k_min > top:
+        return []
+    n_rev = [Fraction(c) for c in reversed(r.num)]
+    d_rev = [Fraction(c) for c in reversed(r.den)]
+    out = []
+    for j in range(top - k_min + 1):
+        acc = n_rev[j] if j < len(n_rev) else Fraction(0)
+        for i in range(1, min(j, len(d_rev) - 1) + 1):
+            acc -= d_rev[i] * out[j - i]
+        out.append(acc / d_rev[0])
+    if any(c.denominator != 1 for c in out):
+        raise NotExpandable("expansion has non-integer coefficients")
+    return [int(c) for c in out]
 
 
 # -- the cleared fraction, by the cross-multiplication the engine replaced ----

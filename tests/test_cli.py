@@ -5,7 +5,7 @@ import pytest
 
 from equizeta import catalog, cohomology
 from equizeta.cli import main
-from equizeta.ratpoly import BiPoly, TSeries
+from equizeta.ratpoly import BiPoly, TSeries, pmul
 from equizeta.resolution import resolution_to_json, serialize
 
 
@@ -112,6 +112,23 @@ class TestCompute:
         code, _, err = run("compute", str(bad))
         assert code == 3
         assert "group.order" in err
+
+    def test_outside_rational_atom_is_reduced(self, run, tmp_path):
+        # beta = (a*g)/(b*g) with a/b = (u^2 + u)/(u - 1) and g of degree 8
+        # and content 3 must act exactly as a/b
+        g = (21, -6, 0, 0, 0, 9, 0, 0, 3)
+        paths = []
+        for num, den in (((0, 1, 1), (-1, 1)), (pmul((0, 1, 1), g), pmul((-1, 1), g))):
+            doc = resolution_to_json(catalog.get("x2+y2_Z2"))
+            value = {"num": [str(c) for c in num], "den": [str(c) for c in den]}
+            doc["strata"][0]["beta"] = {"kind": "rational", "value": value}
+            path = tmp_path / f"deg{len(den) - 1}.json"
+            path.write_text(json.dumps(doc))
+            paths.append(str(path))
+        assert run("compare", *paths)[0] == 0
+        plain, padded = (run("compute", p, "--format", "rational") for p in paths)
+        assert plain[0] == padded[0] == 0
+        assert plain[1] == padded[1]
 
     def test_series_never_clears_the_fraction(self, run, monkeypatch):
         def refuse(*args):

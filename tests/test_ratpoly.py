@@ -1,15 +1,28 @@
 import pytest
-from helpers import cleared_equal, cleared_t_series, series_values_match, term, zsum
+from helpers import (
+    cleared_equal,
+    cleared_t_series,
+    euclid_gcd,
+    fraction_divmod,
+    recurrence_laurent,
+    series_values_match,
+    term,
+    zsum,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equizeta.errors import DivisionByZero, ZeroDenominator
+from equizeta.errors import DivisionByZero, NotExpandable, ZeroDenominator
 from equizeta.ratpoly import (
     BiPoly,
     RatFunc,
     TSeries,
     ZetaRational,
+    pcontent,
+    pdivexact,
     pgcd,
+    pmul,
+    ptrim,
 )
 
 PT = RatFunc((0, 1), (-1, 1))  # u/(u-1), the series of a fixed point
@@ -99,9 +112,7 @@ class TestLaurent:
 
     def test_difference_of_laurents_matches_subtraction(self):
         def laurent_map(a, k_min):
-            from equizeta.ratpoly import pdeg
-
-            top = pdeg(a.num) - pdeg(a.den)
+            top = len(a.num) - len(a.den)
             return {top - i: c for i, c in enumerate(a.laurent(k_min))}
 
         circle = RatFunc((0, 1, 1), (-1, 1))
@@ -137,6 +148,16 @@ class TestBiPoly:
         b = term({(0, 0): 1}, [(1, 1)])
         assert a != b
         assert a.first_difference(b) == (1, RatFunc(1), RatFunc((1,), (0, 1)))
+
+    def test_cleared_denominator_is_the_integer_lcm(self):
+        half = RatFunc(1, 2)
+        z = ZetaRational([(half, [(1, 2)]), (half, [(2, 2)])])
+        assert pcontent(tuple(z.den.terms.values())) == 2
+        # 1/(2u - 2) and 1/(4u) clear over 4u(u - 1), not 8u(u - 1)
+        w = ZetaRational([(RatFunc(1, (-2, 2)), [(1, 1)]), (RatFunc(1, (0, 4)), [(1, 1)])])
+        assert w.den == BiPoly({(3, 0): 4, (2, 0): -4, (2, 1): -4, (1, 1): 4})
+        for s in (z, w):
+            assert cleared_t_series(s, 6) == s.t_series(6)
 
     def test_cancelling_terms_clear_to_zero(self):
         z = zsum(term({(0, 0): 1}, [(2, 2)]), term({(0, 0): -1}, [(2, 2)]))
@@ -221,17 +242,60 @@ def test_canonicalization_idempotent(a):
     assert again.num == a.num and again.den == a.den
 
 
-@settings(max_examples=60, deadline=None)
-@given(nonzero, nonzero)
-def test_gcd_divides_both_arguments(a, b):
-    from equizeta.ratpoly import pdivexact, ptrim
+# wide coefficients and a planted common factor, so that the pseudo-remainder
+# sequence of pgcd runs several steps and its coefficients grow
+wide = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=5).filter(any)
+planted = st.builds(
+    lambda g, x, y: (pmul(g, x), pmul(g, y)),
+    wide,
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=9).filter(any),
+    wide,
+)
 
-    a, b = ptrim(a), ptrim(b)
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.tuples(nonzero, nonzero), planted))
+def test_gcd_divides_both_arguments(pair):
+    a, b = (ptrim(p) for p in pair)
     g = pgcd(a, b)
     # exact division succeeds for both, i.e. g is a common divisor over Z
     pdivexact(a, g)
     pdivexact(b, g)
     assert g[-1] > 0
+    assert g == euclid_gcd(a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(nonzero, nonzero, st.integers(-4, 4), st.booleans())
+def test_pdivexact_raises_exactly_when_inexact(x, b, m, plant):
+    # a is x or the planted multiple x * b; scaling b by m leaves no
+    # remainder on a planted multiple, yet a non-integral quotient x / m
+    # unless m divides the content of x
+    b = ptrim(b)
+    a = pmul(ptrim(x), b) if plant else ptrim(x)
+    if m:
+        b = tuple(m * c for c in b)
+    q, r = fraction_divmod(a, b)
+    if r or any(c.denominator != 1 for c in q):
+        with pytest.raises(ValueError):
+            pdivexact(a, b)
+    else:
+        assert pdivexact(a, b) == ptrim(int(c) for c in q)
+
+
+monic = st.builds(lambda cs: tuple(cs) + (1,), coeffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(ratfuncs, st.builds(RatFunc, coeffs, monic)), st.integers(-8, 3))
+def test_laurent_matches_recurrence(r, k_min):
+    try:
+        want = recurrence_laurent(r, k_min)
+    except NotExpandable:
+        with pytest.raises(NotExpandable):
+            r.laurent(k_min)
+    else:
+        assert r.laurent(k_min) == want
 
 
 small_coeffs = st.builds(
