@@ -9,6 +9,7 @@ All configuration is via flags; "-" reads standard input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -151,7 +152,9 @@ def _cmd_cohomology(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="equizeta",
         description="equivariant zeta functions of invariant Nash germs",

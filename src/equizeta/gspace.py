@@ -85,8 +85,11 @@ _FIXED_ATOMS = {
     "circle_trivial": RatFunc((1, 1)),
 }
 
-_AFFINE_RE = re.compile(r"^affine\((\d+)\)$")
-_AFFINE_TRIVIAL_RE = re.compile(r"^affine_trivial\((\d+)\)$")
+# affine(n), affine_trivial(n), product_affine n and product_punctured m cost
+# work in proportion to their size, so all are capped at MAX_AFFINE.
+MAX_AFFINE = 256
+
+_AFFINE_RE = re.compile(r"^affine(_trivial)?\((\d+)\)$")
 
 
 def atom_value(name: str) -> RatFunc:
@@ -94,20 +97,21 @@ def atom_value(name: str) -> RatFunc:
     if name in _FIXED_ATOMS:
         return _FIXED_ATOMS[name]
     m = _AFFINE_RE.match(name)
-    if m:
-        n = int(m.group(1))
-        return RatFunc.monomial(n + 1) / RatFunc.poly((-1, 1))
-    m = _AFFINE_TRIVIAL_RE.match(name)
-    if m:
-        return RatFunc.monomial(int(m.group(1)))
-    raise UnknownAtom(f"unknown atom {name!r}")
+    if m is None:
+        raise UnknownAtom(f"unknown atom {name!r}")
+    trivial, digits = m.groups()
+    if len(digits) > 9 or int(digits) > MAX_AFFINE:
+        raise UnknownAtom(f"atom {name!r}: affine dimension above {MAX_AFFINE}")
+    if trivial:
+        return RatFunc.monomial(int(digits))
+    return RatFunc.monomial(int(digits) + 1) / RatFunc.poly((-1, 1))
 
 
 def atom_table(max_affine: int = 8):
     """Full catalog listing in a deterministic order.
 
     The affine families are listed through dimension ``max_affine``;
-    ``atom_value`` accepts any dimension.
+    ``atom_value`` accepts any dimension up to ``MAX_AFFINE``.
     """
     rows = [(name, value) for name, value in _FIXED_ATOMS.items()]
     for n in range(max_affine + 1):
@@ -192,12 +196,12 @@ def expr_from_json(obj) -> GSpace:
         )
     if kind == "product_affine":
         n = obj.get("n")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise SchemaError("product_affine needs a non-negative integer 'n'")
+        if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n <= MAX_AFFINE:
+            raise SchemaError(f"product_affine needs an integer 'n' in 0..{MAX_AFFINE}")
         return ProductWithAffine(expr_from_json(obj.get("base")), n)
     if kind == "product_punctured":
         m = obj.get("m")
-        if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-            raise SchemaError("product_punctured needs a non-negative integer 'm'")
+        if not isinstance(m, int) or isinstance(m, bool) or not 0 <= m <= MAX_AFFINE:
+            raise SchemaError(f"product_punctured needs an integer 'm' in 0..{MAX_AFFINE}")
         return ProductWithPuncturedLines(expr_from_json(obj.get("base")), m)
     raise SchemaError(f"unknown G-space expression kind {kind!r}")

@@ -4,9 +4,9 @@ Univariate integer polynomials in u are plain tuples of ints in ascending
 powers with no trailing zeros (the empty tuple is 0).  On top of those sit:
 
 * ``RatFunc``      -- reduced fractions of integer polynomials in u,
-* ``BiPoly``       -- integer polynomials in (u, T) as sparse coefficient maps,
-* ``ZetaRational`` -- sums of coeff * prod T^N / (u^nu - T^N) terms, with a
-  certified equality and a cleared ``BiPoly`` fraction built on demand,
+* ``ZetaRational`` -- sums of coeff * prod T^N / (u^nu - T^N) terms, whose
+  T-expansion gives the series, certified equality and the cleared fraction,
+* ``BiPoly``       -- the cleared fraction's num and den as sparse (u, T) maps,
 * ``TSeries``      -- truncated power series in T with ``RatFunc`` coefficients.
 
 Everything is immutable and uses arbitrary-precision integers only: one long
@@ -370,30 +370,6 @@ class BiPoly:
     def __setattr__(self, *args):
         raise AttributeError("BiPoly is immutable")
 
-    @classmethod
-    def from_upoly(cls, p: tuple, t_exp: int = 0) -> "BiPoly":
-        return cls({(k, t_exp): c for k, c in enumerate(p) if c})
-
-    @classmethod
-    def monomial(cls, u_exp: int, t_exp: int, c: int = 1) -> "BiPoly":
-        return cls({(u_exp, t_exp): c})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return BiPoly(out)
-
     def __mul__(self, other):
         if not self.terms or not other.terms:
             return BiPoly()
@@ -421,9 +397,6 @@ class BiPoly:
 
     def __repr__(self):
         return f"BiPoly({self.terms!r})"
-
-
-BI_ONE = BiPoly({(0, 0): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +431,11 @@ def _t_bound(terms) -> int:
     return sum(N * count for (_, N), count in _factor_max(terms).items())
 
 
-def _expand(terms, den_u: tuple, order: int) -> list:
-    """T^0..T^order coefficients of den_u * sum(terms), as {u exponent: int}.
+def _expand(terms, den_u: tuple, order: int) -> dict:
+    """Nonzero T^0..T^order coefficients of den_u * sum(terms), sparse in T.
 
-    Each factor T^N / (u^nu - T^N) is the geometric series
+    Returns {T exponent: {u exponent: int}} with no zero entries.  Each
+    factor T^N / (u^nu - T^N) is the geometric series
     sum_{m>=1} u^(-m nu) T^(m N), so a coefficient is a sparse convolution of
     Laurent monomials; den_u must be a multiple of every coefficient's
     denominator, which keeps every coefficient a Laurent polynomial.
@@ -470,7 +444,7 @@ def _expand(terms, den_u: tuple, order: int) -> list:
     for coeff, factors in terms:
         scaled = pmul(coeff.num, pdivexact(den_u, coeff.den))
         grouped[factors] = padd(grouped.get(factors, ()), scaled)
-    out = [{} for _ in range(order + 1)]
+    out = {}
     for factors, poly in grouped.items():
         series = {0: {0: 1}}
         for nu, N in factors:
@@ -482,12 +456,32 @@ def _expand(terms, den_u: tuple, order: int) -> list:
                         target[e - m * nu] = target.get(e - m * nu, 0) + c
             series = product
         for t, laurent in series.items():
-            acc = out[t]
+            acc = out.setdefault(t, {})
             for e, c in laurent.items():
                 for i, p in enumerate(poly):
                     if p:
                         acc[e + i] = acc.get(e + i, 0) + c * p
-    return [{e: c for e, c in acc.items() if c} for acc in out]
+    rows = ((t, {e: c for e, c in acc.items() if c}) for t, acc in out.items())
+    return {t: row for t, row in rows if row}
+
+
+def _times_factor(rows: dict, nu: int, N: int, order: int) -> dict:
+    """rows * (u^nu - T^N) through T^order, sparse as ``_expand`` returns:
+    out[t] = u^nu rows[t] - rows[t-N]."""
+    out = {t: {e + nu: c for e, c in row.items()} for t, row in rows.items()}
+    for t, row in rows.items():
+        if t + N > order:
+            continue
+        acc = out.setdefault(t + N, {})
+        for e, c in row.items():
+            v = acc.get(e, 0) - c
+            if v:
+                acc[e] = v
+            else:
+                del acc[e]
+        if not acc:
+            del out[t + N]
+    return out
 
 
 def _laurent_over(laurent: dict, den_u: tuple) -> RatFunc:
@@ -539,9 +533,10 @@ class ZetaRational:
         bound = _t_bound(both)
         mine = _expand(self.terms, den_u, bound)
         theirs = _expand(other.terms, den_u, bound)
-        for n in range(bound + 1):
-            if mine[n] != theirs[n]:
-                return n, _laurent_over(mine[n], den_u), _laurent_over(theirs[n], den_u)
+        for n in sorted(mine.keys() | theirs.keys()):
+            lhs, rhs = mine.get(n, {}), theirs.get(n, {})
+            if lhs != rhs:
+                return n, _laurent_over(lhs, den_u), _laurent_over(rhs, den_u)
         return None
 
     def __eq__(self, other):
@@ -554,35 +549,32 @@ class ZetaRational:
         if order < 0:
             raise ValueError("order must be non-negative")
         den_u = _common_den(self.terms)
-        return TSeries(tuple(_laurent_over(c, den_u) for c in _expand(self.terms, den_u, order)))
+        rows = _expand(self.terms, den_u, order)
+        return TSeries(tuple(_laurent_over(rows.get(n, {}), den_u) for n in range(order + 1)))
 
     @cached_property
     def _cleared(self):
-        """(num, den) over den_u * prod (u^nu - T^N)^max multiplicity.
+        """(num, den) over den = den_u * prod (u^nu - T^N)^max multiplicity.
 
-        Not gcd-reduced: bivariate gcds are expensive and nothing needs them.
+        den has T-degree dT, and each term times den is a polynomial of
+        T-degree at most dT, so num = den * sum(terms) is the expansion through
+        T^dT times the factors of den, each product cut after T^dT.  Not
+        gcd-reduced: bivariate gcds are expensive and nothing needs them.
         """
-        factor_max = _factor_max(self.terms)
         den_u = _common_den(self.terms)
-        den = BiPoly.from_upoly(den_u)
-        for (nu, N), count in sorted(factor_max.items()):
-            piece = BiPoly({(nu, 0): 1, (0, N): -1})
+        bound = _t_bound(self.terms)
+        num = _expand(self.terms, den_u, bound)
+        if not num:
+            return BiPoly(), BiPoly({(0, 0): 1})
+        den = {0: {e: c for e, c in enumerate(den_u) if c}}
+        for (nu, N), count in sorted(_factor_max(self.terms).items()):
             for _ in range(count):
-                den = den * piece
-        num = BiPoly()
-        for coeff, factors in self.terms:
-            scaled = pmul(coeff.num, pdivexact(den_u, coeff.den))
-            t_total = sum(N for _, N in factors)
-            part = BiPoly.from_upoly(scaled) * BiPoly.monomial(0, t_total)
-            missing = factor_max - Counter(factors)
-            for (nu, N), count in sorted(missing.items()):
-                piece = BiPoly({(nu, 0): 1, (0, N): -1})
-                for _ in range(count):
-                    part = part * piece
-            num = num + part
-        if num.is_zero():
-            return BiPoly(), BI_ONE
-        return num, den
+                num = _times_factor(num, nu, N, bound)
+                den = _times_factor(den, nu, N, bound)
+        return tuple(
+            BiPoly({(e, t): c for t, row in rows.items() for e, c in row.items()})
+            for rows in (num, den)
+        )
 
     @property
     def num(self) -> BiPoly:

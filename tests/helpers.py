@@ -1,11 +1,21 @@
 """Shared test helpers: hand-encoded closed forms and independent oracles."""
 
+from collections import Counter
 from fractions import Fraction
-
 from math import gcd
 
 from equizeta.errors import NotExpandable
-from equizeta.ratpoly import RatFunc, TSeries, ZetaRational, pprimitive
+from equizeta.ratpoly import (
+    BiPoly,
+    RatFunc,
+    TSeries,
+    ZetaRational,
+    _common_den,
+    _factor_max,
+    pdivexact,
+    pmul,
+    pprimitive,
+)
 
 
 def term(coef, factors):
@@ -92,6 +102,31 @@ def eval_fraction(r: RatFunc, x) -> Fraction:
         return sum(Fraction(c) * Fraction(x) ** k for k, c in enumerate(p))
 
     return at(r.num) / at(r.den)
+
+
+def per_term_cleared(z: ZetaRational):
+    """(num, den) by the per-term assembly that the expansion replaced: each
+    term, over den_u, times its missing (u^nu - T^N) factors one BiPoly
+    product at a time, and the parts summed."""
+    factor_max = _factor_max(z.terms)
+    den_u = _common_den(z.terms)
+    den = BiPoly({(k, 0): c for k, c in enumerate(den_u)})
+    for (nu, N), count in sorted(factor_max.items()):
+        for _ in range(count):
+            den = den * BiPoly({(nu, 0): 1, (0, N): -1})
+    num = Counter()
+    for coeff, factors in z.terms:
+        scaled = pmul(coeff.num, pdivexact(den_u, coeff.den))
+        t_total = sum(N for _, N in factors)
+        part = BiPoly({(k, t_total): c for k, c in enumerate(scaled)})
+        for (nu, N), count in sorted((factor_max - Counter(factors)).items()):
+            for _ in range(count):
+                part = part * BiPoly({(nu, 0): 1, (0, N): -1})
+        num.update(part.terms)
+    num = BiPoly(num)
+    if not num.terms:
+        return BiPoly(), BiPoly({(0, 0): 1})
+    return num, den
 
 
 def cleared_equal(a: ZetaRational, b: ZetaRational) -> bool:

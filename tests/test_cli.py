@@ -1,11 +1,12 @@
 import io
 import json
+import time
 
 import pytest
 
 from equizeta import catalog, cohomology
-from equizeta.cli import main
-from equizeta.ratpoly import BiPoly, TSeries, pmul
+from equizeta.cli import build_parser, main
+from equizeta.ratpoly import TSeries, ZetaRational, pmul
 from equizeta.resolution import resolution_to_json, serialize
 
 
@@ -130,13 +131,31 @@ class TestCompute:
         assert plain[0] == padded[0] == 0
         assert plain[1] == padded[1]
 
+    def test_oversized_affine_atom_exits_3(self, run, tmp_path):
+        doc = resolution_to_json(catalog.get("x2+y2_Z2"))
+        doc["strata"][0]["beta"] = {"kind": "atom", "name": "affine(1000000000)"}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run("compute", str(path))
+        assert code == 3 and "affine dimension" in err
+
     def test_series_never_clears_the_fraction(self, run, monkeypatch):
         def refuse(*args):
-            raise AssertionError("BiPoly multiplication on the series path")
+            raise AssertionError("cleared fraction built on the series path")
 
-        monkeypatch.setattr(BiPoly, "__mul__", refuse)
+        monkeypatch.setattr(ZetaRational, "_cleared", property(refuse))
         code, out, _ = run("compute", "gk(5,+,-)", "--format", "series", "--expand", "12")
         assert code == 0 and json.loads(out)["order"] == 12
+
+    def test_huge_divisor_multiplicity_clears_fast(self, run):
+        # x^(2k) with k = 10^9: one factor (1, 2*10^9), so dT = 2*10^9
+        start = time.perf_counter()
+        code, out, _ = run("compute", "x2k_Z2(1000000000)", "--format", "rational")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        doc = json.loads(out)
+        assert {"c": "1", "t": 2000000000, "u": 1} in doc["num"]
+        assert {"c": "-1", "t": 2000000000, "u": 0} in doc["den"]
 
 
 class TestCompare:
@@ -168,12 +187,38 @@ class TestCompare:
 
     def test_compare_never_clears_the_fraction(self, run, monkeypatch):
         def refuse(*args):
-            raise AssertionError("BiPoly multiplication on the compare path")
+            raise AssertionError("cleared fraction built on the compare path")
 
-        monkeypatch.setattr(BiPoly, "__mul__", refuse)
+        monkeypatch.setattr(ZetaRational, "_cleared", property(refuse))
         assert run("compare", "gk(6,+,-)", "gk(6,+,-)")[0] == 0
         code, out, _ = run("compare", "y4-x2_Z2", "x4-y2_Z2", "--order", "8")
         assert code == 1 and json.loads(out)["first_differing_T_order"] == 4
+
+    def test_huge_divisor_multiplicities_compare_fast(self, run):
+        # the series first differ at T^(2*10^9), far past --order, with
+        # dT = 4*10^9 + 2: only the nonzero orders are ever built
+        start = time.perf_counter()
+        code, out, _ = run("compare", "x2k_Z2(1000000000)", "x2k_Z2(1000000001)")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["equal"] is False and doc["first_differing_T_order"] is None
+
+
+class TestParser:
+    def test_one_parser_serves_successive_calls(self, run):
+        assert build_parser() is build_parser()
+        code, out, _ = run("compute", "x2k_Z2(2)", "--format", "rational")
+        assert code == 0 and json.loads(out)["num"]
+        code, out, _ = run("compare", "y4-x2_Z2", "x4-y2_Z2", "--order", "8")
+        assert code == 1 and json.loads(out)["first_differing_T_order"] == 4
+        code, out, _ = run("compute", "x2k_Z2(2)")
+        assert code == 0 and "T^4" in out
+        with pytest.raises(SystemExit):
+            main(["compare", "y4-x2_Z2"])
+        with pytest.raises(SystemExit):
+            main(["compute", "x2k_Z2(2)", "--order", "3"])
+        assert run("catalog", "list")[0] == 0
 
 
 class TestOracle:

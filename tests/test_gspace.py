@@ -2,6 +2,7 @@ import pytest
 
 from equizeta.errors import SchemaError, UnknownAtom
 from equizeta.gspace import (
+    MAX_AFFINE,
     Atom,
     ClosedComplement,
     DisjointUnion,
@@ -42,6 +43,12 @@ class TestAtomCatalog:
     def test_unknown_atom(self):
         with pytest.raises(UnknownAtom):
             atom_value("mystery_space")
+
+    def test_affine_dimension_capped(self):
+        assert atom_value(f"affine({MAX_AFFINE})") == RatFunc.monomial(MAX_AFFINE + 1) / U_MINUS_1
+        for name in (f"affine({MAX_AFFINE + 1})", "affine(1000000000)", f"affine_trivial({10**40})"):
+            with pytest.raises(UnknownAtom):
+                atom_value(name)
 
     def test_table_is_deterministic_and_complete(self):
         t1 = atom_table()
@@ -137,3 +144,16 @@ class TestJson:
             expr_from_json(
                 {"kind": "product_affine", "base": {"kind": "atom", "name": "point_fixed"}, "n": -1}
             )
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            {"kind": "atom", "name": "affine(1000000000)"},
+            {"kind": "atom", "name": f"affine_trivial({MAX_AFFINE + 1})"},
+            {"kind": "product_affine", "base": {"kind": "atom", "name": "point_fixed"}, "n": 10**9},
+            {"kind": "product_punctured", "base": {"kind": "atom", "name": "point_fixed"}, "m": 10**9},
+        ],
+    )
+    def test_oversized_affine_rejected_at_parse(self, expr):
+        with pytest.raises(SchemaError):
+            expr_from_json(expr)

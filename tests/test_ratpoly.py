@@ -4,6 +4,7 @@ from helpers import (
     cleared_t_series,
     euclid_gcd,
     fraction_divmod,
+    per_term_cleared,
     recurrence_laurent,
     series_values_match,
     term,
@@ -339,3 +340,21 @@ def test_birat_eq_equivalence_relation(lhs, rhs, rng):
         sa, sb = a.t_series(n), b.t_series(n)
         assert (sa[n], sb[n]) == (lhs_coeff, rhs_coeff)
         assert lhs_coeff != rhs_coeff and sa.coeffs[:n] == sb.coeffs[:n]
+
+
+@st.composite
+def cancelling_term_lists(draw):
+    """Term sums with a repeated factor and negated copies of some terms."""
+    terms = draw(term_lists)
+    if terms and draw(st.booleans()):
+        coeff, factors = terms[0]
+        terms[0] = (coeff, factors + factors[:1])
+    cancelled = draw(st.integers(0, len(terms)))
+    return terms + [(-coeff, factors) for coeff, factors in terms[:cancelled]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(cancelling_term_lists())
+def test_cleared_fraction_matches_per_term_assembly(terms):
+    z = ZetaRational(terms)
+    assert (z.num, z.den) == per_term_cleared(z)

@@ -9,6 +9,7 @@ from helpers import (
     displayed_x2k,
     displayed_y4_x2,
     eval_at,
+    per_term_cleared,
     series_values_match,
 )
 
@@ -88,6 +89,14 @@ class TestWorkedExamples:
             for variant in VARIANTS:
                 z = denef_loeser(res, variant)
                 assert z.t_series(10) == cleared_t_series(z, 10), (name, variant)
+
+    def test_cleared_fraction_matches_per_term_assembly(self):
+        names = catalog.sample_names() + ["gk(9,+,-)", "gk(10,-,-)", "hk(9,+)"]
+        for name in names:
+            res = catalog.get(name)
+            for variant in VARIANTS:
+                z = denef_loeser(res, variant)
+                assert (z.num, z.den) == per_term_cleared(z), (name, variant)
 
     def test_expansion_matches_numeric_long_division(self):
         for name in ("y4-x2_Z2", "x4-y2_Z2", "-x2-y4_Z2", "A-boundary_f"):
