@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import NotInvariant
-from .ratpoly import RatFunc, TSeries
+from .ratpoly import RatFunc, TSeries, pmul, ppow
 
 _POINT = RatFunc((0, 1), (-1, 1))
 _U_MINUS_1 = RatFunc.poly((-1, 1))
@@ -98,8 +98,9 @@ def _order_vectors(exps, n):
         k += 1
 
 
-def _affine_sum(germ, n):
-    """Sum of u^(affine dimension) over the order vectors of arc order n."""
+def _affine_sum(germ, n) -> tuple:
+    """Sum of u^(affine dimension) over the order vectors of arc order n, as
+    an integer polynomial."""
     support = germ.support()
     weights = [germ.exponents[i] for i in support]
     off_support = n * (germ.d - len(support))
@@ -109,7 +110,7 @@ def _affine_sum(germ, n):
     coeffs = [0] * (max(dims, default=-1) + 1)
     for dim, count in dims.items():
         coeffs[dim] = count
-    return RatFunc.poly(coeffs)
+    return tuple(coeffs)
 
 
 def arc_beta_naive(germ: MonomialGerm, action: SignAction, n: int) -> RatFunc:
@@ -118,10 +119,8 @@ def arc_beta_naive(germ: MonomialGerm, action: SignAction, n: int) -> RatFunc:
     if n < 1:
         raise ValueError("arc order must be positive")
     point = RatFunc(1) if action.trivial else _POINT
-    punct = RatFunc(1)
-    for _ in germ.support():
-        punct = punct * _U_MINUS_1
-    return punct * point * _affine_sum(germ, n)
+    punct = ppow((-1, 1), len(germ.support()))
+    return RatFunc(pmul(pmul(punct, point.num), _affine_sum(germ, n)), point.den)
 
 
 def _sign_factor(germ: MonomialGerm, action: SignAction, target: int) -> RatFunc:
@@ -167,7 +166,7 @@ def arc_beta_signed(
     wfac = _sign_factor(germ, action, 1 if sign == "plus" else -1)
     if wfac.is_zero():
         return RatFunc(0)
-    return wfac * _affine_sum(germ, n)
+    return RatFunc(pmul(wfac.num, _affine_sum(germ, n)), wfac.den)
 
 
 def oracle_series(

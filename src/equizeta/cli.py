@@ -3,16 +3,17 @@
 Subcommands: compute, compare, oracle, catalog, cohomology.  Exit codes are
 0 (success / equal), 1 (compare found a difference), 2 (semantic error such
 as failed validation or a non-invariant germ), 3 (parse or schema error).
-All configuration is via flags; "-" reads standard input.
+All configuration is via flags; "-" reads standard input.  Structured output
+is indented JSON with sorted keys, written by ``_emit``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import catalog, cohomology, resolution, zeta
 from .arcs import MonomialGerm, SignAction, is_invariant, oracle_series
@@ -30,8 +31,64 @@ EXIT_SEMANTIC = 2
 EXIT_PARSE = 3
 
 
+# How _emit writes each scalar type; exact types only, so bool is not int.
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
 def _emit(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for the
+    JSON the CLI prints: dicts with str keys, lists, str, int, bool and None.
+
+    ``json`` falls back to its pure-Python encoder whenever ``indent`` is
+    set; this writer quotes strings with the C routine ``json`` uses.
+    Anything else raises ``TypeError``.
+    """
+    out = []
+    _write_json(obj, out, "\n")
+    return "".join(out)
+
+
+def _write_json(obj, out, newline):
+    write = _JSON_SCALARS.get(type(obj))
+    if write is not None:
+        out.append(write(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            value = obj[key]
+            head = sep + encode_basestring_ascii(key) + ": "
+            write = _JSON_SCALARS.get(type(value))
+            if write is not None:
+                out.append(head + write(value))
+            else:
+                out.append(head)
+                _write_json(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, list):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(
+            f"Object of type {obj.__class__.__name__} is not JSON serializable"
+        )
 
 
 def _load_resolution(ref: str) -> resolution.ResolutionData:
@@ -129,19 +186,14 @@ def _cmd_cohomology(args) -> int:
         spec = _PIPELINE_BUILDERS[args.input]()
     else:
         if args.input == "-":
-            text = sys.stdin.read()
+            data = sys.stdin.read()
         else:
             try:
-                with open(args.input, "r", encoding="utf-8") as handle:
-                    text = handle.read()
+                with open(args.input, "rb") as handle:
+                    data = handle.read()
             except OSError as exc:
                 raise ParseError(f"cannot read {args.input}: {exc}") from exc
-        try:
-            spec = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
+        spec = resolution.load_json(data)
     series = cohomology.run_pipeline(spec)
     print(str(series))
     prefix = series.laurent(-4)

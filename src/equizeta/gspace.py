@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 from .errors import SchemaError, UnknownAtom
-from .ratpoly import RatFunc
+from .ratpoly import RatFunc, pmul, ppow
 
 
 @dataclass(frozen=True)
@@ -141,10 +141,8 @@ def beta_value(expr: GSpace) -> RatFunc:
     if isinstance(expr, ProductWithPuncturedLines):
         if expr.m < 0:
             raise ValueError("punctured-line count must be non-negative")
-        factor = RatFunc(1)
-        for _ in range(expr.m):
-            factor = factor * RatFunc.poly((-1, 1))
-        return beta_value(expr.base) * factor
+        base = beta_value(expr.base)
+        return RatFunc(pmul(base.num, ppow((-1, 1), expr.m)), base.den)
     raise TypeError(f"not a G-space expression: {expr!r}")
 
 

@@ -65,6 +65,20 @@ def pmul(a: tuple, b: tuple) -> tuple:
     return ptrim(out)
 
 
+def ppow(a: tuple, k: int) -> tuple:
+    """a^k for k >= 0, by repeated squaring."""
+    if k < 0:
+        raise ValueError("polynomial power must be non-negative")
+    out = (1,)
+    while k:
+        if k & 1:
+            out = pmul(out, a)
+        k >>= 1
+        if k:
+            a = pmul(a, a)
+    return out
+
+
 def pmonomial(k: int, c: int = 1) -> tuple:
     if c == 0:
         return ()
@@ -413,8 +427,11 @@ def _lcm_fold(polys):
 
 
 def _common_den(terms) -> tuple:
-    """The least common multiple of the terms' coefficient denominators."""
-    return _lcm_fold([coeff.den for coeff, _ in terms])
+    """The least common multiple of the terms' coefficient denominators.
+
+    Each distinct denominator is folded once, in first-seen order.
+    """
+    return _lcm_fold(dict.fromkeys(coeff.den for coeff, _ in terms))
 
 
 def _factor_max(terms) -> Counter:

@@ -308,12 +308,27 @@ def resolution_from_json(obj) -> ResolutionData:
     return ResolutionData(name, tuple(divisors), GroupSpec(order, tuple(gens)), tuple(strata))
 
 
-def parse(text) -> ResolutionData:
-    """Parse serialized resolution data; ParseError for malformed JSON."""
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8", errors="replace")
+def load_json(data):
+    """Decode UTF-8 bytes (or take a str) and parse one JSON document.
+
+    Raises ParseError for bytes that are not UTF-8, malformed JSON, an
+    integer literal longer than Python's int conversion limit (4300 digits
+    by default) and nesting deeper than the recursion limit.
+    """
     try:
-        obj = json.loads(text)
+        if isinstance(data, (bytes, bytearray)):
+            data = data.decode("utf-8")
+        return json.loads(data)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return resolution_from_json(obj)
+    except ValueError as exc:  # an integer literal over the digit limit
+        raise ParseError(str(exc)) from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply") from exc
+
+
+def parse(text) -> ResolutionData:
+    """Parse serialized resolution data; ParseError for unreadable JSON."""
+    return resolution_from_json(load_json(text))

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .errors import InvalidResolution
 from .gspace import beta_value
-from .ratpoly import RatFunc, ZetaRational
+from .ratpoly import RatFunc, ZetaRational, pmul, ppow
 from .resolution import ResolutionData, StratumEntry, validate
 
 VARIANTS = ("naive", "plus", "minus")
@@ -39,20 +39,27 @@ def _stratum_expr(st: StratumEntry, variant: str):
 
 
 def _stratum_terms(res: ResolutionData, variant: str):
-    """Per-stratum (coefficient, factor multiset) pairs, declared order."""
+    """Per-stratum (coefficient, factor multiset) pairs, declared order.
+
+    A resolution's strata repeat a few G-space values, so each distinct
+    (expression, (u-1) exponent) pair is evaluated once; the memo lives
+    for this one call only.
+    """
     dmap = res.divisor_map()
-    u_minus_1 = RatFunc.poly((-1, 1))
+    coeffs = {}
     terms = []
     for st in res.strata:
         expr = _stratum_expr(st, variant)
         if expr is None:
             continue
-        coeff = beta_value(expr)
+        exponent = len(st.divisors) - (0 if variant == "naive" else 1)
+        key = (expr, exponent)
+        if key not in coeffs:
+            beta = beta_value(expr)
+            coeffs[key] = RatFunc(pmul(beta.num, ppow((-1, 1), exponent)), beta.den)
+        coeff = coeffs[key]
         if coeff.is_zero():
             continue
-        exponent = len(st.divisors) - (0 if variant == "naive" else 1)
-        for _ in range(exponent):
-            coeff = coeff * u_minus_1
         factors = [(dmap[i].nu, dmap[i].N) for i in st.divisors]
         terms.append((coeff, factors))
     return terms

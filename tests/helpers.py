@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 from equizeta.errors import NotExpandable
+from equizeta.gspace import beta_value
 from equizeta.ratpoly import (
     BiPoly,
     RatFunc,
@@ -127,6 +128,25 @@ def per_term_cleared(z: ZetaRational):
     if not num.terms:
         return BiPoly(), BiPoly({(0, 0): 1})
     return num, den
+
+
+def per_stratum_terms(res, variant):
+    """The engine's terms by the loop the memo replaced: one beta_value per
+    stratum, then (u-1) multiplied in one RatFunc product at a time."""
+    u_minus_1 = RatFunc.poly((-1, 1))
+    dmap = res.divisor_map()
+    terms = []
+    for st in res.strata:
+        expr = {"naive": st.beta, "plus": st.beta_plus, "minus": st.beta_minus}[variant]
+        if expr is None:
+            continue
+        coeff = beta_value(expr)
+        if coeff.is_zero():
+            continue
+        for _ in range(len(st.divisors) - (0 if variant == "naive" else 1)):
+            coeff = coeff * u_minus_1
+        terms.append((coeff, [(dmap[i].nu, dmap[i].N) for i in st.divisors]))
+    return ZetaRational(terms).terms
 
 
 def cleared_equal(a: ZetaRational, b: ZetaRational) -> bool:

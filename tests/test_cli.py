@@ -3,9 +3,11 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equizeta import catalog, cohomology
-from equizeta.cli import build_parser, main
+from equizeta.cli import _emit, build_parser, main
 from equizeta.ratpoly import TSeries, ZetaRational, pmul
 from equizeta.resolution import resolution_to_json, serialize
 
@@ -138,6 +140,20 @@ class TestCompute:
         path.write_text(json.dumps(doc))
         code, _, err = run("compute", str(path))
         assert code == 3 and "affine dimension" in err
+
+    def test_oversized_integer_literal_exits_3(self, run, tmp_path):
+        doc = json.dumps(resolution_to_json(catalog.get("x2+y2_Z2")))
+        head, tail = doc.split('"id": ', 1)
+        path = tmp_path / "big.json"
+        path.write_text(head + '"id": ' + "9" * 5001 + tail[tail.index(","):])
+        code, _, err = run("compute", str(path))
+        assert code == 3 and "4300 digits" in err
+
+    def test_deep_nesting_exits_3(self, run, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        code, _, err = run("compute", str(path))
+        assert code == 3 and "nested too deeply" in err
 
     def test_series_never_clears_the_fraction(self, run, monkeypatch):
         def refuse(*args):
@@ -303,3 +319,50 @@ class TestCatalogAndCohomology:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(spec))
         assert run("cohomology", str(path))[0] == 2
+
+    def test_oversized_integer_literal_exits_3(self, run, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"p_min": -' + "1" * 5001 + "}")
+        code, _, err = run("cohomology", str(path))
+        assert code == 3 and "4300 digits" in err
+
+    def test_non_utf8_file_exits_3(self, run, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(cohomology.sphere_free_pipeline()).encode() + b" \xff")
+        code, _, err = run("cohomology", str(path))
+        assert code == 3 and "not UTF-8" in err
+
+
+# -- the indented JSON writer against json.dumps ---------------------------------
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(max_value=-10**40)
+    | st.text(alphabet=st.characters(codec=None), max_size=12)
+    | st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é€😀", "\ud800"])
+)
+json_docs = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestEmit:
+    @settings(max_examples=200, deadline=None)
+    @given(json_docs)
+    def test_matches_json_dumps(self, obj):
+        assert _emit(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    def test_unsorted_keys_empty_containers_and_constants(self):
+        obj = {"z": [], "a": {}, "m": [True, False, None, 1, 0, -(10**50)], "B": {"y": 1, "x": "\""}}
+        assert _emit(obj) == json.dumps(obj, indent=2, sort_keys=True)
+        assert _emit([True, 1, False, 0]) == "[\n  true,\n  1,\n  false,\n  0\n]"
+
+    @pytest.mark.parametrize("bad", [1.5, {1, 2}, {"k": [0.0]}, [set()], (1,)])
+    def test_other_types_raise_type_error(self, bad):
+        with pytest.raises(TypeError):
+            _emit(bad)

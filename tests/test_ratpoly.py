@@ -19,10 +19,13 @@ from equizeta.ratpoly import (
     RatFunc,
     TSeries,
     ZetaRational,
+    _common_den,
+    _lcm_fold,
     pcontent,
     pdivexact,
     pgcd,
     pmul,
+    ppow,
     ptrim,
 )
 
@@ -157,7 +160,16 @@ class TestBiPoly:
         # 1/(2u - 2) and 1/(4u) clear over 4u(u - 1), not 8u(u - 1)
         w = ZetaRational([(RatFunc(1, (-2, 2)), [(1, 1)]), (RatFunc(1, (0, 4)), [(1, 1)])])
         assert w.den == BiPoly({(3, 0): 4, (2, 0): -4, (2, 1): -4, (1, 1): 4})
-        for s in (z, w):
+        # one denominator repeated on most terms, as on the gk ladder, is
+        # folded once and gives the lcm of the fold over every term
+        over_2u_minus_2 = RatFunc((1, 3), (-2, 2))
+        r = ZetaRational(
+            [(over_2u_minus_2, [(k, 2 * k)]) for k in range(1, 6)]
+            + [(RatFunc(1, (0, 4)), [(1, 1)]), (over_2u_minus_2, [(2, 2), (3, 4)])]
+        )
+        dens = [coeff.den for coeff, _ in r.terms]
+        assert _common_den(r.terms) == _lcm_fold(dens) == (0, -4, 4)
+        for s in (z, w, r):
             assert cleared_t_series(s, 6) == s.t_series(6)
 
     def test_cancelling_terms_clear_to_zero(self):
@@ -241,6 +253,17 @@ def test_distributivity(a, b, c):
 def test_canonicalization_idempotent(a):
     again = RatFunc(a.num, a.den)
     assert again.num == a.num and again.den == a.den
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs, st.integers(0, 12))
+def test_power_matches_repeated_products(a, k):
+    want = (1,)
+    for _ in range(k):
+        want = pmul(want, ptrim(a))
+    assert ppow(ptrim(a), k) == want
+    with pytest.raises(ValueError):
+        ppow(ptrim(a), -1)
 
 
 # wide coefficients and a planted common factor, so that the pseudo-remainder

@@ -9,11 +9,12 @@ from helpers import (
     displayed_x2k,
     displayed_y4_x2,
     eval_at,
+    per_stratum_terms,
     per_term_cleared,
     series_values_match,
 )
 
-from equizeta import catalog
+from equizeta import catalog, zeta
 from equizeta.errors import InvalidResolution
 from equizeta.gspace import Atom
 from equizeta.ratpoly import RatFunc
@@ -97,6 +98,39 @@ class TestWorkedExamples:
             for variant in VARIANTS:
                 z = denef_loeser(res, variant)
                 assert (z.num, z.den) == per_term_cleared(z), (name, variant)
+
+    def test_coefficients_match_per_stratum_loop(self):
+        ladder = [f"gk(14,{a},{b})" for a in "+-" for b in "+-"]
+        ladder += [f"hk({k},{s})" for k in (13, 14) for s in "+-"]
+        resolutions = [catalog.get(name) for name in catalog.sample_names() + ladder]
+        # one value on strata of sizes 1 and 2 takes two (u-1) exponents
+        point = Atom("point_fixed")
+        resolutions.append(
+            ResolutionData(
+                "shared value",
+                (Divisor(1, 2, 2, True), Divisor(2, 1, 1, False)),
+                GroupSpec(1),
+                (StratumEntry({1}, point, point), StratumEntry({1, 2}, point, point)),
+            )
+        )
+        for res in resolutions:
+            for variant in VARIANTS:
+                got = denef_loeser(res, variant).terms
+                assert got == per_stratum_terms(res, variant), (res.name, variant)
+
+    def test_one_beta_evaluation_per_distinct_value(self, monkeypatch):
+        calls = []
+        evaluate = zeta.beta_value
+
+        def counting(expr):
+            calls.append(expr)
+            return evaluate(expr)
+
+        monkeypatch.setattr(zeta, "beta_value", counting)
+        res = catalog.get("gk(14,+,-)")
+        denef_loeser(res)
+        distinct = {(st.beta, len(st.divisors)) for st in res.strata}
+        assert len(calls) == len(distinct) < len(res.strata)
 
     def test_expansion_matches_numeric_long_division(self):
         for name in ("y4-x2_Z2", "x4-y2_Z2", "-x2-y4_Z2", "A-boundary_f"):
