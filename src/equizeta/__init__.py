@@ -24,6 +24,7 @@ from .cohomology import (
 from .errors import (
     DivisionByZero,
     EquizetaError,
+    InvalidInput,
     InvalidResolution,
     NotExpandable,
     NotInvariant,
@@ -62,7 +63,7 @@ __all__ = [
     "ZetaRational", "Divisor", "GroupSpec", "ResolutionData", "StratumEntry",
     "ComparisonReport", "denef_loeser", "display", "distinguish",
     "EquizetaError", "ZeroDenominator", "DivisionByZero", "NotExpandable",
-    "UnknownAtom", "RankTooLarge", "TailMismatch",
+    "UnknownAtom", "RankTooLarge", "TailMismatch", "InvalidInput",
     "ParseError", "SchemaError", "UnknownFixture", "InvalidResolution",
     "NotInvariant", "arcs", "catalog", "cohomology", "gspace", "resolution",
     "zeta",

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Tuple
 
-from .errors import NotInvariant
+from .errors import InvalidInput, NotInvariant
 from .ratpoly import RatFunc, TSeries, pmul, ppow
 
 _POINT = RatFunc((0, 1), (-1, 1))
@@ -40,11 +40,11 @@ class MonomialGerm:
     def __post_init__(self):
         object.__setattr__(self, "exponents", tuple(self.exponents))
         if not self.exponents or all(n == 0 for n in self.exponents):
-            raise ValueError("at least one exponent must be positive")
+            raise InvalidInput("at least one exponent must be positive")
         if any(n < 0 for n in self.exponents):
-            raise ValueError("exponents must be non-negative")
+            raise InvalidInput("exponents must be non-negative")
         if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+            raise InvalidInput("sign must be +1 or -1")
 
     @property
     def d(self) -> int:
@@ -64,7 +64,7 @@ class SignAction:
     def __post_init__(self):
         object.__setattr__(self, "eps", tuple(self.eps))
         if not self.trivial and any(e not in (1, -1) for e in self.eps):
-            raise ValueError("eps entries must be +1 or -1")
+            raise InvalidInput("eps entries must be +1 or -1")
 
 
 def is_invariant(germ: MonomialGerm, action: SignAction) -> bool:
@@ -123,25 +123,22 @@ def arc_beta_naive(germ: MonomialGerm, action: SignAction, n: int) -> RatFunc:
     return RatFunc(pmul(pmul(punct, point.num), _affine_sum(germ, n)), point.den)
 
 
-def _sign_factor(germ: MonomialGerm, action: SignAction, target: int) -> RatFunc:
-    """Series of the leading-coefficient solution set W for one sign.
-
-    Enumerates the 2^|S| orthants of the leading coefficients: the equation
-    sign * prod rho_i^(N_i) = target is solvable on an orthant exactly when
-    the orthant signs multiply to the right value, and each solvable orthant
-    carries a copy of R^(|S|-1).
-    """
+def _solvable_orthants(germ: MonomialGerm, target: int) -> int:
+    """How many of the 2^|S| orthants of the leading coefficients solve
+    sign * prod rho_i^(N_i) = target: flipping a coordinate of odd weight
+    flips the product, so then half do; otherwise all or none do."""
     support = germ.support()
-    weights = [germ.exponents[i] for i in support]
+    if any(germ.exponents[i] % 2 for i in support):
+        return 1 << (len(support) - 1)
+    return 1 << len(support) if germ.sign == target else 0
+
+
+def _sign_factor(germ: MonomialGerm, action: SignAction, target: int) -> RatFunc:
+    """Series of the leading-coefficient solution set W for one sign: each
+    solvable orthant carries a copy of R^(|S|-1)."""
+    support = germ.support()
     s_count = len(support)
-    solvable = 0
-    for mask in range(1 << s_count):
-        prod = germ.sign
-        for j, w in enumerate(weights):
-            if (mask >> j) & 1 and w % 2 == 1:
-                prod = -prod
-        if prod == target:
-            solvable += 1
+    solvable = _solvable_orthants(germ, target)
     if not solvable:
         return RatFunc(0)
     if action.trivial:

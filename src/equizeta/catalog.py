@@ -14,7 +14,7 @@ from typing import List
 
 from .errors import UnknownFixture
 from .gspace import Atom, ClosedComplement, DisjointUnion
-from .resolution import Divisor, GroupSpec, ResolutionData, StratumEntry
+from .resolution import MAX_DIVISORS, Divisor, GroupSpec, ResolutionData, StratumEntry
 
 _PT = Atom("point_fixed")
 _PAIR = Atom("point_pair_swapped")
@@ -28,10 +28,6 @@ def _circle_minus(*removed):
     if not removed:
         return _CIRCLE
     return ClosedComplement(_CIRCLE, DisjointUnion(*removed))
-
-
-def _fixed_points(count):
-    return [_PT] * count
 
 
 def _y4_x2() -> ResolutionData:
@@ -184,8 +180,8 @@ def _a_boundary() -> ResolutionData:
 
 def _gk(k: int, sx: str, sy: str) -> ResolutionData:
     """Chain of k exceptional divisors E_j(2j, j+1) for sx*x^(2k) + sy*y^2."""
-    if k < 3:
-        raise UnknownFixture("gk fixtures require k >= 3")
+    if not 3 <= k <= MAX_DIVISORS:  # at least k divisors
+        raise UnknownFixture(f"gk fixtures require 3 <= k <= {MAX_DIVISORS}")
     mixed = sx != sy  # strict transform exists only for the mixed signs
     divisors = [Divisor(j, N=2 * j, nu=j + 1, zero_fiber=True) for j in range(1, k + 1)]
     strata: List[StratumEntry] = [StratumEntry({1}, _circle_minus(_PT))]
@@ -222,8 +218,8 @@ def _gk(k: int, sx: str, sy: str) -> ResolutionData:
 
 def _hk(k: int, sign: str) -> ResolutionData:
     """Chains E_j(2j+1, j+1) for x^2 y + sign * y^k."""
-    if k < 3:
-        raise UnknownFixture("hk fixtures require k >= 3")
+    if not 3 <= k <= 2 * MAX_DIVISORS + 1:  # at least (k - 1) / 2 divisors
+        raise UnknownFixture(f"hk fixtures require 3 <= k <= {2 * MAX_DIVISORS + 1}")
     if k % 2 == 1:
         p = (k - 1) // 2
         divisors = [
@@ -299,10 +295,10 @@ _FIXED_BUILDERS = {
     "A-boundary_f": _a_boundary,
 }
 
-_X2K_RE = re.compile(r"^x2k_Z2\((\d+)\)$")
-_GK_RE = re.compile(r"^gk\((\d+),([+-]),([+-])\)$")
-_GK_SHORT_RE = re.compile(r"^gk\((\d+),([+-])\)$")
-_HK_RE = re.compile(r"^hk\((\d+),([+-])\)$")
+_X2K_RE = re.compile(r"^x2k_Z2\((\d{1,18})\)$")
+_GK_RE = re.compile(r"^gk\((\d{1,18}),([+-]),([+-])\)$")
+_GK_SHORT_RE = re.compile(r"^gk\((\d{1,18}),([+-])\)$")
+_HK_RE = re.compile(r"^hk\((\d{1,18}),([+-])\)$")
 
 
 def get(name: str) -> ResolutionData:

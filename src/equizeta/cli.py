@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: compute, compare, oracle, catalog, cohomology.  Exit codes are
-0 (success / equal), 1 (compare found a difference), 2 (semantic error such
-as failed validation or a non-invariant germ), 3 (parse or schema error).
+0 (success / equal), 1 (compare found a difference), and otherwise the
+``exit_code`` of the ``EquizetaError`` raised: 2 (semantic error such as
+failed validation or a non-invariant germ), 3 (parse or schema error).
 All configuration is via flags; "-" reads standard input.  Structured output
 is indented JSON with sorted keys, written by ``_emit``.
 """
@@ -16,19 +17,11 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from . import catalog, cohomology, resolution, zeta
-from .arcs import MonomialGerm, SignAction, is_invariant, oracle_series
-from .errors import (
-    EquizetaError,
-    InvalidResolution,
-    ParseError,
-    SchemaError,
-    UnknownFixture,
-)
+from .arcs import MonomialGerm, SignAction, oracle_series
+from .errors import EquizetaError, InvalidInput, ParseError, SchemaError
 
 EXIT_OK = 0
 EXIT_UNEQUAL = 1
-EXIT_SEMANTIC = 2
-EXIT_PARSE = 3
 
 
 # How _emit writes each scalar type; exact types only, so bool is not int.
@@ -91,25 +84,29 @@ def _write_json(obj, out, newline):
         )
 
 
+def _read(ref: str):
+    """The text of standard input ("-") or the bytes of the file ``ref``."""
+    if ref == "-":
+        return sys.stdin.read()
+    try:
+        with open(ref, "rb") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {ref}: {exc}") from exc
+
+
 def _load_resolution(ref: str) -> resolution.ResolutionData:
     """Resolve a positional argument: stdin, a file path, or a fixture name."""
-    if ref == "-":
-        return resolution.parse(sys.stdin.read())
-    if os.path.exists(ref):
-        try:
-            with open(ref, "rb") as handle:
-                return resolution.parse(handle.read())
-        except OSError as exc:
-            raise ParseError(f"cannot read {ref}: {exc}") from exc
-    looks_like_path = os.sep in ref or ref.endswith(".json")
-    if looks_like_path:
+    if ref == "-" or os.path.exists(ref):
+        return resolution.parse(_read(ref))
+    if os.sep in ref or ref.endswith(".json"):
         raise ParseError(f"no such file: {ref}")
     return catalog.get(ref)
 
 
 def _non_negative(value, flag: str):
     if value is not None and value < 0:
-        raise EquizetaError(f"{flag} must be non-negative, got {value}")
+        raise InvalidInput(f"{flag} must be non-negative, got {value}")
 
 
 def _cmd_compute(args) -> int:
@@ -125,7 +122,7 @@ def _cmd_compute(args) -> int:
         print(_emit(z.to_json()))
     else:
         if args.expand is None:
-            raise EquizetaError("--format series requires --expand N")
+            raise InvalidInput("--format series requires --expand N")
         print(_emit(z.t_series(args.expand).to_json()))
     return EXIT_OK
 
@@ -155,10 +152,8 @@ def _cmd_oracle(args) -> int:
         action = SignAction(trivial=True)
     else:
         if args.action is None:
-            raise EquizetaError("--action or --trivial-group is required")
+            raise InvalidInput("--action or --trivial-group is required")
         action = SignAction(_parse_int_list(args.action, "--action"))
-    if not is_invariant(germ, action):
-        raise EquizetaError("germ is not invariant under the given action")
     series = oracle_series(germ, action, args.variant, args.order)
     print(_emit(series.to_json()))
     return EXIT_OK
@@ -185,15 +180,7 @@ def _cmd_cohomology(args) -> int:
     if args.input in _PIPELINE_BUILDERS:
         spec = _PIPELINE_BUILDERS[args.input]()
     else:
-        if args.input == "-":
-            data = sys.stdin.read()
-        else:
-            try:
-                with open(args.input, "rb") as handle:
-                    data = handle.read()
-            except OSError as exc:
-                raise ParseError(f"cannot read {args.input}: {exc}") from exc
-        spec = resolution.load_json(data)
+        spec = resolution.load_json(_read(args.input))
     series = cohomology.run_pipeline(spec)
     print(str(series))
     prefix = series.laurent(-4)
@@ -283,15 +270,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_dash_values(list(argv)))
     try:
         return args.func(args)
-    except (ParseError, SchemaError) as exc:
+    except EquizetaError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (InvalidResolution, UnknownFixture) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
-    except (EquizetaError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
+        return exc.exit_code
 
 
 def main_entry():  # console-script shim

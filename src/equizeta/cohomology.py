@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence, Tuple
 
-from .errors import RankTooLarge, SchemaError, TailMismatch
+from .errors import InvalidInput, RankTooLarge, SchemaError, TailMismatch
 from .ratpoly import RatFunc
+from .resolution import require
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +65,7 @@ class F2Matrix:
             cols = len(rows[0]) if rows else 0
         data = []
         for row in rows:
-            if len(row) != cols or any(ch not in "01" for ch in row):
+            if not isinstance(row, str) or len(row) != cols or any(ch not in "01" for ch in row):
                 raise SchemaError(f"bad bit-string row {row!r}")
             data.append(sum((1 << j) for j, ch in enumerate(row) if ch == "1"))
         return cls(len(rows), cols, tuple(data))
@@ -143,11 +144,11 @@ class CyclicGModule:
 
     def __post_init__(self):
         if self.group_order < 1:
-            raise ValueError("group order must be positive")
+            raise InvalidInput("group order must be positive")
         if (self.action.rows, self.action.cols) != (self.dim, self.dim):
-            raise ValueError("action matrix shape does not match dim")
+            raise InvalidInput("action matrix shape does not match dim")
         if self.action.power(self.group_order) != F2Matrix.identity(self.dim):
-            raise ValueError("generator order does not divide the group order")
+            raise InvalidInput("generator order does not divide the group order")
 
     @classmethod
     def trivial(cls, dim: int, group_order: int = 2) -> "CyclicGModule":
@@ -162,15 +163,10 @@ class CyclicGModule:
 
     @classmethod
     def from_json(cls, obj) -> "CyclicGModule":
-        if not isinstance(obj, dict):
-            raise SchemaError("module must be an object")
-        try:
-            dim = int(obj["dim"])
-            order = int(obj["group_order"])
-            rows = obj["action"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError("module needs dim, group_order, action") from exc
-        if not isinstance(rows, list) or len(rows) != dim:
+        dim = require(obj, "dim", int, "module")
+        order = require(obj, "group_order", int, "module")
+        rows = require(obj, "action", list, "module")
+        if len(rows) != dim:
             raise SchemaError("action must list one bit-string per row")
         return cls(dim, F2Matrix.from_strings(rows, dim), order)
 
@@ -245,10 +241,10 @@ class SpectralPage:
             raise SchemaError("page must be an array of [p, q, dim] triples")
         dims = {}
         for entry in obj:
-            if not isinstance(entry, list) or len(entry) != 3:
+            if not isinstance(entry, list) or [type(x) for x in entry] != [int] * 3:
                 raise SchemaError(f"bad page entry {entry!r}")
             p, q, d = entry
-            dims[(int(p), int(q))] = int(d)
+            dims[(p, q)] = d
         return cls(dims)
 
     def __repr__(self):
@@ -265,13 +261,15 @@ def hs_e2_page(
     will inspect.
     """
     if p_min > 0:
-        raise ValueError("p_min must be <= 0")
+        raise InvalidInput("p_min must be <= 0")
     dims = {}
     for q, module in homology:
         if q < 0:
-            raise ValueError("homology degrees must be non-negative")
+            raise InvalidInput("homology degrees must be non-negative")
+        # the degree-n dimension depends only on whether n is 0, odd or even
+        zero, odd, even = (cohomology_dim(module, n) for n in (0, 1, 2))
         for p in range(p_min, 1):
-            d = cohomology_dim(module, -p)
+            d = zero if p == 0 else odd if p % 2 else even
             if d:
                 dims[(p, q)] = d
     return SpectralPage(dims)
@@ -329,13 +327,19 @@ class TailSpec:
 
     @classmethod
     def from_json(cls, obj) -> "TailSpec":
-        if not isinstance(obj, dict):
-            raise SchemaError("tail must be an object")
-        try:
-            explicit = {int(k): int(v) for k, v in obj.get("explicit", {}).items()}
-            return cls(int(obj["stable_below"]), int(obj["tail_dim"]), explicit)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError("tail needs stable_below and tail_dim") from exc
+        stable_below = require(obj, "stable_below", int, "tail")
+        tail_dim = require(obj, "tail_dim", int, "tail")
+        pinned = require(obj, "explicit", dict, "tail", {})
+        explicit = {_degree(k): require(pinned, k, int, "tail.explicit") for k in pinned}
+        return cls(stable_below, tail_dim, explicit)
+
+
+def _degree(key: str) -> int:
+    """A total degree written as a JSON object key."""
+    try:
+        return int(key)
+    except ValueError as exc:
+        raise SchemaError(f"tail.explicit: key {key!r} is not an integer") from exc
 
 
 def betti_series(page: SpectralPage, tail: TailSpec) -> RatFunc:
@@ -379,27 +383,23 @@ def betti_series(page: SpectralPage, tail: TailSpec) -> RatFunc:
 
 def run_pipeline(spec: dict) -> RatFunc:
     """Evaluate a JSON pipeline: E2 page, declared differentials, series."""
-    if not isinstance(spec, dict):
-        raise SchemaError("pipeline must be an object")
-    try:
-        homology_json = spec["homology"]
-        p_min = int(spec["p_min"])
-        tail_json = spec["tail"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError("pipeline needs homology, p_min, tail") from exc
-    if not isinstance(homology_json, list):
-        raise SchemaError("homology must be an array")
+    homology_json = require(spec, "homology", list, "pipeline")
+    p_min = require(spec, "p_min", int, "pipeline")
+    tail_json = require(spec, "tail", object, "pipeline")  # parsed after the page
     homology = []
     for entry in homology_json:
-        if not isinstance(entry, dict) or "q" not in entry or "module" not in entry:
-            raise SchemaError("homology entry must be {q, module}")
-        homology.append((int(entry["q"]), CyclicGModule.from_json(entry["module"])))
+        q = require(entry, "q", int, "homology entry")
+        module = require(entry, "module", object, "homology entry")
+        homology.append((q, CyclicGModule.from_json(module)))
     page = hs_e2_page(homology, p_min)
     ranks = []
-    for entry in spec.get("differentials", []):
-        if not isinstance(entry, dict) or not {"r", "p", "q", "rank"} <= set(entry):
-            raise SchemaError("differential must be {r, p, q, rank}")
-        ranks.append((int(entry["r"]), int(entry["p"]), int(entry["q"]), int(entry["rank"])))
+    for entry in require(spec, "differentials", list, "pipeline", []):
+        r, p, q, rank = (
+            require(entry, key, int, "differential") for key in ("r", "p", "q", "rank")
+        )
+        if rank < 0:
+            raise SchemaError(f"differential: rank must be non-negative, got {rank}")
+        ranks.append((r, p, q, rank))
     page = apply_differentials(page, ranks)
     return betti_series(page, TailSpec.from_json(tail_json))
 

@@ -2,7 +2,15 @@
 
 
 class EquizetaError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; ``exit_code`` is the
+    command line's exit status for it (2 semantic, 3 parse or schema)."""
+
+    exit_code = 2
+
+
+class InvalidInput(EquizetaError, ValueError):
+    """A value from the command line or input JSON, or a result computed
+    from it, is outside the range this program handles."""
 
 
 class ZeroDenominator(EquizetaError):
@@ -32,9 +40,13 @@ class TailMismatch(EquizetaError):
 class ParseError(EquizetaError):
     """Input text is not well-formed JSON."""
 
+    exit_code = 3
+
 
 class SchemaError(EquizetaError):
     """Well-formed JSON that does not match the expected schema."""
+
+    exit_code = 3
 
 
 class UnknownFixture(EquizetaError):

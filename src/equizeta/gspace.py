@@ -88,6 +88,8 @@ _FIXED_ATOMS = {
 # affine(n), affine_trivial(n), product_affine n and product_punctured m cost
 # work in proportion to their size, so all are capped at MAX_AFFINE.
 MAX_AFFINE = 256
+# Parsing and evaluation recurse once per level of an expression.
+MAX_DEPTH = 64
 
 _AFFINE_RE = re.compile(r"^affine(_trivial)?\((\d+)\)$")
 
@@ -168,9 +170,14 @@ def expr_to_json(expr: GSpace) -> dict:
     raise TypeError(f"not a G-space expression: {expr!r}")
 
 
-def expr_from_json(obj) -> GSpace:
+def expr_from_json(obj, depth: int = 1) -> GSpace:
+    """Expression from JSON; SchemaError for a malformed one, or one nested
+    more than MAX_DEPTH levels deep."""
+    if depth > MAX_DEPTH:
+        raise SchemaError(f"G-space expression nested more than {MAX_DEPTH} levels")
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError("G-space expression must be an object with a 'kind'")
+    sub = depth + 1
     kind = obj["kind"]
     if kind == "atom":
         name = obj.get("name")
@@ -187,19 +194,18 @@ def expr_from_json(obj) -> GSpace:
         parts = obj.get("parts")
         if not isinstance(parts, list):
             raise SchemaError("disjoint_union needs a 'parts' array")
-        return DisjointUnion(*[expr_from_json(p) for p in parts])
+        return DisjointUnion(*[expr_from_json(p, sub) for p in parts])
     if kind == "closed_complement":
-        return ClosedComplement(
-            expr_from_json(obj.get("whole")), expr_from_json(obj.get("closed_part"))
-        )
+        whole, part = obj.get("whole"), obj.get("closed_part")
+        return ClosedComplement(expr_from_json(whole, sub), expr_from_json(part, sub))
     if kind == "product_affine":
         n = obj.get("n")
         if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n <= MAX_AFFINE:
             raise SchemaError(f"product_affine needs an integer 'n' in 0..{MAX_AFFINE}")
-        return ProductWithAffine(expr_from_json(obj.get("base")), n)
+        return ProductWithAffine(expr_from_json(obj.get("base"), sub), n)
     if kind == "product_punctured":
         m = obj.get("m")
         if not isinstance(m, int) or isinstance(m, bool) or not 0 <= m <= MAX_AFFINE:
             raise SchemaError(f"product_punctured needs an integer 'm' in 0..{MAX_AFFINE}")
-        return ProductWithPuncturedLines(expr_from_json(obj.get("base")), m)
+        return ProductWithPuncturedLines(expr_from_json(obj.get("base"), sub), m)
     raise SchemaError(f"unknown G-space expression kind {kind!r}")

@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     DivisionByZero,
+    InvalidInput,
     NotExpandable,
     SchemaError,
     ZeroDenominator,
@@ -148,20 +149,30 @@ def pdivexact(a: tuple, b: tuple) -> tuple:
     return qr[0]
 
 
+def _decimals(coeffs: Iterable[int]) -> list:
+    """``[str(c) for c in coeffs]``; InvalidInput for a coefficient with more
+    digits than the interpreter converts (``sys.get_int_max_str_digits()``)."""
+    try:
+        return [str(c) for c in coeffs]
+    except ValueError as exc:
+        raise InvalidInput(f"a coefficient of the result is too long to print: {exc}") from exc
+
+
 def pstr(a: tuple, var: str = "u") -> str:
     """Human-readable form, descending powers: ``u^2 - u + 1``."""
     if not a:
         return "0"
+    digits = _decimals(abs(c) for c in a)
     parts = []
     for k in range(len(a) - 1, -1, -1):
         c = a[k]
         if c == 0:
             continue
         if k == 0:
-            body = str(abs(c))
+            body = digits[0]
         else:
             v = var if k == 1 else f"{var}^{k}"
-            body = v if abs(c) == 1 else f"{abs(c)}*{v}"
+            body = v if abs(c) == 1 else f"{digits[k]}*{v}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
@@ -336,10 +347,7 @@ class RatFunc:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "num": [str(c) for c in self.num],
-            "den": [str(c) for c in self.den],
-        }
+        return {"num": _decimals(self.num), "den": _decimals(self.den)}
 
     @classmethod
     def from_json(cls, obj) -> "RatFunc":
@@ -404,10 +412,9 @@ class BiPoly:
         return self.terms == other.terms
 
     def to_json(self) -> list:
-        return [
-            {"u": ue, "t": te, "c": str(c)}
-            for (ue, te), c in sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-        ]
+        terms = sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+        digits = _decimals(c for _, c in terms)
+        return [{"u": ue, "t": te, "c": d} for ((ue, te), _), d in zip(terms, digits)]
 
     def __repr__(self):
         return f"BiPoly({self.terms!r})"

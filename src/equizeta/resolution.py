@@ -185,7 +185,7 @@ def validate(res: ResolutionData) -> List[str]:
 
     group = generated_group(res) if generators_ok else None
     zero_ids = {d.id for d in res.divisors if d.zero_fiber}
-    seen_orbits = []
+    first_in_orbit = {}  # canonical representative -> first stratum index
     for si, st in enumerate(res.strata):
         if not st.divisors:
             diags.append(f"stratum {si} has an empty divisor set")
@@ -199,14 +199,10 @@ def validate(res: ResolutionData) -> List[str]:
                 f"stratum {si} does not meet the zero fiber and must be omitted"
             )
         if group is not None:
-            orbit = subset_orbit(st.divisors, group)
-            for sj, other in seen_orbits:
-                if other in orbit:
-                    diags.append(
-                        f"duplicate orbit: strata {sj} and {si} lie in the same orbit"
-                    )
-                    break
-            seen_orbits.append((si, st.divisors))
+            rep = _canonical_rep(subset_orbit(st.divisors, group))
+            sj = first_in_orbit.setdefault(rep, si)
+            if sj != si:
+                diags.append(f"duplicate orbit: strata {sj} and {si} lie in the same orbit")
     return diags
 
 
@@ -241,60 +237,61 @@ def serialize(res: ResolutionData) -> bytes:
     return json.dumps(resolution_to_json(res), indent=2, sort_keys=True).encode()
 
 
-def _require(obj, key, kind, where):
-    if not isinstance(obj, dict) or key not in obj:
+_JSON_TYPES = {int: "integer", bool: "boolean", str: "string", list: "array", dict: "object"}
+_REQUIRED = object()
+
+
+def require(obj, key, kind, where, default=_REQUIRED):
+    """``obj[key]`` checked to be of JSON type ``kind`` (a boolean is not an
+    integer), else SchemaError; an absent key gives ``default`` if passed."""
+    if not isinstance(obj, dict) or (key not in obj and default is _REQUIRED):
         raise SchemaError(f"{where}: missing field {key!r}")
+    if key not in obj:
+        return default
     value = obj[key]
-    if kind is int and isinstance(value, bool):
-        raise SchemaError(f"{where}.{key}: expected integer, got boolean")
-    if not isinstance(value, kind):
-        raise SchemaError(f"{where}.{key}: expected {kind.__name__}")
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise SchemaError(f"{where}.{key}: expected {_JSON_TYPES[kind]}")
     return value
 
 
 def resolution_from_json(obj) -> ResolutionData:
-    name = _require(obj, "name", str, "resolution")
-    group_obj = _require(obj, "group", dict, "resolution")
-    order = _require(group_obj, "order", int, "group")
+    name = require(obj, "name", str, "resolution")
+    group_obj = require(obj, "group", dict, "resolution")
+    order = require(group_obj, "order", int, "group")
     if order < 1:
         raise SchemaError("group.order: must be >= 1")
-    generators = group_obj.get("generators", [])
-    if not isinstance(generators, list):
-        raise SchemaError("group.generators: expected array")
     gens = []
-    for gi, gen in enumerate(generators):
+    for gi, gen in enumerate(require(group_obj, "generators", list, "group", [])):
         if not isinstance(gen, list) or any(
             isinstance(x, bool) or not isinstance(x, int) for x in gen
         ):
             raise SchemaError(f"group.generators[{gi}]: expected array of ids")
         gens.append(tuple(gen))
 
-    divisors_obj = _require(obj, "divisors", list, "resolution")
+    divisors_obj = require(obj, "divisors", list, "resolution")
     divisors = []
     for di, dv in enumerate(divisors_obj):
         where = f"divisors[{di}]"
-        did = _require(dv, "id", int, where)
-        N = _require(dv, "N", int, where)
-        nu = _require(dv, "nu", int, where)
-        zf = dv.get("zero_fiber", False)
-        if not isinstance(zf, bool):
-            raise SchemaError(f"{where}.zero_fiber: expected boolean")
+        did = require(dv, "id", int, where)
+        N = require(dv, "N", int, where)
+        nu = require(dv, "nu", int, where)
+        zf = require(dv, "zero_fiber", bool, where, False)
         if N < 1 or nu < 1:
             raise SchemaError(f"{where}: multiplicities must be >= 1")
         divisors.append(Divisor(did, N, nu, zf))
     known = {d.id for d in divisors}
 
-    strata_obj = _require(obj, "strata", list, "resolution")
+    strata_obj = require(obj, "strata", list, "resolution")
     strata = []
     for si, st in enumerate(strata_obj):
         where = f"strata[{si}]"
-        I = _require(st, "I", list, where)
+        I = require(st, "I", list, where)
         if any(isinstance(x, bool) or not isinstance(x, int) for x in I):
             raise SchemaError(f"{where}.I: expected array of divisor ids")
         bad = set(I) - known
         if bad:
             raise SchemaError(f"{where}.I: unknown divisor ids {sorted(bad)}")
-        beta = gspace.expr_from_json(_require(st, "beta", dict, where))
+        beta = gspace.expr_from_json(require(st, "beta", dict, where))
         plus = st.get("beta_plus")
         minus = st.get("beta_minus")
         strata.append(

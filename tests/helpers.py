@@ -295,3 +295,20 @@ def series_values_match(z: ZetaRational, series, u_points=(2, 3, 5)) -> bool:
             if eval_fraction(series[n], u0) != numeric[n]:
                 return False
     return True
+
+
+# -- the arc oracle's orthant count, by enumeration ------------------------------
+
+def enumerated_orthants(weights, sign, target):
+    """How many sign patterns of the leading coefficients (one bit per support
+    coordinate, set for negative) give sign * prod rho_i^(N_i) the sign
+    ``target``: the 2^|S| loop the closed form replaces."""
+    solvable = 0
+    for mask in range(1 << len(weights)):
+        prod = sign
+        for j, w in enumerate(weights):
+            if (mask >> j) & 1 and w % 2 == 1:
+                prod = -prod
+        if prod == target:
+            solvable += 1
+    return solvable

@@ -1,17 +1,20 @@
 import itertools
+import time
 
 import pytest
+from helpers import enumerated_orthants
 
 from equizeta import catalog
 from equizeta.arcs import (
     MonomialGerm,
     SignAction,
+    _solvable_orthants,
     arc_beta_naive,
     arc_beta_signed,
     is_invariant,
     oracle_series,
 )
-from equizeta.errors import NotInvariant
+from equizeta.errors import InvalidInput, NotInvariant
 from equizeta.ratpoly import RatFunc
 from equizeta.zeta import denef_loeser
 
@@ -102,6 +105,40 @@ class TestSignedStrata:
         germ = MonomialGerm((3,))
         assert arc_beta_signed(germ, TRIVIAL, 3, "plus") == u_power(2)
         assert arc_beta_signed(germ, TRIVIAL, 3, "minus") == u_power(2)
+
+    def test_orthant_count_matches_enumeration(self):
+        # only each exponent's parity matters; 1 and 2 cover both
+        for size in range(1, 9):
+            for weights in itertools.product((1, 2), repeat=size):
+                for sign, target in itertools.product((1, -1), repeat=2):
+                    germ = MonomialGerm(weights + (0,), sign)
+                    assert _solvable_orthants(germ, target) == enumerated_orthants(
+                        weights, sign, target
+                    ), (weights, sign, target)
+
+    def test_sixty_four_odd_exponents_are_fast(self):
+        germ = MonomialGerm((1,) * 64)
+        start = time.perf_counter()
+        series = oracle_series(germ, TRIVIAL, "plus", 64)
+        assert time.perf_counter() - start < 1.0
+        # the lowest order is sum N_i = 64, all k_i = 1: 2^63 orthants, each
+        # R^63, times u^(64 * 63) for the higher coefficients, over u^(64 * 64)
+        assert all(c.is_zero() for c in series.coeffs[:64])
+        assert series.coeffs[64] == u_power(63 + 64 * 63 - 64 * 64, 2**63)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: MonomialGerm(()),
+            lambda: MonomialGerm((0, 0)),
+            lambda: MonomialGerm((2, -1)),
+            lambda: MonomialGerm((2,), sign=0),
+            lambda: SignAction((1, 0)),
+        ],
+    )
+    def test_range_checks_raise_invalid_input(self, build):
+        with pytest.raises(InvalidInput):
+            build()
 
 
 class TestOracleSeries:

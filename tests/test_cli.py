@@ -1,6 +1,8 @@
 import io
 import json
+import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,27 @@ def write_fixture(tmp_path, name, filename=None):
     path = tmp_path / (filename or "res.json")
     path.write_bytes(serialize(catalog.get(name)))
     return str(path)
+
+
+def call(argv, stdin=""):
+    """(exit code, stdout, stderr) of one in-process ``main`` call that
+    reads ``stdin`` for "-"; for use where pytest fixtures are not."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_error(result, code):
+    """The call exited ``code`` with no output and one ``error:`` line."""
+    got, out, err = result
+    assert (got, out) == (code, ""), (got, out, err)
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestCompute:
@@ -366,3 +389,145 @@ class TestEmit:
     def test_other_types_raise_type_error(self, bad):
         with pytest.raises(TypeError):
             _emit(bad)
+
+
+# -- the error boundary: every failure is one typed error and an exit code ---------
+
+def deep_beta_resolution(levels):
+    doc = resolution_to_json(catalog.get("x2+y2_Z2"))
+    beta = {"kind": "atom", "name": "point_fixed"}
+    for _ in range(levels):
+        beta = {"kind": "product_affine", "base": beta, "n": 0}
+    doc["strata"][0]["beta"] = beta
+    return json.dumps(doc)
+
+
+def edited_pipeline(edit):
+    spec = cohomology.sphere_free_pipeline()
+    edit(spec)
+    return json.dumps(spec)
+
+
+class TestErrorBoundary:
+    def test_deeply_nested_beta_exits_3(self):
+        start = time.perf_counter()
+        result = call(["compute", "-"], deep_beta_resolution(900))
+        assert time.perf_counter() - start < 1.0
+        assert_one_error(result, 3)
+        assert "nested more than 64 levels" in result[2]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda s: s["homology"][0].update(q=[1]),
+            lambda s: s["differentials"][0].update(r=[3]),
+            lambda s: s["tail"].update(explicit=[1, 2]),
+            lambda s: s.update(differentials=5),
+            lambda s: s["homology"][0]["module"].update(action=[5]),
+            lambda s: s.update(p_min="-16"),
+            lambda s: s["homology"][1]["module"].update(dim=1.0),
+            lambda s: s["tail"].update(tail_dim=True),
+        ],
+    )
+    def test_malformed_pipeline_field_exits_3(self, edit):
+        assert_one_error(call(["cohomology", "-"], edited_pipeline(edit)), 3)
+
+    @pytest.mark.parametrize(
+        "differential",
+        [
+            {"r": 2, "p": 0, "q": 2, "rank": -1},  # target (-2, 3) is off the page
+            {"r": 3, "p": 0, "q": 0, "rank": -1},  # target (-3, 2) is on it
+        ],
+    )
+    def test_negative_declared_rank_exits_3(self, differential):
+        text = edited_pipeline(lambda s: s["differentials"].append(differential))
+        result = call(["cohomology", "-"], text)
+        assert_one_error(result, 3)
+        assert "rank must be non-negative" in result[2]
+
+    def test_oversized_fixture_number_exits_2(self):
+        result = call(["compute", "x2k_Z2(" + "9" * 5000 + ")"])
+        assert_one_error(result, 2)
+        assert "unknown fixture" in result[2]
+        code, out, _ = call(["compute", "x2k_Z2(1000000001)"])
+        assert code == 0 and "T^2000000002" in out
+
+    @pytest.mark.parametrize("name", ["gk(1000000,+,-)", "hk(1000000,+)"])
+    def test_oversized_family_parameter_exits_2_at_once(self, name):
+        start = time.perf_counter()
+        result = call(["compute", name, "--format", "rational"])
+        assert time.perf_counter() - start < 1.0
+        assert_one_error(result, 2)
+
+    def test_many_odd_exponents_are_counted_in_closed_form(self):
+        start = time.perf_counter()
+        code, out, _ = call(["oracle", "--exponents", ",".join(["1"] * 22),
+                             "--trivial-group", "--variant", "plus", "--order", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and json.loads(out)["order"] == 1
+
+    def test_non_invariant_germ_is_reported_by_the_oracle(self):
+        result = call(["oracle", "--exponents", "1,1", "--action", "-1,1"])
+        assert_one_error(result, 2)
+        assert "germ is not invariant under the given sign action" in result[2]
+
+    @pytest.mark.parametrize("fmt", ["rational", "display", "json"])
+    def test_result_too_long_to_print_exits_2(self, fmt):
+        # 4300 nines, the most int() converts, doubled by (u - 1)^2 on {1, 2}
+        doc = resolution_to_json(catalog.get("y4-x2_Z2"))
+        doc["strata"][2]["beta"] = {"kind": "rational", "value": {"num": ["9" * 4300], "den": ["1"]}}
+        result = call(["compute", "-", "--format", fmt], json.dumps(doc))
+        assert_one_error(result, 2)
+        assert "too long to print" in result[2]
+
+
+def paths(doc, prefix=()):
+    """Every path from the root of a JSON document to one of its nodes."""
+    yield prefix
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        children = ()
+    for key, child in children:
+        yield from paths(child, prefix + (key,))
+
+
+def replaced(doc, path, value):
+    """A copy of ``doc`` with the node at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+# Small values only: p_min, --order and --expand still have no work bound.
+small_json = st.recursive(
+    st.integers(-64, 64) | st.text(max_size=4) | st.booleans() | st.none(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+valid_documents = st.sampled_from(
+    [(("compute", "-", "--format", fmt), resolution_to_json(catalog.get(name)))
+     for name in catalog.sample_names() for fmt in ("rational", "display")]
+    + [(("cohomology", "-"), build()) for build in
+       (cohomology.sphere_free_pipeline, cohomology.sphere_fixed_pipeline,
+        cohomology.circle_fixed_pipeline)]
+)
+
+
+class TestBoundaryFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), valid_documents, small_json)
+    def test_one_subtree_replaced_fails_only_through_the_boundary(self, data, job, value):
+        argv, doc = job
+        path = data.draw(st.sampled_from(list(paths(doc))), label="path")
+        result = call(argv, json.dumps(replaced(doc, path, value)))
+        assert result[0] in (0, 2, 3)
+        if result[0]:
+            assert_one_error(result, result[0])

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equizeta.cohomology import (
     CyclicGModule,
@@ -17,11 +19,27 @@ from equizeta.cohomology import (
     sphere_fixed_pipeline,
     sphere_free_pipeline,
 )
-from equizeta.errors import RankTooLarge, TailMismatch
+from equizeta.errors import InvalidInput, RankTooLarge, SchemaError, TailMismatch
 from equizeta.gspace import atom_value
 from equizeta.ratpoly import RatFunc
 
 TRIV1 = CyclicGModule.trivial(1)
+
+
+@st.composite
+def modules(draw):
+    """A module of dimension <= 4 whose generator is a random product of row
+    additions, with a group order that its matrix order divides."""
+    dim = draw(st.integers(0, 4))
+    rows = [1 << i for i in range(dim)]
+    if dim > 1:
+        for i, j in draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)))):
+            if i != j:
+                rows[i] ^= rows[j]
+    action = F2Matrix(dim, dim, tuple(rows))
+    order = next(e for e in range(1, 16) if action.power(e) == F2Matrix.identity(dim))
+    return CyclicGModule(dim, action, order * draw(st.integers(1, 3)))
+
 SWAP = CyclicGModule(2, F2Matrix.from_rows([[0, 1], [1, 0]]), 2)
 ZERO = CyclicGModule.trivial(0)
 
@@ -45,6 +63,8 @@ class TestF2Matrix:
     def test_generator_order_must_divide(self):
         three_cycle = F2Matrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
         with pytest.raises(ValueError):
+            CyclicGModule(3, three_cycle, 2)
+        with pytest.raises(InvalidInput):
             CyclicGModule(3, three_cycle, 2)
         CyclicGModule(3, three_cycle, 3)  # fine
 
@@ -138,6 +158,22 @@ class TestPages:
         page = hs_e2_page([(0, TRIV1), (2, SWAP)], p_min=-4)
         assert SpectralPage.from_json(page.to_json()) == page
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), modules()), max_size=3), st.integers(-40, 0))
+    def test_e2_page_matches_per_degree_cohomology(self, homology, p_min):
+        want = {
+            (p, q): cohomology_dim(module, -p)
+            for q, module in homology
+            for p in range(p_min, 1)
+            if cohomology_dim(module, -p)
+        }
+        assert hs_e2_page(homology, p_min).dims == want
+
+    @pytest.mark.parametrize("homology, p_min", [([], 1), ([(-1, TRIV1)], -4)])
+    def test_out_of_range_page_window_is_invalid_input(self, homology, p_min):
+        with pytest.raises(InvalidInput):
+            hs_e2_page(homology, p_min)
+
 
 class TestBettiSeries:
     def test_free_sphere(self):
@@ -176,3 +212,28 @@ class TestBettiSeries:
         spec = sphere_fixed_pipeline()
         again = json.loads(json.dumps(spec))
         assert run_pipeline(again) == run_pipeline(spec)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("p_min",), "-16"),
+            (("p_min",), -16.0),
+            (("homology", 0, "q"), True),
+            (("homology", 0, "module", "dim"), "1"),
+            (("homology", 0, "module", "group_order"), 2.0),
+            (("differentials", 0, "rank"), "1"),
+            (("tail", "tail_dim"), False),
+            (("tail", "explicit", "0"), 1.0),
+            (("tail", "explicit"), {"zero": 1}),
+            (("differentials", 0, "rank"), -1),
+        ],
+    )
+    def test_numbers_must_be_non_negative_json_integers(self, path, value):
+        spec = sphere_free_pipeline()
+        *head, last = path
+        target = spec
+        for key in head:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(SchemaError):
+            run_pipeline(spec)

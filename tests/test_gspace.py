@@ -3,6 +3,7 @@ import pytest
 from equizeta.errors import SchemaError, UnknownAtom
 from equizeta.gspace import (
     MAX_AFFINE,
+    MAX_DEPTH,
     Atom,
     ClosedComplement,
     DisjointUnion,
@@ -157,3 +158,21 @@ class TestJson:
     def test_oversized_affine_rejected_at_parse(self, expr):
         with pytest.raises(SchemaError):
             expr_from_json(expr)
+
+    @pytest.mark.parametrize("kind", ["product_affine", "closed_complement", "disjoint_union"])
+    def test_nesting_capped_at_max_depth(self, kind):
+        def nest(levels):
+            expr = {"kind": "atom", "name": "point_fixed"}
+            for _ in range(levels - 1):
+                if kind == "product_affine":
+                    expr = {"kind": kind, "base": expr, "n": 1}
+                elif kind == "closed_complement":
+                    expr = {"kind": kind, "whole": expr, "closed_part": nest(1)}
+                else:
+                    expr = {"kind": kind, "parts": [expr]}
+            return expr
+
+        assert beta_value(expr_from_json(nest(MAX_DEPTH))) is not None
+        for levels in (MAX_DEPTH + 1, 900):
+            with pytest.raises(SchemaError, match="nested more than"):
+                expr_from_json(nest(levels))

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import json
+import time
 
 import pytest
 
@@ -13,6 +15,7 @@ from equizeta.resolution import (
     StratumEntry,
     generated_group,
     parse,
+    require,
     resolution_to_json,
     serialize,
     subset_orbits,
@@ -46,6 +49,29 @@ class TestValidation:
         extra = res.strata + (StratumEntry({2, 4}, Atom("point_pair_swapped")),)
         diags = validate(dataclasses.replace(res, strata=extra))
         assert any("duplicate orbit" in d for d in diags)
+
+    def test_duplicate_orbit_names_the_first_stratum(self):
+        res = catalog.get("y4-x2_Z2")  # stratum 3 is {2, 3}
+        extra = res.strata + tuple(
+            StratumEntry(I, Atom("point_pair_swapped")) for I in ({2, 4}, {2, 3}, {1, 2})
+        )
+        diags = validate(dataclasses.replace(res, strata=extra))
+        assert diags == [
+            "duplicate orbit: strata 3 and 4 lie in the same orbit",
+            "duplicate orbit: strata 3 and 5 lie in the same orbit",
+            "duplicate orbit: strata 2 and 6 lie in the same orbit",
+        ]
+
+    def test_many_distinct_strata_validate_in_linear_time(self):
+        # 20000 distinct triples of 64 divisors; a scan over every earlier
+        # stratum costs about 2 * 10^8 orbit tests here
+        divisors = tuple(Divisor(i, 1, 1, True) for i in range(1, 65))
+        triples = itertools.islice(itertools.combinations(range(1, 65), 3), 20000)
+        strata = tuple(StratumEntry(set(t), Atom("point_fixed")) for t in triples)
+        res = ResolutionData("many", divisors, GroupSpec(2, ((*range(1, 65),),)), strata)
+        start = time.perf_counter()
+        assert validate(res) == []
+        assert time.perf_counter() - start < 2.0
 
     def test_stratum_outside_zero_fiber_rejected(self):
         res = catalog.get("y4-x2_Z2")
@@ -129,6 +155,17 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             parse(json.dumps(doc))
 
+    def test_require_reads_typed_fields(self):
+        assert require({"n": 3}, "n", int, "x") == 3
+        assert require({}, "n", int, "x", 5) == 5
+        assert require({"n": None}, "n", object, "x") is None
+        for obj, kind in (({"n": True}, int), ({"n": "3"}, int), ({"n": 3.0}, int),
+                          ({"n": 1}, bool), ({"n": 3}, list), ({}, int), ([3], int)):
+            with pytest.raises(SchemaError):
+                require(obj, "n", kind, "x")
+        with pytest.raises(SchemaError):
+            require({"n": "3"}, "n", int, "x", 5)  # a default does not excuse a bad type
+
     def test_unknown_atom_is_schema_error(self):
         doc = resolution_to_json(catalog.get("x2+y2_Z2"))
         doc["strata"][0]["beta"] = {"kind": "atom", "name": "gremlin"}
@@ -152,6 +189,22 @@ class TestCatalog:
             catalog.get("gk(2,+,-)")
         with pytest.raises(UnknownFixture):
             catalog.get("x2k_Z2(0)")
+
+    def test_largest_family_members_validate(self):
+        for name in ("gk(64,+,+)", "gk(62,+,-)", "hk(129,+)", "hk(125,-)", "hk(124,+)"):
+            res = catalog.get(name)
+            assert len(res.divisors) == 64 and validate(res) == [], name
+
+    @pytest.mark.parametrize(
+        "name",
+        ["gk(65,+,+)", "gk(65,-)", "hk(130,+)", "gk(1000000,+,-)", "hk(1000000,+)",
+         "gk(" + "9" * 18 + ",+,-)", "x2k_Z2(" + "9" * 19 + ")", "x2k_Z2(" + "9" * 5000 + ")"],
+    )
+    def test_oversized_family_parameter_is_refused_at_once(self, name):
+        start = time.perf_counter()
+        with pytest.raises(UnknownFixture):
+            catalog.get(name)
+        assert time.perf_counter() - start < 0.1
 
     def test_every_sample_name_resolves(self):
         for name in catalog.sample_names():
