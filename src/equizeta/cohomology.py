@@ -172,12 +172,20 @@ class CyclicGModule:
 
 
 def norm_element(module: CyclicGModule) -> F2Matrix:
-    """The matrix of N = s + s^2 + ... + s^d over GF(2)."""
-    acc = F2Matrix.zero(module.dim, module.dim)
-    power = F2Matrix.identity(module.dim)
-    for _ in range(module.group_order):
-        power = power @ module.action
-        acc = acc + power
+    """The matrix of N = s + s^2 + ... + s^d over GF(2).
+
+    By doubling over the bits of d, from the top: with S_k = s + ... + s^k,
+    S_2k = S_k + s^k S_k and S_(2k+1) = S_2k + s^(2k+1), so N takes
+    O(log d) matrix products.
+    """
+    acc = F2Matrix.zero(module.dim, module.dim)  # S_k
+    power = F2Matrix.identity(module.dim)  # s^k
+    for bit in bin(module.group_order)[2:]:
+        acc = acc + power @ acc
+        power = power @ power
+        if bit == "1":
+            power = power @ module.action
+            acc = acc + power
     return acc
 
 

@@ -434,42 +434,43 @@ def _lcm_fold(polys):
 
 
 def _common_den(terms) -> tuple:
-    """The least common multiple of the terms' coefficient denominators.
-
-    Each distinct denominator is folded once, in first-seen order.
-    """
+    """LCM of the terms' coefficient denominators, each folded once in order."""
     return _lcm_fold(dict.fromkeys(coeff.den for coeff, _ in terms))
 
 
-def _factor_max(terms) -> Counter:
-    """Each distinct (nu, N) factor at its largest multiplicity in one term."""
+def _factor_max(factor_tuples) -> Counter:
+    """Each distinct (nu, N) factor at its largest multiplicity in one tuple."""
     out = Counter()
-    for _, factors in terms:
+    for factors in factor_tuples:
         for key, count in Counter(factors).items():
             out[key] = max(out[key], count)
     return out
 
 
-def _t_bound(terms) -> int:
+def _t_bound(factor_tuples) -> int:
     """T-degree of the common denominator prod (u^nu - T^N)^multiplicity."""
-    return sum(N * count for (_, N), count in _factor_max(terms).items())
+    return sum(N * count for (_, N), count in _factor_max(factor_tuples).items())
 
 
-def _expand(terms, den_u: tuple, order: int) -> dict:
-    """Nonzero T^0..T^order coefficients of den_u * sum(terms), sparse in T.
+def _grouped(den_u: tuple, terms, negated=()) -> dict:
+    """den_u * (sum(terms) - sum(negated)) as {factor tuple: u-polynomial}:
+    terms sharing a factor tuple add up and cancelled groups are dropped.
+    den_u must be a multiple of every coefficient's denominator."""
+    groups = {}
+    for sign, part in ((1, terms), (-1, negated)):
+        for coeff, factors in part:
+            scaled = pmul(coeff.num, pdivexact(den_u, coeff.den))
+            groups[factors] = padd(groups.get(factors, ()), pmul((sign,), scaled))
+    return {factors: poly for factors, poly in groups.items() if poly}
 
-    Returns {T exponent: {u exponent: int}} with no zero entries.  Each
-    factor T^N / (u^nu - T^N) is the geometric series
-    sum_{m>=1} u^(-m nu) T^(m N), so a coefficient is a sparse convolution of
-    Laurent monomials; den_u must be a multiple of every coefficient's
-    denominator, which keeps every coefficient a Laurent polynomial.
-    """
-    grouped = {}
-    for coeff, factors in terms:
-        scaled = pmul(coeff.num, pdivexact(den_u, coeff.den))
-        grouped[factors] = padd(grouped.get(factors, ()), scaled)
+
+def _expand(groups: dict, order: int) -> dict:
+    """Nonzero T^0..T^order coefficients of a ``_grouped`` sum, sparse in T:
+    {T exponent: {u exponent: int}}.  Each factor T^N / (u^nu - T^N) is the
+    geometric series sum_{m>=1} u^(-m nu) T^(m N), so a coefficient is a
+    sparse convolution of Laurent monomials."""
     out = {}
-    for factors, poly in grouped.items():
+    for factors, poly in groups.items():
         series = {0: {0: 1}}
         for nu, N in factors:
             product = {}
@@ -526,10 +527,12 @@ class ZetaRational:
 
     ``terms`` holds (RatFunc coefficient, sorted tuple of (nu, N) factors)
     pairs in the order given.  The T-series, equality and the cleared
-    fraction ``num / den`` all derive from them.  Equality is certified: the
-    difference of two sums is P / D with deg_T P <= deg_T D = dT, the sum of
-    N times the largest multiplicity over the distinct (nu, N) of both sides,
-    and D(u, 0) != 0, so series agreement through T^dT proves P = 0.
+    fraction ``num / den`` all derive from them.  Equality is certified on
+    the difference Delta, both sides' terms grouped by factor tuple over one
+    u-denominator with the cancelled groups dropped.  Delta is P / D with
+    deg_T P <= deg_T D = dT(Delta), the sum of N times the largest multiplicity
+    over Delta's distinct (nu, N), and D(u, 0) != 0: P = 0 if Delta's series
+    vanishes through T^dT(Delta).
     """
 
     def __init__(self, terms=()):
@@ -548,20 +551,17 @@ class ZetaRational:
     def first_difference(self, other: "ZetaRational"):
         """(n, own T^n coefficient, other's) at the smallest differing n.
 
-        None when the two are equal.  Both sides are expanded over one shared
-        u-denominator through the bound dT of the class docstring, so an
-        unequal pair always returns some n <= dT.
-        """
-        both = self.terms + other.terms
-        den_u = _common_den(both)
-        bound = _t_bound(both)
-        mine = _expand(self.terms, den_u, bound)
-        theirs = _expand(other.terms, den_u, bound)
-        for n in sorted(mine.keys() | theirs.keys()):
-            lhs, rhs = mine.get(n, {}), theirs.get(n, {})
-            if lhs != rhs:
-                return n, _laurent_over(lhs, den_u), _laurent_over(rhs, den_u)
-        return None
+        None when equal.  An empty Delta (class docstring) is equal with no
+        expansion; otherwise n is Delta's lowest nonzero T-order through
+        dT(Delta), and each side is expanded only through n."""
+        den_u = _common_den(self.terms + other.terms)
+        delta = _grouped(den_u, self.terms, other.terms)
+        rows = _expand(delta, _t_bound(delta))
+        if not rows:
+            return None
+        n = min(rows)
+        sides = (_expand(_grouped(den_u, z.terms), n).get(n, {}) for z in (self, other))
+        return (n, *(_laurent_over(row, den_u) for row in sides))
 
     def __eq__(self, other):
         if not isinstance(other, ZetaRational):
@@ -573,7 +573,7 @@ class ZetaRational:
         if order < 0:
             raise ValueError("order must be non-negative")
         den_u = _common_den(self.terms)
-        rows = _expand(self.terms, den_u, order)
+        rows = _expand(_grouped(den_u, self.terms), order)
         return TSeries(tuple(_laurent_over(rows.get(n, {}), den_u) for n in range(order + 1)))
 
     @cached_property
@@ -586,12 +586,12 @@ class ZetaRational:
         gcd-reduced: bivariate gcds are expensive and nothing needs them.
         """
         den_u = _common_den(self.terms)
-        bound = _t_bound(self.terms)
-        num = _expand(self.terms, den_u, bound)
+        bound = _t_bound(factors for _, factors in self.terms)
+        num = _expand(_grouped(den_u, self.terms), bound)
         if not num:
             return BiPoly(), BiPoly({(0, 0): 1})
         den = {0: {e: c for e, c in enumerate(den_u) if c}}
-        for (nu, N), count in sorted(_factor_max(self.terms).items()):
+        for (nu, N), count in sorted(_factor_max(f for _, f in self.terms).items()):
             for _ in range(count):
                 num = _times_factor(num, nu, N, bound)
                 den = _times_factor(den, nu, N, bound)

@@ -16,12 +16,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import lcm
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import gspace
-from .errors import ParseError, SchemaError
+from .errors import InvalidResolution, ParseError, SchemaError
 
 MAX_DIVISORS = 64
+# Orbits come from enumerating the group the generators span, one
+# permutation at a time, and the declared order bounds that enumeration.
+MAX_GROUP_ORDER = 1024
 
 
 @dataclass(frozen=True)
@@ -99,7 +103,13 @@ def _generator_maps(res: ResolutionData) -> List[Dict[int, int]]:
 
 
 def generated_group(res: ResolutionData) -> List[Dict[int, int]]:
-    """All permutations generated by the declared generators (with identity)."""
+    """All permutations generated by the declared generators (with identity).
+
+    By Lagrange the generated group has at most the declared order, so the
+    closure stops with InvalidResolution once it holds more permutations than
+    that order (or than MAX_GROUP_ORDER).
+    """
+    limit = min(res.group.order, MAX_GROUP_ORDER)
     ids = sorted(d.id for d in res.divisors)
     identity = {i: i for i in ids}
     seen = {tuple(identity[i] for i in ids): identity}
@@ -112,8 +122,23 @@ def generated_group(res: ResolutionData) -> List[Dict[int, int]]:
             key = tuple(composed[i] for i in ids)
             if key not in seen:
                 seen[key] = composed
+                if len(seen) > limit:
+                    raise InvalidResolution([f"generators span more than {limit} permutations"])
                 frontier.append(composed)
     return list(seen.values())
+
+
+def _permutation_order(perm: Dict[int, int]) -> int:
+    """The lcm of the cycle lengths."""
+    order, seen = 1, set()
+    for start in perm:
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i = perm[i]
+            length += 1
+        order = lcm(order, max(length, 1))
+    return order
 
 
 def subset_orbit(subset: FrozenSet[int], group: List[Dict[int, int]]):
@@ -148,6 +173,8 @@ def validate(res: ResolutionData) -> List[str]:
         return diags
     if len(ids) > MAX_DIVISORS:
         diags.append(f"more than {MAX_DIVISORS} divisors")
+    if res.group.order > MAX_GROUP_ORDER:
+        diags.append(f"group order above {MAX_GROUP_ORDER}")
     dmap = res.divisor_map()
     id_set = set(ids)
 
@@ -172,18 +199,15 @@ def validate(res: ResolutionData) -> List[str]:
                 diags.append(
                     f"generator {gi} does not preserve zero_fiber: divisor {i} -> {j}"
                 )
-        # permutation order must divide the declared group order
-        power = {i: i for i in ids}
-        order = 0
-        for _ in range(res.group.order):
-            power = {i: gmap[power[i]] for i in ids}
-            order += 1
-            if all(power[i] == i for i in ids):
-                break
-        if any(power[i] != i for i in ids) or res.group.order % order:
+        if res.group.order % _permutation_order(gmap):
             diags.append(f"generator {gi} has order not dividing {res.group.order}")
 
-    group = generated_group(res) if generators_ok else None
+    group = None
+    if generators_ok:
+        try:
+            group = generated_group(res)
+        except InvalidResolution as exc:
+            diags.extend(exc.diagnostics)
     zero_ids = {d.id for d in res.divisors if d.zero_fiber}
     first_in_orbit = {}  # canonical representative -> first stratum index
     for si, st in enumerate(res.strata):

@@ -1,22 +1,29 @@
 """Shared test helpers: hand-encoded closed forms and independent oracles."""
 
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 from math import gcd
 
+from equizeta.cohomology import F2Matrix
 from equizeta.errors import NotExpandable
-from equizeta.gspace import beta_value
+from equizeta.gspace import Atom, ClosedComplement, beta_value
 from equizeta.ratpoly import (
     BiPoly,
     RatFunc,
     TSeries,
     ZetaRational,
     _common_den,
+    _expand,
     _factor_max,
+    _grouped,
+    _laurent_over,
+    _t_bound,
     pdivexact,
     pmul,
     pprimitive,
 )
+from equizeta.resolution import Divisor, GroupSpec, StratumEntry
 
 
 def term(coef, factors):
@@ -109,7 +116,7 @@ def per_term_cleared(z: ZetaRational):
     """(num, den) by the per-term assembly that the expansion replaced: each
     term, over den_u, times its missing (u^nu - T^N) factors one BiPoly
     product at a time, and the parts summed."""
-    factor_max = _factor_max(z.terms)
+    factor_max = _factor_max(factors for _, factors in z.terms)
     den_u = _common_den(z.terms)
     den = BiPoly({(k, 0): c for k, c in enumerate(den_u)})
     for (nu, N), count in sorted(factor_max.items()):
@@ -149,6 +156,22 @@ def per_stratum_terms(res, variant):
     return ZetaRational(terms).terms
 
 
+def two_sided_first_difference(a: ZetaRational, b: ZetaRational):
+    """``first_difference`` by the two-sided expansion it replaced: each side
+    over one shared u-denominator through dT of both sides' factors, and the
+    union of their T-orders walked upwards."""
+    both = a.terms + b.terms
+    den_u = _common_den(both)
+    bound = _t_bound(factors for _, factors in both)
+    mine = _expand(_grouped(den_u, a.terms), bound)
+    theirs = _expand(_grouped(den_u, b.terms), bound)
+    for n in sorted(mine.keys() | theirs.keys()):
+        lhs, rhs = mine.get(n, {}), theirs.get(n, {})
+        if lhs != rhs:
+            return n, _laurent_over(lhs, den_u), _laurent_over(rhs, den_u)
+    return None
+
+
 def cleared_equal(a: ZetaRational, b: ZetaRational) -> bool:
     """Equality of the cleared fractions by bivariate cross-multiplication."""
     return a.num * b.den == b.num * a.den
@@ -176,6 +199,35 @@ def cleared_t_series(z: ZetaRational, order: int) -> TSeries:
                 acc = acc - dprof[j] * coeffs[n - j]
         coeffs.append(acc / dprof[0])
     return TSeries(tuple(coeffs))
+
+
+# -- a second resolution of the same germ ------------------------------------------
+
+def blow_up_fixed_point(res, i):
+    """``res`` blown up at a group-fixed point of E_i^o, naive values only.
+
+    The new divisor (N_i, nu_i + 1) is fixed by the group and lies over the
+    origin.  Stratum {i} loses a point_fixed, {new} is the circle minus the
+    point where E_i meets it, and {i, new} is that point_fixed; this is the
+    identity g_i = u g_new + (u-1) g_i g_new for g = T^N / (u^nu - T^N).  The
+    touched and the new strata carry no cover values.
+    """
+    dmap = res.divisor_map()
+    new = max(dmap) + 1
+    point = Atom("point_fixed")
+    (at,) = [k for k, st in enumerate(res.strata) if st.divisors == {i}]
+    strata = list(res.strata)
+    strata[at] = StratumEntry({i}, ClosedComplement(strata[at].beta, point))
+    strata += [
+        StratumEntry({new}, ClosedComplement(Atom("circle_with_fixed_point"), point)),
+        StratumEntry({i, new}, point),
+    ]
+    return dataclasses.replace(
+        res,
+        divisors=res.divisors + (Divisor(new, dmap[i].N, dmap[i].nu + 1, True),),
+        group=GroupSpec(res.group.order, tuple(g + (new,) for g in res.group.generators)),
+        strata=tuple(strata),
+    )
 
 
 # -- the worked examples' closed forms, term by term ----------------------------
@@ -295,6 +347,18 @@ def series_values_match(z: ZetaRational, series, u_points=(2, 3, 5)) -> bool:
             if eval_fraction(series[n], u0) != numeric[n]:
                 return False
     return True
+
+
+# -- the cohomology norm, by the loop the doubling replaced -----------------------
+
+def summed_norm(module):
+    """N = s + s^2 + ... + s^d, one matrix product per power."""
+    acc = F2Matrix.zero(module.dim, module.dim)
+    power = F2Matrix.identity(module.dim)
+    for _ in range(module.group_order):
+        power = power @ module.action
+        acc = acc + power
+    return acc
 
 
 # -- the arc oracle's orthant count, by enumeration ------------------------------

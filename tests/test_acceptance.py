@@ -8,6 +8,7 @@ asserted runtime bounds are part of the contract.
 import time
 
 from helpers import (
+    blow_up_fixed_point,
     displayed_a_boundary,
     displayed_gk_mixed,
     displayed_minus_x2_minus_y4,
@@ -240,3 +241,14 @@ def test_criterion_8_property_suites():
         res = catalog.get(name)
         assert parse(serialize(res)) == res, name
     report(8, "product/additivity + 100 mutations + round-trips", watch)
+
+
+def test_criterion_9_resolution_independence_at_the_divisor_cap():
+    res = catalog.get("gk(60,+,-)")
+    blown = blow_up_fixed_point(blow_up_fixed_point(res, 1), 63)
+    total = Stopwatch(2.0)
+    for other in (res, blown):
+        watch = Stopwatch(1.0)
+        assert distinguish(res, other, "naive", 16).equal
+        watch.check("gk(60,+,-) compare")
+    report(9, "gk(60,+,-) against itself and two point blowups", total)

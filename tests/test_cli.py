@@ -459,6 +459,42 @@ class TestErrorBoundary:
         assert time.perf_counter() - start < 1.0
         assert_one_error(result, 2)
 
+    @pytest.mark.parametrize("n", [9, 12, 64])
+    def test_generators_spanning_more_than_the_order_exit_2_at_once(self, n):
+        # an n-cycle and a transposition span all n! permutations of n
+        # divisors, though each has an order dividing the declared n(n-1)
+        doc = {
+            "name": "hostile",
+            "group": {
+                "order": n * (n - 1),
+                "generators": [[*range(2, n + 1), 1], [2, 1, *range(3, n + 1)]],
+            },
+            "divisors": [{"id": i, "N": 1, "nu": 1, "zero_fiber": True}
+                         for i in range(1, n + 1)],
+            "strata": [{"I": [1], "beta": {"kind": "atom", "name": "point_fixed"}}],
+        }
+        start = time.perf_counter()
+        result = call(["compute", "-"], json.dumps(doc))
+        assert time.perf_counter() - start < 1.0
+        assert_one_error(result, 2)
+        assert "generators span more than" in result[2]
+
+    def test_declared_group_order_above_the_cap_exits_2(self):
+        doc = resolution_to_json(catalog.get("y4-x2_Z2"))
+        doc["group"]["order"] = 10**18
+        result = call(["compute", "-"], json.dumps(doc))
+        assert_one_error(result, 2)
+        assert "group order above 1024" in result[2]
+
+    def test_huge_module_group_order_runs_at_once(self):
+        spec = cohomology.sphere_fixed_pipeline()
+        for entry in spec["homology"]:
+            entry["module"]["group_order"] = 10**18
+        start = time.perf_counter()
+        code, out, _ = call(["cohomology", "-"], json.dumps(spec))
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and out.splitlines()[0] == "(u^3 + u)/(u - 1)"
+
     def test_many_odd_exponents_are_counted_in_closed_form(self):
         start = time.perf_counter()
         code, out, _ = call(["oracle", "--exponents", ",".join(["1"] * 22),

@@ -1,7 +1,8 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from helpers import summed_norm
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from equizeta.cohomology import (
@@ -78,6 +79,26 @@ class TestNormElement:
 
     def test_order_three_trivial_is_identity(self):
         assert norm_element(CyclicGModule.trivial(1, 3)) == F2Matrix.identity(1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda dim: st.lists(
+                st.lists(st.integers(0, 1), min_size=dim, max_size=dim),
+                min_size=dim, max_size=dim,
+            )
+        ),
+        st.integers(1, 6),
+    )
+    def test_doubling_matches_the_summed_powers(self, rows, multiple):
+        action = F2Matrix.from_rows(rows)
+        assume(action.rank() == action.rows)
+        order, power = 1, action
+        while power != F2Matrix.identity(action.rows):
+            order, power = order + 1, power @ action
+        for d in range(order, order * multiple + 1, order):
+            module = CyclicGModule(action.rows, action, d)
+            assert norm_element(module) == summed_norm(module), d
 
 
 class TestCohomologyDim:

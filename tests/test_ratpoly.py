@@ -8,6 +8,7 @@ from helpers import (
     recurrence_laurent,
     series_values_match,
     term,
+    two_sided_first_difference,
     zsum,
 )
 from hypothesis import given, settings
@@ -363,6 +364,52 @@ def test_birat_eq_equivalence_relation(lhs, rhs, rng):
         sa, sb = a.t_series(n), b.t_series(n)
         assert (sa[n], sb[n]) == (lhs_coeff, rhs_coeff)
         assert lhs_coeff != rhs_coeff and sa.coeffs[:n] == sb.coeffs[:n]
+
+
+U = RatFunc.poly((0, 1))
+U_MINUS_1 = RatFunc.poly((-1, 1))
+
+
+@st.composite
+def rewritten_pairs(draw):
+    """(lhs, rhs, rewritten only): rhs rewrites lhs without changing its sum,
+    then perhaps gains extra terms.  A rewrite splits a coefficient, expands
+    one factor g = (nu, N) of a term by g = u g' + (u-1) g g' with g' =
+    (nu + 1, N), adds a term together with its negation, or moves a term to
+    the other side negated."""
+    lhs = draw(term_lists)
+    rhs = []
+    for coeff, factors in lhs:
+        how = draw(st.sampled_from(["keep", "split", "expand"]))
+        if how == "split":
+            part = draw(small_coeffs)
+            rhs += [(coeff - part, factors), (part, factors)]
+        elif how == "expand":
+            nu, N = draw(st.sampled_from(factors))
+            rest = list(factors)
+            rest.remove((nu, N))
+            rhs += [(coeff * U, rest + [(nu + 1, N)]),
+                    (coeff * U_MINUS_1, factors + [(nu + 1, N)])]
+        else:
+            rhs.append((coeff, factors))
+    for coeff, factors in draw(term_lists):
+        rhs += [(coeff, factors), (-coeff, factors)]
+    moved = draw(st.integers(0, len(rhs)))
+    lhs = lhs + [(-coeff, factors) for coeff, factors in rhs[:moved]]
+    extra = draw(st.lists(st.tuples(small_coeffs, factor_lists), max_size=2))
+    return lhs, draw(st.permutations(rhs[moved:] + extra)), not extra
+
+
+@settings(max_examples=150, deadline=None)
+@given(rewritten_pairs())
+def test_first_difference_agrees_with_the_two_sided_expansion(pair):
+    lhs, rhs, rewritten_only = pair
+    a, b = ZetaRational(lhs), ZetaRational(rhs)
+    diff = a.first_difference(b)
+    assert diff == two_sided_first_difference(a, b)
+    assert b.first_difference(a) == two_sided_first_difference(b, a)
+    if rewritten_only:
+        assert diff is None
 
 
 @st.composite

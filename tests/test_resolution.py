@@ -6,9 +6,10 @@ import time
 import pytest
 
 from equizeta import catalog
-from equizeta.errors import ParseError, SchemaError, UnknownFixture
+from equizeta.errors import InvalidResolution, ParseError, SchemaError, UnknownFixture
 from equizeta.gspace import Atom
 from equizeta.resolution import (
+    MAX_GROUP_ORDER,
     Divisor,
     GroupSpec,
     ResolutionData,
@@ -72,6 +73,36 @@ class TestValidation:
         start = time.perf_counter()
         assert validate(res) == []
         assert time.perf_counter() - start < 2.0
+
+    def test_generator_order_is_the_lcm_of_its_cycle_lengths(self):
+        divisors = tuple(Divisor(i, 1, 1, True) for i in range(1, 6))
+        strata = (StratumEntry({1}, Atom("point_fixed")),)
+        gens = ((2, 1, 4, 5, 3),)  # a 2-cycle and a 3-cycle: order 6
+        for order, divides in ((6, True), (12, True), (2, False), (3, False), (4, False)):
+            res = ResolutionData("cycles", divisors, GroupSpec(order, gens), strata)
+            diags = validate(res)
+            assert any("order not dividing" in d for d in diags) != divides, order
+
+    def test_group_closure_stops_after_the_declared_order(self):
+        # a 9-cycle and a transposition span all of S_9 (362880 permutations)
+        divisors = tuple(Divisor(i, 1, 1, True) for i in range(1, 10))
+        gens = ((*range(2, 10), 1), (2, 1, *range(3, 10)))
+        strata = (StratumEntry({1}, Atom("point_fixed")),)
+        res = ResolutionData("S9", divisors, GroupSpec(18, gens), strata)
+        start = time.perf_counter()
+        assert validate(res) == ["generators span more than 18 permutations"]
+        with pytest.raises(InvalidResolution):
+            generated_group(res)
+        assert time.perf_counter() - start < 0.5
+        for name in catalog.sample_names():
+            res = catalog.get(name)
+            assert len(generated_group(res)) <= res.group.order, name
+
+    def test_declared_group_order_is_capped(self):
+        res = catalog.get("y4-x2_Z2")
+        for order in (MAX_GROUP_ORDER, MAX_GROUP_ORDER * 2, 10**18):
+            diags = validate(dataclasses.replace(res, group=GroupSpec(order, res.group.generators)))
+            assert (diags == []) == (order <= MAX_GROUP_ORDER), order
 
     def test_stratum_outside_zero_fiber_rejected(self):
         res = catalog.get("y4-x2_Z2")

@@ -3,6 +3,7 @@ import random
 
 import pytest
 from helpers import (
+    blow_up_fixed_point,
     cleared_t_series,
     displayed_minus_x2_minus_y4,
     displayed_x2_plus_y2,
@@ -12,13 +13,21 @@ from helpers import (
     per_stratum_terms,
     per_term_cleared,
     series_values_match,
+    two_sided_first_difference,
 )
 
 from equizeta import catalog, zeta
 from equizeta.errors import InvalidResolution
 from equizeta.gspace import Atom
 from equizeta.ratpoly import RatFunc
-from equizeta.resolution import Divisor, GroupSpec, ResolutionData, StratumEntry
+from equizeta.resolution import (
+    Divisor,
+    GroupSpec,
+    ResolutionData,
+    StratumEntry,
+    generated_group,
+    validate,
+)
 from equizeta.zeta import VARIANTS, denef_loeser, display, distinguish, zeta_json
 
 
@@ -181,6 +190,68 @@ class TestDistinguish:
         assert doc["equal"] is False
         assert doc["first_differing_T_order"] == 4
         assert doc["lhs_coeff"]["num"] == ["1", "0", "1"]
+
+
+def fixed_singletons(res):
+    """Ids i with a stratum {i} whose divisor every group element fixes."""
+    moved = {i for g in generated_group(res) for i in g if g[i] != i}
+    return [i for st in res.strata if len(st.divisors) == 1 for i in st.divisors - moved]
+
+
+def wrong_nu(res):
+    """``res`` with its last divisor's nu raised by one."""
+    last = res.divisors[-1]
+    return dataclasses.replace(
+        res, divisors=res.divisors[:-1] + (dataclasses.replace(last, nu=last.nu + 1),)
+    )
+
+
+class TestEqualityOnTheDifference:
+    def test_agrees_with_the_two_sided_expansion_on_fixture_pairs(self):
+        zetas = [
+            (v, denef_loeser(catalog.get(name), v))
+            for name in catalog.sample_names()
+            for v in VARIANTS
+        ]
+        for va, za in zetas:
+            for vb, zb in zetas:
+                if va == vb:
+                    assert za.first_difference(zb) == two_sided_first_difference(za, zb)
+
+    def test_point_blowups_are_certified_equal(self):
+        blown_any = 0
+        for name in catalog.sample_names():
+            res = catalog.get(name)
+            z = denef_loeser(res)
+            for i in fixed_singletons(res):
+                blown = blow_up_fixed_point(res, i)
+                assert validate(blown) == [], (name, i)
+                zb = denef_loeser(blown)
+                assert z.first_difference(zb) is None, (name, i)
+                assert two_sided_first_difference(z, zb) is None, (name, i)
+                assert distinguish(res, blown).equal and distinguish(blown, res).equal
+                bad = denef_loeser(wrong_nu(blown))
+                diff = z.first_difference(bad)
+                assert diff is not None and diff == two_sided_first_difference(z, bad)
+                blown_any += 1
+        assert blown_any > 20
+
+    def test_blown_up_separating_pair_still_differs_at_t4(self):
+        f = catalog.get("y4-x2_Z2")
+        h = blow_up_fixed_point(blow_up_fixed_point(catalog.get("x4-y2_Z2"), 1), 5)
+        for lhs, rhs in ((f, h), (h, f)):
+            rep = distinguish(lhs, rhs, "naive", 8)
+            assert not rep.equal and rep.first_differing_T_order == 4
+            za, zb = denef_loeser(lhs), denef_loeser(rhs)
+            assert za.first_difference(zb) == two_sided_first_difference(za, zb)
+
+    @pytest.mark.parametrize("k", [20, 40, 60])
+    def test_gk_against_two_blowups(self, k):
+        res = catalog.get(f"gk({k},+,-)")
+        blown = blow_up_fixed_point(blow_up_fixed_point(res, 1), k + 3)
+        assert distinguish(res, blown).equal
+        rep = distinguish(res, wrong_nu(blown), "naive", 8)
+        assert not rep.equal and rep.first_differing_T_order is not None
 
 
 class TestInvariances:
