@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import InvalidInput, NotInvariant
-from .ratpoly import RatFunc, TSeries, pmul, ppow
+from .ratpoly import RatFunc, TSeries, pmonomial, pmul, ppow
 
 _POINT = RatFunc((0, 1), (-1, 1))
 _U_MINUS_1 = RatFunc.poly((-1, 1))
@@ -181,5 +181,5 @@ def oracle_series(
             beta = arc_beta_naive(germ, action, n)
         else:
             beta = arc_beta_signed(germ, action, n, variant)
-        coeffs.append(beta * RatFunc.monomial(-n * germ.d))
+        coeffs.append(RatFunc(beta.num, pmul(beta.den, pmonomial(n * germ.d))))
     return TSeries(coeffs)

@@ -13,13 +13,18 @@ Everything is immutable and uses arbitrary-precision integers only: one long
 division over Z serves exact quotients and Laurent expansions, and gcds run
 as a primitive pseudo-remainder sequence, so no rational coefficient and no
 floating point appears anywhere in this package.
+
+Canonicalisation splits off the u-adic valuation first: the common power of u
+is read from the low zero coefficients, and the gcd runs only on the u-free
+parts.  Series coefficients are Laurent polynomials over small denominators
+such as u^s, so most of them need no gcd at all.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -184,18 +189,40 @@ def pstr(a: tuple, var: str = "u") -> str:
 # reduced rational functions of u
 # ---------------------------------------------------------------------------
 
+def _valuation(p: tuple) -> int:
+    """The largest v with u^v dividing the nonzero polynomial p: its number of
+    low zero coefficients."""
+    v = 0
+    while not p[v]:
+        v += 1
+    return v
+
+
 def _canonical(num, den):
+    """(num, den) reduced to the ``RatFunc`` representative.
+
+    The common power of u comes off by counting low zero coefficients.  u is
+    prime, so after that strip at most one side keeps a factor of u and u
+    cannot divide the remaining gcd: the primitive PRS runs on the u-free
+    parts only, and not at all when either of them is a constant.
+    """
     num = ptrim(num)
     den = ptrim(den)
     if not den:
         raise ZeroDenominator("denominator is the zero polynomial")
     if not num:
         return (), (1,)
-    g = pgcd(num, den)
-    if g != (1,):
-        num = pdivexact(num, g)
-        den = pdivexact(den, g)
-    c = gcd(pcontent(num), pcontent(den))
+    vn, vd = _valuation(num), _valuation(den)
+    free_num, free_den = num[vn:], den[vd:]
+    if len(free_num) > 1 and len(free_den) > 1:
+        g = pgcd(free_num, free_den)
+        if g != (1,):
+            free_num = pdivexact(free_num, g)
+            free_den = pdivexact(free_den, g)
+    v = min(vn, vd)
+    num = (0,) * (vn - v) + free_num
+    den = (0,) * (vd - v) + free_den
+    c = gcd(pcontent(free_num), pcontent(free_den))
     if den[-1] < 0:
         c = -c
     if c != 1:
@@ -210,6 +237,9 @@ class RatFunc:
     The representative is unique: gcd(num, den) is a unit over Q, the joint
     integer content of (num, den) is 1, and den has a positive leading
     coefficient.  This makes structural equality and hashing meaningful.
+    The power of u in gcd(num, den) is removed by counting low zero
+    coefficients, and the rest of the gcd comes from the u-free parts
+    (``_canonical``).
     """
 
     __slots__ = ("num", "den")
@@ -464,11 +494,30 @@ def _grouped(den_u: tuple, terms, negated=()) -> dict:
     return {factors: poly for factors, poly in groups.items() if poly}
 
 
+# Cap on the work of one ``_expand`` call: the lattice points m >= 1 with
+# sum m_i N_i <= order, bounded per group by the box prod (order // N_i) and
+# summed over the groups.  The catalog's largest tree, gk(64,+,+), needs about
+# 4.3 million; a stratum pairing N = 10^8 with N = 1 needs 4*10^8 and would
+# exhaust memory, so it fails at once with InvalidInput (exit 2) instead.
+MAX_EXPANSION = 1 << 24
+
+
+def _expansion_work(groups: dict, order: int) -> int:
+    """The box bound on the lattice points that ``_expand`` visits."""
+    return sum(prod(order // N for _, N in factors) for factors in groups)
+
+
 def _expand(groups: dict, order: int) -> dict:
     """Nonzero T^0..T^order coefficients of a ``_grouped`` sum, sparse in T:
     {T exponent: {u exponent: int}}.  Each factor T^N / (u^nu - T^N) is the
     geometric series sum_{m>=1} u^(-m nu) T^(m N), so a coefficient is a
-    sparse convolution of Laurent monomials."""
+    sparse convolution of Laurent monomials.  InvalidInput, before anything
+    is built, when the work would exceed MAX_EXPANSION."""
+    if _expansion_work(groups, order) > MAX_EXPANSION:
+        raise InvalidInput(
+            f"the T-expansion would visit more than MAX_EXPANSION = {MAX_EXPANSION} "
+            "lattice points; the divisor multiplicities or the order are too large"
+        )
     out = {}
     for factors, poly in groups.items():
         series = {0: {0: 1}}

@@ -19,9 +19,12 @@ from equizeta.ratpoly import (
     _grouped,
     _laurent_over,
     _t_bound,
+    pcontent,
     pdivexact,
+    pgcd,
     pmul,
     pprimitive,
+    ptrim,
 )
 from equizeta.resolution import Divisor, GroupSpec, StratumEntry
 
@@ -78,6 +81,25 @@ def euclid_gcd(a, b):
     return pprimitive(tuple(int(c * mult) for c in fa))
 
 
+def prs_canonical(num, den):
+    """(num, den) in canonical form with the primitive PRS run on the full
+    num and den, powers of u included: the reference for RatFunc."""
+    num, den = ptrim(num), ptrim(den)
+    if not num:
+        return (), (1,)
+    g = pgcd(num, den)
+    if g != (1,):
+        num = pdivexact(num, g)
+        den = pdivexact(den, g)
+    c = gcd(pcontent(num), pcontent(den))
+    if den[-1] < 0:
+        c = -c
+    if c != 1:
+        num = tuple(x // c for x in num)
+        den = tuple(x // c for x in den)
+    return num, den
+
+
 def recurrence_laurent(r: RatFunc, k_min: int) -> list:
     """Coefficients of u^top .. u^k_min of r, by the power-series recurrence
     in v = u^-1 over Q; NotExpandable if one is not an integer."""
@@ -105,11 +127,15 @@ def eval_at(bipoly, u0, t0):
     return sum(c * u0**ue * t0**te for (ue, te), c in bipoly.terms.items())
 
 
-def eval_fraction(r: RatFunc, x) -> Fraction:
+def eval_fraction(r: RatFunc, x: int) -> Fraction:
+    """r at the integer x, by Horner's rule on num and den."""
     def at(p):
-        return sum(Fraction(c) * Fraction(x) ** k for k, c in enumerate(p))
+        acc = 0
+        for c in reversed(p):
+            acc = acc * x + c
+        return acc
 
-    return at(r.num) / at(r.den)
+    return Fraction(at(r.num), at(r.den))
 
 
 def per_term_cleared(z: ZetaRational):
@@ -330,11 +356,14 @@ def numeric_t_series(z: ZetaRational, u0: int, order: int):
     num = poly_in_t(z.num)
     den = poly_in_t(z.den)
     assert den[0] != 0
+    tail = [(j, c) for j, c in enumerate(den) if j and c]
     coeffs = []
     for n in range(order + 1):
         acc = num[n]
-        for j in range(1, n + 1):
-            acc -= den[j] * coeffs[n - j]
+        for j, c in tail:
+            if j > n:
+                break
+            acc -= c * coeffs[n - j]
         coeffs.append(acc / den[0])
     return coeffs
 

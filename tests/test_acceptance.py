@@ -5,7 +5,10 @@ PASS lines.  Every comparison is exact (arbitrary-precision integers); the
 asserted runtime bounds are part of the contract.
 """
 
+import io
+import json
 import time
+from contextlib import redirect_stdout
 
 from helpers import (
     blow_up_fixed_point,
@@ -16,9 +19,10 @@ from helpers import (
     displayed_x2k,
     displayed_x4_y2,
     displayed_y4_x2,
+    series_values_match,
 )
 
-from equizeta import catalog, cohomology
+from equizeta import catalog, cli, cohomology
 from equizeta.arcs import MonomialGerm, SignAction, oracle_series
 from equizeta.gspace import (
     Atom,
@@ -29,7 +33,7 @@ from equizeta.gspace import (
     atom_value,
     beta_value,
 )
-from equizeta.ratpoly import RatFunc
+from equizeta.ratpoly import RatFunc, TSeries
 from equizeta.resolution import parse, serialize
 from equizeta.zeta import denef_loeser, distinguish
 
@@ -252,3 +256,17 @@ def test_criterion_9_resolution_independence_at_the_divisor_cap():
         assert distinguish(res, other, "naive", 16).equal
         watch.check("gk(60,+,-) compare")
     report(9, "gk(60,+,-) against itself and two point blowups", total)
+
+
+def test_criterion_10_long_series_expansion():
+    out = io.StringIO()
+    watch = Stopwatch(1.0)
+    with redirect_stdout(out):
+        code = cli.main(["compute", "y4-x2_Z2", "--format", "series", "--expand", "512"])
+    elapsed = watch.check("y4-x2_Z2 through T^512")
+    assert code == 0
+    series = TSeries.from_json(json.loads(out.getvalue()))
+    assert series.order == 512
+    z = denef_loeser(catalog.get("y4-x2_Z2"), "naive")
+    assert series_values_match(z, series, (2, 3, 5))
+    print(f"criterion 10 (y4-x2_Z2 series through T^512): PASS [{elapsed:.2f} s]")

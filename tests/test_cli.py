@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equizeta import catalog, cohomology
+from equizeta import catalog, cohomology, ratpoly
 from equizeta.cli import _emit, build_parser, main
 from equizeta.ratpoly import TSeries, ZetaRational, pmul
 from equizeta.resolution import resolution_to_json, serialize
@@ -485,6 +485,34 @@ class TestErrorBoundary:
         result = call(["compute", "-"], json.dumps(doc))
         assert_one_error(result, 2)
         assert "group order above 1024" in result[2]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["compute", "-", "--format", "rational"], ["compare", "-", "x4-y2_Z2"]],
+    )
+    def test_expansion_over_the_cap_exits_2_at_once(self, argv):
+        # strata {2,3} and {2,4} pair N = 10^8 - 1 with the N = 1 strict
+        # transforms: about 4*10^8 lattice points, which used to exhaust memory
+        doc = resolution_to_json(catalog.get("x4-y2_Z2"))
+        for divisor in doc["divisors"]:
+            if divisor["id"] in (1, 2):
+                divisor["N"] = 99999999
+        start = time.perf_counter()
+        result = call(argv, json.dumps(doc))
+        assert time.perf_counter() - start < 1.0
+        assert_one_error(result, 2)
+        assert "MAX_EXPANSION" in result[2]
+        code, out, _ = call(["compute", "-", "--format", "display"], json.dumps(doc))
+        assert code == 0 and "T^99999999" in out
+
+    def test_expansion_at_the_cap_runs(self, monkeypatch):
+        # y4-x2_Z2 through T^512 is bounded by 98688 lattice points
+        argv = ["compute", "y4-x2_Z2", "--format", "series", "--expand", "512"]
+        monkeypatch.setattr(ratpoly, "MAX_EXPANSION", 98688)
+        code, out, _ = call(argv)
+        assert code == 0 and json.loads(out)["order"] == 512
+        monkeypatch.setattr(ratpoly, "MAX_EXPANSION", 98687)
+        assert_one_error(call(argv), 2)
 
     def test_huge_module_group_order_runs_at_once(self):
         spec = cohomology.sphere_fixed_pipeline()

@@ -5,6 +5,7 @@ from helpers import (
     euclid_gcd,
     fraction_divmod,
     per_term_cleared,
+    prs_canonical,
     recurrence_laurent,
     series_values_match,
     term,
@@ -14,21 +15,28 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equizeta import catalog
 from equizeta.errors import DivisionByZero, NotExpandable, ZeroDenominator
 from equizeta.ratpoly import (
+    MAX_EXPANSION,
     BiPoly,
     RatFunc,
     TSeries,
     ZetaRational,
     _common_den,
+    _expansion_work,
+    _grouped,
     _lcm_fold,
+    _t_bound,
     pcontent,
     pdivexact,
     pgcd,
+    pmonomial,
     pmul,
     ppow,
     ptrim,
 )
+from equizeta.zeta import denef_loeser
 
 PT = RatFunc((0, 1), (-1, 1))  # u/(u-1), the series of a fixed point
 
@@ -219,6 +227,23 @@ class TestTSeriesExpansion:
         assert z.t_series(10) == cleared_t_series(z, 10)
 
 
+class TestExpansionBound:
+    @pytest.mark.parametrize(
+        "name, work",
+        [("gk(64,+,+)", 4265047), ("gk(62,+,-)", 3877314), ("hk(129,+)", 2905717)],
+    )
+    def test_the_largest_catalog_trees_clear_under_the_cap(self, name, work):
+        # the cleared fraction expands the whole sum through dT
+        z = denef_loeser(catalog.get(name), "naive")
+        groups = _grouped(_common_den(z.terms), z.terms)
+        bound = _t_bound(factors for _, factors in z.terms)
+        assert _expansion_work(groups, bound) == work < MAX_EXPANSION
+
+    def test_work_is_the_box_bound_summed_over_groups(self):
+        groups = {(): (1,), ((1, 2),): (1,), ((1, 1), (2, 3)): (1,)}
+        assert _expansion_work(groups, 10) == 1 + 5 + 10 * 3
+
+
 class TestSeriesContainer:
     def test_round_trip(self):
         s = TSeries((RatFunc(0), RatFunc(1), PT))
@@ -306,6 +331,43 @@ def test_pdivexact_raises_exactly_when_inexact(x, b, m, plant):
             pdivexact(a, b)
     else:
         assert pdivexact(a, b) == ptrim(int(c) for c in q)
+
+
+# (num, den) pairs shaped like series coefficients and worse: a power of u
+# planted on num, den or both, a common (u-1)^b and a wide random common
+# factor, constant and pure u^k denominators, and either leading sign
+signs = st.sampled_from([1, -1])
+u_free = st.builds(
+    lambda head, rest, sign: tuple(sign * c for c in (head, *rest)),
+    st.integers(-9, 9).filter(bool),
+    st.lists(st.integers(-9, 9), max_size=4),
+    signs,
+)
+common = st.one_of(
+    st.just((1,)),
+    st.builds(lambda b: ppow((-1, 1), b), st.integers(1, 3)),
+    wide,
+)
+
+
+@st.composite
+def canonical_inputs(draw):
+    num = pmul(draw(u_free), pmonomial(draw(st.integers(0, 6))))
+    den = draw(st.one_of(
+        st.builds(pmul, u_free, st.builds(pmonomial, st.integers(0, 6))),
+        st.builds(lambda c: (c,), st.integers(-9, 9).filter(bool)),
+        st.builds(pmonomial, st.integers(1, 12), signs),
+    ))
+    shared = pmul(draw(common), pmonomial(draw(st.integers(0, 4))))
+    return pmul(num, shared), pmul(den, shared)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(canonical_inputs(), st.tuples(coeffs, nonzero)))
+def test_canonical_form_matches_the_full_prs(pair):
+    num, den = pair
+    r = RatFunc(num, den)
+    assert (r.num, r.den) == prs_canonical(num, den)
 
 
 monic = st.builds(lambda cs: tuple(cs) + (1,), coeffs)
