@@ -2,12 +2,25 @@
 
 For f = sign * prod x_i^(N_i) under a coordinatewise sign involution, the
 truncated arcs whose composition with f has exact order n split into strata
-indexed by the order vector k of the arc coordinates on the support of f
+indexed by the order vector k of the arc coordinates on the support S of f
 (k_i >= 1, sum k_i N_i = n).  Each stratum is a product of punctured lines
 (the leading coefficients), affine spaces (the higher coefficients and the
 off-support coordinates), and a point, so the two proved product rules
 evaluate it exactly.  This never touches the closed-form engine, which makes
 it the ground-truth oracle for the monomial fixtures.
+
+A stratum's affine part has dimension sum (n - k_i) + n (d - |S|) = n d - m
+with m = sum k_i, so the order-n value is the leading-coefficient factor W
+times sum_m counts[n][m] u^(n d - m), where counts[n][m] is the number of
+order vectors with sum k_i N_i = n and sum k_i = m.  The vectors are counted,
+never listed: ``_order_counts`` builds the table for every n <= order one
+support coordinate at a time.  Coordinate i contributes the geometric series
+x^w y / (1 - x^w y) in x^n y^m (w = N_i), so the table C_i over the first i
+coordinates satisfies C_i = x^w y (C_(i-1) + C_i), that is
+C_i[n][m] = C_(i-1)[n-w][m-1] + C_i[n-w][m-1], starting from C_0 = 1 at
+(0, 0).  That is O(|S| * order^2) integer additions and no recursion.  The
+table is bounded before it is built: above ``MAX_ORACLE_CELLS`` the request
+is an ``InvalidInput``.
 
 For the signed variants the punctured-line factor is replaced by the set of
 leading-coefficient tuples solving sign * prod rho_i^(N_i) = +1 or -1.  That
@@ -19,26 +32,36 @@ Exact for constant units only, which is all a monomial germ has.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from operator import add
 from typing import Tuple
 
 from .errors import InvalidInput, NotInvariant
-from .ratpoly import RatFunc, TSeries, pmonomial, pmul, ppow
+from .gspace import MAX_AFFINE
+from .ratpoly import RatFunc, TSeries, pmul, ppow
 
 _POINT = RatFunc((0, 1), (-1, 1))
 _U_MINUS_1 = RatFunc.poly((-1, 1))
 
+# Cap on the oracle's work, counted before anything is built as
+# (|S| + 1) * (order + 1) * (order // min N_i + 1) cells: |S| passes build the
+# order-vector table and one reads the coefficients out of it, whose printed
+# size grows with the table's.  x*y*z passes at --order 1000 (about 1 s, 6.6 MB
+# of JSON) and is refused from 1024 on.
+MAX_ORACLE_CELLS = 1 << 22
+
 
 @dataclass(frozen=True)
 class MonomialGerm:
-    """f = sign * x_1^(N_1) * ... * x_d^(N_d) on (R^d, 0)."""
+    """f = sign * x_1^(N_1) * ... * x_d^(N_d) on (R^d, 0), d <= MAX_AFFINE."""
 
     exponents: Tuple[int, ...]
     sign: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "exponents", tuple(self.exponents))
+        if len(self.exponents) > MAX_AFFINE:
+            raise InvalidInput(f"at most {MAX_AFFINE} exponents")
         if not self.exponents or all(n == 0 for n in self.exponents):
             raise InvalidInput("at least one exponent must be positive")
         if any(n < 0 for n in self.exponents):
@@ -84,43 +107,58 @@ def _require_invariant(germ, action):
         raise NotInvariant("germ is not invariant under the given sign action")
 
 
-def _order_vectors(exps, n):
-    """All k with k_i >= 1 and sum k_i * exps_i == n (support weights only)."""
-    if not exps:
-        if n == 0:
-            yield ()
-        return
-    head = exps[0]
-    k = 1
-    while head * k <= n - sum(exps[1:]):
-        for rest in _order_vectors(exps[1:], n - head * k):
-            yield (k,) + rest
-        k += 1
+def _order_counts(germ: MonomialGerm, order: int) -> list:
+    """counts[n][m], for n <= order, by the recurrence in the module docstring.
+
+    Row n lists m = 0 .. n // min N_i, the largest m an order-n vector can
+    have.
+    """
+    weights = [germ.exponents[i] for i in germ.support()]
+    min_w = min(weights)
+    width = order // min_w + 1
+    cells = (len(weights) + 1) * (order + 1) * width
+    if cells > MAX_ORACLE_CELLS:
+        raise InvalidInput(
+            f"arc order {order} needs {cells} table cells, "
+            f"above the cap of {MAX_ORACLE_CELLS}"
+        )
+    zero = [0] * width
+    table = [[1] + zero[1:]] + [zero] * order
+    for w in weights:
+        new = [zero] * min(w, order + 1)
+        for n in range(w, order + 1):
+            row = [0]
+            row += map(add, table[n - w], new[n - w])
+            row.pop()  # m = width is beyond any order-n vector
+            new.append(row)
+        table = new
+    return [row[: n // min_w + 1] for n, row in enumerate(table)]
 
 
-def _affine_sum(germ, n) -> tuple:
-    """Sum of u^(affine dimension) over the order vectors of arc order n, as
-    an integer polynomial."""
-    support = germ.support()
-    weights = [germ.exponents[i] for i in support]
-    off_support = n * (germ.d - len(support))
-    dims = Counter(
-        sum(n - ki for ki in k) + off_support for k in _order_vectors(weights, n)
-    )
-    coeffs = [0] * (max(dims, default=-1) + 1)
-    for dim, count in dims.items():
-        coeffs[dim] = count
-    return tuple(coeffs)
+def _leading_factor(germ: MonomialGerm, action: SignAction, variant: str) -> RatFunc:
+    """W: the series of the leading-coefficient tuples, which every order
+    vector shares."""
+    if variant == "naive":
+        point = RatFunc(1) if action.trivial else _POINT
+        punct = ppow((-1, 1), len(germ.support()))
+        return RatFunc(pmul(punct, point.num), point.den)
+    return _sign_factor(germ, action, 1 if variant == "plus" else -1)
+
+
+def _arc_beta(germ: MonomialGerm, action: SignAction, n: int, variant: str) -> RatFunc:
+    """W * sum_m counts[n][m] u^(n d - m), read off row n of the table."""
+    _require_invariant(germ, action)
+    if n < 1:
+        raise ValueError("arc order must be positive")
+    row = _order_counts(germ, n)[n]
+    affine = [0] * (n * germ.d - len(row) + 1) + row[::-1]
+    wfac = _leading_factor(germ, action, variant)
+    return RatFunc(pmul(wfac.num, affine), wfac.den)
 
 
 def arc_beta_naive(germ: MonomialGerm, action: SignAction, n: int) -> RatFunc:
     """Series of the order-n arc stratum, any nonzero leading coefficient."""
-    _require_invariant(germ, action)
-    if n < 1:
-        raise ValueError("arc order must be positive")
-    point = RatFunc(1) if action.trivial else _POINT
-    punct = ppow((-1, 1), len(germ.support()))
-    return RatFunc(pmul(pmul(punct, point.num), _affine_sum(germ, n)), point.den)
+    return _arc_beta(germ, action, n, "naive")
 
 
 def _solvable_orthants(germ: MonomialGerm, target: int) -> int:
@@ -157,29 +195,26 @@ def arc_beta_signed(
     """Series of the order-n arc stratum with leading coefficient +1 or -1."""
     if sign not in ("plus", "minus"):
         raise ValueError("sign must be 'plus' or 'minus'")
-    _require_invariant(germ, action)
-    if n < 1:
-        raise ValueError("arc order must be positive")
-    wfac = _sign_factor(germ, action, 1 if sign == "plus" else -1)
-    if wfac.is_zero():
-        return RatFunc(0)
-    return RatFunc(pmul(wfac.num, _affine_sum(germ, n)), wfac.den)
+    return _arc_beta(germ, action, n, sign)
 
 
 def oracle_series(
     germ: MonomialGerm, action: SignAction, variant: str, order: int
 ) -> TSeries:
-    """Generating series through T^order, coefficient of T^n scaled by u^-nd."""
+    """Generating series through T^order, coefficient of T^n scaled by u^-nd.
+
+    With top = n // min N_i, that coefficient is
+    W.num * sum_m counts[n][m] u^(top - m) / (W.den * u^top): one
+    canonicalisation per order, and W once per call.
+    """
     if variant not in ("naive", "plus", "minus"):
         raise ValueError(f"bad variant {variant!r}")
     _require_invariant(germ, action)
     if order < 0:
         raise ValueError("order must be non-negative")
-    coeffs = [RatFunc(0)]
-    for n in range(1, order + 1):
-        if variant == "naive":
-            beta = arc_beta_naive(germ, action, n)
-        else:
-            beta = arc_beta_signed(germ, action, n, variant)
-        coeffs.append(RatFunc(beta.num, pmul(beta.den, pmonomial(n * germ.d))))
-    return TSeries(coeffs)
+    counts = _order_counts(germ, order)
+    wfac = _leading_factor(germ, action, variant)
+    return TSeries(
+        [RatFunc(pmul(wfac.num, row[::-1]), (0,) * (len(row) - 1) + wfac.den)
+         for row in counts]
+    )

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence, Tuple
 
 from .errors import InvalidInput, RankTooLarge, SchemaError, TailMismatch
-from .ratpoly import RatFunc
+from .ratpoly import RatFunc, pmonomial
 from .resolution import require
 
 
@@ -189,21 +189,26 @@ def norm_element(module: CyclicGModule) -> F2Matrix:
     return acc
 
 
-def cohomology_dim(module: CyclicGModule, n: int) -> int:
-    """dim of the degree-n group cohomology of the cyclic group in the module.
+def _cohomology_dims(module: CyclicGModule) -> Tuple[int, int, int]:
+    """Degree-0, odd-degree and positive-even-degree cohomology dimensions.
 
     Degree 0 is the fixed part; positive even degrees are fixed-part mod the
-    norm image; odd degrees are the norm kernel mod the (1+s) image.
+    norm image; odd degrees are the norm kernel mod the (1+s) image.  The
+    (1+s) map and the norm are built and ranked once each.
     """
+    s_plus_1_rank = (module.action + F2Matrix.identity(module.dim)).rank()
+    norm_rank = norm_element(module).rank()
+    fixed = module.dim - s_plus_1_rank
+    return fixed, module.dim - norm_rank - s_plus_1_rank, fixed - norm_rank
+
+
+def cohomology_dim(module: CyclicGModule, n: int) -> int:
+    """dim of the degree-n group cohomology of the cyclic group in the module;
+    it depends only on whether n is 0, odd or even (``_cohomology_dims``)."""
     if n < 0:
         raise ValueError("cohomology degree must be non-negative")
-    s_plus_1 = module.action + F2Matrix.identity(module.dim)
-    if n == 0:
-        return s_plus_1.nullity()
-    norm = norm_element(module)
-    if n % 2 == 0:
-        return s_plus_1.nullity() - norm.rank()
-    return norm.nullity() - s_plus_1.rank()
+    zero, odd, even = _cohomology_dims(module)
+    return zero if n == 0 else odd if n % 2 else even
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +279,7 @@ def hs_e2_page(
     for q, module in homology:
         if q < 0:
             raise InvalidInput("homology degrees must be non-negative")
-        # the degree-n dimension depends only on whether n is 0, odd or even
-        zero, odd, even = (cohomology_dim(module, n) for n in (0, 1, 2))
+        zero, odd, even = _cohomology_dims(module)
         for p in range(p_min, 1):
             d = zero if p == 0 else odd if p % 2 else even
             if d:
@@ -358,27 +362,30 @@ def betti_series(page: SpectralPage, tail: TailSpec) -> RatFunc:
     of width 3 directly under the cutoff.
     """
     n0 = tail.stable_below
+    totals = {}  # the anti-diagonal dimensions, summed in one pass
+    for (p, q), d in page.dims.items():
+        totals[p + q] = totals.get(p + q, 0) + d
     for n in range(n0 - 3, n0):
-        got = page.antidiagonal(n)
+        got = totals.get(n, 0)
         if got != tail.tail_dim:
             raise TailMismatch(
                 f"anti-diagonal at degree {n} has dimension {got}, "
                 f"tail declares {tail.tail_dim}"
             )
     for n, want in sorted(tail.explicit.items()):
-        got = page.antidiagonal(n)
+        got = totals.get(n, 0)
         if got != want:
             raise TailMismatch(
                 f"anti-diagonal at degree {n} has dimension {got}, "
                 f"explicit declares {want}"
             )
-    total = RatFunc(0)
-    if page.dims:
-        top = max(p + q for p, q in page.dims)
-        for n in range(n0, top + 1):
-            d = page.antidiagonal(n)
-            if d:
-                total = total + RatFunc.monomial(n, d)
+    # the head sum_{n >= n0} totals[n] u^n as one fraction over u^-lo
+    head = {n: d for n, d in totals.items() if n >= n0}
+    lo = min(0, min(head, default=0))
+    coeffs = [0] * (max(head, default=0) - lo + 1)
+    for n, d in head.items():
+        coeffs[n - lo] = d
+    total = RatFunc(coeffs, pmonomial(-lo))
     if tail.tail_dim:
         # sum_{n < n0} tail_dim * u^n == tail_dim * u^n0 / (u - 1)
         total = total + RatFunc.monomial(n0, tail.tail_dim) / RatFunc.poly((-1, 1))

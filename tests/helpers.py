@@ -405,3 +405,105 @@ def enumerated_orthants(weights, sign, target):
         if prod == target:
             solvable += 1
     return solvable
+
+
+# -- the arc oracle's order vectors, by enumeration ------------------------------
+
+def order_vectors(weights, n):
+    """All k with k_i >= 1 and sum k_i * weights_i == n, one at a time: the
+    recursion that the counting table in ``arcs`` replaces."""
+    if not weights:
+        if n == 0:
+            yield ()
+        return
+    head, rest = weights[0], weights[1:]
+    floor = sum(rest)
+    k = 1
+    while head * k <= n - floor:
+        for tail in order_vectors(rest, n - head * k):
+            yield (k,) + tail
+        k += 1
+
+
+def enumerated_affine_sum(germ, n):
+    """Sum of u^(affine dimension) over the order vectors of arc order n, as
+    an integer polynomial."""
+    support = germ.support()
+    weights = [germ.exponents[i] for i in support]
+    off_support = n * (germ.d - len(support))
+    dims = Counter(
+        sum(n - ki for ki in k) + off_support for k in order_vectors(weights, n)
+    )
+    coeffs = [0] * (max(dims, default=-1) + 1)
+    for dim, count in dims.items():
+        coeffs[dim] = count
+    return tuple(coeffs)
+
+
+def enumerated_arc_beta(germ, action, n, variant):
+    """The order-n stratum value: its leading-coefficient factor times the
+    enumerated affine sum.  The naive factor is the point times (u-1)^|S|;
+    the signed ones are ``arcs._sign_factor``, whose orthant count
+    ``enumerated_orthants`` checks."""
+    from equizeta.arcs import _sign_factor
+
+    if variant == "naive":
+        wfac = RatFunc(1) if action.trivial else RatFunc((0, 1), (-1, 1))
+        for _ in germ.support():
+            wfac = wfac * RatFunc.poly((-1, 1))
+    else:
+        wfac = _sign_factor(germ, action, 1 if variant == "plus" else -1)
+    return wfac * RatFunc.poly(enumerated_affine_sum(germ, n))
+
+
+def enumerated_oracle_series(germ, action, variant, order):
+    """``oracle_series`` from the enumerated strata: T^n scaled by u^-nd."""
+    coeffs = [RatFunc(0)]
+    for n in range(1, order + 1):
+        coeffs.append(
+            enumerated_arc_beta(germ, action, n, variant)
+            * RatFunc.monomial(-n * germ.d)
+        )
+    return TSeries(coeffs)
+
+
+# -- cohomology page and series, one degree and one anti-diagonal at a time -------
+
+def per_degree_cohomology_dim(module, n):
+    """dim H^n from the per-degree formulae, on the summed norm."""
+    s_plus_1 = module.action + F2Matrix.identity(module.dim)
+    if n == 0:
+        return s_plus_1.nullity()
+    norm = summed_norm(module)
+    if n % 2 == 0:
+        return s_plus_1.nullity() - norm.rank()
+    return norm.nullity() - s_plus_1.rank()
+
+
+def per_degree_e2_page(homology, p_min):
+    """The E2 dimensions, one cohomology degree per entry."""
+    return {
+        (p, q): per_degree_cohomology_dim(module, -p)
+        for q, module in homology
+        for p in range(p_min, 1)
+        if per_degree_cohomology_dim(module, -p)
+    }
+
+
+def scanned_betti_series(page, tail):
+    """``betti_series`` with one full page scan per anti-diagonal, or the
+    message of the first tail mismatch."""
+    n0 = tail.stable_below
+    checks = [(n, tail.tail_dim) for n in range(n0 - 3, n0)]
+    checks += sorted(tail.explicit.items())
+    for n, want in checks:
+        if page.antidiagonal(n) != want:
+            return f"anti-diagonal at degree {n} has dimension {page.antidiagonal(n)}"
+    total = RatFunc(0)
+    if page.dims:
+        for n in range(n0, max(p + q for p, q in page.dims) + 1):
+            if page.antidiagonal(n):
+                total = total + RatFunc.monomial(n, page.antidiagonal(n))
+    if tail.tail_dim:
+        total = total + RatFunc.monomial(n0, tail.tail_dim) / RatFunc.poly((-1, 1))
+    return total

@@ -19,6 +19,7 @@ from helpers import (
     displayed_x2k,
     displayed_x4_y2,
     displayed_y4_x2,
+    enumerated_oracle_series,
     series_values_match,
 )
 
@@ -270,3 +271,20 @@ def test_criterion_10_long_series_expansion():
     z = denef_loeser(catalog.get("y4-x2_Z2"), "naive")
     assert series_values_match(z, series, (2, 3, 5))
     print(f"criterion 10 (y4-x2_Z2 series through T^512): PASS [{elapsed:.2f} s]")
+
+
+def test_criterion_11_long_oracle_series():
+    out = io.StringIO()
+    watch = Stopwatch(1.0)
+    with redirect_stdout(out):
+        code = cli.main(
+            ["oracle", "--exponents", "1,1,1", "--trivial-group", "--order", "150"]
+        )
+    elapsed = watch.check("x*y*z oracle through T^150")
+    assert code == 0
+    series = TSeries.from_json(json.loads(out.getvalue()))
+    assert series.order == 150
+    germ = MonomialGerm((1, 1, 1))
+    want = enumerated_oracle_series(germ, SignAction(trivial=True), "naive", 40)
+    assert series.truncate(40) == want
+    print(f"criterion 11 (x*y*z oracle through T^150): PASS [{elapsed:.2f} s]")

@@ -2,12 +2,22 @@ import itertools
 import time
 
 import pytest
-from helpers import enumerated_orthants
+from helpers import (
+    enumerated_affine_sum,
+    enumerated_arc_beta,
+    enumerated_oracle_series,
+    enumerated_orthants,
+    order_vectors,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equizeta import catalog
 from equizeta.arcs import (
+    MAX_ORACLE_CELLS,
     MonomialGerm,
     SignAction,
+    _order_counts,
     _solvable_orthants,
     arc_beta_naive,
     arc_beta_signed,
@@ -24,6 +34,26 @@ TRIVIAL = SignAction(trivial=True)
 
 def u_power(k, c=1):
     return RatFunc.monomial(k, c)
+
+
+@st.composite
+def invariant_germs(draw):
+    """A germ with weights 0..5 in d <= 4 variables (zeros are off the
+    support) and either the trivial group or a sign action it is invariant
+    under: a drawn action whose product comes out -1 has the sign flipped on
+    its first odd-weight coordinate."""
+    d = draw(st.integers(1, 4))
+    exps = draw(st.lists(st.integers(0, 5), min_size=d, max_size=d))
+    if not any(exps):
+        exps[draw(st.integers(0, d - 1))] = draw(st.integers(1, 5))
+    germ = MonomialGerm(exps, draw(st.sampled_from((1, -1))))
+    if draw(st.booleans()):
+        return germ, TRIVIAL
+    eps = draw(st.lists(st.sampled_from((1, -1)), min_size=d, max_size=d))
+    if not is_invariant(germ, SignAction(eps)):
+        odd = next(i for i, n in enumerate(exps) if n % 2)
+        eps[odd] = -eps[odd]
+    return germ, SignAction(eps)
 
 
 class TestInvariance:
@@ -133,12 +163,52 @@ class TestSignedStrata:
             lambda: MonomialGerm((0, 0)),
             lambda: MonomialGerm((2, -1)),
             lambda: MonomialGerm((2,), sign=0),
+            lambda: MonomialGerm((1,) * 257),
             lambda: SignAction((1, 0)),
         ],
     )
     def test_range_checks_raise_invalid_input(self, build):
         with pytest.raises(InvalidInput):
             build()
+
+
+class TestAgainstEnumeration:
+    @settings(max_examples=60, deadline=None)
+    @given(invariant_germs(), st.integers(0, 20))
+    def test_counted_strata_equal_the_enumerated_ones(self, germ_action, order):
+        germ, action = germ_action
+        weights = [germ.exponents[i] for i in germ.support()]
+        counts = _order_counts(germ, order)
+        for n in range(order + 1):
+            sizes = [sum(k) for k in order_vectors(weights, n)]
+            assert sum(counts[n]) == len(sizes), n
+            assert all(counts[n][m] == sizes.count(m) for m in range(len(counts[n])))
+        for n in range(1, order + 1):
+            assert arc_beta_naive(germ, action, n) == enumerated_arc_beta(
+                germ, action, n, "naive"
+            ), n
+            for sign in ("plus", "minus"):
+                assert arc_beta_signed(germ, action, n, sign) == enumerated_arc_beta(
+                    germ, action, n, sign
+                ), (n, sign)
+        for variant in ("naive", "plus", "minus"):
+            got = oracle_series(germ, action, variant, order)
+            assert got == enumerated_oracle_series(germ, action, variant, order), variant
+
+    def test_affine_sum_of_xy(self):
+        # x*y at order 4: k = (1,3), (2,2), (3,1), each of dimension 2*4 - 4
+        assert enumerated_affine_sum(MonomialGerm((1, 1)), 4) == (0,) * 4 + (3,)
+        assert _order_counts(MonomialGerm((1, 1)), 4)[4] == [0, 0, 0, 0, 3]
+
+    def test_table_over_the_cap_is_refused_before_it_is_built(self):
+        # (|S| + 1) * (order + 1) * (order // min N + 1) cells
+        germ = MonomialGerm((1, 2, 0))
+        order = next(n for n in range(2000) if 3 * (n + 1) * (n + 1) > MAX_ORACLE_CELLS)
+        assert len(_order_counts(germ, order - 1)) == order
+        with pytest.raises(InvalidInput, match="above the cap"):
+            _order_counts(germ, order)
+        with pytest.raises(InvalidInput, match="above the cap"):
+            arc_beta_naive(germ, TRIVIAL, 10**18)
 
 
 class TestOracleSeries:

@@ -530,6 +530,23 @@ class TestErrorBoundary:
         assert time.perf_counter() - start < 1.0
         assert code == 0 and json.loads(out)["order"] == 1
 
+    @pytest.mark.parametrize(
+        "exponents, order",
+        [("1,1,1", "1000000"), ("1,1,1", str(10**18)), (",".join(["1"] * 257), "8")],
+    )
+    def test_oracle_over_its_caps_exits_2_at_once(self, exponents, order):
+        start = time.perf_counter()
+        result = call(["oracle", "--exponents", exponents, "--trivial-group",
+                       "--order", order])
+        assert time.perf_counter() - start < 1.0
+        assert_one_error(result, 2)
+        assert "above the cap" in result[2] or "at most 256 exponents" in result[2]
+
+    def test_oracle_at_order_1000_runs(self):
+        code, out, _ = call(["oracle", "--exponents", "1,1,1", "--trivial-group",
+                             "--order", "1000"])
+        assert code == 0 and json.loads(out)["order"] == 1000
+
     def test_non_invariant_germ_is_reported_by_the_oracle(self):
         result = call(["oracle", "--exponents", "1,1", "--action", "-1,1"])
         assert_one_error(result, 2)

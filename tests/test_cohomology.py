@@ -1,7 +1,12 @@
 import json
 
 import pytest
-from helpers import summed_norm
+from helpers import (
+    per_degree_cohomology_dim,
+    per_degree_e2_page,
+    scanned_betti_series,
+    summed_norm,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -182,13 +187,11 @@ class TestPages:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 3), modules()), max_size=3), st.integers(-40, 0))
     def test_e2_page_matches_per_degree_cohomology(self, homology, p_min):
-        want = {
-            (p, q): cohomology_dim(module, -p)
-            for q, module in homology
-            for p in range(p_min, 1)
-            if cohomology_dim(module, -p)
-        }
-        assert hs_e2_page(homology, p_min).dims == want
+        # the references build the norm by summed powers, once per degree
+        for _, module in homology:
+            for n in range(5):
+                assert cohomology_dim(module, n) == per_degree_cohomology_dim(module, n)
+        assert hs_e2_page(homology, p_min).dims == per_degree_e2_page(homology, p_min)
 
     @pytest.mark.parametrize("homology, p_min", [([], 1), ([(-1, TRIV1)], -4)])
     def test_out_of_range_page_window_is_invalid_input(self, homology, p_min):
@@ -214,6 +217,26 @@ class TestBettiSeries:
 
     def test_all_zero_page(self):
         assert betti_series(SpectralPage(), TailSpec(0, 0)) == RatFunc(0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(-8, 0), st.integers(0, 4)), st.integers(0, 3), max_size=12
+        ),
+        st.integers(-12, 6),
+        st.integers(0, 3),
+        st.dictionaries(st.integers(-12, 6), st.integers(0, 3), max_size=2),
+    )
+    def test_series_matches_the_antidiagonal_scan(self, dims, n0, tail_dim, explicit):
+        page = SpectralPage(dims)
+        tail = TailSpec(n0, tail_dim, explicit)
+        want = scanned_betti_series(page, tail)
+        if isinstance(want, str):
+            with pytest.raises(TailMismatch) as info:
+                betti_series(page, tail)
+            assert str(info.value).startswith(want)
+        else:
+            assert betti_series(page, tail) == want
 
     def test_tail_mismatch_detected(self):
         page = hs_e2_page([(0, TRIV1), (2, TRIV1)], p_min=-8)
