@@ -264,6 +264,13 @@ class SpectralPage:
         return f"SpectralPage({self.dims!r})"
 
 
+# The deepest page window ``hs_e2_page`` materialises: p_min >= -MAX_PAGE_DEPTH.
+# Every row holds one entry per p in the window and nothing else bounds p_min
+# in pipeline JSON, so a deeper window fails at once with InvalidInput (exit 2)
+# instead of exhausting memory.  Built-in pipelines use -16 to -256.
+MAX_PAGE_DEPTH = 1 << 12
+
+
 def hs_e2_page(
     homology: Iterable[Tuple[int, CyclicGModule]], p_min: int
 ) -> SpectralPage:
@@ -271,10 +278,12 @@ def hs_e2_page(
 
     Rows extend infinitely to the left; only the window p_min <= p <= 0 is
     materialized, so pick p_min comfortably below every degree later steps
-    will inspect.
+    will inspect, and no lower than -MAX_PAGE_DEPTH.
     """
     if p_min > 0:
         raise InvalidInput("p_min must be <= 0")
+    if p_min < -MAX_PAGE_DEPTH:
+        raise InvalidInput(f"p_min must be >= -MAX_PAGE_DEPTH = -{MAX_PAGE_DEPTH}")
     dims = {}
     for q, module in homology:
         if q < 0:

@@ -5,7 +5,8 @@ powers with no trailing zeros (the empty tuple is 0).  On top of those sit:
 
 * ``RatFunc``      -- reduced fractions of integer polynomials in u,
 * ``ZetaRational`` -- sums of coeff * prod T^N / (u^nu - T^N) terms, whose
-  T-expansion gives the series, certified equality and the cleared fraction,
+  T-expansion gives the series and certified equality, and whose factors,
+  multiplied out, give the cleared fraction,
 * ``BiPoly``       -- the cleared fraction's num and den as sparse (u, T) maps,
 * ``TSeries``      -- truncated power series in T with ``RatFunc`` coefficients.
 
@@ -494,12 +495,22 @@ def _grouped(den_u: tuple, terms, negated=()) -> dict:
     return {factors: poly for factors, poly in groups.items() if poly}
 
 
-# Cap on the work of one ``_expand`` call: the lattice points m >= 1 with
+# Cap on the work of one ``_expand`` call, which the T-series and equality
+# use and the cleared fraction does not: the lattice points m >= 1 with
 # sum m_i N_i <= order, bounded per group by the box prod (order // N_i) and
 # summed over the groups.  The catalog's largest tree, gk(64,+,+), needs about
-# 4.3 million; a stratum pairing N = 10^8 with N = 1 needs 4*10^8 and would
-# exhaust memory, so it fails at once with InvalidInput (exit 2) instead.
+# 4.3 million through its dT; a stratum pairing N = 10^8 with N = 1 needs
+# 4*10^8 and would exhaust memory, so it fails at once with InvalidInput
+# (exit 2) instead.
 MAX_EXPANSION = 1 << 24
+
+# Cap on the size of the cleared fraction num / den: the bound
+# ``_cleared_size`` on the (u, T) terms of each polynomial that
+# ``ZetaRational._cleared`` builds.  The catalog's largest bounds are
+# hk(129,+) at 9.1 million, gk(64,+,+) at 8.9 and gk(62,+,-) at 7.9; one
+# stratum on 24 divisors of distinct (nu, N) with N near 10^8 bounds at about
+# 5*10^9 and fails at once with InvalidInput (exit 2).
+MAX_CLEARED_TERMS = 10_000_000
 
 
 def _expansion_work(groups: dict, order: int) -> int:
@@ -539,23 +550,39 @@ def _expand(groups: dict, order: int) -> dict:
     return {t: row for t, row in rows if row}
 
 
-def _times_factor(rows: dict, nu: int, N: int, order: int) -> dict:
-    """rows * (u^nu - T^N) through T^order, sparse as ``_expand`` returns:
-    out[t] = u^nu rows[t] - rows[t-N]."""
+def _times_factor(rows: dict, nu: int, N: int) -> dict:
+    """rows * (u^nu - T^N), sparse in T as {T exponent: {u exponent: int}}:
+    out[t] = u^nu rows[t] - rows[t-N].  Cancelled entries stay as zeros."""
     out = {t: {e + nu: c for e, c in row.items()} for t, row in rows.items()}
     for t, row in rows.items():
-        if t + N > order:
-            continue
         acc = out.setdefault(t + N, {})
         for e, c in row.items():
-            v = acc.get(e, 0) - c
-            if v:
-                acc[e] = v
-            else:
-                del acc[e]
-        if not acc:
-            del out[t + N]
+            acc[e] = acc.get(e, 0) - c
     return out
+
+
+def _add_shifted(acc: dict, rows: dict, poly: tuple, t_shift: int) -> None:
+    """acc += poly(u) * T^t_shift * rows in place, in the sparse form of
+    ``_times_factor``."""
+    nonzero = [(i, p) for i, p in enumerate(poly) if p]
+    for t, row in rows.items():
+        target = acc.setdefault(t + t_shift, {})
+        for i, p in nonzero:
+            for e, c in row.items():
+                target[e + i] = target.get(e + i, 0) + c * p
+
+
+def _cleared_size(groups: dict, den_u: tuple, factor_max: Counter) -> int:
+    """A bound on the (u, T) terms of each polynomial ``_cleared`` builds.
+
+    Its T-exponents are sums of j_f N_f with 0 <= j_f <= M_f, at most
+    prod (M_f + 1) of them and at most dT + 1; its u-exponents lie in
+    0 .. sum M_f nu_f plus the largest u-degree of den_u and the groups."""
+    t_bound = sum(N * count for (_, N), count in factor_max.items())
+    t_exponents = min(prod(count + 1 for count in factor_max.values()), t_bound + 1)
+    u_width = sum(nu * count for (nu, _), count in factor_max.items())
+    u_width += max(len(poly) for poly in (den_u, *groups.values()))
+    return t_exponents * u_width
 
 
 def _laurent_over(laurent: dict, den_u: tuple) -> RatFunc:
@@ -627,27 +654,59 @@ class ZetaRational:
 
     @cached_property
     def _cleared(self):
-        """(num, den) over den = den_u * prod (u^nu - T^N)^max multiplicity.
+        """(num, den) with den = den_u * prod_f x_f^M_f, x_f = u^nu - T^N.
 
-        den has T-degree dT, and each term times den is a polynomial of
-        T-degree at most dT, so num = den * sum(terms) is the expansion through
-        T^dT times the factors of den, each product cut after T^dT.  Not
-        gcd-reduced: bivariate gcds are expensive and nothing needs them.
+        With the distinct factors f_1 < ... < f_K at their largest
+        multiplicities M_i, num = sum_g P_g T^N_g prod_f x_f^(M_f - m_g(f))
+        over the ``_grouped`` groups g, where m_g(f) is the multiplicity of f
+        in g and N_g the sum of N over g.  One pass over the factors builds
+        it, with no T-series and no division: S_i = x_i^M_i S_(i-1) plus
+        P_g T^N_g prod_(j<=i) x_j^(M_j - m_g(j)) for each g whose last factor
+        is f_i.  That product is the prefix Pre = prod x_j^M_j before g's
+        first factor times the factors from its first to its last that g
+        lacks.  num = S_K and den = den_u * Pre_K.  Not gcd-reduced:
+        bivariate gcds are expensive and nothing needs them.  InvalidInput,
+        before anything is built, when ``_cleared_size`` exceeds
+        MAX_CLEARED_TERMS.
         """
         den_u = _common_den(self.terms)
-        bound = _t_bound(factors for _, factors in self.terms)
-        num = _expand(_grouped(den_u, self.terms), bound)
-        if not num:
-            return BiPoly(), BiPoly({(0, 0): 1})
-        den = {0: {e: c for e, c in enumerate(den_u) if c}}
-        for (nu, N), count in sorted(_factor_max(f for _, f in self.terms).items()):
+        groups = _grouped(den_u, self.terms)
+        factor_max = _factor_max(factors for _, factors in self.terms)
+        if groups and _cleared_size(groups, den_u, factor_max) > MAX_CLEARED_TERMS:
+            raise InvalidInput(
+                "the cleared fraction could hold more than MAX_CLEARED_TERMS = "
+                f"{MAX_CLEARED_TERMS} terms; the strata hold too many distinct factors "
+                "or too large multiplicities"
+            )
+        factors = sorted(factor_max.items())
+        index = {f: i for i, (f, _) in enumerate(factors)}
+        num = {0: dict(enumerate(groups.pop((), ())))}
+        entering = {}  # index of the last factor -> [(index of the first, counts, poly)]
+        for group, poly in groups.items():
+            entering.setdefault(index[group[-1]], []).append((index[group[0]], Counter(group), poly))
+        opened = Counter(first for parts in entering.values() for first, _, _ in parts)
+        prefix, kept = {0: {0: 1}}, {}
+        for i, ((nu, N), count) in enumerate(factors):
+            if opened[i]:
+                kept[i] = prefix
             for _ in range(count):
-                num = _times_factor(num, nu, N, bound)
-                den = _times_factor(den, nu, N, bound)
-        return tuple(
-            BiPoly({(e, t): c for t, row in rows.items() for e, c in row.items()})
-            for rows in (num, den)
-        )
+                num = _times_factor(num, nu, N)
+                prefix = _times_factor(prefix, nu, N)
+            for first, counts, poly in entering.get(i, ()):
+                part = kept[first]
+                for (nu_j, N_j), count_j in factors[first:i + 1]:
+                    for _ in range(count_j - counts[nu_j, N_j]):
+                        part = _times_factor(part, nu_j, N_j)
+                _add_shifted(num, part, poly, sum(N_j * m for (_, N_j), m in counts.items()))
+                opened[first] -= 1
+                if not opened[first]:
+                    del kept[first]
+        num = BiPoly({(e, t): c for t, row in num.items() for e, c in row.items()})
+        if not num.terms:
+            return num, BiPoly({(0, 0): 1})
+        den = {}
+        _add_shifted(den, prefix, den_u, 0)
+        return num, BiPoly({(e, t): c for t, row in den.items() for e, c in row.items()})
 
     @property
     def num(self) -> BiPoly:

@@ -139,9 +139,9 @@ def eval_fraction(r: RatFunc, x: int) -> Fraction:
 
 
 def per_term_cleared(z: ZetaRational):
-    """(num, den) by the per-term assembly that the expansion replaced: each
-    term, over den_u, times its missing (u^nu - T^N) factors one BiPoly
-    product at a time, and the parts summed."""
+    """(num, den) by per-term assembly, independent of the prefix-product
+    recurrence: each term, over den_u, times its missing (u^nu - T^N) factors
+    one BiPoly product at a time, and the parts summed."""
     factor_max = _factor_max(factors for _, factors in z.terms)
     den_u = _common_den(z.terms)
     den = BiPoly({(k, 0): c for k, c in enumerate(den_u)})

@@ -8,7 +8,10 @@ asserted runtime bounds are part of the contract.
 import io
 import json
 import time
+from collections import Counter
 from contextlib import redirect_stdout
+from fractions import Fraction
+from math import prod
 
 from helpers import (
     blow_up_fixed_point,
@@ -20,6 +23,7 @@ from helpers import (
     displayed_x4_y2,
     displayed_y4_x2,
     enumerated_oracle_series,
+    eval_fraction,
     series_values_match,
 )
 
@@ -288,3 +292,41 @@ def test_criterion_11_long_oracle_series():
     want = enumerated_oracle_series(germ, SignAction(trivial=True), "naive", 40)
     assert series.truncate(40) == want
     print(f"criterion 11 (x*y*z oracle through T^150): PASS [{elapsed:.2f} s]")
+
+
+def scaled_value(poly_json, u0, t0, u_top, t_top):
+    """A cleared-fraction JSON polynomial at the rational point (u0, t0),
+    times den(u0)^u_top * den(t0)^t_top so that every power is an integer."""
+    def powers(x, top):
+        up, down = [1], [1]
+        for _ in range(top):
+            up.append(up[-1] * x.numerator)
+            down.append(down[-1] * x.denominator)
+        return [a * b for a, b in zip(up, reversed(down))]
+
+    u_pow, t_pow = powers(u0, u_top), powers(t0, t_top)
+    rows = Counter()
+    for m in poly_json:
+        rows[m["t"]] += int(m["c"]) * u_pow[m["u"]]
+    return sum(v * t_pow[t] for t, v in rows.items())
+
+
+def test_criterion_12_cleared_fraction_at_the_divisor_cap():
+    out = io.StringIO()
+    watch = Stopwatch(5.0)
+    with redirect_stdout(out):
+        code = cli.main(["compute", "gk(64,+,+)", "--format", "rational"])
+    elapsed = watch.check("gk(64,+,+) cleared fraction")
+    assert code == 0
+    doc = json.loads(out.getvalue())
+    z = denef_loeser(catalog.get("gk(64,+,+)"), "naive")
+    u_top = max(m["u"] for part in doc.values() for m in part)
+    t_top = max(m["t"] for part in doc.values() for m in part)
+    for u0, t0 in ((Fraction(3, 2), Fraction(1, 5)), (Fraction(-7, 3), Fraction(2, 9))):
+        want = sum(
+            eval_fraction(coeff, u0) * prod(t0**N / (u0**nu - t0**N) for nu, N in factors)
+            for coeff, factors in z.terms
+        )
+        num, den = (scaled_value(doc[key], u0, t0, u_top, t_top) for key in ("num", "den"))
+        assert den and Fraction(num, den) == want
+    print(f"criterion 12 (gk(64,+,+) cleared fraction): PASS [{elapsed:.2f} s]")

@@ -5,13 +5,15 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from helpers import per_term_cleared
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equizeta import catalog, cohomology, ratpoly
 from equizeta.cli import _emit, build_parser, main
 from equizeta.ratpoly import TSeries, ZetaRational, pmul
-from equizeta.resolution import resolution_to_json, serialize
+from equizeta.resolution import parse, resolution_to_json, serialize
+from equizeta.zeta import denef_loeser
 
 
 @pytest.fixture
@@ -185,6 +187,19 @@ class TestCompute:
         monkeypatch.setattr(ZetaRational, "_cleared", property(refuse))
         code, out, _ = run("compute", "gk(5,+,-)", "--format", "series", "--expand", "12")
         assert code == 0 and json.loads(out)["order"] == 12
+
+    def test_rational_never_expands(self, run, monkeypatch, tmp_path):
+        # the cleared fraction and the series stay two independent routes,
+        # which test_expansion_matches_cleared_long_division cross-checks
+        def refuse(*args):
+            raise AssertionError("T-series expanded on the rational path")
+
+        monkeypatch.setattr(ratpoly, "_expand", refuse)
+        code, out, _ = run("compute", "gk(8,+,-)", "--format", "rational")
+        assert code == 0 and json.loads(out)["num"]
+        path = write_fixture(tmp_path, "y4-x2_Z2")
+        code, out, _ = run("compute", path, "--format", "rational")
+        assert code == 0 and json.loads(out)["den"]
 
     def test_huge_divisor_multiplicity_clears_fast(self, run):
         # x^(2k) with k = 10^9: one factor (1, 2*10^9), so dT = 2*10^9
@@ -486,24 +501,36 @@ class TestErrorBoundary:
         assert_one_error(result, 2)
         assert "group order above 1024" in result[2]
 
-    @pytest.mark.parametrize(
-        "argv",
-        [["compute", "-", "--format", "rational"], ["compare", "-", "x4-y2_Z2"]],
-    )
-    def test_expansion_over_the_cap_exits_2_at_once(self, argv):
+    @staticmethod
+    def _far_apart_doc():
         # strata {2,3} and {2,4} pair N = 10^8 - 1 with the N = 1 strict
-        # transforms: about 4*10^8 lattice points, which used to exhaust memory
+        # transforms: about 4*10^8 lattice points through T^dT
         doc = resolution_to_json(catalog.get("x4-y2_Z2"))
         for divisor in doc["divisors"]:
             if divisor["id"] in (1, 2):
                 divisor["N"] = 99999999
+        return doc
+
+    def test_expansion_over_the_cap_exits_2_at_once(self):
+        doc = self._far_apart_doc()
         start = time.perf_counter()
-        result = call(argv, json.dumps(doc))
+        result = call(["compare", "-", "x4-y2_Z2"], json.dumps(doc))
         assert time.perf_counter() - start < 1.0
         assert_one_error(result, 2)
         assert "MAX_EXPANSION" in result[2]
         code, out, _ = call(["compute", "-", "--format", "display"], json.dumps(doc))
         assert code == 0 and "T^99999999" in out
+
+    def test_rational_clears_far_apart_factors_at_once(self):
+        # the cleared fraction expands no series, so the input that compare
+        # refuses clears at once from its factors
+        doc = self._far_apart_doc()
+        start = time.perf_counter()
+        code, out, _ = call(["compute", "-", "--format", "rational"], json.dumps(doc))
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        num, den = per_term_cleared(denef_loeser(parse(json.dumps(doc)), "naive"))
+        assert json.loads(out) == {"num": num.to_json(), "den": den.to_json()}
 
     def test_expansion_at_the_cap_runs(self, monkeypatch):
         # y4-x2_Z2 through T^512 is bounded by 98688 lattice points
@@ -513,6 +540,40 @@ class TestErrorBoundary:
         assert code == 0 and json.loads(out)["order"] == 512
         monkeypatch.setattr(ratpoly, "MAX_EXPANSION", 98687)
         assert_one_error(call(argv), 2)
+
+    def test_cleared_fraction_over_the_cap_exits_2_at_once(self):
+        # one stratum on 24 divisors of distinct (nu, N): 2^24 T-exponents
+        doc = {
+            "name": "wide",
+            "group": {"order": 1, "generators": []},
+            "divisors": [{"id": i, "N": 10**8 + i, "nu": i, "zero_fiber": True}
+                         for i in range(1, 25)],
+            "strata": [{"I": list(range(1, 25)),
+                        "beta": {"kind": "atom", "name": "point_trivial"}}],
+        }
+        start = time.perf_counter()
+        result = call(["compute", "-", "--format", "rational"], json.dumps(doc))
+        assert time.perf_counter() - start < 1.0
+        assert_one_error(result, 2)
+        assert "MAX_CLEARED_TERMS" in result[2]
+
+    def test_cleared_fraction_at_the_cap_runs(self, monkeypatch):
+        # gk(10,+,-) bounds its cleared fraction by 7728 terms
+        argv = ["compute", "gk(10,+,-)", "--format", "rational"]
+        monkeypatch.setattr(ratpoly, "MAX_CLEARED_TERMS", 7728)
+        code, out, _ = call(argv)
+        assert code == 0 and json.loads(out)["den"]
+        monkeypatch.setattr(ratpoly, "MAX_CLEARED_TERMS", 7727)
+        assert_one_error(call(argv), 2)
+
+    def test_page_window_below_the_cap_exits_2_at_once(self):
+        spec = cohomology.sphere_fixed_pipeline()
+        spec["p_min"] = -10**9
+        start = time.perf_counter()
+        result = call(["cohomology", "-"], json.dumps(spec))
+        assert time.perf_counter() - start < 1.0
+        assert_one_error(result, 2)
+        assert "MAX_PAGE_DEPTH" in result[2]
 
     def test_huge_module_group_order_runs_at_once(self):
         spec = cohomology.sphere_fixed_pipeline()

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from equizeta.cohomology import (
+    MAX_PAGE_DEPTH,
     CyclicGModule,
     F2Matrix,
     SpectralPage,
@@ -193,10 +194,17 @@ class TestPages:
                 assert cohomology_dim(module, n) == per_degree_cohomology_dim(module, n)
         assert hs_e2_page(homology, p_min).dims == per_degree_e2_page(homology, p_min)
 
-    @pytest.mark.parametrize("homology, p_min", [([], 1), ([(-1, TRIV1)], -4)])
+    @pytest.mark.parametrize(
+        "homology, p_min",
+        [([], 1), ([(-1, TRIV1)], -4), ([(0, TRIV1)], -MAX_PAGE_DEPTH - 1)],
+    )
     def test_out_of_range_page_window_is_invalid_input(self, homology, p_min):
         with pytest.raises(InvalidInput):
             hs_e2_page(homology, p_min)
+
+    def test_deepest_page_window_runs(self):
+        page = hs_e2_page([(0, TRIV1)], -MAX_PAGE_DEPTH)
+        assert min(p for p, _ in page.dims) == -MAX_PAGE_DEPTH
 
 
 class TestBettiSeries:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from helpers import (
     cleared_equal,
@@ -18,13 +20,16 @@ from hypothesis import strategies as st
 from equizeta import catalog
 from equizeta.errors import DivisionByZero, NotExpandable, ZeroDenominator
 from equizeta.ratpoly import (
+    MAX_CLEARED_TERMS,
     MAX_EXPANSION,
     BiPoly,
     RatFunc,
     TSeries,
     ZetaRational,
+    _cleared_size,
     _common_den,
     _expansion_work,
+    _factor_max,
     _grouped,
     _lcm_fold,
     _t_bound,
@@ -233,7 +238,7 @@ class TestExpansionBound:
         [("gk(64,+,+)", 4265047), ("gk(62,+,-)", 3877314), ("hk(129,+)", 2905717)],
     )
     def test_the_largest_catalog_trees_clear_under_the_cap(self, name, work):
-        # the cleared fraction expands the whole sum through dT
+        # the whole sum through dT, the certificate bound of compare
         z = denef_loeser(catalog.get(name), "naive")
         groups = _grouped(_common_den(z.terms), z.terms)
         bound = _t_bound(factors for _, factors in z.terms)
@@ -242,6 +247,29 @@ class TestExpansionBound:
     def test_work_is_the_box_bound_summed_over_groups(self):
         groups = {(): (1,), ((1, 2),): (1,), ((1, 1), (2, 3)): (1,)}
         assert _expansion_work(groups, 10) == 1 + 5 + 10 * 3
+
+
+class TestClearedBound:
+    @pytest.mark.parametrize(
+        "name, size",
+        [("gk(64,+,+)", 8933667), ("gk(62,+,-)", 7890252), ("hk(129,+)", 9071075)],
+    )
+    def test_the_largest_catalog_trees_clear_under_the_cap(self, name, size):
+        # hk(129,+) has the largest bound of every catalog tree and variant
+        z = denef_loeser(catalog.get(name), "naive")
+        den_u = _common_den(z.terms)
+        factor_max = _factor_max(factors for _, factors in z.terms)
+        assert _cleared_size(_grouped(den_u, z.terms), den_u, factor_max) == size
+        assert size < MAX_CLEARED_TERMS
+
+    def test_size_is_the_t_exponents_times_the_u_width(self):
+        # factors (1, 2)^2 and (3, 5): min(3 * 2, 2*2 + 5 + 1) T-exponents,
+        # u-exponents 0 .. 2*1 + 3 + 2
+        groups = {((1, 2),): (1,), ((1, 2), (1, 2), (3, 5)): (0, 0, 1)}
+        factor_max = Counter({(1, 2): 2, (3, 5): 1})
+        assert _cleared_size(groups, (1,), factor_max) == 6 * 8
+        # one factor (1, 1)^3: dT + 1 = 4 T-exponents, u-exponents 0 .. 3
+        assert _cleared_size({((1, 1),) * 3: (1,)}, (1,), Counter({(1, 1): 3})) == 4 * 4
 
 
 class TestSeriesContainer:
@@ -475,18 +503,27 @@ def test_first_difference_agrees_with_the_two_sided_expansion(pair):
 
 
 @st.composite
-def cancelling_term_lists(draw):
-    """Term sums with a repeated factor and negated copies of some terms."""
-    terms = draw(term_lists)
-    if terms and draw(st.booleans()):
-        coeff, factors = terms[0]
-        terms[0] = (coeff, factors + factors[:1])
-    cancelled = draw(st.integers(0, len(terms)))
-    return terms + [(-coeff, factors) for coeff, factors in terms[:cancelled]]
+def spread_term_lists(draw):
+    """Up to 8 terms over a sorted pool of up to 6 distinct factors.  A term
+    may span the pool, holding its first and last factor and lacking some
+    between them; its first factor may repeat up to multiplicity 3; and the
+    last terms may negate the first ones, so that groups cancel."""
+    pool = sorted(draw(st.lists(
+        st.tuples(st.integers(1, 4), st.integers(1, 6)), min_size=1, max_size=6, unique=True
+    )))
+    terms = []
+    for _ in range(draw(st.integers(0, 8))):
+        factors = [pool[0], pool[-1]] if draw(st.booleans()) else []
+        factors += draw(st.lists(st.sampled_from(pool), max_size=3))
+        factors += factors[:1] * draw(st.integers(0, 2))
+        terms.append((draw(small_coeffs), factors[:5]))
+    cancelled = draw(st.integers(0, len(terms) // 2))
+    kept = terms[:len(terms) - cancelled]
+    return kept + [(-coeff, factors) for coeff, factors in terms[:cancelled]]
 
 
-@settings(max_examples=80, deadline=None)
-@given(cancelling_term_lists())
+@settings(max_examples=200, deadline=None)
+@given(spread_term_lists())
 def test_cleared_fraction_matches_per_term_assembly(terms):
     z = ZetaRational(terms)
     assert (z.num, z.den) == per_term_cleared(z)
