@@ -504,13 +504,15 @@ def _grouped(den_u: tuple, terms, negated=()) -> dict:
 # (exit 2) instead.
 MAX_EXPANSION = 1 << 24
 
-# Cap on the size of the cleared fraction num / den: the bound
-# ``_cleared_size`` on the (u, T) terms of each polynomial that
-# ``ZetaRational._cleared`` builds.  The catalog's largest bounds are
-# hk(129,+) at 9.1 million, gk(64,+,+) at 8.9 and gk(62,+,-) at 7.9; one
-# stratum on 24 divisors of distinct (nu, N) with N near 10^8 bounds at about
-# 5*10^9 and fails at once with InvalidInput (exit 2).
-MAX_CLEARED_TERMS = 10_000_000
+# Cap on the (u, T) terms of any one polynomial that ``ZetaRational._cleared``
+# holds while it builds num / den, counted after each step.  A step at most
+# doubles a polynomial, so memory stays within a small multiple of the cap.
+# The catalog's largest polynomials on the way are gk(62,+,-) at 83,324 terms,
+# hk(129,+) at 47,891 and gk(64,+,+) at 45,758.  Sixteen divisors whose N
+# have distinct subset sums, with every pair a stratum, pass it within a
+# second and fail with InvalidInput (exit 2); twice the cap lets them print
+# 17 MB of JSON at 241 MB peak RSS.
+MAX_CLEARED_TERMS = 1 << 17
 
 
 def _expansion_work(groups: dict, order: int) -> int:
@@ -550,15 +552,32 @@ def _expand(groups: dict, order: int) -> dict:
     return {t: row for t, row in rows if row}
 
 
+def _within_cap(rows: dict) -> dict:
+    """rows, or InvalidInput once they hold more than MAX_CLEARED_TERMS
+    (u, T) terms."""
+    if sum(map(len, rows.values())) > MAX_CLEARED_TERMS:
+        raise InvalidInput(
+            f"the cleared fraction would hold more than MAX_CLEARED_TERMS = {MAX_CLEARED_TERMS} "
+            "terms; the strata hold too many distinct factors or too large multiplicities"
+        )
+    return rows
+
+
 def _times_factor(rows: dict, nu: int, N: int) -> dict:
-    """rows * (u^nu - T^N), sparse in T as {T exponent: {u exponent: int}}:
-    out[t] = u^nu rows[t] - rows[t-N].  Cancelled entries stay as zeros."""
+    """rows * (u^nu - T^N), sparse in T as {T exponent: {u exponent: int}}
+    with no zero entries and no empty rows: out[t] = u^nu rows[t] - rows[t-N]."""
     out = {t: {e + nu: c for e, c in row.items()} for t, row in rows.items()}
     for t, row in rows.items():
         acc = out.setdefault(t + N, {})
         for e, c in row.items():
-            acc[e] = acc.get(e, 0) - c
-    return out
+            v = acc.get(e, 0) - c
+            if v:
+                acc[e] = v
+            else:
+                del acc[e]
+        if not acc:
+            del out[t + N]
+    return _within_cap(out)
 
 
 def _add_shifted(acc: dict, rows: dict, poly: tuple, t_shift: int) -> None:
@@ -569,20 +588,33 @@ def _add_shifted(acc: dict, rows: dict, poly: tuple, t_shift: int) -> None:
         target = acc.setdefault(t + t_shift, {})
         for i, p in nonzero:
             for e, c in row.items():
-                target[e + i] = target.get(e + i, 0) + c * p
+                v = target.get(e + i, 0) + c * p
+                if v:
+                    target[e + i] = v
+                else:
+                    del target[e + i]
+        if not target:
+            del acc[t + t_shift]
+    _within_cap(acc)
 
 
-def _cleared_size(groups: dict, den_u: tuple, factor_max: Counter) -> int:
-    """A bound on the (u, T) terms of each polynomial ``_cleared`` builds.
-
-    Its T-exponents are sums of j_f N_f with 0 <= j_f <= M_f, at most
-    prod (M_f + 1) of them and at most dT + 1; its u-exponents lie in
-    0 .. sum M_f nu_f plus the largest u-degree of den_u and the groups."""
-    t_bound = sum(N * count for (_, N), count in factor_max.items())
-    t_exponents = min(prod(count + 1 for count in factor_max.values()), t_bound + 1)
-    u_width = sum(nu * count for (nu, _), count in factor_max.items())
-    u_width += max(len(poly) for poly in (den_u, *groups.values()))
-    return t_exponents * u_width
+def _merge(acc: dict, rows: dict) -> None:
+    """acc += rows in place, in the sparse form of ``_times_factor``; rows is
+    used up, since its rows may move into acc."""
+    for t, row in rows.items():
+        target = acc.get(t)
+        if target is None:
+            acc[t] = row
+            continue
+        for e, c in row.items():
+            v = target.get(e, 0) + c
+            if v:
+                target[e] = v
+            else:
+                del target[e]
+        if not target:
+            del acc[t]
+    _within_cap(acc)
 
 
 def _laurent_over(laurent: dict, den_u: tuple) -> RatFunc:
@@ -660,48 +692,53 @@ class ZetaRational:
         multiplicities M_i, num = sum_g P_g T^N_g prod_f x_f^(M_f - m_g(f))
         over the ``_grouped`` groups g, where m_g(f) is the multiplicity of f
         in g and N_g the sum of N over g.  One pass over the factors builds
-        it, with no T-series and no division: S_i = x_i^M_i S_(i-1) plus
-        P_g T^N_g prod_(j<=i) x_j^(M_j - m_g(j)) for each g whose last factor
-        is f_i.  That product is the prefix Pre = prod x_j^M_j before g's
-        first factor times the factors from its first to its last that g
-        lacks.  num = S_K and den = den_u * Pre_K.  Not gcd-reduced:
-        bivariate gcds are expensive and nothing needs them.  InvalidInput,
-        before anything is built, when ``_cleared_size`` exceeds
-        MAX_CLEARED_TERMS.
+        it, with no T-series and no division, keeping one partial sum for
+        each set of factors that its groups still hold.  Step i multiplies
+        the prefix Pre = prod_(j<i) x_j^M_j by x_i^M_i and each partial sum by
+        x_i^(M_i - m(f_i)), and merges the sums that hold the same factors
+        after f_i.  A group whose first factor is f_i then joins the sum for
+        the rest of its factors as P_g T^N_g Pre x_i^(M_i - m_g(f_i)), so all
+        the groups that hold the same factors from some point on share the
+        products after it.  The sum that holds no factor is num, and
+        den = den_u * Pre_K; (0, 1) when every group cancels.
+        Not gcd-reduced: bivariate gcds are expensive and nothing needs them.
+        InvalidInput as soon as a polynomial on the way holds more than
+        MAX_CLEARED_TERMS terms.
         """
         den_u = _common_den(self.terms)
         groups = _grouped(den_u, self.terms)
-        factor_max = _factor_max(factors for _, factors in self.terms)
-        if groups and _cleared_size(groups, den_u, factor_max) > MAX_CLEARED_TERMS:
-            raise InvalidInput(
-                "the cleared fraction could hold more than MAX_CLEARED_TERMS = "
-                f"{MAX_CLEARED_TERMS} terms; the strata hold too many distinct factors "
-                "or too large multiplicities"
-            )
-        factors = sorted(factor_max.items())
+        if not groups:
+            return BiPoly(), BiPoly({(0, 0): 1})
+        factors = sorted(_factor_max(factors for _, factors in self.terms).items())
         index = {f: i for i, (f, _) in enumerate(factors)}
-        num = {0: dict(enumerate(groups.pop((), ())))}
-        entering = {}  # index of the last factor -> [(index of the first, counts, poly)]
+        pending = {(): {}}  # (factor index, multiplicity) pairs still held -> partial sum
+        joining = {}  # index of the first factor -> [(held pairs, poly, T shift)]
         for group, poly in groups.items():
-            entering.setdefault(index[group[-1]], []).append((index[group[0]], Counter(group), poly))
-        opened = Counter(first for parts in entering.values() for first, _, _ in parts)
-        prefix, kept = {0: {0: 1}}, {}
+            held = tuple((index[f], m) for f, m in Counter(group).items())
+            shift = sum(N for _, N in group)
+            if held:
+                joining.setdefault(held[0][0], []).append((held, poly, shift))
+            else:
+                _add_shifted(pending[()], {0: {0: 1}}, poly, shift)
+        prefix = {0: {0: 1}}
         for i, ((nu, N), count) in enumerate(factors):
-            if opened[i]:
-                kept[i] = prefix
+            merged = {}
+            for held, rows in pending.items():
+                m = held[0][1] if held and held[0][0] == i else 0
+                for _ in range(count - m):
+                    rows = _times_factor(rows, nu, N)
+                rest = held[1:] if m else held
+                if rest in merged:
+                    _merge(merged[rest], rows)
+                else:
+                    merged[rest] = rows
+            powers = [prefix]  # prefix * x_i^k for k = 0 .. M_i
             for _ in range(count):
-                num = _times_factor(num, nu, N)
-                prefix = _times_factor(prefix, nu, N)
-            for first, counts, poly in entering.get(i, ()):
-                part = kept[first]
-                for (nu_j, N_j), count_j in factors[first:i + 1]:
-                    for _ in range(count_j - counts[nu_j, N_j]):
-                        part = _times_factor(part, nu_j, N_j)
-                _add_shifted(num, part, poly, sum(N_j * m for (_, N_j), m in counts.items()))
-                opened[first] -= 1
-                if not opened[first]:
-                    del kept[first]
-        num = BiPoly({(e, t): c for t, row in num.items() for e, c in row.items()})
+                powers.append(_times_factor(powers[-1], nu, N))
+            for held, poly, shift in joining.get(i, ()):
+                _add_shifted(merged.setdefault(held[1:], {}), powers[count - held[0][1]], poly, shift)
+            pending, prefix = merged, powers[-1]
+        num = BiPoly({(e, t): c for t, row in pending[()].items() for e, c in row.items()})
         if not num.terms:
             return num, BiPoly({(0, 0): 1})
         den = {}

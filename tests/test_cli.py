@@ -541,29 +541,47 @@ class TestErrorBoundary:
         monkeypatch.setattr(ratpoly, "MAX_EXPANSION", 98687)
         assert_one_error(call(argv), 2)
 
-    def test_cleared_fraction_over_the_cap_exits_2_at_once(self):
-        # one stratum on 24 divisors of distinct (nu, N): 2^24 T-exponents
-        doc = {
-            "name": "wide",
+    @staticmethod
+    def _strata_doc(divisors, strata):
+        # divisors as (N, nu) with ids from 1, strata as (ids, integer beta)
+        return {
+            "name": "strata",
             "group": {"order": 1, "generators": []},
-            "divisors": [{"id": i, "N": 10**8 + i, "nu": i, "zero_fiber": True}
-                         for i in range(1, 25)],
-            "strata": [{"I": list(range(1, 25)),
-                        "beta": {"kind": "atom", "name": "point_trivial"}}],
+            "divisors": [{"id": i, "N": N, "nu": nu, "zero_fiber": True}
+                         for i, (N, nu) in enumerate(divisors, 1)],
+            "strata": [{"I": ids, "beta": {"kind": "rational",
+                                           "value": {"num": [str(c)], "den": ["1"]}}}
+                       for ids, c in strata],
         }
+
+    def test_cleared_fraction_over_the_cap_exits_2_at_once(self):
+        # one stratum on 24 divisors with nu = 2^i: each subset of them has
+        # its own u-exponent, so the denominator alone has 2^24 terms
+        doc = self._strata_doc([(1000, 2**i) for i in range(24)], [(list(range(1, 25)), 1)])
         start = time.perf_counter()
         result = call(["compute", "-", "--format", "rational"], json.dumps(doc))
         assert time.perf_counter() - start < 1.0
         assert_one_error(result, 2)
         assert "MAX_CLEARED_TERMS" in result[2]
 
+    def test_cancelling_strata_clear_to_zero_at_once(self):
+        # two strata on the 24 divisors above, twice over, with opposite beta:
+        # every group cancels, so no factor is multiplied out and no cap is hit
+        doc = self._strata_doc([(1000, 2**i) for i in range(24)] * 2,
+                               [(list(range(1, 25)), 1), (list(range(25, 49)), -1)])
+        start = time.perf_counter()
+        code, out, _ = call(["compute", "-", "--format", "rational"], json.dumps(doc))
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert json.loads(out) == {"num": [], "den": [{"u": 0, "t": 0, "c": "1"}]}
+
     def test_cleared_fraction_at_the_cap_runs(self, monkeypatch):
-        # gk(10,+,-) bounds its cleared fraction by 7728 terms
+        # the largest polynomial on the way to gk(10,+,-) holds 436 terms
         argv = ["compute", "gk(10,+,-)", "--format", "rational"]
-        monkeypatch.setattr(ratpoly, "MAX_CLEARED_TERMS", 7728)
+        monkeypatch.setattr(ratpoly, "MAX_CLEARED_TERMS", 436)
         code, out, _ = call(argv)
         assert code == 0 and json.loads(out)["den"]
-        monkeypatch.setattr(ratpoly, "MAX_CLEARED_TERMS", 7727)
+        monkeypatch.setattr(ratpoly, "MAX_CLEARED_TERMS", 435)
         assert_one_error(call(argv), 2)
 
     def test_page_window_below_the_cap_exits_2_at_once(self):

@@ -1,5 +1,3 @@
-from collections import Counter
-
 import pytest
 from helpers import (
     cleared_equal,
@@ -17,8 +15,8 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equizeta import catalog
-from equizeta.errors import DivisionByZero, NotExpandable, ZeroDenominator
+from equizeta import catalog, ratpoly
+from equizeta.errors import DivisionByZero, InvalidInput, NotExpandable, ZeroDenominator
 from equizeta.ratpoly import (
     MAX_CLEARED_TERMS,
     MAX_EXPANSION,
@@ -26,12 +24,11 @@ from equizeta.ratpoly import (
     RatFunc,
     TSeries,
     ZetaRational,
-    _cleared_size,
     _common_den,
     _expansion_work,
-    _factor_max,
     _grouped,
     _lcm_fold,
+    _times_factor,
     _t_bound,
     pcontent,
     pdivexact,
@@ -250,26 +247,32 @@ class TestExpansionBound:
 
 
 class TestClearedBound:
-    @pytest.mark.parametrize(
-        "name, size",
-        [("gk(64,+,+)", 8933667), ("gk(62,+,-)", 7890252), ("hk(129,+)", 9071075)],
-    )
-    def test_the_largest_catalog_trees_clear_under_the_cap(self, name, size):
-        # hk(129,+) has the largest bound of every catalog tree and variant
-        z = denef_loeser(catalog.get(name), "naive")
-        den_u = _common_den(z.terms)
-        factor_max = _factor_max(factors for _, factors in z.terms)
-        assert _cleared_size(_grouped(den_u, z.terms), den_u, factor_max) == size
-        assert size < MAX_CLEARED_TERMS
+    def test_the_largest_catalog_polynomial_stays_under_the_cap(self, monkeypatch):
+        # of every catalog tree and variant within the divisor cap, gk(62,+,-)
+        # holds the largest polynomial on the way to its cleared fraction
+        sizes = []
+        within_cap = ratpoly._within_cap
 
-    def test_size_is_the_t_exponents_times_the_u_width(self):
-        # factors (1, 2)^2 and (3, 5): min(3 * 2, 2*2 + 5 + 1) T-exponents,
-        # u-exponents 0 .. 2*1 + 3 + 2
-        groups = {((1, 2),): (1,), ((1, 2), (1, 2), (3, 5)): (0, 0, 1)}
-        factor_max = Counter({(1, 2): 2, (3, 5): 1})
-        assert _cleared_size(groups, (1,), factor_max) == 6 * 8
-        # one factor (1, 1)^3: dT + 1 = 4 T-exponents, u-exponents 0 .. 3
-        assert _cleared_size({((1, 1),) * 3: (1,)}, (1,), Counter({(1, 1): 3})) == 4 * 4
+        def record(rows):
+            sizes.append(sum(map(len, rows.values())))
+            return within_cap(rows)
+
+        monkeypatch.setattr(ratpoly, "_within_cap", record)
+        denef_loeser(catalog.get("gk(62,+,-)"), "naive").num
+        assert max(sizes) == 83324 < MAX_CLEARED_TERMS
+
+    def test_times_factor_drops_cancelled_terms(self):
+        # (u + T)(u - T) = u^2 - T^2: the u*T terms cancel and their row goes
+        assert _times_factor({0: {1: 1}, 1: {0: 1}}, 1, 1) == {0: {2: 1}, 2: {0: -1}}
+
+    def test_a_step_past_the_cap_is_invalid_input(self, monkeypatch):
+        # (1 + u T)(u - T^2) has 4 terms
+        rows = {0: {0: 1}, 1: {1: 1}}
+        monkeypatch.setattr(ratpoly, "MAX_CLEARED_TERMS", 4)
+        assert sum(map(len, _times_factor(rows, 1, 2).values())) == 4
+        monkeypatch.setattr(ratpoly, "MAX_CLEARED_TERMS", 3)
+        with pytest.raises(InvalidInput, match="MAX_CLEARED_TERMS"):
+            _times_factor(rows, 1, 2)
 
 
 class TestSeriesContainer:
