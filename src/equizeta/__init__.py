@@ -43,7 +43,6 @@ from .gspace import (
     ProductWithAffine,
     ProductWithPuncturedLines,
     Rational,
-    atom_table,
     atom_value,
     beta_value,
 )
@@ -59,7 +58,7 @@ __all__ = [
     "apply_differentials", "betti_series", "cohomology_dim", "hs_e2_page",
     "norm_element", "Atom", "ClosedComplement", "DisjointUnion",
     "ProductWithAffine", "ProductWithPuncturedLines", "Rational",
-    "atom_table", "atom_value", "beta_value", "BiPoly", "RatFunc", "TSeries",
+    "atom_value", "beta_value", "BiPoly", "RatFunc", "TSeries",
     "ZetaRational", "Divisor", "GroupSpec", "ResolutionData", "StratumEntry",
     "ComparisonReport", "denef_loeser", "display", "distinguish",
     "EquizetaError", "ZeroDenominator", "DivisionByZero", "NotExpandable",

@@ -5,7 +5,8 @@ Subcommands: compute, compare, oracle, catalog, cohomology.  Exit codes are
 ``exit_code`` of the ``EquizetaError`` raised: 2 (semantic error such as
 failed validation or a non-invariant germ), 3 (parse or schema error).
 All configuration is via flags; "-" reads standard input.  Structured output
-is indented JSON with sorted keys, written by ``_emit``.
+is indented JSON with sorted keys, written by ``_emit``; a cleared fraction
+is written straight from its sparse T-rows.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from json.encoder import encode_basestring_ascii
 from . import catalog, cohomology, resolution, zeta
 from .arcs import MonomialGerm, SignAction, oracle_series
 from .errors import EquizetaError, InvalidInput, ParseError, SchemaError
+from .ratpoly import ZetaRational, _decimals
 
 EXIT_OK = 0
 EXIT_UNEQUAL = 1
@@ -36,6 +38,7 @@ _JSON_SCALARS = {
 def _emit(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for the
     JSON the CLI prints: dicts with str keys, lists, str, int, bool and None.
+    A ``ZetaRational`` is written as its cleared fraction (``_write_cleared``).
 
     ``json`` falls back to its pure-Python encoder whenever ``indent`` is
     set; this writer quotes strings with the C routine ``json`` uses.
@@ -78,10 +81,49 @@ def _write_json(obj, out, newline):
             _write_json(item, out, inner)
             sep = "," + inner
         out.append(newline + "]")
+    elif isinstance(obj, ZetaRational):
+        _write_cleared(obj, out, newline)
     else:
         raise TypeError(
             f"Object of type {obj.__class__.__name__} is not JSON serializable"
         )
+
+
+def _write_cleared(z, out, newline):
+    """The cleared fraction of ``z`` as ``{"den": [...], "num": [...]}``, one
+    ``{"c": decimal string, "t": T exponent, "u": u exponent}`` object per
+    term in (t, u) order: what ``_write_json`` gives for that dict, written
+    straight from the rows with one fixed-format text block per term."""
+    num, den = z._cleared
+    inner = newline + "  "
+    out.append("{" + inner + '"den": ')
+    _write_rows(den, out, inner)
+    out.append("," + inner + '"num": ')
+    _write_rows(num, out, inner)
+    out.append(newline + "}")
+
+
+def _write_rows(rows, out, newline):
+    """``rows`` as the JSON list of their terms in (t, u) order, one text
+    block head + digits + mid + u + tail per term.  Every coefficient goes
+    through one ``_decimals`` call, so one too long to print is an
+    InvalidInput (exit 2)."""
+    if not rows:
+        out.append("[]")
+        return
+    item = newline + "  "
+    field = item + "  "
+    head = "{" + field + '"c": "'
+    tail = item + "}"
+    coeffs, keys = [], []
+    for t in sorted(rows):
+        row = rows[t]
+        mid = f'",{field}"t": {t},{field}"u": '
+        for u in sorted(row):
+            coeffs.append(row[u])
+            keys.append(mid + str(u))
+    terms = [d + k for d, k in zip(_decimals(coeffs), keys)]
+    out.append("[" + item + head + (tail + "," + item + head).join(terms) + tail + newline + "]")
 
 
 def _read(ref: str):
@@ -119,7 +161,7 @@ def _cmd_compute(args) -> int:
     if args.format == "display":
         print(zeta.display(z))
     elif args.format == "rational":
-        print(_emit(z.to_json()))
+        print(_emit(z))
     else:
         if args.expand is None:
             raise InvalidInput("--format series requires --expand N")

@@ -51,15 +51,6 @@ class F2Matrix:
         return cls(n, n, tuple(1 << i for i in range(n)))
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "F2Matrix":
-        n = len(rows)
-        m = len(rows[0]) if n else 0
-        data = tuple(
-            sum((1 << j) for j, v in enumerate(row) if v % 2) for row in rows
-        )
-        return cls(n, m, data)
-
-    @classmethod
     def from_strings(cls, rows: Sequence[str], cols: int = None) -> "F2Matrix":
         if cols is None:
             cols = len(rows[0]) if rows else 0
@@ -121,9 +112,6 @@ class F2Matrix:
             rows = [r ^ pivot if r & low else r for r in rows]
             rows = [r for r in rows if r]
         return rank
-
-    def nullity(self) -> int:
-        return self.cols - self.rank()
 
 
 # ---------------------------------------------------------------------------

@@ -109,20 +109,6 @@ def atom_value(name: str) -> RatFunc:
     return RatFunc.monomial(int(digits) + 1) / RatFunc.poly((-1, 1))
 
 
-def atom_table(max_affine: int = 8):
-    """Full catalog listing in a deterministic order.
-
-    The affine families are listed through dimension ``max_affine``;
-    ``atom_value`` accepts any dimension up to ``MAX_AFFINE``.
-    """
-    rows = [(name, value) for name, value in _FIXED_ATOMS.items()]
-    for n in range(max_affine + 1):
-        rows.append((f"affine({n})", atom_value(f"affine({n})")))
-    for n in range(max_affine + 1):
-        rows.append((f"affine_trivial({n})", atom_value(f"affine_trivial({n})")))
-    return rows
-
-
 def beta_value(expr: GSpace) -> RatFunc:
     """Evaluate the equivariant virtual Poincare series of an expression."""
     if isinstance(expr, Atom):

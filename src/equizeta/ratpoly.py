@@ -6,8 +6,9 @@ powers with no trailing zeros (the empty tuple is 0).  On top of those sit:
 * ``RatFunc``      -- reduced fractions of integer polynomials in u,
 * ``ZetaRational`` -- sums of coeff * prod T^N / (u^nu - T^N) terms, whose
   T-expansion gives the series and certified equality, and whose factors,
-  multiplied out, give the cleared fraction,
-* ``BiPoly``       -- the cleared fraction's num and den as sparse (u, T) maps,
+  multiplied out, give the cleared fraction as sparse T-rows
+  {T exponent: {u exponent: coeff}}, which the CLI prints directly,
+* ``BiPoly``       -- a (u, T) map view of those rows, built only on request,
 * ``TSeries``      -- truncated power series in T with ``RatFunc`` coefficients.
 
 Everything is immutable and uses arbitrary-precision integers only: one long
@@ -406,7 +407,10 @@ def _ints_from_json(seq) -> tuple:
 # ---------------------------------------------------------------------------
 
 class BiPoly:
-    """Integer polynomial in (u, T) stored as {(u_exp, t_exp): coeff}."""
+    """Integer polynomial in (u, T) stored as {(u_exp, t_exp): coeff}.
+
+    ``ZetaRational.num`` and ``.den`` build it from the cleared fraction's
+    rows on first access; printing reads the rows and builds none."""
 
     __slots__ = ("terms",)
 
@@ -441,11 +445,6 @@ class BiPoly:
         if not isinstance(other, BiPoly):
             return NotImplemented
         return self.terms == other.terms
-
-    def to_json(self) -> list:
-        terms = sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-        digits = _decimals(c for _, c in terms)
-        return [{"u": ue, "t": te, "c": d} for ((ue, te), _), d in zip(terms, digits)]
 
     def __repr__(self):
         return f"BiPoly({self.terms!r})"
@@ -617,6 +616,11 @@ def _merge(acc: dict, rows: dict) -> None:
     _within_cap(acc)
 
 
+def _bipoly(rows: dict) -> BiPoly:
+    """The sparse T-rows of ``_times_factor`` as a BiPoly."""
+    return BiPoly({(e, t): c for t, row in rows.items() for e, c in row.items()})
+
+
 def _laurent_over(laurent: dict, den_u: tuple) -> RatFunc:
     """The Laurent polynomial sum c_e u^e divided by den_u, canonical."""
     if not laurent:
@@ -700,7 +704,9 @@ class ZetaRational:
         the rest of its factors as P_g T^N_g Pre x_i^(M_i - m_g(f_i)), so all
         the groups that hold the same factors from some point on share the
         products after it.  The sum that holds no factor is num, and
-        den = den_u * Pre_K; (0, 1) when every group cancels.
+        den = den_u * Pre_K; (0, 1) when every group cancels.  Both come as
+        sparse T-rows {T exponent: {u exponent: coeff}} with no zero entries
+        and no empty rows.
         Not gcd-reduced: bivariate gcds are expensive and nothing needs them.
         InvalidInput as soon as a polynomial on the way holds more than
         MAX_CLEARED_TERMS terms.
@@ -708,7 +714,7 @@ class ZetaRational:
         den_u = _common_den(self.terms)
         groups = _grouped(den_u, self.terms)
         if not groups:
-            return BiPoly(), BiPoly({(0, 0): 1})
+            return {}, {0: {0: 1}}
         factors = sorted(_factor_max(factors for _, factors in self.terms).items())
         index = {f: i for i, (f, _) in enumerate(factors)}
         pending = {(): {}}  # (factor index, multiplicity) pairs still held -> partial sum
@@ -738,23 +744,20 @@ class ZetaRational:
             for held, poly, shift in joining.get(i, ()):
                 _add_shifted(merged.setdefault(held[1:], {}), powers[count - held[0][1]], poly, shift)
             pending, prefix = merged, powers[-1]
-        num = BiPoly({(e, t): c for t, row in pending[()].items() for e, c in row.items()})
-        if not num.terms:
-            return num, BiPoly({(0, 0): 1})
+        num = pending[()]
+        if not num:
+            return num, {0: {0: 1}}
         den = {}
         _add_shifted(den, prefix, den_u, 0)
-        return num, BiPoly({(e, t): c for t, row in den.items() for e, c in row.items()})
+        return num, den
 
-    @property
+    @cached_property
     def num(self) -> BiPoly:
-        return self._cleared[0]
+        return _bipoly(self._cleared[0])
 
-    @property
+    @cached_property
     def den(self) -> BiPoly:
-        return self._cleared[1]
-
-    def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
+        return _bipoly(self._cleared[1])
 
     def __repr__(self):
         return f"ZetaRational({self.terms!r})"
@@ -783,11 +786,6 @@ class TSeries:
 
     def __getitem__(self, n: int) -> RatFunc:
         return self.coeffs[n]
-
-    def truncate(self, order: int) -> "TSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TSeries(self.coeffs[: order + 1])
 
     def __eq__(self, other):
         if not isinstance(other, TSeries):

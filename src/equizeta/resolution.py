@@ -150,16 +150,6 @@ def _canonical_rep(orbit) -> Tuple[int, ...]:
     return min(tuple(sorted(s)) for s in orbit)
 
 
-def subset_orbits(res: ResolutionData) -> List[Tuple[Tuple[int, ...], int]]:
-    """Canonical representative and orbit size for each declared stratum."""
-    group = generated_group(res)
-    out = []
-    for st in res.strata:
-        orbit = subset_orbit(st.divisors, group)
-        out.append((_canonical_rep(orbit), len(orbit)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------

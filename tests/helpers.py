@@ -1,13 +1,14 @@
 """Shared test helpers: hand-encoded closed forms and independent oracles."""
 
 import dataclasses
+import json
 from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 from equizeta.cohomology import F2Matrix
 from equizeta.errors import NotExpandable
-from equizeta.gspace import Atom, ClosedComplement, beta_value
+from equizeta.gspace import _FIXED_ATOMS, Atom, ClosedComplement, atom_value, beta_value
 from equizeta.ratpoly import (
     BiPoly,
     RatFunc,
@@ -26,7 +27,14 @@ from equizeta.ratpoly import (
     pprimitive,
     ptrim,
 )
-from equizeta.resolution import Divisor, GroupSpec, StratumEntry
+from equizeta.resolution import (
+    Divisor,
+    GroupSpec,
+    StratumEntry,
+    _canonical_rep,
+    generated_group,
+    subset_orbit,
+)
 
 
 def term(coef, factors):
@@ -161,6 +169,23 @@ def per_term_cleared(z: ZetaRational):
     if not num.terms:
         return BiPoly(), BiPoly({(0, 0): 1})
     return num, den
+
+
+def bipoly_json(p: BiPoly) -> list:
+    """p's terms as the CLI prints them: {"u", "t", "c"} objects in (t, u)
+    order, c a decimal string."""
+    terms = sorted(p.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+    return [{"u": ue, "t": te, "c": str(c)} for (ue, te), c in terms]
+
+
+def cleared_json(num: BiPoly, den: BiPoly) -> dict:
+    return {"num": bipoly_json(num), "den": bipoly_json(den)}
+
+
+def reference_rational_text(z: ZetaRational) -> str:
+    """``compute --format rational`` stdout, less its newline, from the
+    per-term assembly and ``json.dumps``."""
+    return json.dumps(cleared_json(*per_term_cleared(z)), indent=2, sort_keys=True)
 
 
 def per_stratum_terms(res, variant):
@@ -469,15 +494,26 @@ def enumerated_oracle_series(germ, action, variant, order):
 
 # -- cohomology page and series, one degree and one anti-diagonal at a time -------
 
+def f2_from_rows(rows) -> F2Matrix:
+    """The GF(2) matrix of integer rows, each entry taken mod 2."""
+    cols = len(rows[0]) if rows else 0
+    data = tuple(sum(1 << j for j, v in enumerate(row) if v % 2) for row in rows)
+    return F2Matrix(len(rows), cols, data)
+
+
+def nullity(m: F2Matrix) -> int:
+    return m.cols - m.rank()
+
+
 def per_degree_cohomology_dim(module, n):
     """dim H^n from the per-degree formulae, on the summed norm."""
     s_plus_1 = module.action + F2Matrix.identity(module.dim)
     if n == 0:
-        return s_plus_1.nullity()
+        return nullity(s_plus_1)
     norm = summed_norm(module)
     if n % 2 == 0:
-        return s_plus_1.nullity() - norm.rank()
-    return norm.nullity() - s_plus_1.rank()
+        return nullity(s_plus_1) - norm.rank()
+    return nullity(norm) - s_plus_1.rank()
 
 
 def per_degree_e2_page(homology, p_min):
@@ -507,3 +543,28 @@ def scanned_betti_series(page, tail):
     if tail.tail_dim:
         total = total + RatFunc.monomial(n0, tail.tail_dim) / RatFunc.poly((-1, 1))
     return total
+
+
+# -- listings and views that only the tests need ------------------------------------
+
+def atom_table(max_affine: int = 8):
+    """Every catalog atom with its value, in a deterministic order; the affine
+    families through dimension ``max_affine``."""
+    rows = list(_FIXED_ATOMS.items())
+    for family in ("affine", "affine_trivial"):
+        rows += [(f"{family}({n})", atom_value(f"{family}({n})")) for n in range(max_affine + 1)]
+    return rows
+
+
+def subset_orbits(res):
+    """Canonical representative and orbit size for each declared stratum."""
+    group = generated_group(res)
+    orbits = [subset_orbit(st.divisors, group) for st in res.strata]
+    return [(_canonical_rep(orbit), len(orbit)) for orbit in orbits]
+
+
+def truncate(series: TSeries, order: int) -> TSeries:
+    """The series through T^order; ValueError past its own order."""
+    if order > series.order:
+        raise ValueError("cannot extend a truncated series")
+    return TSeries(series.coeffs[: order + 1])

@@ -5,13 +5,14 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from helpers import per_term_cleared
+from helpers import cleared_json, per_term_cleared, reference_rational_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_properties import variants_of
 
 from equizeta import catalog, cohomology, ratpoly
 from equizeta.cli import _emit, build_parser, main
-from equizeta.ratpoly import TSeries, ZetaRational, pmul
+from equizeta.ratpoly import BiPoly, TSeries, ZetaRational, pmul
 from equizeta.resolution import parse, resolution_to_json, serialize
 from equizeta.zeta import denef_loeser
 
@@ -210,6 +211,62 @@ class TestCompute:
         doc = json.loads(out)
         assert {"c": "1", "t": 2000000000, "u": 1} in doc["num"]
         assert {"c": "-1", "t": 2000000000, "u": 0} in doc["den"]
+
+
+SAMPLE_VARIANTS = [(name, v) for name in catalog.sample_names()
+                   for v in variants_of(catalog.get(name))]
+LADDER = [f"gk({k},{a},{b})" for k in range(3, 15) for a in "+-" for b in "+-"]
+LADDER += [f"hk({k},{s})" for k in range(3, 15) for s in "+-"]
+
+
+class TestRationalOutput:
+    """``compute --format rational`` prints, byte for byte, what json.dumps
+    gives for the per-term reference assembly of the cleared fraction."""
+
+    @pytest.mark.parametrize("name, variant", SAMPLE_VARIANTS)
+    def test_fixture_matches_reference_text(self, run, name, variant):
+        code, out, _ = run("compute", "--variant", variant, "--format", "rational", "--", name)
+        assert code == 0
+        assert out == reference_rational_text(denef_loeser(catalog.get(name), variant)) + "\n"
+
+    def test_ladder_matches_reference_text(self, run):
+        for name in LADDER:
+            code, out, _ = run("compute", name, "--format", "rational")
+            assert code == 0
+            assert out == reference_rational_text(denef_loeser(catalog.get(name))) + "\n", name
+
+    def test_all_cancelling_matches_reference_text(self):
+        # one (nu, N) on two divisors, with opposite beta on the two strata
+        doc = TestErrorBoundary._strata_doc([(4, 2), (4, 2)], [([1], 1), ([2], -1)])
+        code, out, _ = call(["compute", "-", "--format", "rational"], json.dumps(doc))
+        assert code == 0 and '"num": []' in out
+        assert out == reference_rational_text(denef_loeser(parse(json.dumps(doc)))) + "\n"
+
+    @pytest.mark.parametrize("name, variant", [("A-boundary_f", "naive"), ("-x2-y4_Z2", "minus"),
+                                               ("gk(6,+,-)", "naive")])
+    def test_json_format_rational_entry_matches_reference_text(self, run, name, variant):
+        code, out, _ = run("compute", "--variant", variant, "--expand", "4", "--format", "json",
+                           "--", name)
+        assert code == 0
+        doc = json.loads(out)
+        doc["rational"] = cleared_json(*per_term_cleared(denef_loeser(catalog.get(name), variant)))
+        assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_rational_builds_no_bipoly(self, run, monkeypatch, tmp_path):
+        # the cleared fraction is printed from its rows; a BiPoly on the way
+        # is the detour the row writer removed
+        def refuse(*args):
+            raise AssertionError("BiPoly built on the rational path")
+
+        monkeypatch.setattr(BiPoly, "__init__", refuse)
+        monkeypatch.setattr(BiPoly, "to_json", refuse, raising=False)
+        code, out, _ = run("compute", "gk(8,+,-)", "--format", "rational")
+        assert code == 0 and json.loads(out)["num"]
+        path = write_fixture(tmp_path, "y4-x2_Z2")
+        code, out, _ = run("compute", path, "--format", "rational")
+        assert code == 0 and json.loads(out)["den"]
+        code, out, _ = run("compute", path, "--format", "json")
+        assert code == 0 and json.loads(out)["rational"]["num"]
 
 
 class TestCompare:
@@ -530,7 +587,7 @@ class TestErrorBoundary:
         assert time.perf_counter() - start < 1.0
         assert code == 0
         num, den = per_term_cleared(denef_loeser(parse(json.dumps(doc)), "naive"))
-        assert json.loads(out) == {"num": num.to_json(), "den": den.to_json()}
+        assert json.loads(out) == cleared_json(num, den)
 
     def test_expansion_at_the_cap_runs(self, monkeypatch):
         # y4-x2_Z2 through T^512 is bounded by 98688 lattice points

@@ -1,4 +1,5 @@
 import pytest
+from helpers import atom_table
 
 from equizeta.errors import SchemaError, UnknownAtom
 from equizeta.gspace import (
@@ -10,7 +11,6 @@ from equizeta.gspace import (
     ProductWithAffine,
     ProductWithPuncturedLines,
     Rational,
-    atom_table,
     atom_value,
     beta_value,
     expr_from_json,

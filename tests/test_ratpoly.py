@@ -9,6 +9,7 @@ from helpers import (
     recurrence_laurent,
     series_values_match,
     term,
+    truncate,
     two_sided_first_difference,
     zsum,
 )
@@ -186,7 +187,7 @@ class TestBiPoly:
     def test_cancelling_terms_clear_to_zero(self):
         z = zsum(term({(0, 0): 1}, [(2, 2)]), term({(0, 0): -1}, [(2, 2)]))
         assert z.is_zero()
-        assert z.to_json() == ZetaRational().to_json()
+        assert z._cleared == ZetaRational()._cleared == ({}, {0: {0: 1}})
 
 
 class TestTSeriesExpansion:
@@ -218,7 +219,7 @@ class TestTSeriesExpansion:
         )
         full = z.t_series(9)
         for m in (0, 3, 7, 9):
-            assert full.truncate(m) == z.t_series(m)
+            assert truncate(full, m) == z.t_series(m)
 
     def test_numeric_long_division_agrees(self):
         z = zsum(

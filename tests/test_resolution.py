@@ -4,6 +4,7 @@ import json
 import time
 
 import pytest
+from helpers import subset_orbits
 
 from equizeta import catalog
 from equizeta.errors import InvalidResolution, ParseError, SchemaError, UnknownFixture
@@ -19,7 +20,6 @@ from equizeta.resolution import (
     require,
     resolution_to_json,
     serialize,
-    subset_orbits,
     validate,
 )
 
