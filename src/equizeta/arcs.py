@@ -146,14 +146,11 @@ def _leading_factor(germ: MonomialGerm, action: SignAction, variant: str) -> Rat
 
 
 def _arc_beta(germ: MonomialGerm, action: SignAction, n: int, variant: str) -> RatFunc:
-    """W * sum_m counts[n][m] u^(n d - m), read off row n of the table."""
-    _require_invariant(germ, action)
+    """W * sum_m counts[n][m] u^(n d - m): the T^n coefficient of
+    ``oracle_series`` with its u^-nd scaling undone."""
     if n < 1:
         raise ValueError("arc order must be positive")
-    row = _order_counts(germ, n)[n]
-    affine = [0] * (n * germ.d - len(row) + 1) + row[::-1]
-    wfac = _leading_factor(germ, action, variant)
-    return RatFunc(pmul(wfac.num, affine), wfac.den)
+    return oracle_series(germ, action, variant, n)[n] * RatFunc.monomial(n * germ.d)
 
 
 def arc_beta_naive(germ: MonomialGerm, action: SignAction, n: int) -> RatFunc:

@@ -327,13 +327,6 @@ class TailSpec:
     tail_dim: int
     explicit: Mapping[int, int] = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "stable_below": self.stable_below,
-            "tail_dim": self.tail_dim,
-            "explicit": {str(k): v for k, v in self.explicit.items()},
-        }
-
     @classmethod
     def from_json(cls, obj) -> "TailSpec":
         stable_below = require(obj, "stable_below", int, "tail")
@@ -398,12 +391,15 @@ def run_pipeline(spec: dict) -> RatFunc:
     homology_json = require(spec, "homology", list, "pipeline")
     p_min = require(spec, "p_min", int, "pipeline")
     tail_json = require(spec, "tail", object, "pipeline")  # parsed after the page
-    homology = []
+    homology = {}
     for entry in homology_json:
         q = require(entry, "q", int, "homology entry")
         module = require(entry, "module", object, "homology entry")
-        homology.append((q, CyclicGModule.from_json(module)))
-    page = hs_e2_page(homology, p_min)
+        if q in homology:
+            # H_q is one module: a second one would overwrite its row of the page
+            raise SchemaError(f"homology entry: degree q = {q} is listed twice")
+        homology[q] = CyclicGModule.from_json(module)
+    page = hs_e2_page(homology.items(), p_min)
     ranks = []
     for entry in require(spec, "differentials", list, "pipeline", []):
         r, p, q, rank = (

@@ -198,6 +198,11 @@ def validate(res: ResolutionData) -> List[str]:
             group = generated_group(res)
         except InvalidResolution as exc:
             diags.extend(exc.diagnostics)
+    if group is not None and res.group.order % len(group):
+        # the group acts through the permutations it spans, a quotient of it
+        diags.append(
+            f"generators span {len(group)} permutations, not dividing {res.group.order}"
+        )
     zero_ids = {d.id for d in res.divisors if d.zero_fiber}
     first_in_orbit = {}  # canonical representative -> first stratum index
     for si, st in enumerate(res.strata):

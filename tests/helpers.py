@@ -223,6 +223,18 @@ def two_sided_first_difference(a: ZetaRational, b: ZetaRational):
     return None
 
 
+def flat_add_shifted(acc: dict, rows: dict, poly, t_shift, u_shift, t_max) -> dict:
+    """``_add_shifted`` on a flat {(T exponent, u exponent): coeff} map: every
+    product term added one at a time, and the zeros dropped at the end."""
+    out = Counter({(t, e): c for t, row in acc.items() for e, c in row.items()})
+    for t, row in rows.items():
+        if t_max is None or t + t_shift <= t_max:
+            for e, c in row.items():
+                for i, p in enumerate(poly):
+                    out[(t + t_shift, e + i + u_shift)] += c * p
+    return {key: c for key, c in out.items() if c}
+
+
 def cleared_equal(a: ZetaRational, b: ZetaRational) -> bool:
     """Equality of the cleared fractions by bivariate cross-multiplication."""
     return a.num * b.den == b.num * a.den

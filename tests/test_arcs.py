@@ -71,6 +71,11 @@ class TestInvariance:
         with pytest.raises(NotInvariant):
             arc_beta_naive(MonomialGerm((1, 1)), SignAction((-1, 1)), 2)
 
+    def test_order_below_one_raises(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="arc order must be positive"):
+                arc_beta_naive(MonomialGerm((2,)), FLIP, n)
+
 
 class TestNaiveStrata:
     def test_even_power_values(self):

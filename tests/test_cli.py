@@ -402,6 +402,17 @@ class TestCatalogAndCohomology:
         assert out.splitlines()[0] == "(u^3 + u)/(u - 1)"
         assert "laurent" in out
 
+    def test_repeated_homology_degree_exits_3(self, run, tmp_path):
+        # H_0 listed twice printed the series of listing it once: the second
+        # module overwrote the first's row of the page
+        spec = cohomology.sphere_fixed_pipeline()
+        spec["homology"].append(dict(spec["homology"][0]))
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run("cohomology", str(path))
+        assert (code, out) == (3, "")
+        assert "q = 0 is listed twice" in err
+
     def test_builtin_pipeline_names(self, run):
         code, out, _ = run("cohomology", "sphere_free")
         assert code == 0 and out.splitlines()[0] == "u^2 + u + 1"

@@ -3,6 +3,7 @@ from helpers import (
     cleared_equal,
     cleared_t_series,
     euclid_gcd,
+    flat_add_shifted,
     fraction_divmod,
     per_term_cleared,
     prs_canonical,
@@ -25,6 +26,7 @@ from equizeta.ratpoly import (
     RatFunc,
     TSeries,
     ZetaRational,
+    _add_shifted,
     _common_den,
     _expansion_work,
     _grouped,
@@ -276,6 +278,25 @@ class TestClearedBound:
             _times_factor(rows, 1, 2)
 
 
+sparse_rows = st.dictionaries(
+    st.integers(0, 6),
+    st.dictionaries(st.integers(-3, 3), st.integers(-3, 3).filter(bool), min_size=1, max_size=4),
+    max_size=5,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_rows, sparse_rows, st.lists(st.integers(-2, 2), max_size=3),
+       st.integers(0, 4), st.integers(-3, 3), st.none() | st.integers(0, 10))
+def test_add_shifted_matches_a_flat_reference(acc, rows, poly, t_shift, u_shift, t_max):
+    want = flat_add_shifted(acc, rows, poly, t_shift, u_shift, t_max)
+    start = {t: dict(row) for t, row in acc.items()}
+    got = _add_shifted(start, rows, tuple(poly), t_shift, u_shift, t_max)
+    assert got is start
+    assert {(t, e): c for t, row in got.items() for e, c in row.items()} == want
+    assert all(row and all(row.values()) for row in got.values())
+
+
 class TestSeriesContainer:
     def test_round_trip(self):
         s = TSeries((RatFunc(0), RatFunc(1), PT))
@@ -504,6 +525,34 @@ def test_first_difference_agrees_with_the_two_sided_expansion(pair):
     assert b.first_difference(a) == two_sided_first_difference(b, a)
     if rewritten_only:
         assert diff is None
+
+
+class TestFirstDifferenceWork:
+    @pytest.fixture
+    def expansions(self, monkeypatch):
+        orders = []
+        expand = ratpoly._expand
+
+        def record(groups, order):
+            orders.append(order)
+            return expand(groups, order)
+
+        monkeypatch.setattr(ratpoly, "_expand", record)
+        return orders
+
+    def test_unequal_sides_expand_delta_and_their_own_side(self, expansions):
+        # y4-x2_Z2 against x4-y2_Z2 first differ at T^4: Delta through its
+        # dT, then the own side through T^4; the other side is never expanded
+        lhs = denef_loeser(catalog.get("y4-x2_Z2"))
+        rhs = denef_loeser(catalog.get("x4-y2_Z2"))
+        diff = lhs.first_difference(rhs)
+        assert diff[0] == 4 and len(expansions) == 2 and expansions[1] == 4
+        assert diff == two_sided_first_difference(lhs, rhs)
+
+    def test_equal_sides_expand_delta_only(self, expansions):
+        z = denef_loeser(catalog.get("y4-x2_Z2"))
+        assert z.first_difference(ZetaRational(z.terms[::-1])) is None
+        assert len(expansions) == 1
 
 
 @st.composite

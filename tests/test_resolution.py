@@ -83,6 +83,16 @@ class TestValidation:
             diags = validate(res)
             assert any("order not dividing" in d for d in diags) != divides, order
 
+    def test_spanned_group_size_must_divide_the_order(self):
+        # (1 2) and (2 3) each have order 2, dividing 8, but together span
+        # S3, whose 6 permutations no group of order 8 acts through
+        divisors = tuple(Divisor(i, 1, 1, True) for i in range(1, 4))
+        strata = (StratumEntry({1}, Atom("point_fixed")),)
+        gens = ((2, 1, 3), (1, 3, 2))
+        res = ResolutionData("S3", divisors, GroupSpec(8, gens), strata)
+        assert validate(res) == ["generators span 6 permutations, not dividing 8"]
+        assert validate(dataclasses.replace(res, group=GroupSpec(12, gens))) == []
+
     def test_group_closure_stops_after_the_declared_order(self):
         # a 9-cycle and a transposition span all of S_9 (362880 permutations)
         divisors = tuple(Divisor(i, 1, 1, True) for i in range(1, 10))
