@@ -258,6 +258,14 @@ class SpectralPage:
 # instead of exhausting memory.  Built-in pipelines use -16 to -256.
 MAX_PAGE_DEPTH = 1 << 12
 
+# The most entries ``hs_e2_page`` materialises: rows * (1 - p_min), counted
+# before any entry is built.  Nothing else bounds the number of rows in
+# pipeline JSON; 256 rows at the deepest window, 17.7 KB of JSON, would hold
+# a million entries (2.9 s and 377 MB) and fail with InvalidInput (exit 2) at
+# once instead.  Sixteen rows fit at the deepest window, and the built-in
+# pipelines use two rows of at most 257 entries.
+MAX_PAGE_CELLS = 1 << 16
+
 
 def hs_e2_page(
     homology: Iterable[Tuple[int, CyclicGModule]], p_min: int
@@ -266,12 +274,19 @@ def hs_e2_page(
 
     Rows extend infinitely to the left; only the window p_min <= p <= 0 is
     materialized, so pick p_min comfortably below every degree later steps
-    will inspect, and no lower than -MAX_PAGE_DEPTH.
+    will inspect, and no lower than -MAX_PAGE_DEPTH.  InvalidInput when the
+    rows times the window hold more than MAX_PAGE_CELLS entries.
     """
     if p_min > 0:
         raise InvalidInput("p_min must be <= 0")
     if p_min < -MAX_PAGE_DEPTH:
         raise InvalidInput(f"p_min must be >= -MAX_PAGE_DEPTH = -{MAX_PAGE_DEPTH}")
+    homology = list(homology)
+    if len(homology) * (1 - p_min) > MAX_PAGE_CELLS:
+        raise InvalidInput(
+            f"the E2 page window would hold more than MAX_PAGE_CELLS = {MAX_PAGE_CELLS} "
+            f"entries: {len(homology)} rows of {1 - p_min}"
+        )
     dims = {}
     for q, module in homology:
         if q < 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 from .errors import SchemaError, UnknownAtom
-from .ratpoly import RatFunc, pmul, ppow
+from .ratpoly import RatFunc, padd, pmul, pneg, ppow
 
 
 @dataclass(frozen=True)
@@ -110,27 +110,51 @@ def atom_value(name: str) -> RatFunc:
 
 
 def beta_value(expr: GSpace) -> RatFunc:
-    """Evaluate the equivariant virtual Poincare series of an expression."""
+    """Evaluate the equivariant virtual Poincare series of an expression,
+    canonicalised once."""
+    return RatFunc(*_unreduced(expr))
+
+
+def _sum(a: tuple, b: tuple) -> tuple:
+    """(num, den) of a + b for (num, den) pairs: numerators add over an equal
+    denominator, and any other sum is reduced, so degrees stay bounded."""
+    if not a[0]:
+        return b
+    if not b[0]:
+        return a
+    if a[1] == b[1]:
+        return padd(a[0], b[0]), a[1]
+    total = RatFunc(padd(pmul(a[0], b[1]), pmul(b[0], a[1])), pmul(a[1], b[1]))
+    return total.num, total.den
+
+
+def _unreduced(expr: GSpace) -> tuple:
+    """The series of an expression as a (num, den) pair, not reduced."""
     if isinstance(expr, Atom):
-        return atom_value(expr.name)
+        value = atom_value(expr.name)
+        return value.num, value.den
     if isinstance(expr, Rational):
-        return expr.value
+        return expr.value.num, expr.value.den
     if isinstance(expr, DisjointUnion):
-        total = RatFunc(0)
+        total = (), (1,)
         for part in expr.parts:
-            total = total + beta_value(part)
+            total = _sum(total, _unreduced(part))
         return total
     if isinstance(expr, ClosedComplement):
-        return beta_value(expr.whole) - beta_value(expr.closed_part)
+        num, den = _unreduced(expr.closed_part)
+        return _sum(_unreduced(expr.whole), (pneg(num), den))
     if isinstance(expr, ProductWithAffine):
         if expr.n < 0:
             raise ValueError("affine factor dimension must be non-negative")
-        return beta_value(expr.base) * RatFunc.monomial(expr.n)
+        num, den = _unreduced(expr.base)
+        if num:
+            num = (0,) * expr.n + num
+        return num, den
     if isinstance(expr, ProductWithPuncturedLines):
         if expr.m < 0:
             raise ValueError("punctured-line count must be non-negative")
-        base = beta_value(expr.base)
-        return RatFunc(pmul(base.num, ppow((-1, 1), expr.m)), base.den)
+        num, den = _unreduced(expr.base)
+        return pmul(num, ppow((-1, 1), expr.m)), den
     raise TypeError(f"not a G-space expression: {expr!r}")
 
 

@@ -17,10 +17,14 @@ division over Z serves exact quotients and Laurent expansions, and gcds run
 as a primitive pseudo-remainder sequence, so no rational coefficient and no
 floating point appears anywhere in this package.
 
-Canonicalisation splits off the u-adic valuation first: the common power of u
-is read from the low zero coefficients, and the gcd runs only on the u-free
-parts.  Series coefficients are Laurent polynomials over small denominators
-such as u^s, so most of them need no gcd at all.
+Canonicalisation strips the two primes that the engine's denominators are
+built from before any gcd: the power of u, read from the low zero
+coefficients, and the power of u - 1 that num and den share, found by
+synthetic division at the root u = 1 (the coefficients sum to 0 exactly when
+u - 1 divides).  The primitive PRS runs only on what is left of num and den,
+and only when both of those are non-constant.  Series coefficients are
+Laurent polynomials over small denominators such as u^s, and G-space values
+are fractions over powers of u and u - 1, so most of them need no PRS at all.
 """
 
 from __future__ import annotations
@@ -201,13 +205,51 @@ def _valuation(p: tuple) -> int:
     return v
 
 
+def _over_u_minus_1(p: tuple):
+    """p / (u-1) when u - 1 divides the nonzero p, else None.
+
+    u - 1 divides exactly when the coefficients sum to 0, and the quotient
+    comes by synthetic division from the top: q_(k-1) = p_k + q_k."""
+    if sum(p):
+        return None
+    q = []
+    acc = 0
+    for c in reversed(p[1:]):
+        acc += c
+        q.append(acc)
+    return tuple(reversed(q))
+
+
+def _cofactors(a: tuple, b: tuple):
+    """(a / g, b / g) for g = pgcd(a, b), a and b nonzero: the one gcd step.
+
+    The powers of u and of u - 1 come off first: each side's whole power of
+    u, counted in its low zero coefficients, and the power of u - 1 the two
+    share, by synthetic division at u = 1 of both while both are divisible.
+    Both factors are prime, so what is left, A and B, has no common factor u
+    or u - 1, g is u^min (u-1)^min gcd(A, B), and the primitive PRS runs on
+    A and B only, and not at all when either is a constant."""
+    va, vb = _valuation(a), _valuation(b)
+    v = min(va, vb)
+    a, b = a[va:], b[vb:]
+    while len(a) > 1 and len(b) > 1:
+        qa, qb = _over_u_minus_1(a), _over_u_minus_1(b)
+        if qa is None or qb is None:
+            break
+        a, b = qa, qb
+    if len(a) > 1 and len(b) > 1:
+        g = pgcd(a, b)
+        if g != (1,):
+            a, b = pdivexact(a, g), pdivexact(b, g)
+    return (0,) * (va - v) + a, (0,) * (vb - v) + b
+
+
 def _canonical(num, den):
     """(num, den) reduced to the ``RatFunc`` representative.
 
-    The common power of u comes off by counting low zero coefficients.  u is
-    prime, so after that strip at most one side keeps a factor of u and u
-    cannot divide the remaining gcd: the primitive PRS runs on the u-free
-    parts only, and not at all when either of them is a constant.
+    ``_cofactors`` divides out the gcd, stripping the powers of u and of
+    u - 1 before it runs a PRS; then the joint integer content comes off and
+    den's leading coefficient is made positive.
     """
     num = ptrim(num)
     den = ptrim(den)
@@ -215,17 +257,8 @@ def _canonical(num, den):
         raise ZeroDenominator("denominator is the zero polynomial")
     if not num:
         return (), (1,)
-    vn, vd = _valuation(num), _valuation(den)
-    free_num, free_den = num[vn:], den[vd:]
-    if len(free_num) > 1 and len(free_den) > 1:
-        g = pgcd(free_num, free_den)
-        if g != (1,):
-            free_num = pdivexact(free_num, g)
-            free_den = pdivexact(free_den, g)
-    v = min(vn, vd)
-    num = (0,) * (vn - v) + free_num
-    den = (0,) * (vd - v) + free_den
-    c = gcd(pcontent(free_num), pcontent(free_den))
+    num, den = _cofactors(num, den)
+    c = gcd(pcontent(num), pcontent(den))
     if den[-1] < 0:
         c = -c
     if c != 1:
@@ -240,9 +273,9 @@ class RatFunc:
     The representative is unique: gcd(num, den) is a unit over Q, the joint
     integer content of (num, den) is 1, and den has a positive leading
     coefficient.  This makes structural equality and hashing meaningful.
-    The power of u in gcd(num, den) is removed by counting low zero
-    coefficients, and the rest of the gcd comes from the u-free parts
-    (``_canonical``).
+    The powers of u and of u - 1 in gcd(num, den) are removed by counting
+    low zero coefficients and by synthetic division at u = 1, and the rest
+    of the gcd comes from what is left of num and den (``_canonical``).
     """
 
     __slots__ = ("num", "den")
@@ -456,11 +489,14 @@ class BiPoly:
 # ---------------------------------------------------------------------------
 
 def _lcm_fold(polys):
-    """LCM over Z of u-polynomials with positive leading coefficients."""
+    """LCM over Z of u-polynomials with positive leading coefficients:
+    out * p / (c g) with g = pgcd(out, p) from ``_cofactors`` and c the gcd
+    of their contents."""
     out = (1,)
     for p in polys:
         c = gcd(pcontent(out), pcontent(p))
-        out = pdivexact(pmul(out, p), tuple(c * x for x in pgcd(out, p)))
+        rest = _cofactors(out, p)[1]
+        out = pmul(out, rest if c == 1 else tuple(x // c for x in rest))
     return out
 
 
@@ -520,17 +556,23 @@ def _expansion_work(groups: dict, order: int) -> int:
     return sum(prod(order // N for _, N in factors) for factors in groups)
 
 
+def _check_expansion(groups: dict, order: int):
+    """InvalidInput when expanding groups through T^order would exceed
+    MAX_EXPANSION."""
+    if _expansion_work(groups, order) > MAX_EXPANSION:
+        raise InvalidInput(
+            f"the T-expansion would visit more than MAX_EXPANSION = {MAX_EXPANSION} "
+            "lattice points; the divisor multiplicities or the order are too large"
+        )
+
+
 def _expand(groups: dict, order: int) -> dict:
     """Nonzero T^0..T^order coefficients of a ``_grouped`` sum, sparse in T:
     {T exponent: {u exponent: int}}.  Each factor T^N / (u^nu - T^N) is the
     geometric series sum_{m>=1} u^(-m nu) T^(m N), so a coefficient is a sum
     of shifted copies, added row by row.  InvalidInput, before anything is
     built, when the work would exceed MAX_EXPANSION."""
-    if _expansion_work(groups, order) > MAX_EXPANSION:
-        raise InvalidInput(
-            f"the T-expansion would visit more than MAX_EXPANSION = {MAX_EXPANSION} "
-            "lattice points; the divisor multiplicities or the order are too large"
-        )
+    _check_expansion(groups, order)
     out = {}
     for factors, poly in groups.items():
         series = {0: {0: 1}}
@@ -642,13 +684,25 @@ class ZetaRational:
     def first_difference(self, other: "ZetaRational"):
         """(n, own T^n coefficient, other's) at the smallest differing n.
 
-        None when equal.  An empty Delta (class docstring) is equal with no
-        expansion; otherwise n is Delta's lowest nonzero T-order through
-        dT(Delta).  Only this side is expanded, through n; the other's
-        coefficient is this one's less Delta's, over the same u-denominator."""
+        None when equal.  Otherwise n is Delta's (class docstring) lowest
+        nonzero T-order through dT(Delta).  Delta is expanded through windows
+        that start at its lowest T-shift, at least 1, and double up to
+        dT(Delta), stopping at the first that holds a nonzero row, so only an
+        equal pair pays for the whole dT(Delta); an empty Delta takes one
+        window, through T^0.  InvalidInput, before the first window, when the
+        whole dT(Delta) would exceed MAX_EXPANSION.  Only this side is
+        expanded, through n; the other's coefficient is this one's less
+        Delta's, over the same u-denominator."""
         den_u = _common_den(self.terms + other.terms)
         delta = _grouped(den_u, self.terms, other.terms)
-        rows = _expand(delta, _t_bound(delta))
+        bound = _t_bound(delta)
+        _check_expansion(delta, bound)
+        lowest = min((sum(N for _, N in factors) for factors in delta), default=0)
+        window = min(max(lowest, 1), bound)
+        rows = _expand(delta, window)
+        while not rows and window < bound:
+            window = min(2 * window, bound)
+            rows = _expand(delta, window)
         if not rows:
             return None
         n = min(rows)

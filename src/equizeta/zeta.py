@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvalidResolution
-from .gspace import beta_value
-from .ratpoly import RatFunc, ZetaRational, pmul, ppow
+from .gspace import ProductWithPuncturedLines, beta_value
+from .ratpoly import RatFunc, ZetaRational
 from .resolution import ResolutionData, StratumEntry, validate
 
 VARIANTS = ("naive", "plus", "minus")
@@ -42,8 +42,8 @@ def _stratum_terms(res: ResolutionData, variant: str):
     """Per-stratum (coefficient, factor multiset) pairs, declared order.
 
     A resolution's strata repeat a few G-space values, so each distinct
-    (expression, (u-1) exponent) pair is evaluated once; the memo lives
-    for this one call only.
+    (expression, (u-1) exponent e) pair is evaluated once, as the value of
+    the expression times (R*)^e; the memo lives for this one call only.
     """
     dmap = res.divisor_map()
     coeffs = {}
@@ -55,8 +55,7 @@ def _stratum_terms(res: ResolutionData, variant: str):
         exponent = len(st.divisors) - (0 if variant == "naive" else 1)
         key = (expr, exponent)
         if key not in coeffs:
-            beta = beta_value(expr)
-            coeffs[key] = RatFunc(pmul(beta.num, ppow((-1, 1), exponent)), beta.den)
+            coeffs[key] = beta_value(ProductWithPuncturedLines(expr, exponent))
         coeff = coeffs[key]
         if coeff.is_zero():
             continue

@@ -8,7 +8,16 @@ from math import gcd
 
 from equizeta.cohomology import F2Matrix
 from equizeta.errors import NotExpandable
-from equizeta.gspace import _FIXED_ATOMS, Atom, ClosedComplement, atom_value, beta_value
+from equizeta.gspace import (
+    _FIXED_ATOMS,
+    Atom,
+    ClosedComplement,
+    DisjointUnion,
+    ProductWithAffine,
+    ProductWithPuncturedLines,
+    Rational,
+    atom_value,
+)
 from equizeta.ratpoly import (
     BiPoly,
     RatFunc,
@@ -24,6 +33,7 @@ from equizeta.ratpoly import (
     pdivexact,
     pgcd,
     pmul,
+    ppow,
     pprimitive,
     ptrim,
 )
@@ -108,6 +118,16 @@ def prs_canonical(num, den):
     return num, den
 
 
+def prs_lcm_fold(polys):
+    """LCM over Z of u-polynomials with positive leading coefficients, one
+    full primitive PRS per step: the reference for ``_lcm_fold``."""
+    out = (1,)
+    for p in polys:
+        c = gcd(pcontent(out), pcontent(p))
+        out = pdivexact(pmul(out, p), tuple(c * x for x in pgcd(out, p)))
+    return out
+
+
 def recurrence_laurent(r: RatFunc, k_min: int) -> list:
     """Coefficients of u^top .. u^k_min of r, by the power-series recurrence
     in v = u^-1 over Q; NotExpandable if one is not an integer."""
@@ -188,9 +208,32 @@ def reference_rational_text(z: ZetaRational) -> str:
     return json.dumps(cleared_json(*per_term_cleared(z)), indent=2, sort_keys=True)
 
 
+def folded_beta_value(expr) -> RatFunc:
+    """The series of a G-space expression by a step-by-step RatFunc fold,
+    every partial result canonical: the reference for ``beta_value``."""
+    if isinstance(expr, Atom):
+        return atom_value(expr.name)
+    if isinstance(expr, Rational):
+        return expr.value
+    if isinstance(expr, DisjointUnion):
+        total = RatFunc(0)
+        for part in expr.parts:
+            total = total + folded_beta_value(part)
+        return total
+    if isinstance(expr, ClosedComplement):
+        return folded_beta_value(expr.whole) - folded_beta_value(expr.closed_part)
+    if isinstance(expr, ProductWithAffine):
+        return folded_beta_value(expr.base) * RatFunc.monomial(expr.n)
+    if isinstance(expr, ProductWithPuncturedLines):
+        base = folded_beta_value(expr.base)
+        return RatFunc(pmul(base.num, ppow((-1, 1), expr.m)), base.den)
+    raise TypeError(f"not a G-space expression: {expr!r}")
+
+
 def per_stratum_terms(res, variant):
-    """The engine's terms by the loop the memo replaced: one beta_value per
-    stratum, then (u-1) multiplied in one RatFunc product at a time."""
+    """The engine's terms by the loop the memo replaced: one step-by-step
+    fold per stratum, then (u-1) multiplied in one RatFunc product at a
+    time."""
     u_minus_1 = RatFunc.poly((-1, 1))
     dmap = res.divisor_map()
     terms = []
@@ -198,7 +241,7 @@ def per_stratum_terms(res, variant):
         expr = {"naive": st.beta, "plus": st.beta_plus, "minus": st.beta_minus}[variant]
         if expr is None:
             continue
-        coeff = beta_value(expr)
+        coeff = folded_beta_value(expr)
         if coeff.is_zero():
             continue
         for _ in range(len(st.divisors) - (0 if variant == "naive" else 1)):

@@ -331,3 +331,20 @@ def test_criterion_12_cleared_fraction_at_the_divisor_cap():
         num, den = (scaled_value(doc[key], u0, t0, u_top, t_top) for key in ("num", "den"))
         assert den and Fraction(num, den) == want
     print(f"criterion 12 (gk(64,+,+) cleared fraction): PASS [{elapsed:.2f} s]")
+
+
+def test_criterion_13_low_difference_of_a_large_tree():
+    # gk(62,+,-) and y4-x2_Z2 first differ at T^4 while dT of their
+    # difference is 3905: the witness comes from the first window
+    out = io.StringIO()
+    watch = Stopwatch(1.0)
+    with redirect_stdout(out):
+        code = cli.main(["compare", "gk(62,+,-)", "y4-x2_Z2"])
+    elapsed = watch.check("gk(62,+,-) against y4-x2_Z2")
+    assert code == 1
+    doc = json.loads(out.getvalue())
+    assert not doc["equal"] and doc["first_differing_T_order"] == 4
+    for side, name in (("lhs_coeff", "gk(62,+,-)"), ("rhs_coeff", "y4-x2_Z2")):
+        want = denef_loeser(catalog.get(name)).t_series(4)[4]
+        assert RatFunc.from_json(doc[side]) == want, side
+    print(f"criterion 13 (gk(62,+,-) against y4-x2_Z2): PASS [{elapsed:.2f} s]")

@@ -661,6 +661,17 @@ class TestErrorBoundary:
         assert_one_error(result, 2)
         assert "MAX_PAGE_DEPTH" in result[2]
 
+    def test_page_with_many_rows_exits_2_at_once(self):
+        # 256 rows at the deepest window would hold a million page entries
+        spec = cohomology.sphere_fixed_pipeline(-cohomology.MAX_PAGE_DEPTH)
+        module = spec["homology"][0]["module"]
+        spec["homology"] = [{"q": q, "module": module} for q in range(256)]
+        start = time.perf_counter()
+        result = call(["cohomology", "-"], json.dumps(spec))
+        assert time.perf_counter() - start < 1.0
+        assert_one_error(result, 2)
+        assert "MAX_PAGE_CELLS" in result[2]
+
     def test_huge_module_group_order_runs_at_once(self):
         spec = cohomology.sphere_fixed_pipeline()
         for entry in spec["homology"]:

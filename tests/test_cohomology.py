@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from equizeta.cohomology import (
+    MAX_PAGE_CELLS,
     MAX_PAGE_DEPTH,
     CyclicGModule,
     F2Matrix,
@@ -207,6 +208,16 @@ class TestPages:
     def test_deepest_page_window_runs(self):
         page = hs_e2_page([(0, TRIV1)], -MAX_PAGE_DEPTH)
         assert min(p for p, _ in page.dims) == -MAX_PAGE_DEPTH
+
+    def test_page_cells_are_capped(self):
+        # 16 rows of 4096 entries fill the cap exactly; one more column or
+        # row is refused before any entry is built
+        rows = [(q, TRIV1) for q in range(16)]
+        assert 16 * 4096 == MAX_PAGE_CELLS
+        assert len(hs_e2_page(iter(rows), -4095).dims) == MAX_PAGE_CELLS
+        for homology, p_min in ((rows, -4096), (rows + [(16, TRIV1)], -4095)):
+            with pytest.raises(InvalidInput, match="MAX_PAGE_CELLS"):
+                hs_e2_page(homology, p_min)
 
 
 class TestBettiSeries:

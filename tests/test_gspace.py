@@ -1,5 +1,7 @@
 import pytest
-from helpers import atom_table
+from helpers import atom_table, folded_beta_value
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equizeta.errors import SchemaError, UnknownAtom
 from equizeta.gspace import (
@@ -119,6 +121,38 @@ class TestBetaEval:
         expr = ClosedComplement(sphere, Atom("point_fixed"))
         val = beta_value(expr)
         assert val.laurent(-4) is not None  # expandable; values checked elsewhere
+
+
+# Rational leaves over distinct denominators: units, powers of u and of u - 1
+# and their products, and factors that only the primitive PRS finds; repeats
+# among them and the atoms' u - 1 give sums over an equal denominator too
+leaf_dens = st.sampled_from(
+    [(1,), (2,), (-1, 1), (1, -2, 1), (0, 1), (0, -1, 1), (-2, 2), (1, 1), (1, 0, 1), (3, 1)]
+)
+leaves = st.one_of(
+    st.sampled_from(ALL_ATOM_NAMES).map(Atom),
+    st.builds(
+        lambda num, den: Rational(RatFunc(tuple(num), den)),
+        st.lists(st.integers(-5, 5), max_size=4),
+        leaf_dens,
+    ),
+)
+expressions = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(lambda parts: DisjointUnion(*parts)),
+        st.builds(ClosedComplement, inner, inner),
+        st.builds(ProductWithAffine, inner, st.integers(0, 4)),
+        st.builds(ProductWithPuncturedLines, inner, st.integers(0, 4)),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(expressions)
+def test_beta_value_matches_the_step_by_step_fold(expr):
+    assert beta_value(expr) == folded_beta_value(expr)
 
 
 class TestJson:

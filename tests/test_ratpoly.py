@@ -7,6 +7,7 @@ from helpers import (
     fraction_divmod,
     per_term_cleared,
     prs_canonical,
+    prs_lcm_fold,
     recurrence_laurent,
     series_values_match,
     term,
@@ -14,7 +15,7 @@ from helpers import (
     two_sided_first_difference,
     zsum,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equizeta import catalog, ratpoly
@@ -386,9 +387,11 @@ def test_pdivexact_raises_exactly_when_inexact(x, b, m, plant):
         assert pdivexact(a, b) == ptrim(int(c) for c in q)
 
 
-# (num, den) pairs shaped like series coefficients and worse: a power of u
-# planted on num, den or both, a common (u-1)^b and a wide random common
-# factor, constant and pure u^k denominators, and either leading sign
+# (num, den) pairs shaped like series coefficients, G-space values and worse:
+# independent powers of u and of u-1 planted on num and on den, so that either
+# side may keep the larger one; constant, c u^k and so c u^k (u-1)^b
+# denominators; a common (u-1)^b, (u+1)^j or wide random factor, which leaves
+# the primitive PRS a gcd to find after the strips; and either leading sign
 signs = st.sampled_from([1, -1])
 u_free = st.builds(
     lambda head, rest, sign: tuple(sign * c for c in (head, *rest)),
@@ -399,6 +402,7 @@ u_free = st.builds(
 common = st.one_of(
     st.just((1,)),
     st.builds(lambda b: ppow((-1, 1), b), st.integers(1, 3)),
+    st.builds(lambda j: ppow((1, 1), j), st.integers(1, 3)),
     wide,
 )
 
@@ -409,18 +413,44 @@ def canonical_inputs(draw):
     den = draw(st.one_of(
         st.builds(pmul, u_free, st.builds(pmonomial, st.integers(0, 6))),
         st.builds(lambda c: (c,), st.integers(-9, 9).filter(bool)),
-        st.builds(pmonomial, st.integers(1, 12), signs),
+        st.builds(pmonomial, st.integers(0, 12), st.integers(-9, 9).filter(bool)),
     ))
+    num = pmul(num, ppow((-1, 1), draw(st.integers(0, 4))))
+    den = pmul(den, ppow((-1, 1), draw(st.integers(0, 4))))
     shared = pmul(draw(common), pmonomial(draw(st.integers(0, 4))))
     return pmul(num, shared), pmul(den, shared)
 
 
+def _planted(a, b):
+    """u^2 (u-1)^a (u+1) over 5 u (u-1)^b (u+1)."""
+    shared = pmul((1, 1), pmonomial(1))
+    return (pmul(pmul((0, 1), shared), ppow((-1, 1), a)),
+            pmul(pmul((5,), shared), ppow((-1, 1), b)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(canonical_inputs(), st.tuples(coeffs, nonzero)))
+@example(_planted(3, 1))
+@example(_planted(1, 3))
+@example(_planted(0, 2))
 def test_canonical_form_matches_the_full_prs(pair):
     num, den = pair
     r = RatFunc(num, den)
     assert (r.num, r.den) == prs_canonical(num, den)
+
+
+positive_dens = st.one_of(
+    st.builds(pmul, u_free, u_free),
+    st.tuples(st.integers(-9, 9).filter(bool), st.integers(0, 6), st.integers(0, 4)).map(
+        lambda cub: pmul(pmonomial(cub[1], cub[0]), ppow((-1, 1), cub[2]))
+    ),
+).map(lambda p: pmul((1 if p[-1] > 0 else -1,), p))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(positive_dens, max_size=5))
+def test_lcm_fold_matches_the_full_prs(dens):
+    assert _lcm_fold(dens) == prs_lcm_fold(dens)
 
 
 monic = st.builds(lambda cs: tuple(cs) + (1,), coeffs)
@@ -553,6 +583,26 @@ class TestFirstDifferenceWork:
         z = denef_loeser(catalog.get("y4-x2_Z2"))
         assert z.first_difference(ZetaRational(z.terms[::-1])) is None
         assert len(expansions) == 1
+
+    def test_a_low_difference_stops_at_its_window(self, expansions):
+        # gk(62,+,-) against y4-x2_Z2 differ at T^4, far below dT(Delta) =
+        # 3905; their (2, 2) terms cancel, so Delta's lowest shift is 4, and
+        # its first window, through T^4, holds the difference
+        lhs = denef_loeser(catalog.get("gk(62,+,-)"))
+        rhs = denef_loeser(catalog.get("y4-x2_Z2"))
+        assert lhs.first_difference(rhs)[0] == 4 and expansions == [4, 4]
+
+    def test_windows_double_up_to_dt(self, expansions):
+        # g = T^2/(u - T^2) less h = T^2/(u^2 - T^2) has its lowest shift at
+        # T^2 and differs from 0 there; g against u h + (u-1) g h, equal by
+        # the blowup identity, takes windows through T^2 and then dT = 4
+        g, h = [(1, 2)], [(2, 2)]
+        a = zsum(term({(0, 0): 1}, g), term({(0, 0): -1}, h))
+        assert a.first_difference(ZetaRational())[0] == 2 and expansions == [2, 2]
+        expansions.clear()
+        blown_up = zsum(term({(1, 0): 1}, h), term({(1, 0): 1, (0, 0): -1}, g + h))
+        assert term({(0, 0): 1}, g).first_difference(blown_up) is None
+        assert expansions == [2, 4]
 
 
 @st.composite
