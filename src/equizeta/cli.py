@@ -6,7 +6,7 @@ Subcommands: compute, compare, oracle, catalog, cohomology.  Exit codes are
 failed validation or a non-invariant germ), 3 (parse or schema error).
 All configuration is via flags; "-" reads standard input.  Structured output
 is indented JSON with sorted keys, written by ``_emit``; a cleared fraction
-is written straight from its sparse T-rows.
+is written straight from its packed T-rows.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii
 from . import catalog, cohomology, resolution, zeta
 from .arcs import MonomialGerm, SignAction, oracle_series
 from .errors import EquizetaError, InvalidInput, ParseError, SchemaError
-from .ratpoly import ZetaRational, _decimals
+from .ratpoly import ZetaRational, _decimals, _terms
 
 EXIT_OK = 0
 EXIT_UNEQUAL = 1
@@ -94,19 +94,20 @@ def _write_cleared(z, out, newline):
     ``{"c": decimal string, "t": T exponent, "u": u exponent}`` object per
     term in (t, u) order: what ``_write_json`` gives for that dict, written
     straight from the rows with one fixed-format text block per term."""
-    num, den = z._cleared
+    num, den, w = z._cleared
     inner = newline + "  "
     out.append("{" + inner + '"den": ')
-    _write_rows(den, out, inner)
+    _write_rows(den, w, out, inner)
     out.append("," + inner + '"num": ')
-    _write_rows(num, out, inner)
+    _write_rows(num, w, out, inner)
     out.append(newline + "}")
 
 
-def _write_rows(rows, out, newline):
-    """``rows`` as the JSON list of their terms in (t, u) order, one text
-    block head + digits + mid + u + tail per term.  Every coefficient goes
-    through one ``_decimals`` call, so one too long to print is an
+def _write_rows(rows, w, out, newline):
+    """The packed rows ``rows`` of width ``w`` as the JSON list of their
+    nonzero terms in (t, u) order, one text block head + digits + mid + u +
+    tail per term, read straight off each row's nonzero digits.  Every coefficient
+    goes through one ``_decimals`` call, so one too long to print is an
     InvalidInput (exit 2)."""
     if not rows:
         out.append("[]")
@@ -117,10 +118,10 @@ def _write_rows(rows, out, newline):
     tail = item + "}"
     coeffs, keys = [], []
     for t in sorted(rows):
-        row = rows[t]
+        low, v = rows[t]
         mid = f'",{field}"t": {t},{field}"u": '
-        for u in sorted(row):
-            coeffs.append(row[u])
+        for u, c in _terms(v, w, low):
+            coeffs.append(c)
             keys.append(mid + str(u))
     terms = [d + k for d, k in zip(_decimals(coeffs), keys)]
     out.append("[" + item + head + (tail + "," + item + head).join(terms) + tail + newline + "]")

@@ -6,9 +6,8 @@ powers with no trailing zeros (the empty tuple is 0).  On top of those sit:
 * ``RatFunc``      -- reduced fractions of integer polynomials in u,
 * ``ZetaRational`` -- sums of coeff * prod T^N / (u^nu - T^N) terms, whose
   T-expansion gives the series and certified equality, and whose factors,
-  multiplied out, give the cleared fraction as sparse T-rows
-  {T exponent: {u exponent: coeff}}, which the CLI prints directly; all
-  three add up their rows through one in-place adder, ``_add_shifted``,
+  multiplied out, give the cleared fraction, which the CLI prints directly;
+  all three add up their rows through one in-place adder, ``_add_shifted``,
 * ``BiPoly``       -- a (u, T) map view of those rows, built only on request,
 * ``TSeries``      -- truncated power series in T with ``RatFunc`` coefficients.
 
@@ -16,6 +15,18 @@ Everything is immutable and uses arbitrary-precision integers only: one long
 division over Z serves exact quotients and Laurent expansions, and gcds run
 as a primitive pseudo-remainder sequence, so no rational coefficient and no
 floating point appears anywhere in this package.
+
+Both the T-expansion and the cleared fraction hold a polynomial in (u, T)
+as packed T-rows {T exponent: (low, v)}: the u-polynomial of one row is
+dense in its band, so it is one int, v = sum_i c_i 2^(w i), whose balanced
+digits |c_i| < 2^(w-1) are the coefficients of u^(low + i), the lowest one
+nonzero (Kronecker substitution: Harvey, "Faster polynomial multiplication
+via multipoint Kronecker substitution", JSC 2009).  A shift by u^nu is
+low += nu, the sum of two rows one aligned shift and one int add, and a
+product by a u-polynomial one int product.  Every operation is evaluation
+at u = 2^w, so the digits read back are the coefficients as long as those
+fit: each ``_cleared`` and ``_expand`` call derives its one width w from an
+L1 bound on every coefficient it can produce.
 
 Canonicalisation strips the two primes that the engine's denominators are
 built from before any gcd: the power of u, read from the low zero
@@ -32,6 +43,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from math import gcd, prod
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -540,15 +552,24 @@ def _grouped(den_u: tuple, terms, negated=()) -> dict:
 # (exit 2) instead.
 MAX_EXPANSION = 1 << 24
 
-# Cap on the (u, T) terms of any one polynomial that ``ZetaRational._cleared``
-# holds while it builds num / den, counted after each step.  A step at most
-# doubles a polynomial, so memory stays within a small multiple of the cap.
+# Cap on the nonzero (u, T) terms of any one polynomial that
+# ``ZetaRational._cleared`` holds while it builds num / den, counted exactly
+# after each step; MAX_PACKED_BITS below bounds the memory of its rows.
 # The catalog's largest polynomials on the way are gk(62,+,-) at 83,324 terms,
 # hk(129,+) at 47,891 and gk(64,+,+) at 45,758.  Sixteen divisors whose N
 # have distinct subset sums, with every pair a stratum, pass it within a
 # second and fail with InvalidInput (exit 2); twice the cap lets them print
 # 17 MB of JSON at 241 MB peak RSS.
 MAX_CLEARED_TERMS = 1 << 17
+
+# Cap on the bits of the packed rows of any one polynomial that ``_cleared``
+# or ``_expand`` holds, 16 MiB.  A packed row stores every power of u in its
+# band, zero or not, so this bounds memory where MAX_CLEARED_TERMS, which
+# counts nonzero terms, does not: a divisor with nu = 10^9 beside one with
+# nu = 1 puts the two ends of a row 10^9 digits apart, and fails at once
+# with InvalidInput (exit 2).  The catalog's largest polynomial, on the way
+# to gk(62,+,-), holds 5.8 million bits.
+MAX_PACKED_BITS = 1 << 27
 
 
 def _expansion_work(groups: dict, order: int) -> int:
@@ -566,93 +587,214 @@ def _check_expansion(groups: dict, order: int):
         )
 
 
-def _expand(groups: dict, order: int) -> dict:
-    """Nonzero T^0..T^order coefficients of a ``_grouped`` sum, sparse in T:
-    {T exponent: {u exponent: int}}.  Each factor T^N / (u^nu - T^N) is the
-    geometric series sum_{m>=1} u^(-m nu) T^(m N), so a coefficient is a sum
-    of shifted copies, added row by row.  InvalidInput, before anything is
-    built, when the work would exceed MAX_EXPANSION."""
-    _check_expansion(groups, order)
-    out = {}
-    for factors, poly in groups.items():
-        series = {0: {0: 1}}
-        for nu, N in factors:
-            product = {}
-            for m in range(1, order // N + 1):
-                _add_shifted(product, series, (1,), m * N, -m * nu, order)
-            series = product
-        _add_shifted(out, series, poly, 0)
+def _width(bound: int) -> int:
+    """The digit width w for packed rows whose coefficients are at most
+    ``bound`` in absolute value, so that |c| < 2^(w-1); at least 2, so that
+    the seed row 1 fits."""
+    return max(bound, 1).bit_length() + 1
+
+
+def _l1(poly: tuple) -> int:
+    return sum(map(abs, poly))
+
+
+def _pack(poly: tuple, w: int) -> tuple:
+    """The nonzero u-polynomial ``poly`` as the packed row (low, v)."""
+    low = _valuation(poly)
+    v = 0
+    for c in reversed(poly[low:]):
+        v = (v << w) + c
+    return low, v
+
+
+def _terms(v: int, w: int, start: int = 0) -> list:
+    """The nonzero balanced base-2^w digits of v as (start + i, digit i)
+    pairs, lowest first: the nonzero coefficients of a packed row
+    (start, v).  v has at most v.bit_length() // w + 1 digits.  Up to 64 of
+    them come off one at a time, adding 2^(w-1) before each shift to carry
+    a negative digit into the next; a longer v is first cut in two halves,
+    each the balanced value of its digits, and a half that is 0 is skipped,
+    so a long row costs n log n in its n digits, not n^2, and a sparse one
+    little more than its nonzero digits."""
+    n = v.bit_length() // w + 1
+    if n > 64:
+        bits = w * (n // 2)
+        cut = 1 << (bits - 1)
+        low = ((v + cut) & ((cut << 1) - 1)) - cut
+        high = (v + cut) >> bits
+        return (_terms(low, w, start) if low else []) + (
+            _terms(high, w, start + n // 2) if high else []
+        )
+    half = 1 << (w - 1)
+    mask = (1 << w) - 1
+    out = []
+    while v:
+        v += half
+        c = (v & mask) - half
+        if c:
+            out.append((start, c))
+        v >>= w
+        start += 1
     return out
 
 
-def _within_cap(rows: dict) -> dict:
+def _nonzero_digits(v: int, w: int) -> int:
+    """The number of nonzero digits of v, in a few passes over its bits and
+    without reading the digits off: with 2^(w-1) added to each digit and
+    xor-ed off again, a digit is 0 exactly where v's is, and or-ing the w
+    bits of each digit into its lowest leaves one bit per nonzero digit."""
+    n = v.bit_length() // w + 1
+    ones, count = 1, 1  # a 1 in each of count >= n digits
+    while count < n:
+        ones |= ones << (w * count)
+        count *= 2
+    half = ones << (w - 1)
+    bits = (v + half) ^ half
+    covered = 1
+    while covered < w:
+        step = min(covered, w - covered)
+        bits |= bits >> step
+        covered += step
+    return (bits & ones).bit_count()
+
+
+def _row_poly(row: tuple, w: int) -> tuple:
+    """A packed row as (low, u-polynomial tuple): the Laurent polynomial
+    u^low * poly(u)."""
+    low, v = row
+    poly = [0] * (v.bit_length() // w + 1)
+    for i, c in _terms(v, w):
+        poly[i] = c
+    return low, ptrim(poly)
+
+
+def _packed_bits(rows: dict) -> int:
+    return sum(map(int.bit_length, map(itemgetter(1), rows.values())))
+
+
+def _too_many_bits():
+    return InvalidInput(
+        f"a polynomial's packed rows would hold more than MAX_PACKED_BITS = {MAX_PACKED_BITS} "
+        "bits; the divisors' nu or the coefficients' powers of u lie too far apart"
+    )
+
+
+def _within_bits(rows: dict) -> dict:
+    """rows, or InvalidInput once they hold more than MAX_PACKED_BITS bits."""
+    if _packed_bits(rows) > MAX_PACKED_BITS:
+        raise _too_many_bits()
+    return rows
+
+
+def _expand(groups: dict, order: int):
+    """Nonzero T^0..T^order coefficients of a ``_grouped`` sum, sparse in T,
+    as (packed rows, w).  Each factor T^N / (u^nu - T^N) is the geometric
+    series sum_{m>=1} u^(-m nu) T^(m N), so a coefficient is a sum of
+    shifted copies, added row by row.  A coefficient of a group's series
+    counts lattice points, at most its box prod (order // N), so w comes from
+    sum_g |P_g|_1 * box_g.  InvalidInput, before anything is built, when the
+    work would exceed MAX_EXPANSION, and as soon as the rows would hold more
+    than MAX_PACKED_BITS bits."""
+    _check_expansion(groups, order)
+    w = _width(sum(
+        _l1(poly) * prod(order // N for _, N in factors) for factors, poly in groups.items()
+    ))
+    out = {}
+    for factors, poly in groups.items():
+        series = {0: (0, 1)}
+        for nu, N in factors:
+            product = {}
+            for m in range(1, order // N + 1):
+                _within_bits(_add_shifted(product, series, (1,), w, m * N, -m * nu, order))
+            series = product
+        _within_bits(_add_shifted(out, series, poly, w))
+    return out, w
+
+
+def _within_cap(rows: dict, w: int) -> dict:
     """rows, or InvalidInput once they hold more than MAX_CLEARED_TERMS
-    (u, T) terms."""
-    if sum(map(len, rows.values())) > MAX_CLEARED_TERMS:
+    nonzero (u, T) terms or more than MAX_PACKED_BITS bits.  The bits over
+    w, plus one per row, bound the digits from above in O(rows); the nonzero
+    digits are counted only when that bound exceeds the cap."""
+    bits = _packed_bits(rows)
+    if bits // w + len(rows) > MAX_CLEARED_TERMS and sum(
+        _nonzero_digits(v, w) for _, v in rows.values()
+    ) > MAX_CLEARED_TERMS:
         raise InvalidInput(
             f"the cleared fraction would hold more than MAX_CLEARED_TERMS = {MAX_CLEARED_TERMS} "
             "terms; the strata hold too many distinct factors or too large multiplicities"
         )
+    if bits > MAX_PACKED_BITS:
+        raise _too_many_bits()
     return rows
 
 
-def _times_factor(rows: dict, nu: int, N: int) -> dict:
-    """rows * (u^nu - T^N), sparse in T as {T exponent: {u exponent: int}}
-    with no zero entries and no empty rows: out[t] = u^nu rows[t] - rows[t-N].
-    Its own loop, not ``_add_shifted``: through the adder the closed_form bench
-    lost 3 of 3 pairs, 698-720 -> 666-691 jobs/s (2-core host, Python 3.11)."""
-    out = {t: {e + nu: c for e, c in row.items()} for t, row in rows.items()}
-    for t, row in rows.items():
-        acc = out.setdefault(t + N, {})
-        for e, c in row.items():
-            v = acc.get(e, 0) - c
-            if v:
-                acc[e] = v
-            else:
-                del acc[e]
-        if not acc:
-            del out[t + N]
-    return _within_cap(out)
+def _times_factor(rows: dict, nu: int, N: int, w: int) -> dict:
+    """rows * (u^nu - T^N): out[t] = u^nu rows[t] - rows[t-N], each row's
+    low exponent moved up by nu and the rows moved up by T^N subtracted."""
+    out = {t: (low + nu, v) for t, (low, v) in rows.items()}
+    return _within_cap(_add_shifted(out, rows, (-1,), w, N), w)
 
 
-def _add_shifted(acc: dict, rows: dict, poly: tuple, t_shift: int, u_shift=0, t_max=None):
+def _add_shifted(acc: dict, rows: dict, poly: tuple, w: int, t_shift=0, u_shift=0, t_max=None):
     """acc += poly(u) u^u_shift T^t_shift rows in place, through T^t_max when
-    given, in the sparse form of ``_times_factor``; returns acc.  The one
-    accumulation loop over the T-rows; it checks no cap."""
-    nonzero = [(i + u_shift, p) for i, p in enumerate(poly) if p]
-    for t, row in rows.items():
+    given, on packed rows of width w; returns acc.  A product by poly is one
+    int product, and a sum of two rows one aligned shift and one int add.
+    The one accumulation loop over the T-rows.  It checks neither cap on its
+    result, but raises InvalidInput, before allocating them, once the empty
+    digits that the product by poly and the sums of rows whose bands lie
+    apart open would exceed MAX_PACKED_BITS bits."""
+    if not any(poly):
+        return acc
+    low_p, p = _pack(poly, w)
+    u_shift += low_p
+    mask = (1 << w) - 1
+    spare = MAX_PACKED_BITS // w - (len(poly) - 1 - low_p) * len(rows)
+    if spare < 0:
+        raise _too_many_bits()
+    for t, (low, v) in rows.items():
         t += t_shift
         if t_max is not None and t > t_max:
             continue
-        target = acc.setdefault(t, {})
-        for i, p in nonzero:
-            for e, c in row.items():
-                v = target.get(e + i, 0) + c * p
-                if v:
-                    target[e + i] = v
-                else:
-                    del target[e + i]
-        if not target:
-            del acc[t]
+        low += u_shift
+        v *= p
+        if t in acc:
+            low_a, a = acc[t]
+            if low == low_a:
+                v += a
+                if not v & mask:
+                    if not v:
+                        del acc[t]
+                        continue
+                    zeros = ((v & -v).bit_length() - 1) // w
+                    v >>= w * zeros
+                    low += zeros
+            else:
+                if low < low_a:
+                    low, v, low_a, a = low_a, a, low, v
+                # (low_a, a) is the lower band; the digits between its top
+                # and low are the new empty ones
+                gap = low - low_a - a.bit_length() // w - 1
+                if gap > 0:
+                    spare -= gap
+                    if spare < 0:
+                        raise _too_many_bits()
+                v = (v << w * (low - low_a)) + a
+                low = low_a
+        acc[t] = low, v
     return acc
 
 
-def _bipoly(rows: dict) -> BiPoly:
-    """The sparse T-rows of ``_times_factor`` as a BiPoly."""
-    return BiPoly({(e, t): c for t, row in rows.items() for e, c in row.items()})
+def _bipoly(rows: dict, w: int) -> BiPoly:
+    """Packed rows of width w as a BiPoly."""
+    return BiPoly({(e, t): c for t, (low, v) in rows.items() for e, c in _terms(v, w, low)})
 
 
-def _laurent_over(laurent: dict, den_u: tuple) -> RatFunc:
-    """The Laurent polynomial sum c_e u^e divided by den_u, canonical."""
-    if not laurent:
-        return RatFunc(0)
-    low = min(laurent)
-    num = [0] * (max(laurent) - low + 1)
-    for e, c in laurent.items():
-        num[e - low] = c
+def _laurent_over(low: int, poly: tuple, den_u: tuple) -> RatFunc:
+    """The Laurent polynomial u^low * poly(u) divided by den_u, canonical."""
     if low >= 0:
-        return RatFunc(pmul(pmonomial(low), tuple(num)), den_u)
-    return RatFunc(tuple(num), pmul(pmonomial(-low), den_u))
+        return RatFunc((0,) * low + poly, den_u)
+    return RatFunc(poly, (0,) * -low + den_u)
 
 
 class ZetaRational:
@@ -699,16 +841,19 @@ class ZetaRational:
         _check_expansion(delta, bound)
         lowest = min((sum(N for _, N in factors) for factors in delta), default=0)
         window = min(max(lowest, 1), bound)
-        rows = _expand(delta, window)
+        rows, w = _expand(delta, window)
         while not rows and window < bound:
             window = min(2 * window, bound)
-            rows = _expand(delta, window)
+            rows, w = _expand(delta, window)
         if not rows:
             return None
         n = min(rows)
-        own = _expand(_grouped(den_u, self.terms), n).get(n, {})
-        theirs = _add_shifted({n: dict(own)}, {n: rows[n]}, (-1,), 0).get(n, {})
-        return n, _laurent_over(own, den_u), _laurent_over(theirs, den_u)
+        low_d, diff = _row_poly(rows[n], w)
+        own, own_w = _expand(_grouped(den_u, self.terms), n)
+        low_o, mine = _row_poly(own.get(n, (low_d, 0)), own_w)
+        low = min(low_o, low_d)
+        theirs = padd((0,) * (low_o - low) + mine, pneg((0,) * (low_d - low) + diff))
+        return n, _laurent_over(low_o, mine, den_u), _laurent_over(low, theirs, den_u)
 
     def __eq__(self, other):
         if not isinstance(other, ZetaRational):
@@ -720,12 +865,15 @@ class ZetaRational:
         if order < 0:
             raise ValueError("order must be non-negative")
         den_u = _common_den(self.terms)
-        rows = _expand(_grouped(den_u, self.terms), order)
-        return TSeries(tuple(_laurent_over(rows.get(n, {}), den_u) for n in range(order + 1)))
+        rows, w = _expand(_grouped(den_u, self.terms), order)
+        return TSeries(tuple(
+            _laurent_over(*_row_poly(rows[n], w), den_u) if n in rows else RatFunc(0)
+            for n in range(order + 1)
+        ))
 
     @cached_property
     def _cleared(self):
-        """(num, den) with den = den_u * prod_f x_f^M_f, x_f = u^nu - T^N.
+        """(num, den, w) with den = den_u * prod_f x_f^M_f, x_f = u^nu - T^N.
 
         With the distinct factors f_1 < ... < f_K at their largest
         multiplicities M_i, num = sum_g P_g T^N_g prod_f x_f^(M_f - m_g(f))
@@ -740,17 +888,22 @@ class ZetaRational:
         the groups that hold the same factors from some point on share the
         products after it.  The sum that holds no factor is num, and
         den = den_u * Pre_K; (0, 1) when every group cancels.  Both come as
-        sparse T-rows {T exponent: {u exponent: coeff}} with no zero entries
-        and no empty rows.
+        packed T-rows {T exponent: (low, v)} of one width w.  Every
+        polynomial on the way is a sum of some groups times at most sum M_f
+        binomials of L1 norm 2, or den_u times the prefix, so its coefficients
+        are at most max(sum_g |P_g|_1, |den_u|_1) * 2^(sum M_f), which sets w.
         Not gcd-reduced: bivariate gcds are expensive and nothing needs them.
         InvalidInput as soon as a polynomial on the way holds more than
-        MAX_CLEARED_TERMS terms.
+        MAX_CLEARED_TERMS terms or MAX_PACKED_BITS bits.
         """
         den_u = _common_den(self.terms)
         groups = _grouped(den_u, self.terms)
-        if not groups:
-            return {}, {0: {0: 1}}
         factors = sorted(_factor_max(factors for _, factors in self.terms).items())
+        w = _width(
+            max(sum(map(_l1, groups.values())), _l1(den_u)) << sum(count for _, count in factors)
+        )
+        if not groups:
+            return {}, {0: (0, 1)}, w
         index = {f: i for i, (f, _) in enumerate(factors)}
         pending = {(): {}}  # (factor index, multiplicity) pairs still held -> partial sum
         joining = {}  # index of the first factor -> [(held pairs, poly, T shift)]
@@ -760,38 +913,40 @@ class ZetaRational:
             if held:
                 joining.setdefault(held[0][0], []).append((held, poly, shift))
             else:
-                _within_cap(_add_shifted(pending[()], {0: {0: 1}}, poly, shift))
-        prefix = {0: {0: 1}}
+                _within_cap(_add_shifted(pending[()], {0: (0, 1)}, poly, w, shift), w)
+        prefix = {0: (0, 1)}
         for i, ((nu, N), count) in enumerate(factors):
             merged = {}
             for held, rows in pending.items():
                 m = held[0][1] if held and held[0][0] == i else 0
                 for _ in range(count - m):
-                    rows = _times_factor(rows, nu, N)
+                    rows = _times_factor(rows, nu, N, w)
                 rest = held[1:] if m else held
                 if rest in merged:
-                    _within_cap(_add_shifted(merged[rest], rows, (1,), 0))
+                    _within_cap(_add_shifted(merged[rest], rows, (1,), w), w)
                 else:
                     merged[rest] = rows
             powers = [prefix]  # prefix * x_i^k for k = 0 .. M_i
             for _ in range(count):
-                powers.append(_times_factor(powers[-1], nu, N))
+                powers.append(_times_factor(powers[-1], nu, N, w))
             for held, poly, shift in joining.get(i, ()):
                 joined = merged.setdefault(held[1:], {})
-                _within_cap(_add_shifted(joined, powers[count - held[0][1]], poly, shift))
+                _within_cap(_add_shifted(joined, powers[count - held[0][1]], poly, w, shift), w)
             pending, prefix = merged, powers[-1]
         num = pending[()]
         if not num:
-            return num, {0: {0: 1}}
-        return num, _within_cap(_add_shifted({}, prefix, den_u, 0))
+            return num, {0: (0, 1)}, w
+        return num, _within_cap(_add_shifted({}, prefix, den_u, w), w), w
 
     @cached_property
     def num(self) -> BiPoly:
-        return _bipoly(self._cleared[0])
+        num, _, w = self._cleared
+        return _bipoly(num, w)
 
     @cached_property
     def den(self) -> BiPoly:
-        return _bipoly(self._cleared[1])
+        _, den, w = self._cleared
+        return _bipoly(den, w)
 
     def __repr__(self):
         return f"ZetaRational({self.terms!r})"

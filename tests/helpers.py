@@ -250,6 +250,43 @@ def per_stratum_terms(res, variant):
     return ZetaRational(terms).terms
 
 
+def unpacked(rows: dict, w: int) -> dict:
+    """Packed T-rows {t: (low, v)} of digit width w as {t: {u: c}} with no
+    zero entries.  Each digit comes off as the low w bits, moved into
+    [-2^(w-1), 2^(w-1)) with a carry, independently of ``ratpoly._digits``."""
+    base, mask = 1 << w, (1 << w) - 1
+    out = {}
+    for t, (low, v) in rows.items():
+        row, e = {}, low
+        while v:
+            c = v & mask
+            v >>= w
+            if c >= base >> 1:
+                c -= base
+                v += 1
+            if c:
+                row[e] = c
+            e += 1
+        out[t] = row
+    return out
+
+
+def packed(rows: dict, w: int) -> dict:
+    """{t: {u: c}} rows as packed T-rows {t: (low, v)} of digit width w."""
+    return {
+        t: (min(row), sum(c << w * (e - min(row)) for e, c in row.items()))
+        for t, row in rows.items()
+    }
+
+
+def laurent_row(row: dict, den_u) -> RatFunc:
+    """A {u: c} row divided by den_u, canonical."""
+    if not row:
+        return RatFunc(0)
+    low = min(row)
+    return _laurent_over(low, tuple(row.get(e, 0) for e in range(low, max(row) + 1)), den_u)
+
+
 def two_sided_first_difference(a: ZetaRational, b: ZetaRational):
     """``first_difference`` by the two-sided expansion it replaced: each side
     over one shared u-denominator through dT of both sides' factors, and the
@@ -257,12 +294,12 @@ def two_sided_first_difference(a: ZetaRational, b: ZetaRational):
     both = a.terms + b.terms
     den_u = _common_den(both)
     bound = _t_bound(factors for _, factors in both)
-    mine = _expand(_grouped(den_u, a.terms), bound)
-    theirs = _expand(_grouped(den_u, b.terms), bound)
+    mine = unpacked(*_expand(_grouped(den_u, a.terms), bound))
+    theirs = unpacked(*_expand(_grouped(den_u, b.terms), bound))
     for n in sorted(mine.keys() | theirs.keys()):
         lhs, rhs = mine.get(n, {}), theirs.get(n, {})
         if lhs != rhs:
-            return n, _laurent_over(lhs, den_u), _laurent_over(rhs, den_u)
+            return n, laurent_row(lhs, den_u), laurent_row(rhs, den_u)
     return None
 
 
@@ -446,6 +483,25 @@ def numeric_t_series(z: ZetaRational, u0: int, order: int):
             acc -= c * coeffs[n - j]
         coeffs.append(acc / den[0])
     return coeffs
+
+
+def term_series_at(z: ZetaRational, u0: int, order: int) -> list:
+    """T^0..T^order coefficients of z at u = u0 straight from its terms, over
+    Fraction: each factor T^N / (u0^nu - T^N) as the geometric series
+    sum_{m>=1} u0^(-m nu) T^(m N), multiplied out and summed -- neither the
+    cleared fraction nor the engine's expansion is involved."""
+    total = [Fraction(0)] * (order + 1)
+    for coeff, factors in z.terms:
+        series = [eval_fraction(coeff, u0)] + [Fraction(0)] * order
+        for nu, N in factors:
+            geometric = [Fraction(0)] * (order + 1)
+            for m in range(1, order // N + 1):
+                geometric[m * N] = Fraction(1, u0 ** (m * nu))
+            series = [
+                sum(series[i] * geometric[n - i] for i in range(n + 1)) for n in range(order + 1)
+            ]
+        total = [a + b for a, b in zip(total, series)]
+    return total
 
 
 def series_values_match(z: ZetaRational, series, u_points=(2, 3, 5)) -> bool:

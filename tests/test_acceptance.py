@@ -348,3 +348,51 @@ def test_criterion_13_low_difference_of_a_large_tree():
         want = denef_loeser(catalog.get(name)).t_series(4)[4]
         assert RatFunc.from_json(doc[side]) == want, side
     print(f"criterion 13 (gk(62,+,-) against y4-x2_Z2): PASS [{elapsed:.2f} s]")
+
+
+# the Mersenne prime 2^127 - 1: criterion 14 evaluates in GF(P), since over Q
+# the sum of its 2016 terms over 64 distinct 2300-bit denominators alone takes
+# seconds
+P = (1 << 127) - 1
+
+
+def at(poly, x):
+    """A u-polynomial tuple at the point x of GF(P)."""
+    return sum(c * pow(x, k, P) for k, c in enumerate(poly)) % P
+
+
+def value_mod_p(poly_json, u0, t0):
+    """A cleared-fraction JSON polynomial at the point (u0, t0) of GF(P)."""
+    return sum(int(m["c"]) * pow(u0, m["u"], P) * pow(t0, m["t"], P) for m in poly_json) % P
+
+
+def test_criterion_14_cleared_fraction_of_all_pairs(tmp_path):
+    # 64 divisors of one N = 1000 with nu = 1..64, every pair a stratum with
+    # beta 1: 2016 groups that end on far-apart factors
+    one = {"kind": "rational", "value": {"num": ["1"], "den": ["1"]}}
+    doc = {
+        "name": "all_pairs",
+        "group": {"order": 1, "generators": []},
+        "divisors": [{"id": nu, "N": 1000, "nu": nu, "zero_fiber": True} for nu in range(1, 65)],
+        "strata": [{"I": [i, j], "beta": one} for i in range(1, 65) for j in range(i + 1, 65)],
+    }
+    path = tmp_path / "all_pairs.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    watch = Stopwatch(5.0)
+    with redirect_stdout(out):
+        code = cli.main(["compute", str(path), "--format", "rational"])
+    elapsed = watch.check("all-pairs cleared fraction")
+    assert code == 0
+    printed = json.loads(out.getvalue())
+    z = denef_loeser(parse(json.dumps(doc)), "naive")
+    for u0, t0 in ((3, 5), (1 << 100, 12345)):
+        want = 0
+        for coeff, factors in z.terms:
+            value = at(coeff.num, u0) * pow(at(coeff.den, u0), -1, P)
+            for nu, N in factors:
+                value *= pow(t0, N, P) * pow(pow(u0, nu, P) - pow(t0, N, P), -1, P)
+            want = (want + value) % P
+        num, den = (value_mod_p(printed[key], u0, t0) for key in ("num", "den"))
+        assert den and num == want * den % P
+    print(f"criterion 14 (64 divisors, every pair a stratum, cleared): PASS [{elapsed:.2f} s]")

@@ -632,6 +632,30 @@ class TestErrorBoundary:
         assert_one_error(result, 2)
         assert "MAX_CLEARED_TERMS" in result[2]
 
+    def test_far_apart_nu_exit_2_at_once(self):
+        # nu = 1 and nu = 10^9 on one N: a packed row holding both ends would
+        # span 10^9 powers of u, so the cleared fraction, the series and
+        # compare all refuse before they allocate it
+        doc = json.dumps(self._strata_doc([(1, 1), (1, 10**9)], [([1], 1), ([2], 1)]))
+        for argv in (["compute", "-", "--format", "rational"],
+                     ["compute", "-", "--format", "series", "--expand", "8"],
+                     ["compare", "-", "y4-x2_Z2"]):
+            start = time.perf_counter()
+            result = call(argv, doc)
+            assert time.perf_counter() - start < 1.0
+            assert_one_error(result, 2)
+            assert "MAX_PACKED_BITS" in result[2]
+
+    def test_far_apart_nu_within_the_bits_cap_clear_at_once(self):
+        # with nu = 10^5 a row spans 10^5 powers of u, two of them nonzero:
+        # within MAX_PACKED_BITS, and read back in time linear in its span
+        doc = json.dumps(self._strata_doc([(1, 1), (1, 10**5)], [([1], 1), ([2], 1)]))
+        start = time.perf_counter()
+        code, out, _ = call(["compute", "-", "--format", "rational"], doc)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert json.loads(out) == cleared_json(*per_term_cleared(denef_loeser(parse(doc), "naive")))
+
     def test_cancelling_strata_clear_to_zero_at_once(self):
         # two strata on the 24 divisors above, twice over, with opposite beta:
         # every group cancels, so no factor is multiplied out and no cap is hit

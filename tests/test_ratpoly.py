@@ -3,16 +3,20 @@ from helpers import (
     cleared_equal,
     cleared_t_series,
     euclid_gcd,
+    eval_fraction,
     flat_add_shifted,
     fraction_divmod,
+    packed,
     per_term_cleared,
     prs_canonical,
     prs_lcm_fold,
     recurrence_laurent,
     series_values_match,
     term,
+    term_series_at,
     truncate,
     two_sided_first_difference,
+    unpacked,
     zsum,
 )
 from hypothesis import example, given, settings
@@ -190,7 +194,9 @@ class TestBiPoly:
     def test_cancelling_terms_clear_to_zero(self):
         z = zsum(term({(0, 0): 1}, [(2, 2)]), term({(0, 0): -1}, [(2, 2)]))
         assert z.is_zero()
-        assert z._cleared == ZetaRational()._cleared == ({}, {0: {0: 1}})
+        for s in (z, ZetaRational()):
+            num, den, w = s._cleared
+            assert (unpacked(num, w), unpacked(den, w)) == ({}, {0: {0: 1}})
 
 
 class TestTSeriesExpansion:
@@ -257,9 +263,9 @@ class TestClearedBound:
         sizes = []
         within_cap = ratpoly._within_cap
 
-        def record(rows):
-            sizes.append(sum(map(len, rows.values())))
-            return within_cap(rows)
+        def record(rows, w):
+            sizes.append(sum(map(len, unpacked(rows, w).values())))
+            return within_cap(rows, w)
 
         monkeypatch.setattr(ratpoly, "_within_cap", record)
         denef_loeser(catalog.get("gk(62,+,-)"), "naive").num
@@ -267,16 +273,17 @@ class TestClearedBound:
 
     def test_times_factor_drops_cancelled_terms(self):
         # (u + T)(u - T) = u^2 - T^2: the u*T terms cancel and their row goes
-        assert _times_factor({0: {1: 1}, 1: {0: 1}}, 1, 1) == {0: {2: 1}, 2: {0: -1}}
+        rows = _times_factor(packed({0: {1: 1}, 1: {0: 1}}, 4), 1, 1, 4)
+        assert unpacked(rows, 4) == {0: {2: 1}, 2: {0: -1}}
 
     def test_a_step_past_the_cap_is_invalid_input(self, monkeypatch):
         # (1 + u T)(u - T^2) has 4 terms
-        rows = {0: {0: 1}, 1: {1: 1}}
+        rows = packed({0: {0: 1}, 1: {1: 1}}, 4)
         monkeypatch.setattr(ratpoly, "MAX_CLEARED_TERMS", 4)
-        assert sum(map(len, _times_factor(rows, 1, 2).values())) == 4
+        assert sum(map(len, unpacked(_times_factor(rows, 1, 2, 4), 4).values())) == 4
         monkeypatch.setattr(ratpoly, "MAX_CLEARED_TERMS", 3)
         with pytest.raises(InvalidInput, match="MAX_CLEARED_TERMS"):
-            _times_factor(rows, 1, 2)
+            _times_factor(rows, 1, 2, 4)
 
 
 sparse_rows = st.dictionaries(
@@ -288,14 +295,16 @@ sparse_rows = st.dictionaries(
 
 @settings(max_examples=300, deadline=None)
 @given(sparse_rows, sparse_rows, st.lists(st.integers(-2, 2), max_size=3),
-       st.integers(0, 4), st.integers(-3, 3), st.none() | st.integers(0, 10))
-def test_add_shifted_matches_a_flat_reference(acc, rows, poly, t_shift, u_shift, t_max):
+       st.integers(0, 4), st.integers(-3, 3), st.none() | st.integers(0, 10), st.integers(6, 40))
+def test_add_shifted_matches_a_flat_reference(acc, rows, poly, t_shift, u_shift, t_max, w):
+    # every sum is at most 3 + 3 * 3 * 2 = 21 < 2^(w-1) in absolute value
     want = flat_add_shifted(acc, rows, poly, t_shift, u_shift, t_max)
-    start = {t: dict(row) for t, row in acc.items()}
-    got = _add_shifted(start, rows, tuple(poly), t_shift, u_shift, t_max)
+    start = packed(acc, w)
+    got = _add_shifted(start, packed(rows, w), tuple(poly), w, t_shift, u_shift, t_max)
     assert got is start
-    assert {(t, e): c for t, row in got.items() for e, c in row.items()} == want
-    assert all(row and all(row.values()) for row in got.values())
+    assert {(t, e): c for t, row in unpacked(got, w).items() for e, c in row.items()} == want
+    # no empty row, and each row's lowest digit is nonzero
+    assert all(v % (1 << w) for _, v in got.values())
 
 
 class TestSeriesContainer:
@@ -630,3 +639,52 @@ def spread_term_lists(draw):
 def test_cleared_fraction_matches_per_term_assembly(terms):
     z = ZetaRational(terms)
     assert (z.num, z.den) == per_term_cleared(z)
+
+
+BIG = 1 << 200
+
+
+@st.composite
+def big_term_sums(draw):
+    """Up to 5 terms with coefficients up to 2^200 in absolute value over a
+    pool of up to 3 distinct factors, each taken up to 3 times in a term; a
+    term may hold no factor, so that a coefficient can reach the L1 bound
+    that sets the packing width."""
+    pool = draw(st.lists(
+        st.tuples(st.integers(1, 3), st.integers(1, 4)), min_size=1, max_size=3, unique=True
+    ))
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        num = draw(st.lists(st.sampled_from([0, 1, -1, BIG, -BIG]) | st.integers(-BIG, BIG),
+                            min_size=1, max_size=3))
+        den = draw(st.sampled_from([(1,), (-1, 1), (0, 1), (2,)]))
+        factors = [f for f in pool for _ in range(draw(st.integers(0, 3)))]
+        terms.append((RatFunc(num, den), factors))
+    return terms
+
+
+def assert_matches_the_references(z: ZetaRational, order: int):
+    assert (z.num, z.den) == per_term_cleared(z)
+    series = z.t_series(order)
+    for u0 in (2, -3):
+        assert [eval_fraction(c, u0) for c in series.coeffs] == term_series_at(z, u0, order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(big_term_sums(), st.integers(0, 8))
+def test_packed_width_holds_large_coefficients(terms, order):
+    assert_matches_the_references(ZetaRational(terms), order)
+
+
+class TestPackedWidth:
+    def test_a_coefficient_at_the_bound_fits(self):
+        # a term with no factor: the cleared numerator is the coefficient
+        # itself, at max(sum |P_g|_1, |den_u|_1) * 2^0 = 2^200 exactly
+        z = ZetaRational([(RatFunc(BIG), [])])
+        num, den, w = z._cleared
+        assert (unpacked(num, w), unpacked(den, w)) == ({0: {0: BIG}}, {0: {0: 1}})
+        assert_matches_the_references(z, 3)
+        # through T^3 the box of T^3 / (u^2 - T^3) is 1, so the T^3
+        # coefficient 2^200 u^-2 is at the expansion's bound 2^200 * 1
+        assert_matches_the_references(ZetaRational([(RatFunc(BIG), [(2, 3)])]), 3)
+        assert w == ratpoly._width(BIG) == 202
