@@ -1,10 +1,15 @@
 """Built-in resolution-data fixtures for the worked examples.
 
-Each fixture transcribes one worked example's resolution tree: divisor
-multiplicities exactly as drawn, the involution's action on divisors, and the
-stratum values assembled from catalog atoms.  Parametric families are
-addressed by name, e.g. ``x2k_Z2(2)``, ``gk(4,+,-)`` (or the short form
-``gk(4,-)`` for the sign of the y^2 term), ``hk(5,-)``.
+Each fixture is one worked example's resolution tree: divisor multiplicities
+exactly as drawn, the involution's action on divisors, and the stratum values
+assembled from catalog atoms.  ``_chain`` builds every tree that is a chain
+of exceptional circles met by the strict transform (y4-x2, x4-y2, gk, hk) by
+one rule, from the chain and the branch kinds alone.  Written out by hand are
+the trees with signed covers (x2+y2_Z2, -x2-y4_Z2, and x2k_Z2, whose one
+divisor is a point) and A-boundary_f, whose values were fitted to a closed
+form and break the chain rule.  Parametric families are addressed by name,
+e.g. ``x2k_Z2(2)``, ``gk(4,+,-)`` (or the short form ``gk(4,-)`` for the
+sign of the y^2 term), ``hk(5,-)``.
 """
 
 from __future__ import annotations
@@ -23,80 +28,56 @@ _PT_TRIV = Atom("point_trivial")
 _CIRCLE_TRIV = Atom("circle_trivial")
 
 
-def _circle_minus(*removed):
-    """Circle with fixed points, minus the listed closed pieces."""
+def _circle_minus(*removed, circle=_CIRCLE):
+    """The circle, minus the listed closed pieces."""
     if not removed:
-        return _CIRCLE
-    return ClosedComplement(_CIRCLE, DisjointUnion(*removed))
+        return circle
+    return ClosedComplement(circle, DisjointUnion(*removed))
 
 
-def _y4_x2() -> ResolutionData:
-    # two blowups; the swapped pair is where the strict transform meets the
-    # second exceptional divisor
-    return ResolutionData(
-        name="y4-x2_Z2",
-        divisors=(
-            Divisor(1, N=2, nu=2, zero_fiber=True),
-            Divisor(2, N=4, nu=3, zero_fiber=True),
-            Divisor(3, N=1, nu=1),
-            Divisor(4, N=1, nu=1),
-        ),
-        group=GroupSpec(order=2, generators=((1, 2, 4, 3),)),
-        strata=(
-            StratumEntry({1}, _circle_minus(_PT)),
-            StratumEntry({2}, _circle_minus(_PT, _PAIR)),
-            StratumEntry({1, 2}, _PT),
-            StratumEntry({2, 3}, _PAIR),
-        ),
-    )
+def _chain(name, chain, at=None, branches=(), trivial=False) -> ResolutionData:
+    """A chain of exceptional circles and the strict transform's branches.
+
+    ``chain`` lists the exceptional divisors (id, N, nu), ids 1 to n, in
+    chain order, and the branches' divisors take the next ids.  The strict
+    transform meets divisor ``at`` in ``branches``, each "fixed" (one
+    fixed point, one new N = nu = 1 divisor) or "pair" (two points the
+    involution swaps, two new divisors).  Each divisor's stratum is its circle
+    minus one fixed point per chain neighbour and its branch points; then come
+    the crossings in chain order and the branch crossings.  The involution
+    fixes every divisor but the swapped pairs; ``trivial`` forgets it (order
+    1, classical atoms).
+    """
+    circle, pt = (_CIRCLE_TRIV, _PT_TRIV) if trivial else (_CIRCLE, _PT)
+    ids = [i for i, _, _ in chain]
+    crossings = [StratumEntry({a, b}, pt) for a, b in zip(ids, ids[1:])]
+    image = sorted(ids)  # the generator: each id's image, in id order
+    points = []  # where the strict transform meets E_at
+    for kind in branches:
+        new = len(image) + 1
+        if kind == "pair":
+            image += [new + 1, new]
+            points.append(_PAIR)
+            crossings.append(StratumEntry({at, new}, _PAIR))
+        else:
+            image.append(new)
+            points.append(pt)
+            crossings.append(StratumEntry({at, new}, pt))
+    # the circle minus the fixed points of 0, 1 or 2 chain neighbours, shared
+    minus = [_circle_minus(*[pt] * k, circle=circle) for k in range(3)]
+    strata = []
+    for i in sorted(ids):
+        k = (i != ids[0]) + (i != ids[-1])
+        value = _circle_minus(*[pt] * k, *points, circle=circle) if i == at else minus[k]
+        strata.append(StratumEntry({i}, value))
+    divisors = [Divisor(i, N, nu, zero_fiber=True) for i, N, nu in sorted(chain)]
+    divisors += [Divisor(i, N=1, nu=1) for i in range(len(ids) + 1, len(image) + 1)]
+    group = GroupSpec(1) if trivial else GroupSpec(2, (tuple(image),))
+    return ResolutionData(name, divisors, group, strata + crossings)
 
 
-def _x4_y2() -> ResolutionData:
-    # same tree, but the strict transform meets the exceptional locus in two
-    # points that are individually fixed
-    return ResolutionData(
-        name="x4-y2_Z2",
-        divisors=(
-            Divisor(1, N=2, nu=2, zero_fiber=True),
-            Divisor(2, N=4, nu=3, zero_fiber=True),
-            Divisor(3, N=1, nu=1),
-            Divisor(4, N=1, nu=1),
-        ),
-        group=GroupSpec(order=2, generators=((1, 2, 3, 4),)),
-        strata=(
-            StratumEntry({1}, _circle_minus(_PT)),
-            StratumEntry({2}, _circle_minus(_PT, _PT, _PT)),
-            StratumEntry({1, 2}, _PT),
-            StratumEntry({2, 3}, _PT),
-            StratumEntry({2, 4}, _PT),
-        ),
-    )
-
-
-def _trivial_reencoding(name: str) -> ResolutionData:
-    """The same two trees with the group forgotten (classical values)."""
-    def circ_minus(k):
-        if k == 0:
-            return _CIRCLE_TRIV
-        return ClosedComplement(_CIRCLE_TRIV, DisjointUnion(*[_PT_TRIV] * k))
-
-    return ResolutionData(
-        name=name,
-        divisors=(
-            Divisor(1, N=2, nu=2, zero_fiber=True),
-            Divisor(2, N=4, nu=3, zero_fiber=True),
-            Divisor(3, N=1, nu=1),
-            Divisor(4, N=1, nu=1),
-        ),
-        group=GroupSpec(order=1, generators=()),
-        strata=(
-            StratumEntry({1}, circ_minus(1)),
-            StratumEntry({2}, circ_minus(3)),
-            StratumEntry({1, 2}, _PT_TRIV),
-            StratumEntry({2, 3}, _PT_TRIV),
-            StratumEntry({2, 4}, _PT_TRIV),
-        ),
-    )
+# y^4 - x^2 and x^4 - y^2 under (x, y) -> (-x, y): two blowups
+_TWO_BLOWUPS = ((1, 2, 2), (2, 4, 3))
 
 
 def _x2_plus_y2() -> ResolutionData:
@@ -179,117 +160,40 @@ def _a_boundary() -> ResolutionData:
 
 
 def _gk(k: int, sx: str, sy: str) -> ResolutionData:
-    """Chain of k exceptional divisors E_j(2j, j+1) for sx*x^(2k) + sy*y^2."""
+    """Chain of k exceptional divisors E_j(2j, j+1) for sx*x^(2k) + sy*y^2.
+
+    Only the mixed signs have a strict transform: it meets E_k in a pair the
+    involution swaps for odd k, and in two fixed points for even k."""
     if not 3 <= k <= MAX_DIVISORS:  # at least k divisors
         raise UnknownFixture(f"gk fixtures require 3 <= k <= {MAX_DIVISORS}")
-    mixed = sx != sy  # strict transform exists only for the mixed signs
-    divisors = [Divisor(j, N=2 * j, nu=j + 1, zero_fiber=True) for j in range(1, k + 1)]
-    strata: List[StratumEntry] = [StratumEntry({1}, _circle_minus(_PT))]
-    for j in range(2, k):
-        strata.append(StratumEntry({j}, _circle_minus(_PT, _PT)))
-    if not mixed:
-        gens = (tuple(range(1, k + 1)),)
-        strata.append(StratumEntry({k}, _circle_minus(_PT)))
-    else:
-        divisors.append(Divisor(k + 1, N=1, nu=1))
-        divisors.append(Divisor(k + 2, N=1, nu=1))
-        if k % 2 == 1:
-            # the involution exchanges the two branch points on E_k
-            gens = (tuple(range(1, k + 1)) + (k + 2, k + 1),)
-            strata.append(StratumEntry({k}, _circle_minus(_PT, _PAIR)))
-        else:
-            gens = (tuple(range(1, k + 3)),)
-            strata.append(StratumEntry({k}, _circle_minus(_PT, _PT, _PT)))
-    for j in range(1, k):
-        strata.append(StratumEntry({j, j + 1}, _PT))
-    if mixed:
-        if k % 2 == 1:
-            strata.append(StratumEntry({k, k + 1}, _PAIR))
-        else:
-            strata.append(StratumEntry({k, k + 1}, _PT))
-            strata.append(StratumEntry({k, k + 2}, _PT))
-    return ResolutionData(
-        name=f"gk({k},{sx},{sy})",
-        divisors=tuple(divisors),
-        group=GroupSpec(order=2, generators=gens),
-        strata=tuple(strata),
-    )
+    chain = [(j, 2 * j, j + 1) for j in range(1, k + 1)]
+    branches = () if sx == sy else ("pair",) if k % 2 else ("fixed", "fixed")
+    return _chain(f"gk({k},{sx},{sy})", chain, k, branches)
 
 
 def _hk(k: int, sign: str) -> ResolutionData:
     """Chains E_j(2j+1, j+1) for x^2 y + sign * y^k."""
     if not 3 <= k <= 2 * MAX_DIVISORS + 1:  # at least (k - 1) / 2 divisors
         raise UnknownFixture(f"hk fixtures require 3 <= k <= {2 * MAX_DIVISORS + 1}")
-    if k % 2 == 1:
-        p = (k - 1) // 2
-        divisors = [
-            Divisor(j, N=2 * j + 1, nu=j + 1, zero_fiber=True) for j in range(1, p + 1)
-        ]
-        strata: List[StratumEntry] = []
-        for j in range(1, p + 1):
-            removed = []
-            if j > 1:
-                removed.append(_PT)
-            if j < p:
-                removed.append(_PT)
-            if j == p and sign == "-":
-                removed.append(_PAIR)
-            strata.append(StratumEntry({j}, _circle_minus(*removed)))
-        for j in range(1, p):
-            strata.append(StratumEntry({j, j + 1}, _PT))
-        if sign == "-":
-            # two swapped branches of the strict transform on E_p
-            divisors.append(Divisor(p + 1, N=1, nu=1))
-            divisors.append(Divisor(p + 2, N=1, nu=1))
-            gens = (tuple(range(1, p + 1)) + (p + 2, p + 1),)
-            strata.append(StratumEntry({p, p + 1}, _PAIR))
-        else:
-            gens = (tuple(range(1, p + 1)),)
-        return ResolutionData(
-            name=f"hk({k},{sign})",
-            divisors=tuple(divisors),
-            group=GroupSpec(order=2, generators=gens),
-            strata=tuple(strata),
-        )
-    # k = 2p: the last two centers stack E_p(k, p+1) and E_{p+1}(2k, k+1),
-    # every intersection point fixed, one strict-transform branch
     p = k // 2
-    divisors = [
-        Divisor(j, N=2 * j + 1, nu=j + 1, zero_fiber=True) for j in range(1, p)
-    ]
-    divisors.append(Divisor(p, N=k, nu=p + 1, zero_fiber=True))
-    divisors.append(Divisor(p + 1, N=2 * k, nu=k + 1, zero_fiber=True))
-    divisors.append(Divisor(p + 2, N=1, nu=1))
-    strata = []
-    for j in range(1, p):
-        removed = []
-        if j > 1:
-            removed.append(_PT)
-        if j < p - 1:
-            removed.append(_PT)
-        if j == p - 1:
-            removed.append(_PT)  # meets E_{p+1}
-        strata.append(StratumEntry({j}, _circle_minus(*removed)))
-    strata.append(StratumEntry({p}, _circle_minus(_PT)))
-    strata.append(StratumEntry({p + 1}, _circle_minus(_PT, _PT, _PT)))
-    for j in range(1, p - 1):
-        strata.append(StratumEntry({j, j + 1}, _PT))
-    strata.append(StratumEntry({p - 1, p + 1}, _PT))
-    strata.append(StratumEntry({p, p + 1}, _PT))
-    strata.append(StratumEntry({p + 1, p + 2}, _PT))
-    return ResolutionData(
-        name=f"hk({k},{sign})",
-        divisors=tuple(divisors),
-        group=GroupSpec(order=2, generators=(tuple(range(1, p + 3)),)),
-        strata=tuple(strata),
-    )
+    # E_1 .. E_p for odd k; for even k, E_1 .. E_(p-1) lead to the last two
+    chain = [(j, 2 * j + 1, j + 1) for j in range(1, p + (k % 2))]
+    if k % 2:
+        # for sign -, two swapped branches of the strict transform on E_p
+        return _chain(f"hk({k},{sign})", chain, p, ("pair",) if sign == "-" else ())
+    # k = 2p: the last two centers stack E_p(k, p+1) and E_{p+1}(2k, k+1),
+    # so the chain ends E_{p-1} - E_{p+1} - E_p, with one strict-transform
+    # branch through a fixed point of E_{p+1}
+    chain += [(p + 1, 2 * k, k + 1), (p, k, p + 1)]
+    return _chain(f"hk({k},{sign})", chain, p + 1, ("fixed",))
 
 
 _FIXED_BUILDERS = {
-    "y4-x2_Z2": _y4_x2,
-    "x4-y2_Z2": _x4_y2,
-    "y4-x2_triv": lambda: _trivial_reencoding("y4-x2_triv"),
-    "x4-y2_triv": lambda: _trivial_reencoding("x4-y2_triv"),
+    "y4-x2_Z2": lambda: _chain("y4-x2_Z2", _TWO_BLOWUPS, 2, ("pair",)),
+    "x4-y2_Z2": lambda: _chain("x4-y2_Z2", _TWO_BLOWUPS, 2, ("fixed", "fixed")),
+    # the same two trees with the group forgotten (classical values)
+    "y4-x2_triv": lambda: _chain("y4-x2_triv", _TWO_BLOWUPS, 2, ("fixed", "fixed"), True),
+    "x4-y2_triv": lambda: _chain("x4-y2_triv", _TWO_BLOWUPS, 2, ("fixed", "fixed"), True),
     "x2+y2_Z2": _x2_plus_y2,
     "-x2-y4_Z2": _minus_x2_minus_y4,
     "A-boundary_f": _a_boundary,

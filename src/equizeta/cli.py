@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii
 from . import catalog, cohomology, resolution, zeta
 from .arcs import MonomialGerm, SignAction, oracle_series
 from .errors import EquizetaError, InvalidInput, ParseError, SchemaError
-from .ratpoly import ZetaRational, _decimals, _terms
+from .ratpoly import ZetaRational, _decimals
 
 EXIT_OK = 0
 EXIT_UNEQUAL = 1
@@ -93,36 +93,35 @@ def _write_cleared(z, out, newline):
     """The cleared fraction of ``z`` as ``{"den": [...], "num": [...]}``, one
     ``{"c": decimal string, "t": T exponent, "u": u exponent}`` object per
     term in (t, u) order: what ``_write_json`` gives for that dict, written
-    straight from the rows with one fixed-format text block per term."""
-    num, den, w = z._cleared
+    straight from ``z.cleared_rows()`` with one fixed-format text block per
+    term."""
+    num, den = z.cleared_rows()
     inner = newline + "  "
     out.append("{" + inner + '"den": ')
-    _write_rows(den, w, out, inner)
+    _write_rows(den, out, inner)
     out.append("," + inner + '"num": ')
-    _write_rows(num, w, out, inner)
+    _write_rows(num, out, inner)
     out.append(newline + "}")
 
 
-def _write_rows(rows, w, out, newline):
-    """The packed rows ``rows`` of width ``w`` as the JSON list of their
-    nonzero terms in (t, u) order, one text block head + digits + mid + u +
-    tail per term, read straight off each row's nonzero digits.  Every coefficient
-    goes through one ``_decimals`` call, so one too long to print is an
-    InvalidInput (exit 2)."""
-    if not rows:
-        out.append("[]")
-        return
+def _write_rows(rows, out, newline):
+    """The (t, [(u, c), ...]) rows ``rows`` as the JSON list of their terms,
+    one text block head + digits + mid + u + tail per term.  Every
+    coefficient goes through one ``_decimals`` call, so one too long to
+    print is an InvalidInput (exit 2)."""
     item = newline + "  "
     field = item + "  "
     head = "{" + field + '"c": "'
     tail = item + "}"
     coeffs, keys = [], []
-    for t in sorted(rows):
-        low, v = rows[t]
+    for t, terms in rows:
         mid = f'",{field}"t": {t},{field}"u": '
-        for u, c in _terms(v, w, low):
+        for u, c in terms:
             coeffs.append(c)
             keys.append(mid + str(u))
+    if not coeffs:
+        out.append("[]")
+        return
     terms = [d + k for d, k in zip(_decimals(coeffs), keys)]
     out.append("[" + item + head + (tail + "," + item + head).join(terms) + tail + newline + "]")
 

@@ -252,10 +252,13 @@ class SpectralPage:
         return f"SpectralPage({self.dims!r})"
 
 
-# The deepest page window ``hs_e2_page`` materialises: p_min >= -MAX_PAGE_DEPTH.
-# Every row holds one entry per p in the window and nothing else bounds p_min
-# in pipeline JSON, so a deeper window fails at once with InvalidInput (exit 2)
-# instead of exhausting memory.  Built-in pipelines use -16 to -256.
+# The deepest page window ``hs_e2_page`` materialises, p_min >= -MAX_PAGE_DEPTH,
+# and the highest homology degree it takes, q <= MAX_PAGE_DEPTH.  Every row
+# holds one entry per p in the window, ``betti_series`` one head coefficient
+# per total degree up to the largest q, and nothing else bounds p_min or q in
+# pipeline JSON, so either past its bound fails at once with InvalidInput
+# (exit 2) instead of exhausting memory.  Built-in pipelines use p_min from
+# -16 to -256 and q <= 2.
 MAX_PAGE_DEPTH = 1 << 12
 
 # The most entries ``hs_e2_page`` materialises: rows * (1 - p_min), counted
@@ -274,8 +277,9 @@ def hs_e2_page(
 
     Rows extend infinitely to the left; only the window p_min <= p <= 0 is
     materialized, so pick p_min comfortably below every degree later steps
-    will inspect, and no lower than -MAX_PAGE_DEPTH.  InvalidInput when the
-    rows times the window hold more than MAX_PAGE_CELLS entries.
+    will inspect, and no lower than -MAX_PAGE_DEPTH.  InvalidInput when a
+    degree q lies outside 0..MAX_PAGE_DEPTH, or when the rows times the window
+    hold more than MAX_PAGE_CELLS entries.
     """
     if p_min > 0:
         raise InvalidInput("p_min must be <= 0")
@@ -287,10 +291,13 @@ def hs_e2_page(
             f"the E2 page window would hold more than MAX_PAGE_CELLS = {MAX_PAGE_CELLS} "
             f"entries: {len(homology)} rows of {1 - p_min}"
         )
+    for q, _ in homology:
+        if not 0 <= q <= MAX_PAGE_DEPTH:
+            raise InvalidInput(
+                f"homology degree q = {q} must lie in 0..MAX_PAGE_DEPTH = {MAX_PAGE_DEPTH}"
+            )
     dims = {}
     for q, module in homology:
-        if q < 0:
-            raise InvalidInput("homology degrees must be non-negative")
         zero, odd, even = _cohomology_dims(module)
         for p in range(p_min, 1):
             d = zero if p == 0 else odd if p % 2 else even

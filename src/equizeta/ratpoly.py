@@ -785,9 +785,9 @@ def _add_shifted(acc: dict, rows: dict, poly: tuple, w: int, t_shift=0, u_shift=
     return acc
 
 
-def _bipoly(rows: dict, w: int) -> BiPoly:
-    """Packed rows of width w as a BiPoly."""
-    return BiPoly({(e, t): c for t, (low, v) in rows.items() for e, c in _terms(v, w, low)})
+def _bipoly(rows) -> BiPoly:
+    """``cleared_rows`` rows as a BiPoly."""
+    return BiPoly({(u, t): c for t, terms in rows for u, c in terms})
 
 
 def _laurent_over(low: int, poly: tuple, den_u: tuple) -> RatFunc:
@@ -938,15 +938,22 @@ class ZetaRational:
             return num, {0: (0, 1)}, w
         return num, _within_cap(_add_shifted({}, prefix, den_u, w), w), w
 
+    def cleared_rows(self):
+        """(num, den) of the cleared fraction, each an iterator over its
+        (t, [(u, c), ...]) rows: the nonzero terms in (t, u) order, read off
+        the packed rows one row at a time as the iterator advances."""
+        *polys, w = self._cleared
+        return tuple(
+            ((t, _terms(v, w, low)) for t, (low, v) in sorted(rows.items())) for rows in polys
+        )
+
     @cached_property
     def num(self) -> BiPoly:
-        num, _, w = self._cleared
-        return _bipoly(num, w)
+        return _bipoly(self.cleared_rows()[0])
 
     @cached_property
     def den(self) -> BiPoly:
-        _, den, w = self._cleared
-        return _bipoly(den, w)
+        return _bipoly(self.cleared_rows()[1])
 
     def __repr__(self):
         return f"ZetaRational({self.terms!r})"

@@ -685,6 +685,30 @@ class TestErrorBoundary:
         assert_one_error(result, 2)
         assert "MAX_PAGE_DEPTH" in result[2]
 
+    @staticmethod
+    def one_row_at(q):
+        """sphere_fixed with its q = 2 row moved to degree q, and a tail that
+        the q = 0 row alone fits."""
+        spec = cohomology.sphere_fixed_pipeline()
+        spec["homology"][1]["q"] = q
+        spec["tail"] = {"stable_below": 1, "tail_dim": 1}
+        return json.dumps(spec)
+
+    def test_homology_degree_above_the_cap_exits_2_at_once(self):
+        # the head of the series would hold one coefficient per degree up to q
+        start = time.perf_counter()
+        result = call(["cohomology", "-"], self.one_row_at(10**9))
+        assert time.perf_counter() - start < 1.0
+        assert_one_error(result, 2)
+        assert "MAX_PAGE_DEPTH" in result[2]
+
+    def test_homology_degree_at_the_cap_runs(self):
+        q = cohomology.MAX_PAGE_DEPTH
+        code, out, _ = call(["cohomology", "-"], self.one_row_at(q))
+        assert code == 0
+        # u^(q-16) + ... + u^q from the moved row, u / (u - 1) from the tail
+        assert out.splitlines()[0] == f"(u^{q + 1} - u^{q - 16} + u)/(u - 1)"
+
     def test_page_with_many_rows_exits_2_at_once(self):
         # 256 rows at the deepest window would hold a million page entries
         spec = cohomology.sphere_fixed_pipeline(-cohomology.MAX_PAGE_DEPTH)

@@ -199,7 +199,12 @@ class TestPages:
 
     @pytest.mark.parametrize(
         "homology, p_min",
-        [([], 1), ([(-1, TRIV1)], -4), ([(0, TRIV1)], -MAX_PAGE_DEPTH - 1)],
+        [
+            ([], 1),
+            ([(-1, TRIV1)], -4),
+            ([(0, TRIV1)], -MAX_PAGE_DEPTH - 1),
+            ([(MAX_PAGE_DEPTH + 1, TRIV1)], -4),
+        ],
     )
     def test_out_of_range_page_window_is_invalid_input(self, homology, p_min):
         with pytest.raises(InvalidInput):
