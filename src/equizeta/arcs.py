@@ -103,6 +103,8 @@ def is_invariant(germ: MonomialGerm, action: SignAction) -> bool:
 
 
 def _require_invariant(germ, action):
+    if not action.trivial and len(action.eps) != germ.d:
+        raise InvalidInput(f"sign action of length {len(action.eps)} for {germ.d} exponents")
     if not is_invariant(germ, action):
         raise NotInvariant("germ is not invariant under the given sign action")
 

@@ -3,11 +3,11 @@
 Each fixture is one worked example's resolution tree: divisor multiplicities
 exactly as drawn, the involution's action on divisors, and the stratum values
 assembled from catalog atoms.  ``_chain`` builds every tree that is a chain
-of exceptional circles met by the strict transform (y4-x2, x4-y2, gk, hk) by
-one rule, from the chain and the branch kinds alone.  Written out by hand are
-the trees with signed covers (x2+y2_Z2, -x2-y4_Z2, and x2k_Z2, whose one
-divisor is a point) and A-boundary_f, whose values were fitted to a closed
-form and break the chain rule.  Parametric families are addressed by name,
+of exceptional circles (y4-x2, x4-y2, x2+y2, -x2-y4, gk, hk) by one rule,
+from the chain, the branch kinds of the strict transform and, for a germ of
+one sign, that sign.  Written out by hand are x2k_Z2, whose one divisor is a
+point, and A-boundary_f, whose values were fitted to a closed form and break
+the chain rule.  Parametric families are addressed by name,
 e.g. ``x2k_Z2(2)``, ``gk(4,+,-)`` (or the short form ``gk(4,-)`` for the
 sign of the y^2 term), ``hk(5,-)``.
 """
@@ -35,7 +35,7 @@ def _circle_minus(*removed, circle=_CIRCLE):
     return ClosedComplement(circle, DisjointUnion(*removed))
 
 
-def _chain(name, chain, at=None, branches=(), trivial=False) -> ResolutionData:
+def _chain(name, chain, at=None, branches=(), trivial=False, sign=None) -> ResolutionData:
     """A chain of exceptional circles and the strict transform's branches.
 
     ``chain`` lists the exceptional divisors (id, N, nu), ids 1 to n, in
@@ -46,11 +46,20 @@ def _chain(name, chain, at=None, branches=(), trivial=False) -> ResolutionData:
     minus one fixed point per chain neighbour and its branch points; then come
     the crossings in chain order and the branch crossings.  The involution
     fixes every divisor but the swapped pairs; ``trivial`` forgets it (order
-    1, classical atoms).
+    1, classical atoms).  With no strict transform the germ has one sign,
+    ``sign`` ("+" or "-"), and that sign's cover over each stratum is its
+    double cover with fixed fibres: two fixed points over a crossing point,
+    the circle minus 2k fixed points over the circle minus k.  The other
+    sign's cover stays absent.
     """
     circle, pt = (_CIRCLE_TRIV, _PT_TRIV) if trivial else (_CIRCLE, _PT)
+
+    def covers(c):  # (beta_plus, beta_minus): c as the sign's cover
+        return () if sign is None else (c, None) if sign == "+" else (None, c)
+
     ids = [i for i, _, _ in chain]
-    crossings = [StratumEntry({a, b}, pt) for a, b in zip(ids, ids[1:])]
+    two = DisjointUnion(pt, pt)
+    crossings = [StratumEntry({a, b}, pt, *covers(two)) for a, b in zip(ids, ids[1:])]
     image = sorted(ids)  # the generator: each id's image, in id order
     points = []  # where the strict transform meets E_at
     for kind in branches:
@@ -63,13 +72,14 @@ def _chain(name, chain, at=None, branches=(), trivial=False) -> ResolutionData:
             image.append(new)
             points.append(pt)
             crossings.append(StratumEntry({at, new}, pt))
-    # the circle minus the fixed points of 0, 1 or 2 chain neighbours, shared
-    minus = [_circle_minus(*[pt] * k, circle=circle) for k in range(3)]
+    # the circle minus 0 to 4 fixed points, shared: k for a divisor with k
+    # chain neighbours, 2k for the sign's cover over it
+    minus = [_circle_minus(*[pt] * k, circle=circle) for k in range(5)]
     strata = []
     for i in sorted(ids):
         k = (i != ids[0]) + (i != ids[-1])
         value = _circle_minus(*[pt] * k, *points, circle=circle) if i == at else minus[k]
-        strata.append(StratumEntry({i}, value))
+        strata.append(StratumEntry({i}, value, *covers(minus[2 * k])))
     divisors = [Divisor(i, N, nu, zero_fiber=True) for i, N, nu in sorted(chain)]
     divisors += [Divisor(i, N=1, nu=1) for i in range(len(ids) + 1, len(image) + 1)]
     group = GroupSpec(1) if trivial else GroupSpec(2, (tuple(image),))
@@ -78,46 +88,6 @@ def _chain(name, chain, at=None, branches=(), trivial=False) -> ResolutionData:
 
 # y^4 - x^2 and x^4 - y^2 under (x, y) -> (-x, y): two blowups
 _TWO_BLOWUPS = ((1, 2, 2), (2, 4, 3))
-
-
-def _x2_plus_y2() -> ResolutionData:
-    # one blowup; the positive-leading-coefficient cover is a Moebius-band
-    # boundary with a non-free action, the negative one is empty
-    return ResolutionData(
-        name="x2+y2_Z2",
-        divisors=(Divisor(1, N=2, nu=2, zero_fiber=True),),
-        group=GroupSpec(order=2, generators=((1,),)),
-        strata=(
-            StratumEntry({1}, _CIRCLE, beta_plus=_CIRCLE, beta_minus=None),
-        ),
-    )
-
-
-def _minus_x2_minus_y4() -> ResolutionData:
-    # two exceptional circles through one fixed point; the germ is negative,
-    # so only the minus covers are populated (each a Moebius-band boundary
-    # minus two fixed points; two fixed points over the intersection)
-    return ResolutionData(
-        name="-x2-y4_Z2",
-        divisors=(
-            Divisor(1, N=2, nu=2, zero_fiber=True),
-            Divisor(2, N=4, nu=3, zero_fiber=True),
-        ),
-        group=GroupSpec(order=2, generators=((1, 2),)),
-        strata=(
-            StratumEntry(
-                {1},
-                _circle_minus(_PT),
-                beta_minus=_circle_minus(_PT, _PT),
-            ),
-            StratumEntry(
-                {2},
-                _circle_minus(_PT),
-                beta_minus=_circle_minus(_PT, _PT),
-            ),
-            StratumEntry({1, 2}, _PT, beta_minus=DisjointUnion(_PT, _PT)),
-        ),
-    )
 
 
 def _x2k(k: int) -> ResolutionData:
@@ -194,8 +164,9 @@ _FIXED_BUILDERS = {
     # the same two trees with the group forgotten (classical values)
     "y4-x2_triv": lambda: _chain("y4-x2_triv", _TWO_BLOWUPS, 2, ("fixed", "fixed"), True),
     "x4-y2_triv": lambda: _chain("x4-y2_triv", _TWO_BLOWUPS, 2, ("fixed", "fixed"), True),
-    "x2+y2_Z2": _x2_plus_y2,
-    "-x2-y4_Z2": _minus_x2_minus_y4,
+    # one blowup of x^2 + y^2 and two of -x^2 - y^4, each germ of one sign
+    "x2+y2_Z2": lambda: _chain("x2+y2_Z2", [(1, 2, 2)], sign="+"),
+    "-x2-y4_Z2": lambda: _chain("-x2-y4_Z2", _TWO_BLOWUPS, sign="-"),
     "A-boundary_f": _a_boundary,
 }
 

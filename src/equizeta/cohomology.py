@@ -233,21 +233,6 @@ class SpectralPage:
             return NotImplemented
         return self.dims == other.dims
 
-    def to_json(self) -> list:
-        return [[p, q, d] for (p, q), d in sorted(self.dims.items())]
-
-    @classmethod
-    def from_json(cls, obj) -> "SpectralPage":
-        if not isinstance(obj, list):
-            raise SchemaError("page must be an array of [p, q, dim] triples")
-        dims = {}
-        for entry in obj:
-            if not isinstance(entry, list) or [type(x) for x in entry] != [int] * 3:
-                raise SchemaError(f"bad page entry {entry!r}")
-            p, q, d = entry
-            dims[(p, q)] = d
-        return cls(dims)
-
     def __repr__(self):
         return f"SpectralPage({self.dims!r})"
 

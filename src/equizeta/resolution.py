@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import lcm
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import gspace
@@ -128,19 +127,6 @@ def generated_group(res: ResolutionData) -> List[Dict[int, int]]:
     return list(seen.values())
 
 
-def _permutation_order(perm: Dict[int, int]) -> int:
-    """The lcm of the cycle lengths."""
-    order, seen = 1, set()
-    for start in perm:
-        length, i = 0, start
-        while i not in seen:
-            seen.add(i)
-            i = perm[i]
-            length += 1
-        order = lcm(order, max(length, 1))
-    return order
-
-
 def subset_orbit(subset: FrozenSet[int], group: List[Dict[int, int]]):
     """Orbit of a divisor subset under the generated group."""
     return {frozenset(g[i] for i in subset) for g in group}
@@ -189,8 +175,6 @@ def validate(res: ResolutionData) -> List[str]:
                 diags.append(
                     f"generator {gi} does not preserve zero_fiber: divisor {i} -> {j}"
                 )
-        if res.group.order % _permutation_order(gmap):
-            diags.append(f"generator {gi} has order not dividing {res.group.order}")
 
     group = None
     if generators_ok:
@@ -199,7 +183,8 @@ def validate(res: ResolutionData) -> List[str]:
         except InvalidResolution as exc:
             diags.extend(exc.diagnostics)
     if group is not None and res.group.order % len(group):
-        # the group acts through the permutations it spans, a quotient of it
+        # the group acts through the permutations it spans, a quotient of it;
+        # by Lagrange this also covers each generator's order
         diags.append(
             f"generators span {len(group)} permutations, not dividing {res.group.order}"
         )

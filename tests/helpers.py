@@ -253,7 +253,7 @@ def per_stratum_terms(res, variant):
 def unpacked(rows: dict, w: int) -> dict:
     """Packed T-rows {t: (low, v)} of digit width w as {t: {u: c}} with no
     zero entries.  Each digit comes off as the low w bits, moved into
-    [-2^(w-1), 2^(w-1)) with a carry, independently of ``ratpoly._digits``."""
+    [-2^(w-1), 2^(w-1)) with a carry, independently of ``ratpoly._terms``."""
     base, mask = 1 << w, (1 << w) - 1
     out = {}
     for t, (low, v) in rows.items():

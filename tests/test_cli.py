@@ -758,6 +758,13 @@ class TestErrorBoundary:
         assert_one_error(result, 2)
         assert "germ is not invariant under the given sign action" in result[2]
 
+    @pytest.mark.parametrize("exponents, action", [("1,1", "1"), ("2,2", "1,1,1")])
+    def test_oracle_action_of_the_wrong_length_names_both_lengths(self, exponents, action):
+        result = call(["oracle", "--exponents", exponents, "--action", action])
+        assert_one_error(result, 2)
+        signs, exps = len(action.split(",")), len(exponents.split(","))
+        assert f"sign action of length {signs} for {exps} exponents" in result[2]
+
     @pytest.mark.parametrize("fmt", ["rational", "display", "json"])
     def test_result_too_long_to_print_exits_2(self, fmt):
         # 4300 nines, the most int() converts, doubled by (u - 1)^2 on {1, 2}

@@ -184,10 +184,6 @@ class TestPages:
             after = sum((-1) ** n * final.antidiagonal(n) for n in range(lo, hi + 1))
             assert before == after
 
-    def test_page_json_round_trip(self):
-        page = hs_e2_page([(0, TRIV1), (2, SWAP)], p_min=-4)
-        assert SpectralPage.from_json(page.to_json()) == page
-
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 3), modules()), max_size=3), st.integers(-40, 0))
     def test_e2_page_matches_per_degree_cohomology(self, homology, p_min):

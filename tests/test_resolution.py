@@ -5,6 +5,8 @@ import time
 
 import pytest
 from helpers import subset_orbits
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equizeta import catalog
 from equizeta.errors import InvalidResolution, ParseError, SchemaError, UnknownFixture
@@ -80,8 +82,7 @@ class TestValidation:
         gens = ((2, 1, 4, 5, 3),)  # a 2-cycle and a 3-cycle: order 6
         for order, divides in ((6, True), (12, True), (2, False), (3, False), (4, False)):
             res = ResolutionData("cycles", divisors, GroupSpec(order, gens), strata)
-            diags = validate(res)
-            assert any("order not dividing" in d for d in diags) != divides, order
+            assert (validate(res) == []) == divides, order
 
     def test_spanned_group_size_must_divide_the_order(self):
         # (1 2) and (2 3) each have order 2, dividing 8, but together span
@@ -92,6 +93,31 @@ class TestValidation:
         res = ResolutionData("S3", divisors, GroupSpec(8, gens), strata)
         assert validate(res) == ["generators span 6 permutations, not dividing 8"]
         assert validate(dataclasses.replace(res, group=GroupSpec(12, gens))) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(st.permutations(range(1, n + 1)), max_size=3).map(
+                lambda gens: (n, [tuple(g) for g in gens])
+            )
+        ),
+        st.integers(1, 12),
+    )
+    def test_group_diagnostic_iff_the_closure_does_not_divide_the_order(self, case, order):
+        n, gens = case
+        # every product of two known permutations, until none is new
+        group = {tuple(range(1, n + 1)), *gens}
+        while True:
+            products = {tuple(a[b[i] - 1] for i in range(n)) for a in group for b in group}
+            if products <= group:
+                break
+            group |= products
+        bad = len(group) > order or order % len(group) != 0
+        divisors = tuple(Divisor(i, 1, 1, True) for i in range(1, n + 1))
+        strata = (StratumEntry({1}, Atom("point_fixed")),)
+        diags = validate(ResolutionData("random", divisors, GroupSpec(order, gens), strata))
+        assert bool(diags) == bad, (gens, order, diags)
+        assert all(d.startswith("generators span") for d in diags)
 
     def test_group_closure_stops_after_the_declared_order(self):
         # a 9-cycle and a transposition span all of S_9 (362880 permutations)
