@@ -6,7 +6,8 @@ Subcommands: compute, compare, oracle, catalog, cohomology.  Exit codes are
 failed validation or a non-invariant germ), 3 (parse or schema error).
 All configuration is via flags; "-" reads standard input.  Structured output
 is indented JSON with sorted keys, written by ``_emit``; a cleared fraction
-is written straight from its packed T-rows.
+is written straight from its interleaved term lists, one ``%`` call on a
+template of one JSON block per term for each polynomial.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 from . import catalog, cohomology, resolution, zeta
 from .arcs import MonomialGerm, SignAction, oracle_series
 from .errors import EquizetaError, InvalidInput, ParseError, SchemaError
-from .ratpoly import ZetaRational, _decimals
+from .ratpoly import ZetaRational
 
 EXIT_OK = 0
 EXIT_UNEQUAL = 1
@@ -93,37 +94,32 @@ def _write_cleared(z, out, newline):
     """The cleared fraction of ``z`` as ``{"den": [...], "num": [...]}``, one
     ``{"c": decimal string, "t": T exponent, "u": u exponent}`` object per
     term in (t, u) order: what ``_write_json`` gives for that dict, written
-    straight from ``z.cleared_rows()`` with one fixed-format text block per
-    term."""
-    num, den = z.cleared_rows()
+    straight from ``z.cleared_terms()``."""
+    num, den = z.cleared_terms()
     inner = newline + "  "
     out.append("{" + inner + '"den": ')
-    _write_rows(den, out, inner)
+    _write_terms(den, out, inner)
     out.append("," + inner + '"num": ')
-    _write_rows(num, out, inner)
+    _write_terms(num, out, inner)
     out.append(newline + "}")
 
 
-def _write_rows(rows, out, newline):
-    """The (t, [(u, c), ...]) rows ``rows`` as the JSON list of their terms,
-    one text block head + digits + mid + u + tail per term.  Every
-    coefficient goes through one ``_decimals`` call, so one too long to
-    print is an InvalidInput (exit 2)."""
-    item = newline + "  "
-    field = item + "  "
-    head = "{" + field + '"c": "'
-    tail = item + "}"
-    coeffs, keys = [], []
-    for t, terms in rows:
-        mid = f'",{field}"t": {t},{field}"u": '
-        for u, c in terms:
-            coeffs.append(c)
-            keys.append(mid + str(u))
-    if not coeffs:
+def _write_terms(terms, out, newline):
+    """The interleaved [c, t, u, ...] list ``terms`` as the JSON list of its
+    term objects, in one ``%`` call on a template of one block per term.  A
+    coefficient with more digits than the interpreter converts
+    (``sys.get_int_max_str_digits()``) is an InvalidInput (exit 2)."""
+    if not terms:
         out.append("[]")
         return
-    terms = [d + k for d, k in zip(_decimals(coeffs), keys)]
-    out.append("[" + item + head + (tail + "," + item + head).join(terms) + tail + newline + "]")
+    item = newline + "  "
+    field = item + "  "
+    block = "{" + field + '"c": "%d",' + field + '"t": %d,' + field + '"u": %d' + item + "}"
+    try:
+        text = ("," + item).join([block] * (len(terms) // 3)) % tuple(terms)
+    except ValueError as exc:
+        raise InvalidInput(f"a coefficient of the result is too long to print: {exc}") from exc
+    out.append("[" + item + text + newline + "]")
 
 
 def _read(ref: str):

@@ -6,9 +6,9 @@ powers with no trailing zeros (the empty tuple is 0).  On top of those sit:
 * ``RatFunc``      -- reduced fractions of integer polynomials in u,
 * ``ZetaRational`` -- sums of coeff * prod T^N / (u^nu - T^N) terms, whose
   T-expansion gives the series and certified equality, and whose factors,
-  multiplied out, give the cleared fraction, which the CLI prints directly;
-  all three add up their rows through one in-place adder, ``_add_shifted``,
-* ``BiPoly``       -- a (u, T) map view of those rows, built only on request,
+  multiplied out, give the cleared fraction, which the CLI prints directly,
+* ``BiPoly``       -- a (u, T) map view of the cleared fraction, built only
+  on request,
 * ``TSeries``      -- truncated power series in T with ``RatFunc`` coefficients.
 
 Everything is immutable and uses arbitrary-precision integers only: one long
@@ -17,25 +17,31 @@ as a primitive pseudo-remainder sequence, so no rational coefficient and no
 floating point appears anywhere in this package.
 
 Both the T-expansion and the cleared fraction hold a polynomial in (u, T)
-as packed T-rows {T exponent: (low, v)}: the u-polynomial of one row is
-dense in its band, so it is one int, v = sum_i c_i 2^(w i), whose balanced
-digits |c_i| < 2^(w-1) are the coefficients of u^(low + i), the lowest one
-nonzero (Kronecker substitution: Harvey, "Faster polynomial multiplication
-via multipoint Kronecker substitution", JSC 2009).  A shift by u^nu is
-low += nu, the sum of two rows one aligned shift and one int add, and a
-product by a u-polynomial one int product.  Every operation is evaluation
-at u = 2^w, so the digits read back are the coefficients as long as those
-fit: each ``_cleared`` and ``_expand`` call derives its one width w from an
-L1 bound on every coefficient it can produce.
+by Kronecker substitution (Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", JSC 2009): coefficients are the balanced
+digits |c| < 2^(w-1) of one int, v = sum_i c_i 2^(w i), so a shift is an
+offset, a sum one aligned add, and a product one int product.  Every
+operation is evaluation at 2^w, so the digits read back are the
+coefficients as long as those fit: each ``_expand`` and ``_cleared`` call
+derives its one width w from an L1 bound on every coefficient it can
+produce.  The T-expansion, sparse in T, holds packed T-rows {T exponent:
+(low, v)}, one int per row over the u-band of that row, and adds them up
+through one in-place adder, ``_add_shifted``.  The cleared fraction is a
+product of binomials u^nu - T^N, dense in T, so the ``cleared`` module packs
+runs of consecutive T-rows into one int under a skewed map that keeps each
+row clear of the next: a product by a binomial is then one shift and one
+subtraction per run.
 
 Canonicalisation strips the two primes that the engine's denominators are
 built from before any gcd: the power of u, read from the low zero
 coefficients, and the power of u - 1 that num and den share, found by
 synthetic division at the root u = 1 (the coefficients sum to 0 exactly when
 u - 1 divides).  The primitive PRS runs only on what is left of num and den,
-and only when both of those are non-constant.  Series coefficients are
-Laurent polynomials over small denominators such as u^s, and G-space values
-are fractions over powers of u and u - 1, so most of them need no PRS at all.
+only when both of those are non-constant, and only when Euclid on their
+images modulo the prime 2^61 - 1 does not already show them coprime.  Series
+coefficients are Laurent polynomials over small denominators such as u^s,
+and G-space values are fractions over powers of u and u - 1, so most of them
+need no PRS at all.
 """
 
 from __future__ import annotations
@@ -232,6 +238,41 @@ def _over_u_minus_1(p: tuple):
     return tuple(reversed(q))
 
 
+# The Mersenne prime 2^61 - 1, the modulus of the coprimality test.
+_P = (1 << 61) - 1
+
+
+def _rem_mod_p(a: list, b: list) -> list:
+    """The remainder of a by b over GF(_P), coefficient lists in ascending
+    powers with b's leading one nonzero, trimmed."""
+    a = a[:]
+    d = len(b) - 1
+    inv = pow(b[-1], -1, _P)
+    for k in range(len(a) - 1, d - 1, -1):
+        c = a[k] * inv % _P
+        if c:
+            for j in range(d):
+                a[k - d + j] = (a[k - d + j] - c * b[j]) % _P
+    del a[d:]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _coprime_mod_p(a: tuple, b: tuple) -> bool:
+    """True when the non-constant a and b are coprime over Q by their images
+    mod _P: _P does not divide lc(a) and Euclid over GF(_P) ends on a
+    constant.  The primitive gcd g of a and b has lc(g) dividing lc(a), so
+    g mod _P keeps its degree and divides both images.  False only says
+    that this prime cannot tell."""
+    if not a[-1] % _P:
+        return False
+    x, y = [c % _P for c in a], list(ptrim(c % _P for c in b))
+    while y:
+        x, y = y, _rem_mod_p(x, y)
+    return len(x) == 1
+
+
 def _cofactors(a: tuple, b: tuple):
     """(a / g, b / g) for g = pgcd(a, b), a and b nonzero: the one gcd step.
 
@@ -239,8 +280,9 @@ def _cofactors(a: tuple, b: tuple):
     u, counted in its low zero coefficients, and the power of u - 1 the two
     share, by synthetic division at u = 1 of both while both are divisible.
     Both factors are prime, so what is left, A and B, has no common factor u
-    or u - 1, g is u^min (u-1)^min gcd(A, B), and the primitive PRS runs on
-    A and B only, and not at all when either is a constant."""
+    or u - 1, and g is u^min (u-1)^min gcd(A, B).  The primitive PRS runs on
+    A and B only: not when either is a constant, and not when their images
+    mod 2^61 - 1 show them coprime (``_coprime_mod_p``)."""
     va, vb = _valuation(a), _valuation(b)
     v = min(va, vb)
     a, b = a[va:], b[vb:]
@@ -249,7 +291,7 @@ def _cofactors(a: tuple, b: tuple):
         if qa is None or qb is None:
             break
         a, b = qa, qb
-    if len(a) > 1 and len(b) > 1:
+    if len(a) > 1 and len(b) > 1 and not _coprime_mod_p(a, b):
         g = pgcd(a, b)
         if g != (1,):
             a, b = pdivexact(a, g), pdivexact(b, g)
@@ -456,7 +498,7 @@ class BiPoly:
     """Integer polynomial in (u, T) stored as {(u_exp, t_exp): coeff}.
 
     ``ZetaRational.num`` and ``.den`` build it from the cleared fraction's
-    rows on first access; printing reads the rows and builds none."""
+    terms on first access; printing reads the terms and builds none."""
 
     __slots__ = ("terms",)
 
@@ -519,11 +561,13 @@ def _common_den(terms) -> tuple:
 
 def _factor_max(factor_tuples) -> Counter:
     """Each distinct (nu, N) factor at its largest multiplicity in one tuple."""
-    out = Counter()
+    out = {}
     for factors in factor_tuples:
-        for key, count in Counter(factors).items():
-            out[key] = max(out[key], count)
-    return out
+        for key in factors:
+            count = factors.count(key)
+            if count > out.get(key, 0):
+                out[key] = count
+    return Counter(out)
 
 
 def _t_bound(factor_tuples) -> int:
@@ -534,12 +578,18 @@ def _t_bound(factor_tuples) -> int:
 def _grouped(den_u: tuple, terms, negated=()) -> dict:
     """den_u * (sum(terms) - sum(negated)) as {factor tuple: u-polynomial}:
     terms sharing a factor tuple add up and cancelled groups are dropped.
-    den_u must be a multiple of every coefficient's denominator."""
+    den_u must be a multiple of every coefficient's denominator, and each
+    distinct denominator divides it once."""
     groups = {}
-    for sign, part in ((1, terms), (-1, negated)):
+    quotients = {}
+    for negate, part in ((False, terms), (True, negated)):
         for coeff, factors in part:
-            scaled = pmul(coeff.num, pdivexact(den_u, coeff.den))
-            groups[factors] = padd(groups.get(factors, ()), pmul((sign,), scaled))
+            if coeff.den not in quotients:
+                quotients[coeff.den] = pdivexact(den_u, coeff.den)
+            scaled = pmul(coeff.num, quotients[coeff.den])
+            if negate:
+                scaled = pneg(scaled)
+            groups[factors] = padd(groups[factors], scaled) if factors in groups else scaled
     return {factors: poly for factors, poly in groups.items() if poly}
 
 
@@ -552,23 +602,14 @@ def _grouped(den_u: tuple, terms, negated=()) -> dict:
 # (exit 2) instead.
 MAX_EXPANSION = 1 << 24
 
-# Cap on the nonzero (u, T) terms of any one polynomial that
-# ``ZetaRational._cleared`` holds while it builds num / den, counted exactly
-# after each step; MAX_PACKED_BITS below bounds the memory of its rows.
-# The catalog's largest polynomials on the way are gk(62,+,-) at 83,324 terms,
-# hk(129,+) at 47,891 and gk(64,+,+) at 45,758.  Sixteen divisors whose N
-# have distinct subset sums, with every pair a stratum, pass it within a
-# second and fail with InvalidInput (exit 2); twice the cap lets them print
-# 17 MB of JSON at 241 MB peak RSS.
-MAX_CLEARED_TERMS = 1 << 17
-
-# Cap on the bits of the packed rows of any one polynomial that ``_cleared``
-# or ``_expand`` holds, 16 MiB.  A packed row stores every power of u in its
-# band, zero or not, so this bounds memory where MAX_CLEARED_TERMS, which
-# counts nonzero terms, does not: a divisor with nu = 10^9 beside one with
-# nu = 1 puts the two ends of a row 10^9 digits apart, and fails at once
-# with InvalidInput (exit 2).  The catalog's largest polynomial, on the way
-# to gk(62,+,-), holds 5.8 million bits.
+# Cap on the bits of the packed rows or runs of any one polynomial that
+# ``_expand`` or ``cleared.cleared_fraction`` holds, 16 MiB.  A packed row
+# stores every power of u in its band, zero or not, so this bounds memory
+# where ``cleared.MAX_CLEARED_TERMS``, which counts nonzero terms, does not:
+# a divisor with nu = 10^9 beside one with nu = 1 puts the two ends of a row
+# 10^9 digits apart, and fails at once with InvalidInput (exit 2).  The
+# catalog's largest polynomial, on the way to gk(62,+,-), holds 8.0 million
+# bits in its runs.
 MAX_PACKED_BITS = 1 << 27
 
 
@@ -638,26 +679,6 @@ def _terms(v: int, w: int, start: int = 0) -> list:
     return out
 
 
-def _nonzero_digits(v: int, w: int) -> int:
-    """The number of nonzero digits of v, in a few passes over its bits and
-    without reading the digits off: with 2^(w-1) added to each digit and
-    xor-ed off again, a digit is 0 exactly where v's is, and or-ing the w
-    bits of each digit into its lowest leaves one bit per nonzero digit."""
-    n = v.bit_length() // w + 1
-    ones, count = 1, 1  # a 1 in each of count >= n digits
-    while count < n:
-        ones |= ones << (w * count)
-        count *= 2
-    half = ones << (w - 1)
-    bits = (v + half) ^ half
-    covered = 1
-    while covered < w:
-        step = min(covered, w - covered)
-        bits |= bits >> step
-        covered += step
-    return (bits & ones).bit_count()
-
-
 def _row_poly(row: tuple, w: int) -> tuple:
     """A packed row as (low, u-polynomial tuple): the Laurent polynomial
     u^low * poly(u)."""
@@ -711,31 +732,6 @@ def _expand(groups: dict, order: int):
     return out, w
 
 
-def _within_cap(rows: dict, w: int) -> dict:
-    """rows, or InvalidInput once they hold more than MAX_CLEARED_TERMS
-    nonzero (u, T) terms or more than MAX_PACKED_BITS bits.  The bits over
-    w, plus one per row, bound the digits from above in O(rows); the nonzero
-    digits are counted only when that bound exceeds the cap."""
-    bits = _packed_bits(rows)
-    if bits // w + len(rows) > MAX_CLEARED_TERMS and sum(
-        _nonzero_digits(v, w) for _, v in rows.values()
-    ) > MAX_CLEARED_TERMS:
-        raise InvalidInput(
-            f"the cleared fraction would hold more than MAX_CLEARED_TERMS = {MAX_CLEARED_TERMS} "
-            "terms; the strata hold too many distinct factors or too large multiplicities"
-        )
-    if bits > MAX_PACKED_BITS:
-        raise _too_many_bits()
-    return rows
-
-
-def _times_factor(rows: dict, nu: int, N: int, w: int) -> dict:
-    """rows * (u^nu - T^N): out[t] = u^nu rows[t] - rows[t-N], each row's
-    low exponent moved up by nu and the rows moved up by T^N subtracted."""
-    out = {t: (low + nu, v) for t, (low, v) in rows.items()}
-    return _within_cap(_add_shifted(out, rows, (-1,), w, N), w)
-
-
 def _add_shifted(acc: dict, rows: dict, poly: tuple, w: int, t_shift=0, u_shift=0, t_max=None):
     """acc += poly(u) u^u_shift T^t_shift rows in place, through T^t_max when
     given, on packed rows of width w; returns acc.  A product by poly is one
@@ -785,9 +781,9 @@ def _add_shifted(acc: dict, rows: dict, poly: tuple, w: int, t_shift=0, u_shift=
     return acc
 
 
-def _bipoly(rows) -> BiPoly:
-    """``cleared_rows`` rows as a BiPoly."""
-    return BiPoly({(u, t): c for t, terms in rows for u, c in terms})
+def _bipoly(terms: list) -> BiPoly:
+    """An interleaved [c, t, u, ...] term list as a BiPoly."""
+    return BiPoly(dict(zip(zip(terms[2::3], terms[1::3]), terms[::3])))
 
 
 def _laurent_over(low: int, poly: tuple, den_u: tuple) -> RatFunc:
@@ -873,87 +869,25 @@ class ZetaRational:
 
     @cached_property
     def _cleared(self):
-        """(num, den, w) with den = den_u * prod_f x_f^M_f, x_f = u^nu - T^N.
+        """(layout, num, den): ``cleared.cleared_fraction`` of the terms,
+        imported here since that module builds on this one."""
+        from .cleared import cleared_fraction
 
-        With the distinct factors f_1 < ... < f_K at their largest
-        multiplicities M_i, num = sum_g P_g T^N_g prod_f x_f^(M_f - m_g(f))
-        over the ``_grouped`` groups g, where m_g(f) is the multiplicity of f
-        in g and N_g the sum of N over g.  One pass over the factors builds
-        it, with no T-series and no division, keeping one partial sum for
-        each set of factors that its groups still hold.  Step i multiplies
-        the prefix Pre = prod_(j<i) x_j^M_j by x_i^M_i and each partial sum by
-        x_i^(M_i - m(f_i)), and merges the sums that hold the same factors
-        after f_i.  A group whose first factor is f_i then joins the sum for
-        the rest of its factors as P_g T^N_g Pre x_i^(M_i - m_g(f_i)), so all
-        the groups that hold the same factors from some point on share the
-        products after it.  The sum that holds no factor is num, and
-        den = den_u * Pre_K; (0, 1) when every group cancels.  Both come as
-        packed T-rows {T exponent: (low, v)} of one width w.  Every
-        polynomial on the way is a sum of some groups times at most sum M_f
-        binomials of L1 norm 2, or den_u times the prefix, so its coefficients
-        are at most max(sum_g |P_g|_1, |den_u|_1) * 2^(sum M_f), which sets w.
-        Not gcd-reduced: bivariate gcds are expensive and nothing needs them.
-        InvalidInput as soon as a polynomial on the way holds more than
-        MAX_CLEARED_TERMS terms or MAX_PACKED_BITS bits.
-        """
-        den_u = _common_den(self.terms)
-        groups = _grouped(den_u, self.terms)
-        factors = sorted(_factor_max(factors for _, factors in self.terms).items())
-        w = _width(
-            max(sum(map(_l1, groups.values())), _l1(den_u)) << sum(count for _, count in factors)
-        )
-        if not groups:
-            return {}, {0: (0, 1)}, w
-        index = {f: i for i, (f, _) in enumerate(factors)}
-        pending = {(): {}}  # (factor index, multiplicity) pairs still held -> partial sum
-        joining = {}  # index of the first factor -> [(held pairs, poly, T shift)]
-        for group, poly in groups.items():
-            held = tuple((index[f], m) for f, m in Counter(group).items())
-            shift = sum(N for _, N in group)
-            if held:
-                joining.setdefault(held[0][0], []).append((held, poly, shift))
-            else:
-                _within_cap(_add_shifted(pending[()], {0: (0, 1)}, poly, w, shift), w)
-        prefix = {0: (0, 1)}
-        for i, ((nu, N), count) in enumerate(factors):
-            merged = {}
-            for held, rows in pending.items():
-                m = held[0][1] if held and held[0][0] == i else 0
-                for _ in range(count - m):
-                    rows = _times_factor(rows, nu, N, w)
-                rest = held[1:] if m else held
-                if rest in merged:
-                    _within_cap(_add_shifted(merged[rest], rows, (1,), w), w)
-                else:
-                    merged[rest] = rows
-            powers = [prefix]  # prefix * x_i^k for k = 0 .. M_i
-            for _ in range(count):
-                powers.append(_times_factor(powers[-1], nu, N, w))
-            for held, poly, shift in joining.get(i, ()):
-                joined = merged.setdefault(held[1:], {})
-                _within_cap(_add_shifted(joined, powers[count - held[0][1]], poly, w, shift), w)
-            pending, prefix = merged, powers[-1]
-        num = pending[()]
-        if not num:
-            return num, {0: (0, 1)}, w
-        return num, _within_cap(_add_shifted({}, prefix, den_u, w), w), w
+        return cleared_fraction(self.terms)
 
-    def cleared_rows(self):
-        """(num, den) of the cleared fraction, each an iterator over its
-        (t, [(u, c), ...]) rows: the nonzero terms in (t, u) order, read off
-        the packed rows one row at a time as the iterator advances."""
-        *polys, w = self._cleared
-        return tuple(
-            ((t, _terms(v, w, low)) for t, (low, v) in sorted(rows.items())) for rows in polys
-        )
+    def cleared_terms(self):
+        """(num, den) of the cleared fraction, each as one interleaved list
+        [c, t, u, c, t, u, ...] of its nonzero terms in (t, u) order."""
+        layout, *polys = self._cleared
+        return tuple(map(layout.terms, polys))
 
     @cached_property
     def num(self) -> BiPoly:
-        return _bipoly(self.cleared_rows()[0])
+        return _bipoly(self.cleared_terms()[0])
 
     @cached_property
     def den(self) -> BiPoly:
-        return _bipoly(self.cleared_rows()[1])
+        return _bipoly(self.cleared_terms()[1])
 
     def __repr__(self):
         return f"ZetaRational({self.terms!r})"

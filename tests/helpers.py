@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd
 
+from equizeta.cleared import _digits
 from equizeta.cohomology import F2Matrix
 from equizeta.errors import NotExpandable
 from equizeta.gspace import (
@@ -97,6 +99,22 @@ def euclid_gcd(a, b):
     for c in fa:
         mult = mult * c.denominator // gcd(mult, c.denominator)
     return pprimitive(tuple(int(c * mult) for c in fa))
+
+
+def big_coprime_pair():
+    """Two degree-24 integer polynomials with random coefficients of up to
+    300 digits, seeded: coprime, joint content 1, a positive leading
+    coefficient and no root 0 or 1, so that their fraction is its own
+    canonical form.  The primitive PRS takes over a second to show that they
+    are coprime."""
+    rng = random.Random(24)
+
+    def poly():
+        return tuple(rng.randrange(-10**300, 10**300) for _ in range(24)) + (
+            rng.randrange(1, 10**300),
+        )
+
+    return poly(), poly()
 
 
 def prs_canonical(num, den):
@@ -191,6 +209,16 @@ def per_term_cleared(z: ZetaRational):
     return num, den
 
 
+def cleared_width(z: ZetaRational) -> int:
+    """The bits that a coefficient of z's cleared fraction, or of any
+    polynomial on the way to it, needs: one more than the bit length of
+    max(sum_g |P_g|_1, |den_u|_1) * 2^(sum M_f), its bound."""
+    den_u = _common_den(z.terms)
+    l1 = max(sum(sum(map(abs, p)) for p in _grouped(den_u, z.terms).values()),
+             sum(map(abs, den_u)))
+    return (l1 << sum(_factor_max(f for _, f in z.terms).values())).bit_length() + 1
+
+
 def bipoly_json(p: BiPoly) -> list:
     """p's terms as the CLI prints them: {"u", "t", "c"} objects in (t, u)
     order, c a decimal string."""
@@ -277,6 +305,23 @@ def packed(rows: dict, w: int) -> dict:
         t: (min(row), sum(c << w * (e - min(row)) for e, c in row.items()))
         for t, row in rows.items()
     }
+
+
+def run_digit_count(runs: list, w: int) -> int:
+    """The nonzero digits of ``cleared._Layout`` runs (j0, j1, e, v) of digit
+    width w, read off by ``cleared._digits``."""
+    return sum(sum(map(bool, _digits(v, w))) for *_, v in runs)
+
+
+def skewed(layout, rows: dict) -> list:
+    """{t: {u: c}} rows as runs of ``layout``, one term at a time through its
+    ``add``."""
+    runs = []
+    for t, row in rows.items():
+        j = t // layout.g
+        for u, c in row.items():
+            runs = layout.add(runs, [(j, j, u + layout.k * j, c)])
+    return runs
 
 
 def laurent_row(row: dict, den_u) -> RatFunc:

@@ -5,14 +5,14 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from helpers import cleared_json, per_term_cleared, reference_rational_text
+from helpers import big_coprime_pair, cleared_json, per_term_cleared, reference_rational_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_properties import variants_of
 
-from equizeta import catalog, cohomology, ratpoly
+from equizeta import catalog, cleared, cohomology, ratpoly
 from equizeta.cli import _emit, build_parser, main
-from equizeta.ratpoly import BiPoly, TSeries, ZetaRational, pmul
+from equizeta.ratpoly import BiPoly, RatFunc, TSeries, ZetaRational, pmul
 from equizeta.resolution import parse, resolution_to_json, serialize
 from equizeta.zeta import denef_loeser
 
@@ -267,6 +267,34 @@ class TestRationalOutput:
         assert code == 0 and json.loads(out)["den"]
         code, out, _ = run("compute", path, "--format", "json")
         assert code == 0 and json.loads(out)["rational"]["num"]
+
+
+@st.composite
+def unusual_layouts(draw):
+    """Up to 6 terms over a pool of up to 4 distinct factors, with nu up to
+    10^3 and N that mix 1, 2, 3 and 10^6 or share a gcd (all even, or all
+    multiples of 1000); the last terms may negate the first ones, so that
+    groups cancel.  The catalog and the bench build none of these layouts:
+    T-rows far apart, bands far apart within a row, and a gcd over 1."""
+    n_values = draw(st.sampled_from([(1, 2, 3, 10**6), (2, 4, 6, 2 * 10**6),
+                                     (1000, 2000, 3000, 10**6)]))
+    nus = st.integers(1, 3) | st.integers(1, 1000)
+    pool = draw(st.lists(st.tuples(nus, st.sampled_from(n_values)),
+                         min_size=1, max_size=4, unique=True))
+    coeffs = st.builds(RatFunc, st.lists(st.integers(-4, 4), min_size=1, max_size=3),
+                       st.sampled_from([(1,), (-1, 1), (0, 1), (2,)]))
+    terms = [(draw(coeffs), draw(st.lists(st.sampled_from(pool), max_size=3)))
+             for _ in range(draw(st.integers(0, 6)))]
+    cancelled = draw(st.integers(0, len(terms) // 2))
+    return terms[:len(terms) - cancelled] + [(-coeff, f) for coeff, f in terms[:cancelled]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(unusual_layouts())
+def test_cleared_fraction_of_unusual_layouts(terms):
+    z = ZetaRational(terms)
+    assert (z.num, z.den) == per_term_cleared(z)
+    assert _emit(z) == reference_rational_text(z)
 
 
 class TestCompare:
@@ -670,10 +698,10 @@ class TestErrorBoundary:
     def test_cleared_fraction_at_the_cap_runs(self, monkeypatch):
         # the largest polynomial on the way to gk(10,+,-) holds 436 terms
         argv = ["compute", "gk(10,+,-)", "--format", "rational"]
-        monkeypatch.setattr(ratpoly, "MAX_CLEARED_TERMS", 436)
+        monkeypatch.setattr(cleared, "MAX_CLEARED_TERMS", 436)
         code, out, _ = call(argv)
         assert code == 0 and json.loads(out)["den"]
-        monkeypatch.setattr(ratpoly, "MAX_CLEARED_TERMS", 435)
+        monkeypatch.setattr(cleared, "MAX_CLEARED_TERMS", 435)
         assert_one_error(call(argv), 2)
 
     def test_page_window_below_the_cap_exits_2_at_once(self):
@@ -764,6 +792,20 @@ class TestErrorBoundary:
         assert_one_error(result, 2)
         signs, exps = len(action.split(",")), len(exponents.split(","))
         assert f"sign action of length {signs} for {exps} exponents" in result[2]
+
+    def test_large_coprime_rational_value_runs_at_once(self):
+        # a stratum value whose num and den the PRS takes over a second to
+        # show coprime; their images mod 2^61 - 1 show it at once
+        num, den = big_coprime_pair()
+        doc = resolution_to_json(catalog.get("y4-x2_Z2"))
+        doc["strata"][2]["beta"] = {"kind": "rational", "value": {
+            "num": [str(c) for c in num], "den": [str(c) for c in den]}}
+        doc = json.dumps(doc)
+        start = time.perf_counter()
+        code, out, _ = call(["compute", "-", "--format", "rational"], doc)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert json.loads(out) == cleared_json(*per_term_cleared(denef_loeser(parse(doc), "naive")))
 
     @pytest.mark.parametrize("fmt", ["rational", "display", "json"])
     def test_result_too_long_to_print_exits_2(self, fmt):

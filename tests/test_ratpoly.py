@@ -1,7 +1,11 @@
+import time
+
 import pytest
 from helpers import (
+    big_coprime_pair,
     cleared_equal,
     cleared_t_series,
+    cleared_width,
     euclid_gcd,
     eval_fraction,
     flat_add_shifted,
@@ -11,7 +15,9 @@ from helpers import (
     prs_canonical,
     prs_lcm_fold,
     recurrence_laurent,
+    run_digit_count,
     series_values_match,
+    skewed,
     term,
     term_series_at,
     truncate,
@@ -22,10 +28,10 @@ from helpers import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from equizeta import catalog, ratpoly
+from equizeta import catalog, cleared, ratpoly
+from equizeta.cleared import MAX_CLEARED_TERMS, _Layout
 from equizeta.errors import DivisionByZero, InvalidInput, NotExpandable, ZeroDenominator
 from equizeta.ratpoly import (
-    MAX_CLEARED_TERMS,
     MAX_EXPANSION,
     BiPoly,
     RatFunc,
@@ -33,10 +39,10 @@ from equizeta.ratpoly import (
     ZetaRational,
     _add_shifted,
     _common_den,
+    _coprime_mod_p,
     _expansion_work,
     _grouped,
     _lcm_fold,
-    _times_factor,
     _t_bound,
     pcontent,
     pdivexact,
@@ -195,8 +201,7 @@ class TestBiPoly:
         z = zsum(term({(0, 0): 1}, [(2, 2)]), term({(0, 0): -1}, [(2, 2)]))
         assert z.is_zero()
         for s in (z, ZetaRational()):
-            num, den, w = s._cleared
-            assert (unpacked(num, w), unpacked(den, w)) == ({}, {0: {0: 1}})
+            assert s.cleared_terms() == ([], [1, 0, 0])
 
 
 class TestTSeriesExpansion:
@@ -261,29 +266,50 @@ class TestClearedBound:
         # of every catalog tree and variant within the divisor cap, gk(62,+,-)
         # holds the largest polynomial on the way to its cleared fraction
         sizes = []
-        within_cap = ratpoly._within_cap
+        within_cap = cleared._within_cap
 
-        def record(rows, w):
-            sizes.append(sum(map(len, unpacked(rows, w).values())))
-            return within_cap(rows, w)
+        def record(runs, w):
+            sizes.append(run_digit_count(runs, w))
+            return within_cap(runs, w)
 
-        monkeypatch.setattr(ratpoly, "_within_cap", record)
+        monkeypatch.setattr(cleared, "_within_cap", record)
         denef_loeser(catalog.get("gk(62,+,-)"), "naive").num
         assert max(sizes) == 83324 < MAX_CLEARED_TERMS
 
+    @pytest.mark.parametrize(
+        "name", [f"gk(14,{a},{b})" for a in "+-" for b in "+-"]
+        + ["gk(62,+,-)", "gk(64,+,+)", "hk(129,+)"],
+    )
+    def test_runs_hold_at_most_twice_the_bits_of_their_terms_and_rows(self, name):
+        # the skewed map keeps rows apart by their widest band, and runs
+        # join across few empty digits: each term and each row is worth at
+        # most two digits.  The digits are the coefficient bound's width
+        # rounded up to a machine integer, and above 64 bits only to whole
+        # bytes
+        z = denef_loeser(catalog.get(name), "naive")
+        need = cleared_width(z)
+        w = next((size for size in (8, 16, 32, 64) if size >= need), -(-need // 8) * 8)
+        layout, *polys = z._cleared
+        assert layout.w == w
+        for runs, terms in zip(polys, z.cleared_terms()):
+            bits = sum(v.bit_length() for *_, v in runs)
+            assert bits <= 2 * w * (len(terms) // 3 + len(set(terms[1::3])))
+
     def test_times_factor_drops_cancelled_terms(self):
         # (u + T)(u - T) = u^2 - T^2: the u*T terms cancel and their row goes
-        rows = _times_factor(packed({0: {1: 1}, 1: {0: 1}}, 4), 1, 1, 4)
-        assert unpacked(rows, 4) == {0: {2: 1}, 2: {0: -1}}
+        layout = _Layout([((1, 1), 2)], [(1,)], 8)
+        runs = layout.times(skewed(layout, {0: {1: 1}, 1: {0: 1}}), 1, 1)
+        assert layout.terms(runs) == [1, 0, 2, -1, 2, 0]
 
     def test_a_step_past_the_cap_is_invalid_input(self, monkeypatch):
         # (1 + u T)(u - T^2) has 4 terms
-        rows = packed({0: {0: 1}, 1: {1: 1}}, 4)
-        monkeypatch.setattr(ratpoly, "MAX_CLEARED_TERMS", 4)
-        assert sum(map(len, unpacked(_times_factor(rows, 1, 2, 4), 4).values())) == 4
-        monkeypatch.setattr(ratpoly, "MAX_CLEARED_TERMS", 3)
+        layout = _Layout([((1, 1), 1), ((1, 2), 1)], [(1,), (0, 0, 1)], 8)
+        runs = skewed(layout, {0: {0: 1}, 1: {1: 1}})
+        monkeypatch.setattr(cleared, "MAX_CLEARED_TERMS", 4)
+        assert len(layout.terms(layout.times(runs, 1, 2))) == 3 * 4
+        monkeypatch.setattr(cleared, "MAX_CLEARED_TERMS", 3)
         with pytest.raises(InvalidInput, match="MAX_CLEARED_TERMS"):
-            _times_factor(rows, 1, 2, 4)
+            layout.times(runs, 1, 2)
 
 
 sparse_rows = st.dictionaries(
@@ -446,6 +472,25 @@ def test_canonical_form_matches_the_full_prs(pair):
     num, den = pair
     r = RatFunc(num, den)
     assert (r.num, r.den) == prs_canonical(num, den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(canonical_inputs())
+def test_the_coprime_test_mod_p_agrees_with_the_prs(pair):
+    num, den = pair
+    if len(num) > 1 and len(den) > 1 and _coprime_mod_p(num, den):
+        assert pgcd(num, den) == (1,)
+    shared = pmul((3, -1, 2), (1, 1))
+    assert not _coprime_mod_p(pmul(num, shared), pmul(den, shared))
+
+
+def test_a_large_coprime_pair_skips_the_prs():
+    # degree 24 with 300-digit coefficients: the PRS takes over a second
+    a, b = big_coprime_pair()
+    start = time.perf_counter()
+    r = RatFunc(a, b)
+    assert time.perf_counter() - start < 0.1
+    assert (r.num, r.den) == (a, b)
 
 
 positive_dens = st.one_of(
@@ -681,10 +726,10 @@ class TestPackedWidth:
         # a term with no factor: the cleared numerator is the coefficient
         # itself, at max(sum |P_g|_1, |den_u|_1) * 2^0 = 2^200 exactly
         z = ZetaRational([(RatFunc(BIG), [])])
-        num, den, w = z._cleared
-        assert (unpacked(num, w), unpacked(den, w)) == ({0: {0: BIG}}, {0: {0: 1}})
+        assert z.cleared_terms() == ([BIG, 0, 0], [1, 0, 0])
         assert_matches_the_references(z, 3)
         # through T^3 the box of T^3 / (u^2 - T^3) is 1, so the T^3
         # coefficient 2^200 u^-2 is at the expansion's bound 2^200 * 1
         assert_matches_the_references(ZetaRational([(RatFunc(BIG), [(2, 3)])]), 3)
-        assert w == ratpoly._width(BIG) == 202
+        # runs store whole bytes, so the 202 bits of the bound take 208
+        assert ratpoly._width(BIG) == 202 and z._cleared[0].w == 208
