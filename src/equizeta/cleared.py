@@ -9,7 +9,9 @@ the next in the factors' zonotope.  A product by a binomial is then one
 shift and one subtraction per run.  Runs that share a row become one, and
 neighbouring runs join only across at most _SLACK_BITS empty bits, so
 T-sparse polynomials, and rows whose u-bands lie far apart, keep a run per
-row, as the T-expansion's packed rows in ``ratpoly`` do.  The readout takes each
+row, as the T-expansion's packed rows in ``ratpoly`` do.  The caps count
+terms, and the bits that each row would take packed alone at the
+coefficients' own width, whatever the runs hold.  The readout takes each
 run's digits off in C from its bytes, and gives every polynomial as one
 interleaved [c, t, u, ...] list in (t, u) order, which ``cli`` prints with
 one format call.  ``ratpoly.ZetaRational._cleared`` imports this module
@@ -41,7 +43,8 @@ from .ratpoly import (
 
 # Cap on the nonzero (u, T) terms of any one polynomial that
 # ``cleared_fraction`` holds while it builds num / den, counted exactly after
-# each step; ``ratpoly.MAX_PACKED_BITS`` bounds the memory of its runs.
+# each step; ``ratpoly.MAX_PACKED_BITS`` bounds the bits its rows would take
+# as packed rows (``_Layout.within_cap``).
 # The catalog's largest polynomials on the way are gk(62,+,-) at 83,324 terms,
 # hk(129,+) at 47,891 and gk(64,+,+) at 45,758.  Sixteen divisors whose N
 # have distinct subset sums, with every pair a stratum, pass it within a
@@ -70,23 +73,23 @@ def _nonzero_digits(v: int, w: int) -> int:
     return (bits & ones).bit_count()
 
 
-def _within_cap(runs: list, w: int) -> list:
-    """runs, or InvalidInput once they hold more than MAX_CLEARED_TERMS
-    nonzero (u, T) terms or more than MAX_PACKED_BITS bits.  The bits over
-    w, plus one per run, bound the digits from above in O(runs); the nonzero
-    digits are counted only when that bound exceeds the cap."""
-    values = list(map(itemgetter(3), runs))
-    bits = sum(map(int.bit_length, values))
-    if bits // w + len(runs) > MAX_CLEARED_TERMS and sum(
-        _nonzero_digits(v, w) for v in values
-    ) > MAX_CLEARED_TERMS:
-        raise InvalidInput(
-            f"the cleared fraction would hold more than MAX_CLEARED_TERMS = {MAX_CLEARED_TERMS} "
-            "terms; the strata hold too many distinct factors or too large multiplicities"
-        )
-    if bits > MAX_PACKED_BITS:
-        raise _too_many_bits()
-    return runs
+def _row_bits(flat: list, w: int) -> int:
+    """The bits that the terms ``flat``, an interleaved [c, t, u, ...] list
+    in (t, u) order, take as packed rows of digit width w: for each row, w
+    bits a digit from its lowest term up to its highest, and that one's own
+    bits, less one where it is a power of two and the term below it in the
+    row, whose sign the digits below take, has the other sign."""
+    cs, ts, us = flat[::3], flat[1::3], flat[2::3]
+    bits, first = 0, 0
+    for i, t in enumerate(ts):
+        if i + 1 < len(ts) and ts[i + 1] == t:
+            continue
+        c = cs[i]
+        bits += (us[i] - us[first]) * w + c.bit_length()
+        if i > first and (cs[i - 1] < 0) != (c < 0) and not abs(c) & (abs(c) - 1):
+            bits -= 1
+        first = i + 1
+    return bits
 
 
 # The machine-integer formats of 8-, 16-, 32- and 64-bit digits.
@@ -192,12 +195,15 @@ class _Layout:
     lies on a breakpoint: k costs a few fills per factor, whatever dT is.
     """
 
-    __slots__ = ("g", "k", "w", "_top", "_steep")
+    __slots__ = ("g", "k", "w", "exact", "_top", "_steep")
 
-    def __init__(self, factors, polys, w: int):
+    def __init__(self, factors, polys, exact: int):
         """factors as ((nu, N), M) pairs; polys the nonzero u-polynomials
-        that multiply their products, den_u and the P_g."""
-        self.w = w
+        that multiply their products, den_u and the P_g; ``exact`` the
+        ``_width`` of their coefficients, which the caps count digits at,
+        held at the ``_byte_width`` w."""
+        self.exact = exact
+        self.w = _byte_width(exact)
         self.g = gcd(*(N for (_, N), _ in factors)) or 1
         lo = min(map(_valuation, polys))
         spread = max(map(len, polys)) - 1 - lo
@@ -232,9 +238,10 @@ class _Layout:
     def scaled(self, runs: list, poly: tuple, N: int = 0) -> list:
         """runs * poly(u) T^N for a nonzero u-polynomial poly, one int
         product per run; InvalidInput, before the products, once the digits
-        that poly adds to the runs would exceed MAX_PACKED_BITS bits."""
+        that poly adds to the runs would exceed MAX_PACKED_BITS bits at the
+        exact width."""
         low, p = _pack(poly, self.w)
-        if (len(poly) - 1 - low) * len(runs) > MAX_PACKED_BITS // self.w:
+        if (len(poly) - 1 - low) * len(runs) > MAX_PACKED_BITS // self.exact:
             raise _too_many_bits()
         n = N // self.g
         shift = low + self.k * n
@@ -244,9 +251,11 @@ class _Layout:
 
     def times(self, runs: list, nu: int, N: int) -> list:
         """runs * (u^nu - T^N): each run shifted by u^nu, less each run
-        shifted by T^N, summed by ``add``.  The T^N copy of a run lies above
-        its u^nu copy, k n > nu, so for a single run ``add``'s rules come
-        down to one shift and one subtraction, or two runs."""
+        shifted by T^N, summed by ``add``.  A dense polynomial is a single
+        run, and most products are of one; its T^N copy lies above its u^nu
+        copy, k n > nu, so ``add``'s rules come down to one shift and one
+        subtraction, or the two copies apart, which it takes here in a few
+        steps instead of ``add``'s general merge."""
         n = N // self.g
         shift = self.k * n
         w = self.w
@@ -254,111 +263,108 @@ class _Layout:
             j0, j1, e, v = runs[0]
             bits = v.bit_length()
             gap = shift - nu - bits // w - 1  # empty digits between the copies
-            if j1 - j0 >= n:
-                if gap > MAX_PACKED_BITS // w:
+            if j1 - j0 >= n:  # they share a row
+                if gap > MAX_PACKED_BITS // self.exact:
                     raise _too_many_bits()
             elif not _joins(gap * w, 2 * bits, (shift - nu + bits // w + 1) * w):
-                return _within_cap([(j0, j1, e + nu, v), (j0 + n, j1 + n, e + shift, -v)], w)
-            return _within_cap([(j0, j1 + n, e + nu, v - (v << w * (shift - nu)))], w)
+                return self.within_cap([(j0, j1, e + nu, v), (j0 + n, j1 + n, e + shift, -v)])
+            return self.within_cap([(j0, j1 + n, e + nu, v - (v << w * (shift - nu)))])
         return self.add(
             [(j0, j1, e + nu, v) for j0, j1, e, v in runs],
             [(j0 + n, j1 + n, e + shift, -v) for j0, j1, e, v in runs],
         )
 
     def add(self, a: list, b: list) -> list:
-        """a + b, checked by ``_within_cap``.  Runs that share a row become
+        """a + b, checked by ``within_cap``.  Runs that share a row become
         one, so that each row is dense in its band as a packed row is;
         InvalidInput, before allocating them, once the empty digits opened
-        between the bands in one row would exceed MAX_PACKED_BITS bits.
-        Neighbouring runs join by ``_joins``, the last one with the one
-        before it as long as they may: so a dense polynomial is one run,
-        while T-sparse ones, and rows whose bands lie far apart, keep a run
-        per row, and no run holds more than _SLACK_BITS empty bits per row.
-        A run's parts are summed in the order of their highest digits, so
-        that the small parts at the bottom of a long one cost little, and a
-        run whose digits cancel goes.  Two single runs take ``_pair``."""
+        between the bands in one row would exceed MAX_PACKED_BITS bits at
+        the exact width.  Neighbouring runs join by ``_joins``, the last one
+        with the one before it as long as they may: so a dense polynomial is
+        one run, while T-sparse ones, and rows whose bands lie far apart,
+        keep a run per row, and no run holds more than _SLACK_BITS empty
+        bits per row.  Each part is added to its run as it comes, shifted
+        onto the run's lowest digit, and a run whose digits cancel goes."""
         w = self.w
         if not a or not b:
-            return _within_cap(a or b, w)
-        if len(a) == 1 == len(b):
-            pair = (a[0], b[0]) if a[0][0] <= b[0][0] else (b[0], a[0])
-            return _within_cap(self._pair(*pair), w)
-        spare = MAX_PACKED_BITS // w
-        runs = []  # [j0, j1, lowest digit, highest digit, bits of the parts, parts]
+            return self.within_cap(a or b)
+        spare = MAX_PACKED_BITS // self.exact
+        # [j0, j1, lowest digit, highest digit, bits of the parts, sum,
+        #  whether two parts start at the lowest digit, which may cancel]
+        runs = []
         for j0, j1, e, v in sorted(a + b, key=itemgetter(0)):
             bits = v.bit_length()
             top = e + bits // w
             if runs and j0 <= runs[-1][1]:
                 last = runs[-1]
-                gap = max(e - last[3], last[2] - top) - 1
+                low = last[2]
+                gap = max(e - last[3], low - top) - 1
                 if gap > 0:
                     spare -= gap
                     if spare < 0:
                         raise _too_many_bits()
+                if e > low:
+                    last[5] += v << w * (e - low)
+                elif e < low:
+                    last[2], last[5], last[6] = e, (last[5] << w * (low - e)) + v, False
+                else:
+                    last[5] += v
+                    last[6] = True
                 if j1 > last[1]:
                     last[1] = j1
-                if e < last[2]:
-                    last[2] = e
                 if top > last[3]:
                     last[3] = top
                 last[4] += bits
-                last[5].append((top, e, v))
             else:
-                runs.append([j0, j1, e, top, bits, [(top, e, v)]])
+                runs.append([j0, j1, e, top, bits, v, False])
             while len(runs) > 1:  # rows apart: join the last run down while it may
                 below, above = runs[-2], runs[-1]
                 if not _joins((above[2] - below[3] - 1) * w, below[4] + above[4],
                               (above[3] - below[2] + 1) * w):
                     break
                 runs.pop()
+                below[5] += above[5] << w * (above[2] - below[2])
                 below[1], below[3] = above[1], above[3]
                 below[4] += above[4]
-                below[5] += above[5]
         out = []
-        for j0, j1, low, _, _, parts in runs:
-            if len(parts) == 1:
-                out.append((j0, j1, low, parts[0][2]))
-                continue
-            if len(parts) == 2:
-                (_, e, x), (_, f, y) = parts
-                v = x + (y << w * (f - e)) if e <= f else (x << w * (e - f)) + y
-                shared = e == f
-            else:
-                parts.sort()
-                v = sum(x << w * (e - low) for _, e, x in parts)
-                shared = [e for _, e, _ in parts].count(low) > 1
-            if not v:
-                continue
-            if shared:  # two parts start at the lowest digit, which may cancel
+        for j0, j1, low, _, _, v, shared in runs:
+            if shared:
+                if not v:
+                    continue
                 zeros = ((v & -v).bit_length() - 1) // w
                 v >>= w * zeros
                 low += zeros
             out.append((j0, j1, low, v))
-        return _within_cap(out, w)
+        return self.within_cap(out)
 
-    def _pair(self, low: tuple, high: tuple) -> list:
-        """``add`` on two single runs, ``low`` first in row order, with no
-        lists of parts: the sum as one run, or none, or the two apart."""
-        w = self.w
-        j0, j1, e, v = low
-        r0, r1, f, x = high
-        if r0 <= j1:  # a shared row: the empty digits between the bands count
-            if max(f - e - v.bit_length() // w, e - f - x.bit_length() // w) - 1 > (
-                MAX_PACKED_BITS // w
-            ):
-                raise _too_many_bits()
-        elif not _joins((f - e - v.bit_length() // w - 1) * w, v.bit_length() + x.bit_length(),
-                        (f - e + x.bit_length() // w + 1) * w):
-            return [low, high]
-        s = v + (x << w * (f - e)) if e <= f else (v << w * (e - f)) + x
-        if not s:
-            return []
-        low_digit = min(e, f)
-        if e == f:  # both start at the lowest digit, which may cancel
-            zeros = ((s & -s).bit_length() - 1) // w
-            s >>= w * zeros
-            low_digit += zeros
-        return [(j0, max(j1, r1), low_digit, s)]
+    def within_cap(self, runs: list) -> list:
+        """runs, or InvalidInput once they hold more than MAX_CLEARED_TERMS
+        nonzero (u, T) terms, or once their rows, as packed rows of the
+        coefficients' exact width, would hold more than MAX_PACKED_BITS
+        bits.  Each is first bounded from above in O(runs) and counted only
+        when the bound exceeds its cap: the digits by the bits over w, plus
+        one per run; the bits by the runs' own, and then by those at the
+        exact width, where a run of b bits holds b // w digits below its top
+        one, whose b % w bits are the same at either width."""
+        w, exact = self.w, self.exact
+        values = list(map(itemgetter(3), runs))
+        sizes = list(map(int.bit_length, values))
+        bits = sum(sizes)
+        if bits // w + len(runs) > MAX_CLEARED_TERMS and sum(
+            _nonzero_digits(v, w) for v in values
+        ) > MAX_CLEARED_TERMS:
+            raise InvalidInput(
+                f"the cleared fraction would hold more than MAX_CLEARED_TERMS = "
+                f"{MAX_CLEARED_TERMS} terms; the strata hold too many distinct factors or "
+                "too large multiplicities"
+            )
+        if (
+            bits > MAX_PACKED_BITS
+            and sum(b // w * exact + b % w for b in sizes) > MAX_PACKED_BITS
+            and _row_bits(self.terms(runs), exact) > MAX_PACKED_BITS
+        ):
+            raise _too_many_bits()
+        return runs
 
     def terms(self, runs: list) -> list:
         """The nonzero terms of the cleared fraction's polynomial ``runs`` in
@@ -417,13 +423,13 @@ def cleared_fraction(terms) -> tuple:
     den_u = _common_den(terms)
     groups = _grouped(den_u, terms)
     factors = sorted(_factor_max(factors for _, factors in terms).items())
-    w = _byte_width(_width(
+    exact = _width(
         max(sum(map(_l1, groups.values())), _l1(den_u)) << sum(count for _, count in factors)
-    ))
+    )
     one = [(0, 0, 0, 1)]
     if not groups:
-        return _Layout((), [den_u], w), [], one
-    layout = _Layout(factors, [den_u, *groups.values()], w)
+        return _Layout((), [den_u], exact), [], one
+    layout = _Layout(factors, [den_u, *groups.values()], exact)
     index = {f: i for i, (f, _) in enumerate(factors)}
     pending = {(): []}  # (factor index, multiplicity) pairs still held -> partial sum
     joining = {}  # index of the first factor -> [(held pairs, poly, T shift)]
@@ -453,4 +459,4 @@ def cleared_fraction(terms) -> tuple:
     num = pending[()]
     if not num:
         return layout, num, one
-    return layout, num, _within_cap(layout.scaled(prefix, den_u), w)
+    return layout, num, layout.within_cap(layout.scaled(prefix, den_u))

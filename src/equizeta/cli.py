@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 from . import catalog, cohomology, resolution, zeta
 from .arcs import MonomialGerm, SignAction, oracle_series
 from .errors import EquizetaError, InvalidInput, ParseError, SchemaError
-from .ratpoly import ZetaRational
+from .ratpoly import ZetaRational, _too_long_to_print
 
 EXIT_OK = 0
 EXIT_UNEQUAL = 1
@@ -107,8 +107,7 @@ def _write_cleared(z, out, newline):
 def _write_terms(terms, out, newline):
     """The interleaved [c, t, u, ...] list ``terms`` as the JSON list of its
     term objects, in one ``%`` call on a template of one block per term.  A
-    coefficient with more digits than the interpreter converts
-    (``sys.get_int_max_str_digits()``) is an InvalidInput (exit 2)."""
+    coefficient too long to print is ``ratpoly._too_long_to_print`` (exit 2)."""
     if not terms:
         out.append("[]")
         return
@@ -118,7 +117,7 @@ def _write_terms(terms, out, newline):
     try:
         text = ("," + item).join([block] * (len(terms) // 3)) % tuple(terms)
     except ValueError as exc:
-        raise InvalidInput(f"a coefficient of the result is too long to print: {exc}") from exc
+        raise _too_long_to_print(exc) from exc
     out.append("[" + item + text + newline + "]")
 
 

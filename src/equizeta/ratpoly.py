@@ -46,7 +46,6 @@ need no PRS at all.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
 from math import gcd, prod
 from operator import itemgetter
@@ -179,13 +178,20 @@ def pdivexact(a: tuple, b: tuple) -> tuple:
     return qr[0]
 
 
+def _too_long_to_print(exc: ValueError) -> InvalidInput:
+    """The error for a coefficient with more digits than the interpreter
+    converts (``sys.get_int_max_str_digits()``), from the ValueError that
+    converting it raised."""
+    return InvalidInput(f"a coefficient of the result is too long to print: {exc}")
+
+
 def _decimals(coeffs: Iterable[int]) -> list:
-    """``[str(c) for c in coeffs]``; InvalidInput for a coefficient with more
-    digits than the interpreter converts (``sys.get_int_max_str_digits()``)."""
+    """``[str(c) for c in coeffs]``; ``_too_long_to_print`` for a coefficient
+    too long to convert."""
     try:
         return [str(c) for c in coeffs]
     except ValueError as exc:
-        raise InvalidInput(f"a coefficient of the result is too long to print: {exc}") from exc
+        raise _too_long_to_print(exc) from exc
 
 
 def pstr(a: tuple, var: str = "u") -> str:
@@ -559,7 +565,7 @@ def _common_den(terms) -> tuple:
     return _lcm_fold(dict.fromkeys(coeff.den for coeff, _ in terms))
 
 
-def _factor_max(factor_tuples) -> Counter:
+def _factor_max(factor_tuples) -> dict:
     """Each distinct (nu, N) factor at its largest multiplicity in one tuple."""
     out = {}
     for factors in factor_tuples:
@@ -567,7 +573,7 @@ def _factor_max(factor_tuples) -> Counter:
             count = factors.count(key)
             if count > out.get(key, 0):
                 out[key] = count
-    return Counter(out)
+    return out
 
 
 def _t_bound(factor_tuples) -> int:
@@ -602,10 +608,11 @@ def _grouped(den_u: tuple, terms, negated=()) -> dict:
 # (exit 2) instead.
 MAX_EXPANSION = 1 << 24
 
-# Cap on the bits of the packed rows or runs of any one polynomial that
-# ``_expand`` or ``cleared.cleared_fraction`` holds, 16 MiB.  A packed row
-# stores every power of u in its band, zero or not, so this bounds memory
-# where ``cleared.MAX_CLEARED_TERMS``, which counts nonzero terms, does not:
+# Cap on the bits of the packed rows of any one polynomial that ``_expand``
+# holds, or that the rows of one that ``cleared.cleared_fraction`` holds
+# would take as packed rows, 16 MiB.  A packed row stores every power of u
+# in its band, zero or not, so this bounds memory where
+# ``cleared.MAX_CLEARED_TERMS``, which counts nonzero terms, does not:
 # a divisor with nu = 10^9 beside one with nu = 1 puts the two ends of a row
 # 10^9 digits apart, and fails at once with InvalidInput (exit 2).  The
 # catalog's largest polynomial, on the way to gk(62,+,-), holds 8.0 million

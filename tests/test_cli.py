@@ -674,6 +674,21 @@ class TestErrorBoundary:
             assert_one_error(result, 2)
             assert "MAX_PACKED_BITS" in result[2]
 
+    def test_far_apart_nu_at_the_bits_cap_clears(self):
+        # the widest row, u^nu - u, spans nu powers of u of 6 bits each: with
+        # nu = 22,369,620 its packed row holds 2^27 - 8 bits, within
+        # MAX_PACKED_BITS, and with one more it would not.  The runs hold
+        # its digits at 8 bits, beside the row above it, and still clear it
+        divisors = [(1, 1), (1, 22369620)]
+        doc = json.dumps(self._strata_doc(divisors, [([1], 1), ([2], 1)]))
+        code, out, _ = call(["compute", "-", "--format", "rational"], doc)
+        assert code == 0
+        assert json.loads(out) == cleared_json(*per_term_cleared(denef_loeser(parse(doc), "naive")))
+        doc = json.dumps(self._strata_doc(divisors[:1] + [(1, 22369621)], [([1], 1), ([2], 1)]))
+        result = call(["compute", "-", "--format", "rational"], doc)
+        assert_one_error(result, 2)
+        assert "MAX_PACKED_BITS" in result[2]
+
     def test_far_apart_nu_within_the_bits_cap_clear_at_once(self):
         # with nu = 10^5 a row spans 10^5 powers of u, two of them nonzero:
         # within MAX_PACKED_BITS, and read back in time linear in its span

@@ -266,13 +266,13 @@ class TestClearedBound:
         # of every catalog tree and variant within the divisor cap, gk(62,+,-)
         # holds the largest polynomial on the way to its cleared fraction
         sizes = []
-        within_cap = cleared._within_cap
+        within_cap = _Layout.within_cap
 
-        def record(runs, w):
-            sizes.append(run_digit_count(runs, w))
-            return within_cap(runs, w)
+        def record(layout, runs):
+            sizes.append(run_digit_count(runs, layout.w))
+            return within_cap(layout, runs)
 
-        monkeypatch.setattr(cleared, "_within_cap", record)
+        monkeypatch.setattr(_Layout, "within_cap", record)
         denef_loeser(catalog.get("gk(62,+,-)"), "naive").num
         assert max(sizes) == 83324 < MAX_CLEARED_TERMS
 
