@@ -4,10 +4,16 @@ Subcommands: compute, compare, oracle, catalog, cohomology.  Exit codes are
 0 (success / equal), 1 (compare found a difference), and otherwise the
 ``exit_code`` of the ``EquizetaError`` raised: 2 (semantic error such as
 failed validation or a non-invariant germ), 3 (parse or schema error).
-All configuration is via flags; "-" reads standard input.  Structured output
-is indented JSON with sorted keys, written by ``_emit``; a cleared fraction
-is written straight from its interleaved term lists, one ``%`` call on a
-template of one JSON block per term for each polynomial.
+All configuration is via flags; "-" reads standard input.  ``main`` hands
+the words after a known subcommand name straight to that subcommand's own
+parser; an empty argv, an unknown first word, a top-level ``-h`` and any
+argument the subcommand leaves over go through the full parser, so every
+usage text, error and exit code is the full parser's.  Structured output is
+indented JSON with sorted keys, written by ``_emit``, which writes engine
+objects without a ``to_json`` tree: a cleared fraction straight from its
+interleaved term lists, one ``%`` call on a template of one JSON block per
+term for each polynomial, and a ``TSeries`` or ``RatFunc`` from its
+coefficient tuples, one ``join`` per tuple.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from json.encoder import encode_basestring_ascii
 from . import catalog, cohomology, resolution, zeta
 from .arcs import MonomialGerm, SignAction, oracle_series
 from .errors import EquizetaError, InvalidInput, ParseError, SchemaError
-from .ratpoly import ZetaRational, _too_long_to_print
+from .ratpoly import RatFunc, TSeries, ZetaRational, _decimals, _too_long_to_print
 
 EXIT_OK = 0
 EXIT_UNEQUAL = 1
@@ -39,7 +45,9 @@ _JSON_SCALARS = {
 def _emit(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for the
     JSON the CLI prints: dicts with str keys, lists, str, int, bool and None.
-    A ``ZetaRational`` is written as its cleared fraction (``_write_cleared``).
+    A ``ZetaRational`` is written as its cleared fraction (``_write_cleared``),
+    and a ``TSeries`` or ``RatFunc`` as its ``to_json()`` would be
+    (``_write_series``, ``_write_ratfunc``).
 
     ``json`` falls back to its pure-Python encoder whenever ``indent`` is
     set; this writer quotes strings with the C routine ``json`` uses.
@@ -82,12 +90,13 @@ def _write_json(obj, out, newline):
             _write_json(item, out, inner)
             sep = "," + inner
         out.append(newline + "]")
-    elif isinstance(obj, ZetaRational):
-        _write_cleared(obj, out, newline)
     else:
-        raise TypeError(
-            f"Object of type {obj.__class__.__name__} is not JSON serializable"
-        )
+        write = _JSON_OBJECTS.get(type(obj))
+        if write is None:
+            raise TypeError(
+                f"Object of type {obj.__class__.__name__} is not JSON serializable"
+            )
+        write(obj, out, newline)
 
 
 def _write_cleared(z, out, newline):
@@ -119,6 +128,45 @@ def _write_terms(terms, out, newline):
     except ValueError as exc:
         raise _too_long_to_print(exc) from exc
     out.append("[" + item + text + newline + "]")
+
+
+def _poly_text(coeffs, newline) -> str:
+    """The JSON list of the decimal strings of ``coeffs``, in one ``join``;
+    ``ratpoly._decimals`` refuses a coefficient too long to print (exit 2)."""
+    if not coeffs:
+        return "[]"
+    item = newline + '  "'
+    return "[" + item + ('",' + item).join(_decimals(coeffs)) + '"' + newline + "]"
+
+
+def _ratfunc_text(f, newline) -> str:
+    """``f.to_json()``, ``{"den": [...], "num": [...]}``, as ``_write_json``
+    writes it."""
+    inner = newline + "  "
+    return ("{" + inner + '"den": ' + _poly_text(f.den, inner) + ","
+            + inner + '"num": ' + _poly_text(f.num, inner) + newline + "}")
+
+
+def _write_ratfunc(f, out, newline):
+    out.append(_ratfunc_text(f, newline))
+
+
+def _write_series(s, out, newline):
+    """``s.to_json()``, ``{"coeffs": [...], "order": n}``, as ``_write_json``
+    writes it, from the coefficients themselves."""
+    inner = newline + "  "
+    item = inner + "  "
+    coeffs = ("," + item).join([_ratfunc_text(c, item) for c in s.coeffs])
+    out.append("{" + inner + '"coeffs": [' + item + coeffs + inner + "],"
+               + inner + '"order": ' + str(s.order) + newline + "}")
+
+
+# How _emit writes each engine object; exact types, as for _JSON_SCALARS.
+_JSON_OBJECTS = {
+    ZetaRational: _write_cleared,
+    TSeries: _write_series,
+    RatFunc: _write_ratfunc,
+}
 
 
 def _read(ref: str):
@@ -160,7 +208,7 @@ def _cmd_compute(args) -> int:
     else:
         if args.expand is None:
             raise InvalidInput("--format series requires --expand N")
-        print(_emit(z.t_series(args.expand).to_json()))
+        print(_emit(z.t_series(args.expand)))
     return EXIT_OK
 
 
@@ -192,7 +240,7 @@ def _cmd_oracle(args) -> int:
             raise InvalidInput("--action or --trivial-group is required")
         action = SignAction(_parse_int_list(args.action, "--action"))
     series = oracle_series(germ, action, args.variant, args.order)
-    print(_emit(series.to_json()))
+    print(_emit(series))
     return EXIT_OK
 
 
@@ -228,9 +276,14 @@ def _cmd_cohomology(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every call."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers():
+    """(the top-level parser, {subcommand name: that subcommand's parser})."""
     parser = argparse.ArgumentParser(
         prog="equizeta",
         description="equivariant zeta functions of invariant Nash germs",
@@ -280,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     coh.set_defaults(func=_cmd_cohomology)
 
-    return parser
+    return parser, sub.choices
 
 
 def _merge_dash_values(argv):
@@ -300,11 +353,25 @@ def _merge_dash_values(argv):
     return out
 
 
+def _parse(argv):
+    """The namespace that ``build_parser().parse_args(argv)`` gives, from one
+    parse: the top-level parser would only hand ``argv[1:]`` to the named
+    subcommand's parser and then refuse anything that parser left over.
+    Anything but a known subcommand name first, and any leftover, goes
+    through the full parser, which prints the usage or error and exits."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_merge_dash_values(list(argv)))
+    args = _parse(_merge_dash_values(list(argv)))
     try:
         return args.func(args)
     except EquizetaError as exc:

@@ -605,7 +605,8 @@ def _grouped(den_u: tuple, terms, negated=()) -> dict:
 # summed over the groups.  The catalog's largest tree, gk(64,+,+), needs about
 # 4.3 million through its dT; a stratum pairing N = 10^8 with N = 1 needs
 # 4*10^8 and would exhaust memory, so it fails at once with InvalidInput
-# (exit 2) instead.
+# (exit 2) instead.  ``t_series`` also holds its order + 1 coefficients to
+# this cap, since a huge N leaves the box empty at any order.
 MAX_EXPANSION = 1 << 24
 
 # Cap on the bits of the packed rows of any one polynomial that ``_expand``
@@ -864,9 +865,16 @@ class ZetaRational:
         return self.first_difference(other) is None
 
     def t_series(self, order: int) -> "TSeries":
-        """Unique power-series expansion in T through T^order."""
+        """Unique power-series expansion in T through T^order.  InvalidInput,
+        before any coefficient is built, when its order + 1 coefficients
+        alone would exceed MAX_EXPANSION."""
         if order < 0:
             raise ValueError("order must be non-negative")
+        if order + 1 > MAX_EXPANSION:
+            raise InvalidInput(
+                f"a T-series through T^{order} would hold more than "
+                f"MAX_EXPANSION = {MAX_EXPANSION} coefficients; the order is too large"
+            )
         den_u = _common_den(self.terms)
         rows, w = _expand(_grouped(den_u, self.terms), order)
         return TSeries(tuple(

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_properties import variants_of
 
-from equizeta import catalog, cleared, cohomology, ratpoly
+from equizeta import catalog, cleared, cli, cohomology, ratpoly
 from equizeta.cli import _emit, build_parser, main
+from equizeta.errors import InvalidInput
 from equizeta.ratpoly import BiPoly, RatFunc, TSeries, ZetaRational, pmul
 from equizeta.resolution import parse, resolution_to_json, serialize
 from equizeta.zeta import denef_loeser
@@ -35,13 +36,17 @@ def write_fixture(tmp_path, name, filename=None):
 
 def call(argv, stdin=""):
     """(exit code, stdout, stderr) of one in-process ``main`` call that
-    reads ``stdin`` for "-"; for use where pytest fixtures are not."""
+    reads ``stdin`` for "-", with argparse's exit as the exit code; for use
+    where pytest fixtures are not."""
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(stdin)
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            code = main(list(argv))
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
     finally:
         sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
@@ -360,6 +365,61 @@ class TestParser:
         assert run("catalog", "list")[0] == 0
 
 
+# Each subcommand's valid forms, the --action dash merge among them.
+VALID_ARGVS = [
+    ("compute", "x2k_Z2(2)", "--format", "rational"),
+    ("compute", "--variant", "plus", "--format", "series", "--expand", "4", "--", "x2+y2_Z2"),
+    ("compare", "y4-x2_Z2", "x4-y2_Z2", "--order", "8"),
+    ("oracle", "--exponents", "2,2", "--action", "-1,1", "--order", "4"),
+    ("oracle", "--exponents", "2,2", "--sign", "-1", "--action", "-1,1", "--order", "2"),
+    ("oracle", "--exponents", "1,2", "--trivial-group", "--variant", "minus"),
+    ("catalog", "list"),
+    ("catalog", "show", "x2+y2_Z2"),
+    ("cohomology", "sphere_free"),
+]
+# Then each --help and what only the full parser handles or refuses: no
+# arguments, a top-level -h, an unknown command, a bad choice, missing
+# arguments, leftovers and catalog with no action.
+DISPATCH_ARGVS = VALID_ARGVS + [
+    ("compute", "--help"),
+    ("compare", "--help"),
+    ("oracle", "--help"),
+    ("catalog", "--help"),
+    ("catalog", "show", "-h"),
+    ("cohomology", "--help"),
+    (),
+    ("-h",),
+    ("bogus", "x2k_Z2(2)"),
+    ("--variant", "plus", "compute", "x2k_Z2(2)"),
+    ("compute", "x2k_Z2(2)", "--variant", "bogus"),
+    ("compare", "y4-x2_Z2"),
+    ("oracle", "--order", "4"),
+    ("compute", "x2k_Z2(2)", "--order", "3"),
+    ("cohomology", "sphere_free", "extra"),
+    ("catalog", "list", "extra"),
+    ("catalog",),
+    ("compute", "x2k_Z2(2)", "--expand", "-1"),
+    ("oracle", "--exponents", "-1,2", "--trivial-group"),
+]
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=" ".join)
+    def test_same_outcome_as_the_full_parser(self, argv, monkeypatch):
+        got = call(argv)
+        monkeypatch.setattr(cli, "_parse", lambda args: build_parser().parse_args(args))
+        assert got == call(argv)
+
+    def test_valid_commands_skip_the_top_level_parser(self, run, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("top-level parser used for a valid command")
+
+        monkeypatch.setattr(build_parser(), "parse_args", refuse)
+        monkeypatch.setattr(build_parser(), "parse_known_args", refuse)
+        for argv in VALID_ARGVS:
+            assert run(*argv)[0] in (0, 1), argv
+
+
 class TestOracle:
     def test_matches_library_series(self, run):
         code, out, _ = run(
@@ -485,6 +545,20 @@ json_docs = st.recursive(
 )
 
 
+# Coefficients of up to several hundred digits, zeros among them; an all-zero
+# numerator is the empty num of the zero function.
+coefficient_lists = st.lists(
+    st.integers(-3, 3) | st.integers(-(10**400), 10**400), max_size=4
+).map(tuple)
+rational_functions = st.builds(RatFunc, coefficient_lists, coefficient_lists.filter(any))
+series_docs = st.recursive(
+    rational_functions | st.builds(TSeries, st.lists(rational_functions, min_size=1, max_size=5))
+    | json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
 class TestEmit:
     @settings(max_examples=200, deadline=None)
     @given(json_docs)
@@ -500,6 +574,29 @@ class TestEmit:
     def test_other_types_raise_type_error(self, bad):
         with pytest.raises(TypeError):
             _emit(bad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(series_docs)
+    def test_series_and_rational_functions_match_json_dumps(self, obj):
+        want = json.dumps(obj, indent=2, sort_keys=True, default=lambda x: x.to_json())
+        assert _emit(obj) == want
+
+    def test_coefficient_too_long_to_print_raises(self):
+        huge = RatFunc((10 ** sys.get_int_max_str_digits(),))
+        for obj in (huge, TSeries([RatFunc(1), huge]), {"k": [huge]}):
+            with pytest.raises(InvalidInput, match="too long to print"):
+                _emit(obj)
+
+    def test_series_and_oracle_build_no_json_tree(self, run, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("to_json tree built on a series path")
+
+        monkeypatch.setattr(TSeries, "to_json", refuse)
+        monkeypatch.setattr(RatFunc, "to_json", refuse)
+        code, out, _ = run("compute", "gk(5,+,-)", "--format", "series", "--expand", "12")
+        assert code == 0 and json.loads(out)["order"] == 12
+        code, out, _ = run("oracle", "--exponents", "2,2", "--action", "-1,1", "--order", "9")
+        assert code == 0 and json.loads(out)["order"] == 9
 
 
 # -- the error boundary: every failure is one typed error and an exit code ---------
@@ -636,6 +733,20 @@ class TestErrorBoundary:
         assert code == 0 and json.loads(out)["order"] == 512
         monkeypatch.setattr(ratpoly, "MAX_EXPANSION", 98687)
         assert_one_error(call(argv), 2)
+
+    def test_series_of_more_coefficients_than_the_cap_exits_2_at_once(self, monkeypatch):
+        # N = 10^17 leaves no lattice point in the box at any order, so only
+        # the order + 1 coefficients count against the cap
+        argv = ["compute", "x2k_Z2(100000000000000000)", "--format", "series", "--expand"]
+        start = time.perf_counter()
+        result = call(argv + ["100000000"])
+        assert time.perf_counter() - start < 1.0
+        assert_one_error(result, 2)
+        assert "MAX_EXPANSION" in result[2]
+        monkeypatch.setattr(ratpoly, "MAX_EXPANSION", 9)
+        code, out, _ = call(argv + ["8"])
+        assert code == 0 and json.loads(out)["order"] == 8
+        assert_one_error(call(argv + ["9"]), 2)
 
     @staticmethod
     def _strata_doc(divisors, strata):
@@ -828,6 +939,16 @@ class TestErrorBoundary:
         doc = resolution_to_json(catalog.get("y4-x2_Z2"))
         doc["strata"][2]["beta"] = {"kind": "rational", "value": {"num": ["9" * 4300], "den": ["1"]}}
         result = call(["compute", "-", "--format", fmt], json.dumps(doc))
+        assert_one_error(result, 2)
+        assert "too long to print" in result[2]
+
+    def test_series_coefficient_too_long_to_print_exits_2(self):
+        # a stratum value of the most digits int() converts: the T^8
+        # coefficient of the series holds a longer one
+        doc = resolution_to_json(catalog.get("y4-x2_Z2"))
+        digits = sys.get_int_max_str_digits()
+        doc["strata"][2]["beta"] = {"kind": "rational", "value": {"num": ["9" * digits], "den": ["1"]}}
+        result = call(["compute", "-", "--format", "series", "--expand", "8"], json.dumps(doc))
         assert_one_error(result, 2)
         assert "too long to print" in result[2]
 
