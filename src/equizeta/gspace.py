@@ -117,13 +117,18 @@ def beta_value(expr: GSpace) -> RatFunc:
 
 def _sum(a: tuple, b: tuple) -> tuple:
     """(num, den) of a + b for (num, den) pairs: numerators add over an equal
-    denominator, and any other sum is reduced, so degrees stay bounded."""
+    denominator, or over the other side's when one side's is 1, and any
+    other sum is reduced, so degrees stay bounded."""
     if not a[0]:
         return b
     if not b[0]:
         return a
     if a[1] == b[1]:
         return padd(a[0], b[0]), a[1]
+    if a[1] == (1,):
+        return padd(pmul(a[0], b[1]), b[0]), b[1]
+    if b[1] == (1,):
+        return padd(a[0], pmul(b[0], a[1])), a[1]
     total = RatFunc(padd(pmul(a[0], b[1]), pmul(b[0], a[1])), pmul(a[1], b[1]))
     return total.num, total.den
 

@@ -25,12 +25,13 @@ operation is evaluation at 2^w, so the digits read back are the
 coefficients as long as those fit: each ``_expand`` and ``_cleared`` call
 derives its one width w from an L1 bound on every coefficient it can
 produce.  The T-expansion, sparse in T, holds packed T-rows {T exponent:
-(low, v)}, one int per row over the u-band of that row, and adds them up
-through one in-place adder, ``_add_shifted``.  The cleared fraction is a
-product of binomials u^nu - T^N, dense in T, so the ``cleared`` module packs
-runs of consecutive T-rows into one int under a skewed map that keeps each
-row clear of the next: a product by a binomial is then one shift and one
-subtraction per run.
+(low, v)}, one int per row over the u-band of that row, multiplies by each
+factor through a one-step recurrence (``_times_geometric``), and sums the
+groups through one in-place adder, ``_add_shifted``.  The cleared
+fraction is a product of binomials u^nu - T^N, dense in T, so the
+``cleared`` module packs runs of consecutive T-rows into one int under a
+skewed map that keeps each row clear of the next: a product by a binomial
+is then one shift and one subtraction per run.
 
 Canonicalisation strips the two primes that the engine's denominators are
 built from before any gcd: the power of u, read from the low zero
@@ -41,7 +42,9 @@ only when both of those are non-constant, and only when Euclid on their
 images modulo the prime 2^61 - 1 does not already show them coprime.  Series
 coefficients are Laurent polynomials over small denominators such as u^s,
 and G-space values are fractions over powers of u and u - 1, so most of them
-need no PRS at all.
+need no PRS at all.  Series coefficients over the denominator 1 and
+canonical values times a power of u - 1 are canonical by construction and
+skip even the strips (``RatFunc._reduced``).
 """
 
 from __future__ import annotations
@@ -357,6 +360,17 @@ class RatFunc:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _reduced(cls, num: tuple, den: tuple) -> "RatFunc":
+        """num/den with no gcd step, for a pair already in the canonical
+        form that ``__init__`` computes: trimmed, coprime, of joint integer
+        content 1 and with den's leading coefficient positive (0 is
+        ((), (1,))).  The caller guarantees that invariant."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        return self
+
+    @classmethod
     def poly(cls, coeffs) -> "RatFunc":
         return cls(tuple(coeffs), (1,))
 
@@ -482,6 +496,24 @@ class RatFunc:
         return cls(_ints_from_json(obj["num"]), _ints_from_json(obj["den"]))
 
 
+def _times_u_minus_1(r: RatFunc, e: int) -> RatFunc:
+    """r * (u-1)^e for e >= 0 with no gcd step: up to e factors u - 1 cancel
+    from r's den (``_over_u_minus_1``), and the rest multiply its num.  The
+    den left is coprime to num, and to u - 1 whenever a factor u - 1 joins
+    num; u - 1 is primitive with a positive leading coefficient, so neither
+    the joint content nor den's sign changes, and the result is canonical."""
+    num, den = r.num, r.den
+    if not num:
+        return r
+    while e:
+        q = _over_u_minus_1(den)
+        if q is None:
+            break
+        den = q
+        e -= 1
+    return RatFunc._reduced(pmul(num, ppow((-1, 1), e)) if e else num, den)
+
+
 def _ints_from_json(seq) -> tuple:
     if not isinstance(seq, (list, tuple)):
         raise SchemaError("polynomial must be an array of integer strings")
@@ -590,23 +622,25 @@ def _grouped(den_u: tuple, terms, negated=()) -> dict:
     quotients = {}
     for negate, part in ((False, terms), (True, negated)):
         for coeff, factors in part:
-            if coeff.den not in quotients:
-                quotients[coeff.den] = pdivexact(den_u, coeff.den)
-            scaled = pmul(coeff.num, quotients[coeff.den])
+            q = quotients.get(coeff.den)
+            if q is None:
+                q = quotients[coeff.den] = pdivexact(den_u, coeff.den)
+            scaled = coeff.num if q == (1,) else pmul(coeff.num, q)
             if negate:
                 scaled = pneg(scaled)
             groups[factors] = padd(groups[factors], scaled) if factors in groups else scaled
     return {factors: poly for factors, poly in groups.items() if poly}
 
 
-# Cap on the work of one ``_expand`` call, which the T-series and equality
-# use and the cleared fraction does not: the lattice points m >= 1 with
-# sum m_i N_i <= order, bounded per group by the box prod (order // N_i) and
-# summed over the groups.  The catalog's largest tree, gk(64,+,+), needs about
-# 4.3 million through its dT; a stratum pairing N = 10^8 with N = 1 needs
-# 4*10^8 and would exhaust memory, so it fails at once with InvalidInput
-# (exit 2) instead.  ``t_series`` also holds its order + 1 coefficients to
-# this cap, since a huge N leaves the box empty at any order.
+# Cap on one ``_expand`` call, which the T-series and equality use and the
+# cleared fraction does not: the lattice points m >= 1 with sum m_i N_i <=
+# order, which a group's series coefficients count, bounded per group by the
+# box prod (order // N_i) and summed over the groups.  ``_expand`` no longer
+# visits them, but the box still sets its width and this cap its refusals.
+# The catalog's largest tree, gk(64,+,+), needs about 4.3 million through its
+# dT; a stratum pairing N = 10^8 with N = 1 needs 4*10^8 and fails at once
+# with InvalidInput (exit 2).  ``t_series`` also holds its order + 1
+# coefficients to this cap, since a huge N leaves the box empty at any order.
 MAX_EXPANSION = 1 << 24
 
 # Cap on the bits of the packed rows of any one polynomial that ``_expand``
@@ -622,7 +656,7 @@ MAX_PACKED_BITS = 1 << 27
 
 
 def _expansion_work(groups: dict, order: int) -> int:
-    """The box bound on the lattice points that ``_expand`` visits."""
+    """The box bound on the lattice points that the groups' series count."""
     return sum(prod(order // N for _, N in factors) for factors in groups)
 
 
@@ -717,12 +751,13 @@ def _within_bits(rows: dict) -> dict:
 
 def _expand(groups: dict, order: int):
     """Nonzero T^0..T^order coefficients of a ``_grouped`` sum, sparse in T,
-    as (packed rows, w).  Each factor T^N / (u^nu - T^N) is the geometric
-    series sum_{m>=1} u^(-m nu) T^(m N), so a coefficient is a sum of
-    shifted copies, added row by row.  A coefficient of a group's series
+    as (packed rows, w).  Each group's series, the product of its factors
+    T^N / (u^nu - T^N), is built one factor at a time by
+    ``_times_geometric`` and then multiplied by its P_g into the sum, one
+    ``_add_shifted`` call per group.  A coefficient of a group's series
     counts lattice points, at most its box prod (order // N), so w comes from
     sum_g |P_g|_1 * box_g.  InvalidInput, before anything is built, when the
-    work would exceed MAX_EXPANSION, and as soon as the rows would hold more
+    box would exceed MAX_EXPANSION, and as soon as the rows would hold more
     than MAX_PACKED_BITS bits."""
     _check_expansion(groups, order)
     w = _width(sum(
@@ -732,20 +767,59 @@ def _expand(groups: dict, order: int):
     for factors, poly in groups.items():
         series = {0: (0, 1)}
         for nu, N in factors:
-            product = {}
-            for m in range(1, order // N + 1):
-                _within_bits(_add_shifted(product, series, (1,), w, m * N, -m * nu, order))
-            series = product
+            series = _times_geometric(series, nu, N, order, w)
         _within_bits(_add_shifted(out, series, poly, w))
     return out, w
+
+
+def _times_geometric(series: dict, nu: int, N: int, order: int, w: int) -> dict:
+    """S * T^N / (u^nu - T^N) through T^order for the packed rows S of width
+    w, whose coefficients are non-negative.  The product P = S * sum_{m>=1}
+    u^(-m nu) T^(m N) satisfies P_t = u^(-nu) (S_(t-N) + P_(t-N)), so one
+    ascending walk over each residue class of t mod N, from its lowest row
+    of S, builds it with at most one aligned add per row, and u^(-nu) is a
+    change of low.  No coefficient cancels, so each sum is nonzero.
+    InvalidInput, before the add that would allocate them, once the empty
+    digits between the bands of the rows summed exceed MAX_PACKED_BITS
+    bits, and once the rows built hold more than that."""
+    product = {}
+    spare = MAX_PACKED_BITS // w
+    bits = 0
+    for t in sorted(series):
+        if t + N > order:
+            break
+        if t in product:  # the walk from a lower row of its class passed it
+            continue
+        low, v = series[t]
+        while True:
+            t += N
+            low -= nu
+            product[t] = low, v
+            bits += v.bit_length()
+            if bits > MAX_PACKED_BITS:
+                raise _too_many_bits()
+            if t + N > order:
+                break
+            if t in series:
+                low_s, s = series[t]
+                if low_s < low:
+                    low, v, low_s, s = low_s, s, low, v
+                # (low, v) is the lower band; the digits between its top and
+                # low_s are the new empty ones
+                gap = low_s - low - v.bit_length() // w - 1
+                if gap > 0:
+                    spare -= gap
+                    if spare < 0:
+                        raise _too_many_bits()
+                v += s << w * (low_s - low)
+    return product
 
 
 def _add_shifted(acc: dict, rows: dict, poly: tuple, w: int, t_shift=0, u_shift=0, t_max=None):
     """acc += poly(u) u^u_shift T^t_shift rows in place, through T^t_max when
     given, on packed rows of width w; returns acc.  A product by poly is one
     int product, and a sum of two rows one aligned shift and one int add.
-    The one accumulation loop over the T-rows.  It checks neither cap on its
-    result, but raises InvalidInput, before allocating them, once the empty
+    It checks neither cap on its result, but raises InvalidInput, before allocating them, once the empty
     digits that the product by poly and the sums of rows whose bands lie
     apart open would exceed MAX_PACKED_BITS bits."""
     if not any(poly):
@@ -795,7 +869,17 @@ def _bipoly(terms: list) -> BiPoly:
 
 
 def _laurent_over(low: int, poly: tuple, den_u: tuple) -> RatFunc:
-    """The Laurent polynomial u^low * poly(u) divided by den_u, canonical."""
+    """The Laurent polynomial u^low * poly(u) divided by den_u, canonical.
+    Over den_u = 1 it needs no gcd step: once poly's valuation has moved
+    into low, u^low poly / 1, or poly / u^-low, is already canonical."""
+    if den_u == (1,):
+        if not poly:
+            return RatFunc(0)
+        v = _valuation(poly)
+        low += v
+        if low >= 0:
+            return RatFunc._reduced((0,) * low + poly[v:], den_u)
+        return RatFunc._reduced(poly[v:], (0,) * -low + den_u)
     if low >= 0:
         return RatFunc((0,) * low + poly, den_u)
     return RatFunc(poly, (0,) * -low + den_u)

@@ -132,8 +132,10 @@ def subset_orbit(subset: FrozenSet[int], group: List[Dict[int, int]]):
     return {frozenset(g[i] for i in subset) for g in group}
 
 
-def _canonical_rep(orbit) -> Tuple[int, ...]:
-    return min(tuple(sorted(s)) for s in orbit)
+def _orbit_rep(subset: FrozenSet[int], group: List[Dict[int, int]]) -> Tuple[int, ...]:
+    """The canonical representative of a divisor subset's orbit, the least
+    of its images as sorted tuples, in one pass over the group."""
+    return min(tuple(sorted(g[i] for i in subset)) for g in group)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +205,7 @@ def validate(res: ResolutionData) -> List[str]:
                 f"stratum {si} does not meet the zero fiber and must be omitted"
             )
         if group is not None:
-            rep = _canonical_rep(subset_orbit(st.divisors, group))
+            rep = _orbit_rep(st.divisors, group)
             sj = first_in_orbit.setdefault(rep, si)
             if sj != si:
                 diags.append(f"duplicate orbit: strata {sj} and {si} lie in the same orbit")
@@ -275,13 +277,18 @@ def resolution_from_json(obj) -> ResolutionData:
     divisors_obj = require(obj, "divisors", list, "resolution")
     divisors = []
     for di, dv in enumerate(divisors_obj):
-        where = f"divisors[{di}]"
-        did = require(dv, "id", int, where)
-        N = require(dv, "N", int, where)
-        nu = require(dv, "nu", int, where)
-        zf = require(dv, "zero_fiber", bool, where, False)
+        # read directly; ``require`` names the field only when one is
+        # missing or of the wrong type
+        get = dv.get if type(dv) is dict else {}.get
+        did, N, nu, zf = get("id"), get("N"), get("nu"), get("zero_fiber", False)
+        if not (type(did) is type(N) is type(nu) is int and type(zf) is bool):
+            where = f"divisors[{di}]"
+            did = require(dv, "id", int, where)
+            N = require(dv, "N", int, where)
+            nu = require(dv, "nu", int, where)
+            zf = require(dv, "zero_fiber", bool, where, False)
         if N < 1 or nu < 1:
-            raise SchemaError(f"{where}: multiplicities must be >= 1")
+            raise SchemaError(f"divisors[{di}]: multiplicities must be >= 1")
         divisors.append(Divisor(did, N, nu, zf))
     known = {d.id for d in divisors}
 

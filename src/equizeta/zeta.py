@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvalidResolution
-from .gspace import ProductWithPuncturedLines, beta_value
-from .ratpoly import RatFunc, ZetaRational
+from .gspace import beta_value
+from .ratpoly import RatFunc, ZetaRational, _times_u_minus_1
 from .resolution import ResolutionData, StratumEntry, validate
 
 VARIANTS = ("naive", "plus", "minus")
@@ -38,12 +38,14 @@ def _stratum_expr(st: StratumEntry, variant: str):
     return st.beta_minus
 
 
-def _stratum_terms(res: ResolutionData, variant: str):
+def _stratum_terms(res: ResolutionData, variant: str, values: dict):
     """Per-stratum (coefficient, factor multiset) pairs, declared order.
 
-    A resolution's strata repeat a few G-space values, so each distinct
-    (expression, (u-1) exponent e) pair is evaluated once, as the value of
-    the expression times (R*)^e; the memo lives for this one call only.
+    Strata repeat a few G-space values, so each distinct expression is
+    evaluated once into ``values``, a memo that lives for one command, and
+    each distinct (expression, e) pair takes that canonical value times
+    (u-1)^e once in this call, with no gcd step
+    (``ratpoly._times_u_minus_1``).
     """
     dmap = res.divisor_map()
     coeffs = {}
@@ -54,9 +56,12 @@ def _stratum_terms(res: ResolutionData, variant: str):
             continue
         exponent = len(st.divisors) - (0 if variant == "naive" else 1)
         key = (expr, exponent)
-        if key not in coeffs:
-            coeffs[key] = beta_value(ProductWithPuncturedLines(expr, exponent))
-        coeff = coeffs[key]
+        coeff = coeffs.get(key)
+        if coeff is None:
+            value = values.get(expr)
+            if value is None:
+                value = values[expr] = beta_value(expr)
+            coeff = coeffs[key] = _times_u_minus_1(value, exponent)
         if coeff.is_zero():
             continue
         factors = [(dmap[i].nu, dmap[i].N) for i in st.divisors]
@@ -64,13 +69,18 @@ def _stratum_terms(res: ResolutionData, variant: str):
     return terms
 
 
-def denef_loeser(res: ResolutionData, variant: str = "naive") -> ZetaRational:
-    """Closed-form zeta function of resolution data, validated here."""
+def _closed_form(res: ResolutionData, variant: str, values: dict) -> ZetaRational:
+    """``denef_loeser`` with the stratum values memoised in ``values``."""
     _check_variant(variant)
     diags = validate(res)
     if diags:
         raise InvalidResolution(diags)
-    return ZetaRational(_stratum_terms(res, variant))
+    return ZetaRational(_stratum_terms(res, variant, values))
+
+
+def denef_loeser(res: ResolutionData, variant: str = "naive") -> ZetaRational:
+    """Closed-form zeta function of resolution data, validated here."""
+    return _closed_form(res, variant, {})
 
 
 def display(z: ZetaRational) -> str:
@@ -123,8 +133,9 @@ def distinguish(
     smallest separating T-order lies within T^order, the two coefficients
     there come along as the witness; otherwise the report carries none.
     """
-    za = denef_loeser(a, variant)
-    zb = denef_loeser(b, variant)
+    values = {}  # both sides share their G-space values
+    za = _closed_form(a, variant, values)
+    zb = _closed_form(b, variant, values)
     diff = za.first_difference(zb)
     if diff is None:
         return ComparisonReport(equal=True, variant=variant)

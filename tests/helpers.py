@@ -5,7 +5,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from equizeta.cleared import _digits
 from equizeta.cohomology import F2Matrix
@@ -25,12 +25,17 @@ from equizeta.ratpoly import (
     RatFunc,
     TSeries,
     ZetaRational,
+    _add_shifted,
+    _check_expansion,
     _common_den,
     _expand,
     _factor_max,
     _grouped,
+    _l1,
     _laurent_over,
     _t_bound,
+    _width,
+    _within_bits,
     pcontent,
     pdivexact,
     pgcd,
@@ -43,7 +48,6 @@ from equizeta.resolution import (
     Divisor,
     GroupSpec,
     StratumEntry,
-    _canonical_rep,
     generated_group,
     subset_orbit,
 )
@@ -346,6 +350,27 @@ def two_sided_first_difference(a: ZetaRational, b: ZetaRational):
         if lhs != rhs:
             return n, laurent_row(lhs, den_u), laurent_row(rhs, den_u)
     return None
+
+
+def shifted_copy_expand(groups: dict, order: int):
+    """``_expand`` by the shifted copies that the recurrence replaced: a
+    group's series times T^N / (u^nu - T^N) is the sum of order // N copies
+    of it, the m-th shifted by u^(-m nu) T^(m N), each added by one
+    ``_add_shifted`` call."""
+    _check_expansion(groups, order)
+    w = _width(sum(
+        _l1(poly) * prod(order // N for _, N in factors) for factors, poly in groups.items()
+    ))
+    out = {}
+    for factors, poly in groups.items():
+        series = {0: (0, 1)}
+        for nu, N in factors:
+            product = {}
+            for m in range(1, order // N + 1):
+                _within_bits(_add_shifted(product, series, (1,), w, m * N, -m * nu, order))
+            series = product
+        _within_bits(_add_shifted(out, series, poly, w))
+    return out, w
 
 
 def flat_add_shifted(acc: dict, rows: dict, poly, t_shift, u_shift, t_max) -> dict:
@@ -712,11 +737,17 @@ def atom_table(max_affine: int = 8):
     return rows
 
 
+def canonical_rep(orbit):
+    """The least sorted tuple of an orbit of divisor subsets: the reference
+    for ``resolution._orbit_rep``."""
+    return min(tuple(sorted(s)) for s in orbit)
+
+
 def subset_orbits(res):
     """Canonical representative and orbit size for each declared stratum."""
     group = generated_group(res)
     orbits = [subset_orbit(st.divisors, group) for st in res.strata]
-    return [(_canonical_rep(orbit), len(orbit)) for orbit in orbits]
+    return [(canonical_rep(orbit), len(orbit)) for orbit in orbits]
 
 
 def truncate(series: TSeries, order: int) -> TSeries:

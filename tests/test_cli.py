@@ -785,6 +785,17 @@ class TestErrorBoundary:
             assert_one_error(result, 2)
             assert "MAX_PACKED_BITS" in result[2]
 
+    def test_far_apart_nu_in_one_stratum_expand_exits_2_at_once(self):
+        # one stratum on both: after the factor with nu = 1, the sum of a row
+        # and the next term of the geometric series with nu = 10^9 would
+        # span 10^9 powers of u, so the expansion refuses before that add
+        doc = json.dumps(self._strata_doc([(1, 1), (1, 10**9)], [([1, 2], 1)]))
+        start = time.perf_counter()
+        result = call(["compute", "-", "--format", "series", "--expand", "8"], doc)
+        assert time.perf_counter() - start < 1.0
+        assert_one_error(result, 2)
+        assert "MAX_PACKED_BITS" in result[2]
+
     def test_far_apart_nu_at_the_bits_cap_clears(self):
         # the widest row, u^nu - u, spans nu powers of u of 6 bits each: with
         # nu = 22,369,620 its packed row holds 2^27 - 8 bits, within

@@ -1,6 +1,6 @@
 import pytest
 from helpers import atom_table, folded_beta_value
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equizeta.errors import SchemaError, UnknownAtom
@@ -151,6 +151,10 @@ expressions = st.recursive(
 
 @settings(max_examples=200, deadline=None)
 @given(expressions)
+# sums where one side's denominator is 1 add over the other's, unreduced
+@example(DisjointUnion(Atom("sphere_free"), Atom("point_fixed"),
+                       Rational(RatFunc((1, 2), (0, -1, 1)))))
+@example(ClosedComplement(Atom("point_trivial"), DisjointUnion(Atom("point_fixed"))))
 def test_beta_value_matches_the_step_by_step_fold(expr):
     assert beta_value(expr) == folded_beta_value(expr)
 

@@ -17,6 +17,7 @@ from helpers import (
     recurrence_laurent,
     run_digit_count,
     series_values_match,
+    shifted_copy_expand,
     skewed,
     term,
     term_series_at,
@@ -40,10 +41,13 @@ from equizeta.ratpoly import (
     _add_shifted,
     _common_den,
     _coprime_mod_p,
+    _expand,
     _expansion_work,
     _grouped,
+    _laurent_over,
     _lcm_fold,
     _t_bound,
+    _times_u_minus_1,
     pcontent,
     pdivexact,
     pgcd,
@@ -333,6 +337,55 @@ def test_add_shifted_matches_a_flat_reference(acc, rows, poly, t_shift, u_shift,
     assert all(v % (1 << w) for _, v in got.values())
 
 
+@st.composite
+def expansion_groups(draw):
+    """(groups, order) as ``_grouped`` returns them: up to 4 groups over a
+    pool of up to 4 distinct factors, each taken up to 3 times in a group;
+    N = 1 beside N up to 64, nu up to 10^4 on factors whose N keeps their
+    u-span small, signed P_g, and orders 0 to 64."""
+    small = st.tuples(st.integers(1, 6), st.sampled_from([1, 1, 2, 3, 5]))
+    large = st.tuples(st.integers(1000, 10**4), st.sampled_from([21, 32, 64]))
+    pool = draw(st.lists(small | large, min_size=1, max_size=4, unique=True))
+    groups = {}
+    for _ in range(draw(st.integers(0, 4))):
+        factors = [f for f in pool for _ in range(draw(st.integers(0, 3)))]
+        poly = ptrim(draw(st.lists(st.integers(-50, 50), min_size=1, max_size=4)))
+        if poly and len(factors) <= 5:
+            groups[tuple(sorted(factors))] = poly
+    return groups, draw(st.integers(0, 64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(expansion_groups())
+@example(({((1, 1), (1, 1), (1, 1)): (1,), ((1, 1), (4, 2)): (-3, 0, 2)}, 64))
+@example(({((1, 1), (10**4, 64)): (5,), ((2, 1), (10**4, 21)): (-1, 1)}, 64))
+def test_expansion_matches_the_shifted_copies(case):
+    # the same rows and width, or the same refusal
+    def outcome(expand):
+        try:
+            return expand(*case)
+        except InvalidInput as exc:
+            return str(exc)
+
+    assert outcome(_expand) == outcome(shifted_copy_expand)
+
+
+def test_expansion_adds_each_group_once(monkeypatch):
+    calls = []
+    add = ratpoly._add_shifted
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return add(*args, **kwargs)
+
+    monkeypatch.setattr(ratpoly, "_add_shifted", counting)
+    z = denef_loeser(catalog.get("gk(6,+,-)"))
+    den_u = _common_den(z.terms)
+    groups = _grouped(den_u, z.terms)
+    rows, w = _expand(groups, 48)
+    assert rows and len(calls) == len(groups)
+
+
 class TestSeriesContainer:
     def test_round_trip(self):
         s = TSeries((RatFunc(0), RatFunc(1), PT))
@@ -472,6 +525,26 @@ def test_canonical_form_matches_the_full_prs(pair):
     num, den = pair
     r = RatFunc(num, den)
     assert (r.num, r.den) == prs_canonical(num, den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(canonical_inputs(), st.integers(0, 6))
+def test_times_u_minus_1_is_canonical_by_construction(pair, e):
+    r = RatFunc(*pair)
+    got = _times_u_minus_1(r, e)
+    want = RatFunc(pmul(r.num, ppow((-1, 1), e)), r.den)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-8, 8), st.integers(0, 3), coeffs)
+@example(-3, 2, [])
+@example(-5, 1, [0, 0, 4, -1])
+def test_laurent_over_one_is_canonical_by_construction(low, zeros, cs):
+    poly = ptrim([0] * zeros + cs)
+    got = _laurent_over(low, poly, (1,))
+    want = RatFunc((0,) * low + poly, (1,)) if low >= 0 else RatFunc(poly, (0,) * -low + (1,))
+    assert (got.num, got.den) == (want.num, want.den)
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,7 +4,7 @@ import json
 import time
 
 import pytest
-from helpers import subset_orbits
+from helpers import canonical_rep, subset_orbits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,11 +17,13 @@ from equizeta.resolution import (
     GroupSpec,
     ResolutionData,
     StratumEntry,
+    _orbit_rep,
     generated_group,
     parse,
     require,
     resolution_to_json,
     serialize,
+    subset_orbit,
     validate,
 )
 
@@ -118,6 +120,22 @@ class TestValidation:
         diags = validate(ResolutionData("random", divisors, GroupSpec(order, gens), strata))
         assert bool(diags) == bad, (gens, order, diags)
         assert all(d.startswith("generators span") for d in diags)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.permutations(range(1, n + 1)), max_size=3),
+                st.sets(st.integers(1, n), min_size=1),
+            ).map(lambda case: (n, [tuple(g) for g in case[0]], frozenset(case[1])))
+        ),
+    )
+    def test_one_pass_representative_is_the_least_of_the_orbit(self, case):
+        n, gens, subset = case
+        divisors = tuple(Divisor(i, 1, 1, True) for i in range(1, n + 1))
+        strata = (StratumEntry({1}, Atom("point_fixed")),)
+        group = generated_group(ResolutionData("random", divisors, GroupSpec(120, gens), strata))
+        assert _orbit_rep(subset, group) == canonical_rep(subset_orbit(subset, group))
 
     def test_group_closure_stops_after_the_declared_order(self):
         # a 9-cycle and a transposition span all of S_9 (362880 permutations)
@@ -221,6 +239,33 @@ class TestSerialization:
         doc["divisors"][0]["N"] = "two"
         with pytest.raises(SchemaError):
             parse(json.dumps(doc))
+
+    @pytest.mark.parametrize("entry, message", [
+        (5, "divisors[1]: missing field 'id'"),
+        ([], "divisors[1]: missing field 'id'"),
+        (None, "divisors[1]: missing field 'id'"),
+        ({}, "divisors[1]: missing field 'id'"),
+        ({"N": 0, "nu": 0}, "divisors[1]: missing field 'id'"),
+        ({"id": 2}, "divisors[1]: missing field 'N'"),
+        ({"id": 2, "N": 1}, "divisors[1]: missing field 'nu'"),
+        ({"id": "2", "N": 1, "nu": 1}, "divisors[1].id: expected integer"),
+        ({"id": None, "N": "x", "nu": 1}, "divisors[1].id: expected integer"),
+        ({"id": 2, "N": True, "nu": 1}, "divisors[1].N: expected integer"),
+        ({"id": 2, "N": 1, "nu": 1.0}, "divisors[1].nu: expected integer"),
+        ({"id": 2, "N": 0, "nu": "1"}, "divisors[1].nu: expected integer"),
+        ({"id": 2, "N": 1, "nu": 1, "zero_fiber": 1}, "divisors[1].zero_fiber: expected boolean"),
+        ({"id": 2, "N": 1, "nu": 1, "zero_fiber": None},
+         "divisors[1].zero_fiber: expected boolean"),
+        ({"id": 2, "N": 0, "nu": 1}, "divisors[1]: multiplicities must be >= 1"),
+        ({"id": 2, "N": 1, "nu": -3, "zero_fiber": True},
+         "divisors[1]: multiplicities must be >= 1"),
+    ])
+    def test_malformed_divisor_names_its_first_bad_field(self, entry, message):
+        doc = resolution_to_json(catalog.get("x2+y2_Z2"))
+        doc["divisors"].append(entry)
+        with pytest.raises(SchemaError) as exc:
+            parse(json.dumps(doc))
+        assert str(exc.value) == message
 
     def test_require_reads_typed_fields(self):
         assert require({"n": 3}, "n", int, "x") == 3

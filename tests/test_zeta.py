@@ -139,8 +139,20 @@ class TestWorkedExamples:
         monkeypatch.setattr(zeta, "beta_value", counting)
         res = catalog.get("gk(14,+,-)")
         denef_loeser(res)
-        distinct = {(st.beta, len(st.divisors)) for st in res.strata}
+        distinct = {st.beta for st in res.strata}
         assert len(calls) == len(distinct) < len(res.strata)
+        # compare shares one memo between its sides: a fixture against its
+        # mutant, with one nu changed, evaluates the fixture's values only,
+        # and an unequal pair each distinct value of both once
+        mutant = dataclasses.replace(res, divisors=tuple(
+            dataclasses.replace(d, nu=d.nu + 1) if d.id == 1 else d for d in res.divisors))
+        other = catalog.get("y4-x2_Z2")
+        for lhs, rhs in ((res, mutant), (res, other), (other, res)):
+            calls.clear()
+            distinguish(lhs, rhs)
+            both = {st.beta for st in lhs.strata + rhs.strata}
+            assert len(calls) == len(set(calls)) == len(both)
+        assert len(both) < len(distinct) + len(other.strata)
 
     def test_expansion_matches_numeric_long_division(self):
         for name in ("y4-x2_Z2", "x4-y2_Z2", "-x2-y4_Z2", "A-boundary_f"):
