@@ -622,10 +622,9 @@ def _grouped(den_u: tuple, terms, negated=()) -> dict:
     quotients = {}
     for negate, part in ((False, terms), (True, negated)):
         for coeff, factors in part:
-            q = quotients.get(coeff.den)
-            if q is None:
-                q = quotients[coeff.den] = pdivexact(den_u, coeff.den)
-            scaled = coeff.num if q == (1,) else pmul(coeff.num, q)
+            if coeff.den not in quotients:
+                quotients[coeff.den] = pdivexact(den_u, coeff.den)
+            scaled = pmul(coeff.num, quotients[coeff.den])
             if negate:
                 scaled = pneg(scaled)
             groups[factors] = padd(groups[factors], scaled) if factors in groups else scaled
@@ -801,27 +800,34 @@ def _times_geometric(series: dict, nu: int, N: int, order: int, w: int) -> dict:
             if t + N > order:
                 break
             if t in series:
-                low_s, s = series[t]
-                if low_s < low:
-                    low, v, low_s, s = low_s, s, low, v
-                # (low, v) is the lower band; the digits between its top and
-                # low_s are the new empty ones
-                gap = low_s - low - v.bit_length() // w - 1
-                if gap > 0:
-                    spare -= gap
-                    if spare < 0:
-                        raise _too_many_bits()
-                v += s << w * (low_s - low)
+                low, v, spare = _merge_bands(low, v, *series[t], w, spare)
     return product
+
+
+def _merge_bands(low_a: int, a: int, low_b: int, b: int, w: int, spare: int):
+    """The sum of the packed rows (low_a, a) and (low_b, b) of width w as
+    (low, v, spare): one aligned shift and one int add.  spare counts the
+    empty digits that MAX_PACKED_BITS still allows; the digits between the
+    top of the lower band and the bottom of the higher one are charged to it
+    before the shift, and InvalidInput is raised once it falls below 0."""
+    if low_b < low_a:
+        low_a, a, low_b, b = low_b, b, low_a, a
+    gap = low_b - low_a - a.bit_length() // w - 1
+    if gap > 0:
+        spare -= gap
+        if spare < 0:
+            raise _too_many_bits()
+    return low_a, a + (b << w * (low_b - low_a)), spare
 
 
 def _add_shifted(acc: dict, rows: dict, poly: tuple, w: int, t_shift=0, u_shift=0, t_max=None):
     """acc += poly(u) u^u_shift T^t_shift rows in place, through T^t_max when
     given, on packed rows of width w; returns acc.  A product by poly is one
     int product, and a sum of two rows one aligned shift and one int add.
-    It checks neither cap on its result, but raises InvalidInput, before allocating them, once the empty
-    digits that the product by poly and the sums of rows whose bands lie
-    apart open would exceed MAX_PACKED_BITS bits."""
+    It checks neither cap on its result, but raises InvalidInput, before
+    allocating them, once the empty digits that the product by poly and the
+    sums of rows whose bands lie apart open would exceed MAX_PACKED_BITS
+    bits."""
     if not any(poly):
         return acc
     low_p, p = _pack(poly, w)
@@ -848,17 +854,7 @@ def _add_shifted(acc: dict, rows: dict, poly: tuple, w: int, t_shift=0, u_shift=
                     v >>= w * zeros
                     low += zeros
             else:
-                if low < low_a:
-                    low, v, low_a, a = low_a, a, low, v
-                # (low_a, a) is the lower band; the digits between its top
-                # and low are the new empty ones
-                gap = low - low_a - a.bit_length() // w - 1
-                if gap > 0:
-                    spare -= gap
-                    if spare < 0:
-                        raise _too_many_bits()
-                v = (v << w * (low - low_a)) + a
-                low = low_a
+                low, v, spare = _merge_bands(low_a, a, low, v, w, spare)
         acc[t] = low, v
     return acc
 

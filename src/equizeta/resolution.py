@@ -277,18 +277,13 @@ def resolution_from_json(obj) -> ResolutionData:
     divisors_obj = require(obj, "divisors", list, "resolution")
     divisors = []
     for di, dv in enumerate(divisors_obj):
-        # read directly; ``require`` names the field only when one is
-        # missing or of the wrong type
-        get = dv.get if type(dv) is dict else {}.get
-        did, N, nu, zf = get("id"), get("N"), get("nu"), get("zero_fiber", False)
-        if not (type(did) is type(N) is type(nu) is int and type(zf) is bool):
-            where = f"divisors[{di}]"
-            did = require(dv, "id", int, where)
-            N = require(dv, "N", int, where)
-            nu = require(dv, "nu", int, where)
-            zf = require(dv, "zero_fiber", bool, where, False)
+        where = f"divisors[{di}]"
+        did = require(dv, "id", int, where)
+        N = require(dv, "N", int, where)
+        nu = require(dv, "nu", int, where)
+        zf = require(dv, "zero_fiber", bool, where, False)
         if N < 1 or nu < 1:
-            raise SchemaError(f"divisors[{di}]: multiplicities must be >= 1")
+            raise SchemaError(f"{where}: multiplicities must be >= 1")
         divisors.append(Divisor(did, N, nu, zf))
     known = {d.id for d in divisors}
 

@@ -359,6 +359,13 @@ def expansion_groups(draw):
 @given(expansion_groups())
 @example(({((1, 1), (1, 1), (1, 1)): (1,), ((1, 1), (4, 2)): (-3, 0, 2)}, 64))
 @example(({((1, 1), (10**4, 64)): (5,), ((2, 1), (10**4, 21)): (-1, 1)}, 64))
+# at MAX_PACKED_BITS: the last nu that runs and the first that is refused,
+# by the bits of the rows built and by the gap charged before a merge
+@example(({((1, 1), (1917397, 1)): (1,)}, 6))
+@example(({((1, 1), (1917398, 1)): (1,)}, 6))
+@example(({((1, 1), (26843546, 1)): (1,)}, 3))
+@example(({((1, 1), (26843547, 1)): (1,)}, 3))
+@example(({((1, 1), (26843548, 1)): (1,)}, 3))
 def test_expansion_matches_the_shifted_copies(case):
     # the same rows and width, or the same refusal
     def outcome(expand):
