@@ -28,6 +28,16 @@ set is handled by orthant decomposition: an orthant is solvable exactly when
 its sign pattern satisfies the equation, its solution set is a copy of
 R^(|S|-1), and the involution permutes orthants through the sign flips.
 Exact for constant units only, which is all a monomial germ has.
+
+Every coefficient is built canonical, with no gcd step.  W is a canonical
+fraction over 1 or u - 1: (u - 1)^|S| times 1 or u/(u - 1) for the naive
+variant, and a multiple of a power of u, over 1 or u - 1, for the signed
+ones.  The counts are non-negative, so a nonzero row times W.num does not
+vanish at u = 1 when W.den = u - 1 (W.num is then a positive multiple of
+u^|S|).  The order-n coefficient, a Laurent polynomial in u over W.den, is
+then canonical once its valuation is moved into the power of u, which is
+what ``ratpoly._laurent_over`` does for the engine's series coefficients
+too.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ from typing import Tuple
 
 from .errors import InvalidInput, NotInvariant
 from .gspace import MAX_AFFINE
-from .ratpoly import RatFunc, TSeries, pmul, ppow
+from .ratpoly import RatFunc, TSeries, _laurent_over, pmul, ppow
 
 _POINT = RatFunc((0, 1), (-1, 1))
 _U_MINUS_1 = RatFunc.poly((-1, 1))
@@ -203,8 +213,9 @@ def oracle_series(
     """Generating series through T^order, coefficient of T^n scaled by u^-nd.
 
     With top = n // min N_i, that coefficient is
-    W.num * sum_m counts[n][m] u^(top - m) / (W.den * u^top): one
-    canonicalisation per order, and W once per call.
+    W.num * sum_m counts[n][m] u^(top - m) / (W.den * u^top), which
+    ``_laurent_over`` builds with no gcd step (module docstring); only W is
+    canonicalised, once per call.
     """
     if variant not in ("naive", "plus", "minus"):
         raise ValueError(f"bad variant {variant!r}")
@@ -214,6 +225,6 @@ def oracle_series(
     counts = _order_counts(germ, order)
     wfac = _leading_factor(germ, action, variant)
     return TSeries(
-        [RatFunc(pmul(wfac.num, row[::-1]), (0,) * (len(row) - 1) + wfac.den)
+        [_laurent_over(1 - len(row), pmul(wfac.num, row[::-1]) if any(row) else (), wfac.den)
          for row in counts]
     )

@@ -219,6 +219,16 @@ class SpectralPage:
                 clean[(p, q)] = d
         object.__setattr__(self, "dims", clean)
 
+    @classmethod
+    def _clean(cls, dims: dict) -> "SpectralPage":
+        """A page that takes ``dims`` as is, with no per-entry check, for a
+        dict already in the form that ``__init__`` builds: every position
+        has p <= 0 and q >= 0 and every dimension is positive.  The caller
+        guarantees that invariant and gives up the dict."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "dims", dims)
+        return self
+
     def __setattr__(self, *args):
         raise AttributeError("SpectralPage is immutable")
 
@@ -288,7 +298,8 @@ def hs_e2_page(
             d = zero if p == 0 else odd if p % 2 else even
             if d:
                 dims[(p, q)] = d
-    return SpectralPage(dims)
+    # p runs over p_min..0, q was checked above and d is positive
+    return SpectralPage._clean(dims)
 
 
 def apply_differentials(
@@ -314,7 +325,9 @@ def apply_differentials(
             dims[key] -= rank
             if not dims[key]:
                 del dims[key]
-    return SpectralPage(dims)
+    # a nonzero rank only lowers entries of the page that hold at least that
+    # rank, and an entry that reaches 0 is dropped
+    return SpectralPage._clean(dims)
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +357,18 @@ class TailSpec:
 
 
 def _degree(key: str) -> int:
-    """A total degree written as a JSON object key."""
+    """A total degree written as a JSON object key, in its canonical decimal
+    form only, so that no two keys name one degree: "01", "+1", " 1" and
+    "1_0" are refused."""
     try:
-        return int(key)
+        degree = int(key)
     except ValueError as exc:
         raise SchemaError(f"tail.explicit: key {key!r} is not an integer") from exc
+    if str(degree) != key:
+        raise SchemaError(
+            f"tail.explicit: key {key!r} is not the decimal form {str(degree)!r} of its degree"
+        )
+    return degree
 
 
 def betti_series(page: SpectralPage, tail: TailSpec) -> RatFunc:

@@ -42,9 +42,11 @@ only when both of those are non-constant, and only when Euclid on their
 images modulo the prime 2^61 - 1 does not already show them coprime.  Series
 coefficients are Laurent polynomials over small denominators such as u^s,
 and G-space values are fractions over powers of u and u - 1, so most of them
-need no PRS at all.  Series coefficients over the denominator 1 and
-canonical values times a power of u - 1 are canonical by construction and
-skip even the strips (``RatFunc._reduced``).
+need no PRS at all.  Series coefficients over the denominator 1, or over
+u - 1 when u - 1 does not divide their numerator (``_laurent_over``, which
+also builds the arc oracle's coefficients), and canonical values times a
+power of u - 1 are canonical by construction and skip even the strips
+(``RatFunc._reduced``).
 """
 
 from __future__ import annotations
@@ -866,11 +868,17 @@ def _bipoly(terms: list) -> BiPoly:
 
 def _laurent_over(low: int, poly: tuple, den_u: tuple) -> RatFunc:
     """The Laurent polynomial u^low * poly(u) divided by den_u, canonical.
-    Over den_u = 1 it needs no gcd step: once poly's valuation has moved
-    into low, u^low poly / 1, or poly / u^-low, is already canonical."""
-    if den_u == (1,):
-        if not poly:
-            return RatFunc(0)
+
+    Over den_u = 1, and over den_u = u - 1 when poly(1) = sum(poly) != 0, it
+    needs no gcd step.  Once poly's valuation has moved into low, poly has
+    no factor u, and over u - 1 none of u - 1 either; den_u is primitive
+    with a positive leading coefficient, and its only prime factors are u
+    and u - 1.  So u^low poly / den_u, or poly / (u^-low den_u), is already
+    canonical.  Any other den_u, or a poly that u - 1 divides, goes through
+    the gcd step."""
+    if not poly:
+        return RatFunc._reduced((), (1,))
+    if den_u == (1,) or (den_u == (-1, 1) and sum(poly)):
         v = _valuation(poly)
         low += v
         if low >= 0:

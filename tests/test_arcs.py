@@ -17,6 +17,7 @@ from equizeta.arcs import (
     MAX_ORACLE_CELLS,
     MonomialGerm,
     SignAction,
+    _leading_factor,
     _order_counts,
     _solvable_orthants,
     arc_beta_naive,
@@ -233,6 +234,28 @@ class TestOracleSeries:
     def test_order_zero(self):
         s = oracle_series(MonomialGerm((2,)), FLIP, "naive", 0)
         assert s.order == 0 and s[0].is_zero()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 4), min_size=1, max_size=3).filter(any),
+        st.sampled_from((1, -1)),
+        st.data(),
+        st.sampled_from(("naive", "plus", "minus")),
+        st.integers(0, 20),
+    )
+    def test_coefficients_are_canonical_by_construction(self, exps, sign, data, variant, order):
+        # every coefficient is built with no gcd step, over the leading
+        # factor's denominator 1 or u - 1
+        germ = MonomialGerm(exps, sign)
+        actions = [TRIVIAL] + [
+            SignAction(eps) for eps in itertools.product((1, -1), repeat=len(exps))
+            if is_invariant(germ, SignAction(eps))
+        ]
+        action = data.draw(st.sampled_from(actions), label="action")
+        assert _leading_factor(germ, action, variant).den in ((1,), (-1, 1))
+        for c in oracle_series(germ, action, variant, order).coeffs:
+            want = RatFunc(c.num, c.den)
+            assert (c.num, c.den) == (want.num, want.den)
 
     def test_support_permutation_symmetry(self):
         exps = (2, 0, 4)

@@ -641,6 +641,32 @@ class TestErrorBoundary:
         assert_one_error(call(["cohomology", "-"], edited_pipeline(edit)), 3)
 
     @pytest.mark.parametrize(
+        "explicit",
+        [
+            {"01": 5, "1": 1, "2": 1},  # "01" names degree 1 twice, first
+            {"1": 1, "01": 5, "2": 1},  # and last
+            {"1": 1, "+2": 1},
+            {" 1": 1, "2": 1},
+            {"1": 1, "2": 1, "1_0": 0},  # int() reads it as 10
+        ],
+    )
+    def test_explicit_key_not_in_decimal_form_exits_3(self, explicit):
+        spec = cohomology.sphere_fixed_pipeline(-16)
+        spec["tail"]["explicit"] = explicit
+        result = call(["cohomology", "-"], json.dumps(spec))
+        assert_one_error(result, 3)
+        assert "is not the decimal form" in result[2]
+
+    def test_negative_explicit_key_is_checked(self):
+        # degree -1 is below the cutoff: (-1, 0) and (-3, 2) give it 2
+        spec = cohomology.sphere_fixed_pipeline(-16)
+        spec["tail"]["explicit"]["-1"] = 2
+        code, out, _ = call(["cohomology", "-"], json.dumps(spec))
+        assert code == 0 and out == call(["cohomology", "sphere_fixed"])[1]
+        spec["tail"]["explicit"]["-1"] = 3
+        assert_one_error(call(["cohomology", "-"], json.dumps(spec)), 2)
+
+    @pytest.mark.parametrize(
         "differential",
         [
             {"r": 2, "p": 0, "q": 2, "rank": -1},  # target (-2, 3) is off the page

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import pytest
 from helpers import (
@@ -9,9 +10,11 @@ from helpers import (
     scanned_betti_series,
     summed_norm,
 )
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from test_cli import paths
 
+from equizeta import cohomology
 from equizeta.cohomology import (
     MAX_PAGE_CELLS,
     MAX_PAGE_DEPTH,
@@ -29,7 +32,13 @@ from equizeta.cohomology import (
     sphere_fixed_pipeline,
     sphere_free_pipeline,
 )
-from equizeta.errors import InvalidInput, RankTooLarge, SchemaError, TailMismatch
+from equizeta.errors import (
+    EquizetaError,
+    InvalidInput,
+    RankTooLarge,
+    SchemaError,
+    TailMismatch,
+)
 from equizeta.gspace import atom_value
 from equizeta.ratpoly import RatFunc
 
@@ -210,6 +219,30 @@ class TestPages:
         page = hs_e2_page([(0, TRIV1)], -MAX_PAGE_DEPTH)
         assert min(p for p, _ in page.dims) == -MAX_PAGE_DEPTH
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 3), modules()), max_size=3),
+        st.integers(-12, 0),
+        st.lists(st.tuples(st.integers(-2, 4), st.integers(-12, 0), st.integers(0, 4),
+                           st.integers(0, 2)), max_size=6),
+    )
+    def test_built_pages_equal_their_revalidated_copies(self, homology, p_min, ranks):
+        page = hs_e2_page(dict(homology).items(), p_min)
+        assert page == SpectralPage(dict(page.dims))
+        try:
+            final = apply_differentials(page, ranks)
+        except RankTooLarge:
+            return
+        assert final == SpectralPage(dict(final.dims))
+
+    def test_a_rank_that_uses_up_source_and_target_drops_both(self):
+        page = hs_e2_page([(0, TRIV1), (2, TRIV1)], p_min=-4)
+        # d^3 from (0, 0) to (-3, 2), each of dimension 1
+        final = apply_differentials(page, [(3, 0, 0, 1)])
+        assert final.dims == {key: d for key, d in page.dims.items()
+                              if key not in ((0, 0), (-3, 2))}
+        assert final == SpectralPage(dict(final.dims))
+
     def test_page_cells_are_capped(self):
         # 16 rows of 4096 entries fill the cap exactly; one more column or
         # row is refused before any entry is built
@@ -303,3 +336,68 @@ class TestBettiSeries:
         target[last] = value
         with pytest.raises(SchemaError):
             run_pipeline(spec)
+
+
+# -- fuzzing run_pipeline: mutated built-in specs fail only as EquizetaError ----
+
+PIPELINES = (sphere_free_pipeline, sphere_fixed_pipeline, circle_fixed_pipeline)
+BOUNDARY_INTS = sorted({
+    s * n for s in (1, -1)
+    for n in (0, 1, 2, 3, MAX_PAGE_DEPTH - 1, MAX_PAGE_DEPTH, MAX_PAGE_DEPTH + 1,
+              MAX_PAGE_CELLS - 1, MAX_PAGE_CELLS, MAX_PAGE_CELLS + 1)
+})
+RETYPED = ("1", "", 1.0, -16.0, True, False, None, [], [1], {}, {"q": 0})
+KEYS = ("01", "+1", " 1", "1_0", "-1", "3", "x", "")
+
+
+@st.composite
+def mutated_pipelines(draw):
+    """A built-in pipeline at a drawn p_min with one to three mutations, each
+    at a drawn node: dropped, retyped, set to an integer at or past a page
+    cap, or (in a mapping) re-keyed."""
+    build = draw(st.sampled_from(PIPELINES))
+    # a copy through JSON text, so that no two nodes are one object
+    spec = json.loads(json.dumps(build(draw(st.sampled_from((-16, -64, -256))))))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from([p for p in paths(spec) if p]))
+        *head, last = path
+        parent = spec
+        for key in head:
+            parent = parent[key]
+        kind = draw(st.sampled_from(("drop", "retype", "integer", "rekey")))
+        if kind == "drop":
+            del parent[last]
+        elif kind == "retype":
+            # a copy, so that a later mutation leaves RETYPED as it is
+            parent[last] = json.loads(json.dumps(draw(st.sampled_from(RETYPED))))
+        elif kind == "integer":
+            parent[last] = draw(st.sampled_from(BOUNDARY_INTS))
+        elif isinstance(parent, dict):
+            parent[draw(st.sampled_from(KEYS))] = parent.pop(last)
+    return spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_pipelines())
+@example({**sphere_free_pipeline(-16), "p_min": -MAX_PAGE_DEPTH})
+@example({**sphere_free_pipeline(-16), "p_min": -MAX_PAGE_DEPTH - 1})
+@example({**sphere_fixed_pipeline(-16), "homology": [
+    {"q": q, "module": TRIV1.to_json()} for q in range(16)], "p_min": 1 - MAX_PAGE_DEPTH})
+def test_mutated_pipelines_fail_only_as_equizeta_errors(spec):
+    pages = []
+
+    def recording(build):
+        def wrapper(*args):
+            pages.append(build(*args))
+            return pages[-1]
+        return wrapper
+
+    with mock.patch.object(cohomology, "hs_e2_page", recording(hs_e2_page)), \
+            mock.patch.object(cohomology, "apply_differentials", recording(apply_differentials)):
+        try:
+            run_pipeline(json.loads(json.dumps(spec)))
+        except EquizetaError:
+            pass
+    for page in pages:
+        assert type(page.dims) is dict
+        assert page == SpectralPage(dict(page.dims))

@@ -548,9 +548,27 @@ def test_times_u_minus_1_is_canonical_by_construction(pair, e):
 @example(-3, 2, [])
 @example(-5, 1, [0, 0, 4, -1])
 def test_laurent_over_one_is_canonical_by_construction(low, zeros, cs):
-    poly = ptrim([0] * zeros + cs)
-    got = _laurent_over(low, poly, (1,))
-    want = RatFunc((0,) * low + poly, (1,)) if low >= 0 else RatFunc(poly, (0,) * -low + (1,))
+    assert_laurent_over_is_canonical(low, ptrim([0] * zeros + cs), (1,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-8, 8), st.integers(0, 3), coeffs, st.integers(0, 2))
+@example(-3, 2, [], 0)
+@example(-5, 1, [0, 0, 4, -1], 0)
+@example(2, 0, [3], 1)  # 3(u - 1) / (u - 1): the gcd step
+@example(-2, 1, [1, 1], 2)  # (u + 1)(u - 1)^2 over u^2 (u - 1)
+@example(-1, 0, [2, -1, -1], 0)  # sums to 0: u - 1 divides
+@example(0, 0, [-4], 0)
+def test_laurent_over_u_minus_1_is_canonical_by_construction(low, zeros, cs, shared):
+    # a factor (u - 1)^shared makes poly sum to 0, so the gcd step runs;
+    # otherwise the sum is 0 only when u - 1 divides cs by chance
+    poly = pmul(ptrim([0] * zeros + cs), ppow((-1, 1), shared))
+    assert_laurent_over_is_canonical(low, poly, (-1, 1))
+
+
+def assert_laurent_over_is_canonical(low, poly, den_u):
+    got = _laurent_over(low, poly, den_u)
+    want = RatFunc((0,) * low + poly, den_u) if low >= 0 else RatFunc(poly, (0,) * -low + den_u)
     assert (got.num, got.den) == (want.num, want.den)
 
 
