@@ -4,11 +4,14 @@ Subcommands: compute, compare, oracle, catalog, cohomology.  Exit codes are
 0 (success / equal), 1 (compare found a difference), and otherwise the
 ``exit_code`` of the ``EquizetaError`` raised: 2 (semantic error such as
 failed validation or a non-invariant germ), 3 (parse or schema error).
-All configuration is via flags; "-" reads standard input.  ``main`` hands
-the words after a known subcommand name straight to that subcommand's own
-parser; an empty argv, an unknown first word, a top-level ``-h`` and any
-argument the subcommand leaves over go through the full parser, so every
-usage text, error and exit code is the full parser's.  Structured output is
+All configuration is via flags; "-" reads standard input.  ``main`` reads
+well-formed words after a known subcommand name straight from that
+subcommand parser's declared actions (``_read_words``, from the tables that
+``_parsers`` builds beside each parser) and hands anything else to argparse:
+to the subcommand's own parser, then for an empty argv, an unknown first
+word, a top-level ``-h`` or any argument the subcommand leaves over to the
+full parser.  So argparse stays the one declaration and the only writer of
+usage, help and error texts and exit codes.  Structured output is
 indented JSON with sorted keys, written by ``_emit``, which writes engine
 objects without a ``to_json`` tree: a cleared fraction straight from its
 interleaved term lists, one ``%`` call on a template of one JSON block per
@@ -283,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parsers():
-    """(the top-level parser, {subcommand name: that subcommand's parser})."""
+    """(the top-level parser, {subcommand name: (that subcommand's parser,
+    its ``_table``)})."""
     parser = argparse.ArgumentParser(
         prog="equizeta",
         description="equivariant zeta functions of invariant Nash germs",
@@ -333,7 +337,113 @@ def _parsers():
     )
     coh.set_defaults(func=_cmd_cohomology)
 
-    return parser, sub.choices
+    return parser, {name: (command, _table(command)) for name, command in sub.choices.items()}
+
+
+# The type of a store_true flag's slot in a _table.
+_FLAG = object()
+
+
+def _table(command):
+    """What ``_read_words`` needs of ``command``'s declared actions:
+    ({full option name: slot}, the positionals' slots in declared order, the
+    dests of the required options, the defaults in the order argparse sets
+    them).  A slot is (dest, type or None, choices or None), and a
+    ``store_true`` flag's is (dest, _FLAG, None).  None when ``command``
+    declares an action other than help, a plain store or a ``store_true``
+    flag, such as ``catalog``'s subparsers.  The differential tests draw
+    their words from these same declarations, so a declaration that the
+    reader would not mirror fails them."""
+    options, positionals, required, defaults = {}, [], [], {}
+    for action in command._actions:
+        kind = type(action)
+        if kind is argparse._HelpAction:
+            continue
+        if kind is argparse._StoreTrueAction:
+            slot = (action.dest, _FLAG, None)
+        elif kind is argparse._StoreAction and action.nargs is None:
+            slot = (action.dest, action.type, action.choices)
+        else:
+            return None
+        for name in action.option_strings:
+            options[name] = slot
+        if not action.option_strings:
+            positionals.append(slot)
+        elif action.required:
+            required.append(action.dest)
+        defaults[action.dest] = action.default
+    for dest, value in command._defaults.items():
+        defaults.setdefault(dest, value)
+    return options, tuple(positionals), tuple(required), defaults
+
+
+# What _value returns for a value that argparse would refuse.
+_REFUSED = object()
+
+
+def _value(slot, text):
+    """``text`` through ``slot``'s type and choices, as argparse applies
+    them, or ``_REFUSED`` when either refuses it."""
+    _, kind, choices = slot
+    if kind is not None:
+        try:
+            text = kind(text)
+        except (ValueError, TypeError, argparse.ArgumentTypeError):
+            return _REFUSED
+    if choices is not None and text not in choices:
+        return _REFUSED
+    return text
+
+
+def _read_words(words, table):
+    """The namespace that ``table``'s parser gives for ``words``, read in
+    one pass; None for anything outside the well-formed subset below.
+
+    Read: full option names as ``--name value`` or ``--name=value``, flags,
+    positionals in declared order, and one ``--`` after which every word, at
+    least one, is a positional.  Each value goes through its slot's type and
+    choices, and every positional and required option must be present.  None
+    for an abbreviated or unknown option, ``-h``, a separate value or a
+    positional that starts with "-", an ``=`` value of "--" (argparse before
+    3.13 strips it), a flag given a value, a failed type or choice, a
+    missing or extra positional, and a second or trailing ``--``."""
+    options, positionals, required, defaults = table
+    tail = ()
+    if "--" in words:
+        cut = words.index("--")
+        words, tail = words[:cut], words[cut + 1:]
+        if not tail or "--" in tail:
+            return None
+    given, texts = [], []  # (slot, word) per option given; positional words
+    words = iter(words)
+    for word in words:
+        if word[:1] != "-":
+            texts.append(word)
+            continue
+        slot = options.get(word)
+        if slot is None:
+            name, eq, word = word.partition("=")
+            slot = options.get(name)
+            if slot is None or not eq or slot[1] is _FLAG or word == "--":
+                return None
+        elif slot[1] is not _FLAG:
+            word = next(words, None)
+            if word is None or word[:1] == "-":
+                return None
+        given.append((slot, word))
+    texts.extend(tail)
+    if len(texts) != len(positionals):
+        return None
+    given.extend(zip(positionals, texts))
+    if not {slot[0] for slot, _ in given}.issuperset(required):
+        return None
+    values = dict(defaults)
+    for slot, word in given:
+        value = True if slot[1] is _FLAG else _value(slot, word)
+        if value is _REFUSED:
+            return None
+        values[slot[0]] = value
+    return argparse.Namespace(**values)
 
 
 def _merge_dash_values(argv):
@@ -354,13 +464,22 @@ def _merge_dash_values(argv):
 
 
 def _parse(argv):
-    """The namespace that ``build_parser().parse_args(argv)`` gives, from one
-    parse: the top-level parser would only hand ``argv[1:]`` to the named
-    subcommand's parser and then refuse anything that parser left over.
-    Anything but a known subcommand name first, and any leftover, goes
-    through the full parser, which prints the usage or error and exits."""
+    """The namespace that ``build_parser().parse_args(argv)`` gives, apart
+    from ``command``, from at most one argparse parse.
+
+    The top-level parser would only hand ``argv[1:]`` to the named
+    subcommand's parser and then refuse anything that parser left over.  So
+    the words after a known subcommand name are first read straight from
+    that parser's ``_table`` (``_read_words``); whatever the reader declines
+    goes to the subcommand's parser, and anything but a known subcommand
+    name first, or any leftover, to the full parser, which prints the usage,
+    help or error and exits."""
     parser, commands = _parsers()
-    command = commands.get(argv[0]) if argv else None
+    command, table = commands.get(argv[0] if argv else None, (None, None))
+    if table is not None:
+        args = _read_words(argv[1:], table)
+        if args is not None:
+            return args
     if command is not None:
         args, extra = command.parse_known_args(argv[1:])
         if not extra:

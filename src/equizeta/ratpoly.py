@@ -284,6 +284,14 @@ def _coprime_mod_p(a: tuple, b: tuple) -> bool:
     return len(x) == 1
 
 
+def _is_u_minus_1_power(p: tuple) -> bool:
+    """True when p is a constant times (u - 1)^j, j = deg p.  The top
+    coefficient fixes the rest: c (u-1)^j is the one polynomial of degree j
+    whose coefficients satisfy (j - k + 1) p_(k-1) = -k p_k for k = 1..j."""
+    j = len(p) - 1
+    return all((j - k + 1) * p[k - 1] == -k * p[k] for k in range(1, j + 1))
+
+
 def _cofactors(a: tuple, b: tuple):
     """(a / g, b / g) for g = pgcd(a, b), a and b nonzero: the one gcd step.
 
@@ -292,8 +300,12 @@ def _cofactors(a: tuple, b: tuple):
     share, by synthetic division at u = 1 of both while both are divisible.
     Both factors are prime, so what is left, A and B, has no common factor u
     or u - 1, and g is u^min (u-1)^min gcd(A, B).  The primitive PRS runs on
-    A and B only: not when either is a constant, and not when their images
-    mod 2^61 - 1 show them coprime (``_coprime_mod_p``)."""
+    A and B only: not when either is a constant, not when B is a constant
+    times a power of u - 1 (``_is_u_minus_1_power``), and not when their
+    images mod 2^61 - 1 show them coprime (``_coprime_mod_p``).  A
+    non-constant B = c (u-1)^j has u - 1 as its only prime factor and is
+    divisible by it, so the shared strip stopped because u - 1 does not
+    divide A: A and B share no non-constant factor."""
     va, vb = _valuation(a), _valuation(b)
     v = min(va, vb)
     a, b = a[va:], b[vb:]
@@ -302,7 +314,8 @@ def _cofactors(a: tuple, b: tuple):
         if qa is None or qb is None:
             break
         a, b = qa, qb
-    if len(a) > 1 and len(b) > 1 and not _coprime_mod_p(a, b):
+    if (len(a) > 1 and len(b) > 1 and not _is_u_minus_1_power(b)
+            and not _coprime_mod_p(a, b)):
         g = pgcd(a, b)
         if g != (1,):
             a, b = pdivexact(a, g), pdivexact(b, g)
@@ -965,8 +978,9 @@ class ZetaRational:
             )
         den_u = _common_den(self.terms)
         rows, w = _expand(_grouped(den_u, self.terms), order)
+        zero = _laurent_over(0, (), den_u)
         return TSeries(tuple(
-            _laurent_over(*_row_poly(rows[n], w), den_u) if n in rows else RatFunc(0)
+            _laurent_over(*_row_poly(rows[n], w), den_u) if n in rows else zero
             for n in range(order + 1)
         ))
 

@@ -1,12 +1,15 @@
 import io
 import json
+import random
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from argv_sweep import outcome, random_argv
 from helpers import big_coprime_pair, cleared_json, per_term_cleared, reference_rational_text
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_properties import variants_of
 
@@ -418,6 +421,41 @@ class TestDispatch:
         monkeypatch.setattr(build_parser(), "parse_known_args", refuse)
         for argv in VALID_ARGVS:
             assert run(*argv)[0] in (0, 1), argv
+
+
+class TestDirectRead:
+    # hypothesis draws the seed, not the words: a seeded Random spreads the
+    # draws over the argv space as the plain sweep does
+    @settings(max_examples=1000, deadline=None)
+    @given(st.integers(0, 2**64).map(lambda seed: random_argv(random.Random(seed))))
+    @example(["compare", "+1", "rational", "--order=4", "--"])  # argparse refuses the "--"
+    @example(["catalog", "list"])  # nested subparsers: argparse reads them
+    @example(["compare", "--", "x2k_Z2(2)", "--"])  # a second "--"
+    @example(["oracle", "--exponents=--", "--trivial-group"])  # stripped before 3.13
+    @example(["oracle", "--exponents", "2,2", "--action", "-1,1"])  # a value "-1,1"
+    @example(["oracle", "--exponents=1", "--trivial-group=x"])  # a flag given a value
+    def test_same_namespace_or_exit_as_the_full_parser(self, argv):
+        assert outcome(cli._parse, argv) == outcome(build_parser().parse_args, argv)
+
+    def test_every_bench_argv_is_read_directly(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import jobs
+
+        argvs = [
+            cli._merge_dash_values(list(job.argv))
+            for workload in jobs.GENERATORS
+            for seed in (1, 2, 3)
+            for job in jobs.generate(workload, seed).jobs
+        ]
+        want = [outcome(build_parser().parse_args, argv) for argv in argvs]
+
+        def refuse(*args):
+            raise AssertionError("argparse used for a bench argv")
+
+        monkeypatch.setattr(build_parser(), "parse_args", refuse)
+        for command, _ in cli._parsers()[1].values():
+            monkeypatch.setattr(command, "parse_known_args", refuse)
+        assert [outcome(cli._parse, argv) for argv in argvs] == want
 
 
 class TestOracle:

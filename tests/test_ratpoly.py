@@ -39,11 +39,13 @@ from equizeta.ratpoly import (
     TSeries,
     ZetaRational,
     _add_shifted,
+    _cofactors,
     _common_den,
     _coprime_mod_p,
     _expand,
     _expansion_work,
     _grouped,
+    _is_u_minus_1_power,
     _laurent_over,
     _lcm_fold,
     _t_bound,
@@ -580,6 +582,28 @@ def test_the_coprime_test_mod_p_agrees_with_the_prs(pair):
         assert pgcd(num, den) == (1,)
     shared = pmul((3, -1, 2), (1, 1))
     assert not _coprime_mod_p(pmul(num, shared), pmul(den, shared))
+
+
+u_minus_1_powers = st.builds(
+    lambda c, j: pmul((c,), ppow((-1, 1), j)), st.integers(-9, 9).filter(bool), st.integers(0, 8)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(u_minus_1_powers, u_free, st.builds(pmul, u_free, u_minus_1_powers)))
+def test_the_power_of_u_minus_1_test_matches_its_definition(p):
+    assert _is_u_minus_1_power(p) == (p == pmul((p[-1],), ppow((-1, 1), len(p) - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(u_free, st.integers(0, 4), st.integers(0, 4), u_minus_1_powers, st.integers(0, 4))
+def test_cofactors_over_a_power_of_u_minus_1_match_the_prs(a, i, ka, den, kb):
+    # a (u-1)^i u^ka over c (u-1)^j u^kb: after the strips den's side is a
+    # constant times a power of u - 1, and no gcd step runs
+    num = pmul(pmul(a, ppow((-1, 1), i)), pmonomial(ka))
+    den = pmul(den, pmonomial(kb))
+    g = pgcd(num, den)
+    assert _cofactors(num, den) == (pdivexact(num, g), pdivexact(den, g))
 
 
 def test_a_large_coprime_pair_skips_the_prs():
