@@ -9,10 +9,12 @@ the next in the factors' zonotope.  A product by a binomial is then one
 shift and one subtraction per run.  Runs that share a row become one, and
 neighbouring runs join only across at most _SLACK_BITS empty bits, so
 T-sparse polynomials, and rows whose u-bands lie far apart, keep a run per
-row, as the T-expansion's packed rows in ``ratpoly`` do.  The caps count
-terms, and the bits that each row would take packed alone at the
-coefficients' own width, whatever the runs hold.  The readout takes each
-run's digits off in C from its bytes, and gives every polynomial as one
+row, as the T-expansion's packed rows in ``ratpoly`` do.  The runs use
+``ratpoly``'s packed format: its width rule (digits stored at the
+``_byte_width`` of the coefficients' exact ``_width``), its readout
+``_digits``, and its bit count ``_exact_bits``.  The caps count terms, and
+the bits that each row would take packed alone at the exact width,
+whatever the runs hold.  The readout gives every polynomial as one
 interleaved [c, t, u, ...] list in (t, u) order, which ``cli`` prints with
 one format call.  ``ratpoly.ZetaRational._cleared`` imports this module
 when a cleared fraction is first asked for, so commands that print none do
@@ -21,17 +23,19 @@ not load it.
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left, bisect_right
 from functools import cmp_to_key
 from itertools import chain, compress, repeat
 from math import gcd, inf
-from operator import add, itemgetter, lshift, mul, sub
+from operator import itemgetter, mul, sub
 
 from .errors import InvalidInput
 from .ratpoly import (
     MAX_PACKED_BITS,
+    _byte_width,
     _common_den,
+    _digits,
+    _exact_bits,
     _factor_max,
     _grouped,
     _l1,
@@ -90,52 +94,6 @@ def _row_bits(flat: list, w: int) -> int:
             bits -= 1
         first = i + 1
     return bits
-
-
-# The machine-integer formats of 8-, 16-, 32- and 64-bit digits.
-_DIGIT_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
-
-# Byte j of a 64-bit machine word, j = 0 the lowest, sits at index
-# _BYTE_SLOTS[j] of the word's bytes on this host.
-_BYTE_SLOTS = range(8) if sys.byteorder == "little" else range(7, -1, -1)
-
-# The byte that extends the sign of a two's complement integer whose top
-# byte is the index: 0x00 below 0x80 and 0xff from it on.
-_SIGN_EXTENSION = bytes(128) + b"\xff" * 128
-
-
-def _byte_width(w: int) -> int:
-    """The digit width that holds w bits in the runs: 8, 16, 32 or 64 bits,
-    so that a digit is a machine integer, and whole bytes above 64, where a
-    power of two would cost up to twice the bits in every product."""
-    return max(8, 1 << (w - 1).bit_length()) if w <= 64 else -(-w // 8) * 8
-
-
-def _digits(v: int, w: int):
-    """The balanced base-2^w digits of v, lowest first, as a sequence of
-    ints taken off in C; w is a ``_byte_width``.  With 2^(w-1) added to
-    every digit and xor-ed off again, each w-bit chunk of v is its digit in
-    two's complement, so a machine-size digit is a cast of v's bytes.  For a
-    wider one, strided copies move the chunks' bytes, and copies of each top
-    byte's sign, into 64-bit words that cast to machine integers, the top
-    word signed, and the digit is the sum of its words' shifts."""
-    size = w // 8
-    n = v.bit_length() // w + 1
-    halves = int.from_bytes((1 << (w - 1)).to_bytes(size, "little") * n, "little")
-    chunks = ((v + halves) ^ halves).to_bytes(n * size, "little")
-    if size in _DIGIT_FORMATS and sys.byteorder == "little":
-        return memoryview(chunks).cast(_DIGIT_FORMATS[size])
-    sign = chunks[size - 1::size].translate(_SIGN_EXTENSION)
-    digits = None
-    for q in reversed(range(0, size, 8)):
-        word = bytearray(8 * n)
-        for j, slot in enumerate(_BYTE_SLOTS, q):
-            word[slot::8] = chunks[j::size] if j < size else sign
-        if digits is None:
-            digits = memoryview(word).cast("q")
-        else:
-            digits = map(add, map(lshift, digits, repeat(64)), memoryview(word).cast("Q"))
-    return list(digits)
 
 
 def _segments(factors) -> list:
@@ -360,7 +318,7 @@ class _Layout:
             )
         if (
             bits > MAX_PACKED_BITS
-            and sum(b // w * exact + b % w for b in sizes) > MAX_PACKED_BITS
+            and _exact_bits(sizes, w, exact) > MAX_PACKED_BITS
             and _row_bits(self.terms(runs), exact) > MAX_PACKED_BITS
         ):
             raise _too_many_bits()

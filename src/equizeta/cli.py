@@ -473,7 +473,8 @@ def _parse(argv):
     that parser's ``_table`` (``_read_words``); whatever the reader declines
     goes to the subcommand's parser, and anything but a known subcommand
     name first, or any leftover, to the full parser, which prints the usage,
-    help or error and exits."""
+    help or error and exits.  What argparse returns passes
+    ``_refuse_lists``."""
     parser, commands = _parsers()
     command, table = commands.get(argv[0] if argv else None, (None, None))
     if table is not None:
@@ -483,8 +484,21 @@ def _parse(argv):
     if command is not None:
         args, extra = command.parse_known_args(argv[1:])
         if not extra:
-            return args
-    return parser.parse_args(argv)
+            return _refuse_lists(command, args)
+    args = parser.parse_args(argv)
+    return _refuse_lists(commands[args.command][0], args)
+
+
+def _refuse_lists(command, args):
+    """args, or ``command``'s usage error (exit 2) for an option or
+    positional whose value argparse gave as a list.  No declared action
+    takes one, but argparse strips a lone "--" value to []: an ``=`` value
+    before Python 3.13, and a positional after a first "--" on every
+    version."""
+    for action in command._actions:
+        if isinstance(getattr(args, action.dest, None), list):
+            command.error(f"argument {argparse._get_action_name(action)}: expected one argument")
+    return args
 
 
 def main(argv=None) -> int:

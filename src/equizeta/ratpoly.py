@@ -17,21 +17,27 @@ as a primitive pseudo-remainder sequence, so no rational coefficient and no
 floating point appears anywhere in this package.
 
 Both the T-expansion and the cleared fraction hold a polynomial in (u, T)
-by Kronecker substitution (Harvey, "Faster polynomial multiplication via
-multipoint Kronecker substitution", JSC 2009): coefficients are the balanced
-digits |c| < 2^(w-1) of one int, v = sum_i c_i 2^(w i), so a shift is an
-offset, a sum one aligned add, and a product one int product.  Every
-operation is evaluation at 2^w, so the digits read back are the
-coefficients as long as those fit: each ``_expand`` and ``_cleared`` call
-derives its one width w from an L1 bound on every coefficient it can
-produce.  The T-expansion, sparse in T, holds packed T-rows {T exponent:
-(low, v)}, one int per row over the u-band of that row, multiplies by each
-factor through a one-step recurrence (``_times_geometric``), and sums the
-groups through one in-place adder, ``_add_shifted``.  The cleared
-fraction is a product of binomials u^nu - T^N, dense in T, so the
-``cleared`` module packs runs of consecutive T-rows into one int under a
-skewed map that keeps each row clear of the next: a product by a binomial
-is then one shift and one subtraction per run.
+in one packed format, defined in the packed-row section below, by Kronecker
+substitution (Harvey, "Faster polynomial multiplication via multipoint
+Kronecker substitution", JSC 2009): coefficients are the balanced digits
+|c| < 2^(w-1) of one int, v = sum_i c_i 2^(w i), so a shift is an offset, a
+sum one aligned add, and a product one int product.  Every operation is
+evaluation at 2^w, so the digits read back are the coefficients as long as
+those fit.  Each ``_expand`` and ``cleared.cleared_fraction`` call derives
+the exact width (``_width``) from an L1 bound on every coefficient it can
+produce, and stores the digits at its ``_byte_width``, 8 to 64 bits or
+whole bytes, so that ``_digits`` reads them off in C.  The caps count bits
+at the exact width: ``_exact_bits`` converts the stored bit lengths, once
+their cheap total has passed MAX_PACKED_BITS, and every budget of empty
+digits starts from MAX_PACKED_BITS // exact.  Two drivers use the format.
+The T-expansion, sparse in T, holds packed T-rows {T exponent: (low, v)},
+one int per row over the u-band of that row, multiplies by each factor
+through a one-step recurrence (``_times_geometric``), and sums the groups
+through one in-place adder, ``_add_shifted``.  The cleared fraction is a
+product of binomials u^nu - T^N, dense in T, so the ``cleared`` module
+packs runs of consecutive T-rows into one int under a skewed map that keeps
+each row clear of the next: a product by a binomial is then one shift and
+one subtraction per run.
 
 Canonicalisation strips the two primes that the engine's denominators are
 built from before any gcd: the power of u, read from the low zero
@@ -51,9 +57,11 @@ power of u - 1 are canonical by construction and skip even the strips
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
+from itertools import repeat
 from math import gcd, prod
-from operator import itemgetter
+from operator import add, lshift
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -685,10 +693,27 @@ def _check_expansion(groups: dict, order: int):
 
 
 def _width(bound: int) -> int:
-    """The digit width w for packed rows whose coefficients are at most
-    ``bound`` in absolute value, so that |c| < 2^(w-1); at least 2, so that
-    the seed row 1 fits."""
+    """The exact digit width for packed coefficients at most ``bound`` in
+    absolute value, so that |c| < 2^(w-1); at least 2, so that the seed row 1
+    fits.  The caps count digits at this width; ``_byte_width`` stores them."""
     return max(bound, 1).bit_length() + 1
+
+
+def _byte_width(exact: int) -> int:
+    """The digit width that stores digits of the exact width ``exact``: 8,
+    16, 32 or 64 bits, so that a digit is a machine integer, and whole bytes
+    above 64, where a power of two would cost up to twice the bits in every
+    product."""
+    return max(8, 1 << (exact - 1).bit_length()) if exact <= 64 else -(-exact // 8) * 8
+
+
+def _exact_bits(sizes, w: int, exact: int) -> int:
+    """The bits that packed values of the bit lengths ``sizes``, stored at
+    the width w, take at the exact width: a value of b bits holds b // w
+    digits below its top one, whose b % w bits are the same at either
+    width.  The stored bits bound it from above, so it is only worth a pass
+    once they exceed MAX_PACKED_BITS."""
+    return sum(b // w * exact + b % w for b in sizes)
 
 
 def _l1(poly: tuple) -> int:
@@ -704,49 +729,52 @@ def _pack(poly: tuple, w: int) -> tuple:
     return low, v
 
 
-def _terms(v: int, w: int, start: int = 0) -> list:
-    """The nonzero balanced base-2^w digits of v as (start + i, digit i)
-    pairs, lowest first: the nonzero coefficients of a packed row
-    (start, v).  v has at most v.bit_length() // w + 1 digits.  Up to 64 of
-    them come off one at a time, adding 2^(w-1) before each shift to carry
-    a negative digit into the next; a longer v is first cut in two halves,
-    each the balanced value of its digits, and a half that is 0 is skipped,
-    so a long row costs n log n in its n digits, not n^2, and a sparse one
-    little more than its nonzero digits."""
+# The machine-integer formats of 8-, 16-, 32- and 64-bit digits, on a host
+# whose bytes cast to them in order.
+_DIGIT_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
+
+# Byte j of a 64-bit machine word, j = 0 the lowest, sits at index
+# _BYTE_SLOTS[j] of the word's bytes on this host.
+_BYTE_SLOTS = range(8) if sys.byteorder == "little" else range(7, -1, -1)
+
+# The byte that extends the sign of a two's complement integer whose top
+# byte is the index: 0x00 below 0x80 and 0xff from it on.
+_SIGN_EXTENSION = bytes(128) + b"\xff" * 128
+
+
+def _digits(v: int, w: int):
+    """The balanced base-2^w digits of v, lowest first, as a sequence of
+    ints taken off in C; w is a ``_byte_width``.  With 2^(w-1) added to
+    every digit and xor-ed off again, each w-bit chunk of v is its digit in
+    two's complement, so a machine-size digit is a cast of v's bytes.  For a
+    wider one, strided copies move the chunks' bytes, and copies of each top
+    byte's sign, into 64-bit words that cast to machine integers, the top
+    word signed, and the digit is the sum of its words' shifts."""
+    size = w // 8
     n = v.bit_length() // w + 1
-    if n > 64:
-        bits = w * (n // 2)
-        cut = 1 << (bits - 1)
-        low = ((v + cut) & ((cut << 1) - 1)) - cut
-        high = (v + cut) >> bits
-        return (_terms(low, w, start) if low else []) + (
-            _terms(high, w, start + n // 2) if high else []
-        )
-    half = 1 << (w - 1)
-    mask = (1 << w) - 1
-    out = []
-    while v:
-        v += half
-        c = (v & mask) - half
-        if c:
-            out.append((start, c))
-        v >>= w
-        start += 1
-    return out
+    halves = int.from_bytes((1 << (w - 1)).to_bytes(size, "little") * n, "little")
+    chunks = ((v + halves) ^ halves).to_bytes(n * size, "little")
+    if size in _DIGIT_FORMATS:
+        return memoryview(chunks).cast(_DIGIT_FORMATS[size])
+    sign = chunks[size - 1::size].translate(_SIGN_EXTENSION)
+    digits = None
+    for q in reversed(range(0, size, 8)):
+        word = bytearray(8 * n)
+        for j, slot in enumerate(_BYTE_SLOTS, q):
+            word[slot::8] = chunks[j::size] if j < size else sign
+        if digits is None:
+            digits = memoryview(word).cast("q")
+        else:
+            digits = map(add, map(lshift, digits, repeat(64)), memoryview(word).cast("Q"))
+    return list(digits)
 
 
 def _row_poly(row: tuple, w: int) -> tuple:
     """A packed row as (low, u-polynomial tuple): the Laurent polynomial
-    u^low * poly(u)."""
+    u^low * poly(u).  The top digit that ``_digits`` reads off a nonzero v
+    is nonzero, so only v = 0 needs trimming."""
     low, v = row
-    poly = [0] * (v.bit_length() // w + 1)
-    for i, c in _terms(v, w):
-        poly[i] = c
-    return low, ptrim(poly)
-
-
-def _packed_bits(rows: dict) -> int:
-    return sum(map(int.bit_length, map(itemgetter(1), rows.values())))
+    return low, tuple(_digits(v, w)) if v else ()
 
 
 def _too_many_bits():
@@ -756,9 +784,11 @@ def _too_many_bits():
     )
 
 
-def _within_bits(rows: dict) -> dict:
-    """rows, or InvalidInput once they hold more than MAX_PACKED_BITS bits."""
-    if _packed_bits(rows) > MAX_PACKED_BITS:
+def _within_bits(rows: dict, w: int, exact: int) -> dict:
+    """rows, or InvalidInput once they hold more than MAX_PACKED_BITS bits
+    at the exact width."""
+    sizes = [v.bit_length() for _, v in rows.values()]
+    if sum(sizes) > MAX_PACKED_BITS and _exact_bits(sizes, w, exact) > MAX_PACKED_BITS:
         raise _too_many_bits()
     return rows
 
@@ -769,24 +799,26 @@ def _expand(groups: dict, order: int):
     T^N / (u^nu - T^N), is built one factor at a time by
     ``_times_geometric`` and then multiplied by its P_g into the sum, one
     ``_add_shifted`` call per group.  A coefficient of a group's series
-    counts lattice points, at most its box prod (order // N), so w comes from
-    sum_g |P_g|_1 * box_g.  InvalidInput, before anything is built, when the
-    box would exceed MAX_EXPANSION, and as soon as the rows would hold more
-    than MAX_PACKED_BITS bits."""
+    counts lattice points, at most its box prod (order // N), so the exact
+    width comes from sum_g |P_g|_1 * box_g, and w is its ``_byte_width``.
+    InvalidInput, before anything is built, when the box would exceed
+    MAX_EXPANSION, and as soon as the rows would hold more than
+    MAX_PACKED_BITS bits at the exact width."""
     _check_expansion(groups, order)
-    w = _width(sum(
+    exact = _width(sum(
         _l1(poly) * prod(order // N for _, N in factors) for factors, poly in groups.items()
     ))
+    w = _byte_width(exact)
     out = {}
     for factors, poly in groups.items():
         series = {0: (0, 1)}
         for nu, N in factors:
-            series = _times_geometric(series, nu, N, order, w)
-        _within_bits(_add_shifted(out, series, poly, w))
+            series = _times_geometric(series, nu, N, order, w, exact)
+        _within_bits(_add_shifted(out, series, poly, w, exact), w, exact)
     return out, w
 
 
-def _times_geometric(series: dict, nu: int, N: int, order: int, w: int) -> dict:
+def _times_geometric(series: dict, nu: int, N: int, order: int, w: int, exact: int) -> dict:
     """S * T^N / (u^nu - T^N) through T^order for the packed rows S of width
     w, whose coefficients are non-negative.  The product P = S * sum_{m>=1}
     u^(-m nu) T^(m N) satisfies P_t = u^(-nu) (S_(t-N) + P_(t-N)), so one
@@ -795,10 +827,13 @@ def _times_geometric(series: dict, nu: int, N: int, order: int, w: int) -> dict:
     change of low.  No coefficient cancels, so each sum is nonzero.
     InvalidInput, before the add that would allocate them, once the empty
     digits between the bands of the rows summed exceed MAX_PACKED_BITS
-    bits, and once the rows built hold more than that."""
+    bits, and once the rows built hold more than that, both at the exact
+    width.  The rows are recounted at the exact width only when their stored
+    bits outgrow the room that the last recount left below the cap, a room
+    that each recount shrinks by a factor <= 1 - exact / w <= 3/4."""
     product = {}
-    spare = MAX_PACKED_BITS // w
-    bits = 0
+    spare = MAX_PACKED_BITS // exact
+    bits, limit = 0, MAX_PACKED_BITS
     for t in sorted(series):
         if t + N > order:
             break
@@ -810,8 +845,13 @@ def _times_geometric(series: dict, nu: int, N: int, order: int, w: int) -> dict:
             low -= nu
             product[t] = low, v
             bits += v.bit_length()
-            if bits > MAX_PACKED_BITS:
-                raise _too_many_bits()
+            if bits > limit:
+                room = MAX_PACKED_BITS - _exact_bits(
+                    (b.bit_length() for _, b in product.values()), w, exact
+                )
+                if room < 0:
+                    raise _too_many_bits()
+                limit = bits + room
             if t + N > order:
                 break
             if t in series:
@@ -822,9 +862,10 @@ def _times_geometric(series: dict, nu: int, N: int, order: int, w: int) -> dict:
 def _merge_bands(low_a: int, a: int, low_b: int, b: int, w: int, spare: int):
     """The sum of the packed rows (low_a, a) and (low_b, b) of width w as
     (low, v, spare): one aligned shift and one int add.  spare counts the
-    empty digits that MAX_PACKED_BITS still allows; the digits between the
-    top of the lower band and the bottom of the higher one are charged to it
-    before the shift, and InvalidInput is raised once it falls below 0."""
+    empty digits that MAX_PACKED_BITS still allows at the exact width; the
+    digits between the top of the lower band and the bottom of the higher
+    one are charged to it before the shift, and InvalidInput is raised once
+    it falls below 0."""
     if low_b < low_a:
         low_a, a, low_b, b = low_b, b, low_a, a
     gap = low_b - low_a - a.bit_length() // w - 1
@@ -835,27 +876,23 @@ def _merge_bands(low_a: int, a: int, low_b: int, b: int, w: int, spare: int):
     return low_a, a + (b << w * (low_b - low_a)), spare
 
 
-def _add_shifted(acc: dict, rows: dict, poly: tuple, w: int, t_shift=0, u_shift=0, t_max=None):
-    """acc += poly(u) u^u_shift T^t_shift rows in place, through T^t_max when
-    given, on packed rows of width w; returns acc.  A product by poly is one
+def _add_shifted(acc: dict, rows: dict, poly: tuple, w: int, exact: int) -> dict:
+    """acc += poly(u) rows in place, on packed rows of width w whose digits
+    have the exact width ``exact``; returns acc.  A product by poly is one
     int product, and a sum of two rows one aligned shift and one int add.
     It checks neither cap on its result, but raises InvalidInput, before
     allocating them, once the empty digits that the product by poly and the
     sums of rows whose bands lie apart open would exceed MAX_PACKED_BITS
-    bits."""
+    bits at the exact width."""
     if not any(poly):
         return acc
     low_p, p = _pack(poly, w)
-    u_shift += low_p
     mask = (1 << w) - 1
-    spare = MAX_PACKED_BITS // w - (len(poly) - 1 - low_p) * len(rows)
+    spare = MAX_PACKED_BITS // exact - (len(poly) - 1 - low_p) * len(rows)
     if spare < 0:
         raise _too_many_bits()
     for t, (low, v) in rows.items():
-        t += t_shift
-        if t_max is not None and t > t_max:
-            continue
-        low += u_shift
+        low += low_p
         v *= p
         if t in acc:
             low_a, a = acc[t]

@@ -5,11 +5,13 @@
 Draws COUNT random argvs (default 200000, seed 0) over every subcommand's
 declared tokens and checks that ``cli._parse(argv)`` gives the namespace of
 ``build_parser().parse_args(argv)`` apart from ``command``, or that both
-exit with the same code, stdout and stderr.  Prints the interpreter, the
-number of argvs, how many ``cli._read_words`` read directly and the number
-of mismatches, and exits 1 on any mismatch.  It needs neither pytest nor
-hypothesis, so it runs under every interpreter the package supports: the
-reader mirrors argparse, whose behaviour belongs to the interpreter.
+exit with the same code, stdout and stderr.  The full parser's namespace
+passes the list refusal that ``cli._parse`` applies (``full_parse``).
+Prints the interpreter, the number of argvs, how many ``cli._read_words``
+read directly and the number of mismatches, and exits 1 on any mismatch.
+It needs neither pytest nor hypothesis, so it runs under every interpreter
+the package supports: the reader mirrors argparse, whose behaviour belongs
+to the interpreter.
 ``tests/test_cli.py`` runs the same comparison as a hypothesis property.
 """
 
@@ -102,6 +104,14 @@ def outcome(parse, argv):
     return "ok", values, out.getvalue(), err.getvalue()
 
 
+def full_parse(argv):
+    """``build_parser().parse_args(argv)``, with a list value, which argparse
+    makes of a lone "--", refused by ``cli._refuse_lists`` as ``cli._parse``
+    refuses it."""
+    args = cli.build_parser().parse_args(argv)
+    return cli._refuse_lists(cli._parsers()[1][args.command][0], args)
+
+
 def read_directly(argv) -> bool:
     """True when ``cli._read_words`` reads ``argv`` with no argparse parse."""
     command = cli._parsers()[1].get(argv[0]) if argv else None
@@ -111,12 +121,11 @@ def read_directly(argv) -> bool:
 
 def main(count=200_000, seed=0):
     rng = random.Random(seed)
-    full = cli.build_parser().parse_args
     direct = mismatches = 0
     for _ in range(count):
         argv = random_argv(rng)
         direct += read_directly(argv)
-        if outcome(cli._parse, argv) != outcome(full, argv):
+        if outcome(cli._parse, argv) != outcome(full_parse, argv):
             mismatches += 1
             if mismatches <= 5:
                 print("mismatch:", argv)

@@ -7,7 +7,6 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
 
-from equizeta.cleared import _digits
 from equizeta.cohomology import F2Matrix
 from equizeta.errors import NotExpandable
 from equizeta.gspace import (
@@ -26,8 +25,10 @@ from equizeta.ratpoly import (
     TSeries,
     ZetaRational,
     _add_shifted,
+    _byte_width,
     _check_expansion,
     _common_den,
+    _digits,
     _expand,
     _factor_max,
     _grouped,
@@ -285,7 +286,7 @@ def per_stratum_terms(res, variant):
 def unpacked(rows: dict, w: int) -> dict:
     """Packed T-rows {t: (low, v)} of digit width w as {t: {u: c}} with no
     zero entries.  Each digit comes off as the low w bits, moved into
-    [-2^(w-1), 2^(w-1)) with a carry, independently of ``ratpoly._terms``."""
+    [-2^(w-1), 2^(w-1)) with a carry, independently of ``ratpoly._digits``."""
     base, mask = 1 << w, (1 << w) - 1
     out = {}
     for t, (low, v) in rows.items():
@@ -313,7 +314,7 @@ def packed(rows: dict, w: int) -> dict:
 
 def run_digit_count(runs: list, w: int) -> int:
     """The nonzero digits of ``cleared._Layout`` runs (j0, j1, e, v) of digit
-    width w, read off by ``cleared._digits``."""
+    width w, read off by ``ratpoly._digits``."""
     return sum(sum(map(bool, _digits(v, w))) for *_, v in runs)
 
 
@@ -356,32 +357,34 @@ def shifted_copy_expand(groups: dict, order: int):
     """``_expand`` by the shifted copies that the recurrence replaced: a
     group's series times T^N / (u^nu - T^N) is the sum of order // N copies
     of it, the m-th shifted by u^(-m nu) T^(m N), each added by one
-    ``_add_shifted`` call."""
+    ``_add_shifted`` call with the polynomial 1."""
     _check_expansion(groups, order)
-    w = _width(sum(
+    exact = _width(sum(
         _l1(poly) * prod(order // N for _, N in factors) for factors, poly in groups.items()
     ))
+    w = _byte_width(exact)
     out = {}
     for factors, poly in groups.items():
         series = {0: (0, 1)}
         for nu, N in factors:
             product = {}
             for m in range(1, order // N + 1):
-                _within_bits(_add_shifted(product, series, (1,), w, m * N, -m * nu, order))
+                copy = {t + m * N: (low - m * nu, v)
+                        for t, (low, v) in series.items() if t + m * N <= order}
+                _within_bits(_add_shifted(product, copy, (1,), w, exact), w, exact)
             series = product
-        _within_bits(_add_shifted(out, series, poly, w))
+        _within_bits(_add_shifted(out, series, poly, w, exact), w, exact)
     return out, w
 
 
-def flat_add_shifted(acc: dict, rows: dict, poly, t_shift, u_shift, t_max) -> dict:
+def flat_add_shifted(acc: dict, rows: dict, poly) -> dict:
     """``_add_shifted`` on a flat {(T exponent, u exponent): coeff} map: every
     product term added one at a time, and the zeros dropped at the end."""
     out = Counter({(t, e): c for t, row in acc.items() for e, c in row.items()})
     for t, row in rows.items():
-        if t_max is None or t + t_shift <= t_max:
-            for e, c in row.items():
-                for i, p in enumerate(poly):
-                    out[(t + t_shift, e + i + u_shift)] += c * p
+        for e, c in row.items():
+            for i, p in enumerate(poly):
+                out[(t, e + i)] += c * p
     return {key: c for key, c in out.items() if c}
 
 

@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from argv_sweep import outcome, random_argv
+from argv_sweep import full_parse, outcome, random_argv
 from helpers import big_coprime_pair, cleared_json, per_term_cleared, reference_rational_text
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -435,7 +435,7 @@ class TestDirectRead:
     @example(["oracle", "--exponents", "2,2", "--action", "-1,1"])  # a value "-1,1"
     @example(["oracle", "--exponents=1", "--trivial-group=x"])  # a flag given a value
     def test_same_namespace_or_exit_as_the_full_parser(self, argv):
-        assert outcome(cli._parse, argv) == outcome(build_parser().parse_args, argv)
+        assert outcome(cli._parse, argv) == outcome(full_parse, argv)
 
     def test_every_bench_argv_is_read_directly(self, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
@@ -456,6 +456,40 @@ class TestDirectRead:
         for command, _ in cli._parsers()[1].values():
             monkeypatch.setattr(command, "parse_known_args", refuse)
         assert [outcome(cli._parse, argv) for argv in argvs] == want
+
+
+# A valid argv after each subcommand name that has a _table, with its
+# positionals last.
+DASH_BASES = {
+    "compute": ["x2k_Z2(2)"],
+    "compare": ["x2k_Z2(2)", "x2k_Z2(2)"],
+    "oracle": ["--exponents=2"],
+    "cohomology": ["sphere_free"],
+}
+
+
+def dash_value_argvs():
+    """For each subcommand with a ``_table``, each single-value option given
+    the value "--" after "=", and its last positional given as "-- --"."""
+    argvs = []
+    for name, (_, table) in cli._parsers()[1].items():
+        if table is None:
+            continue
+        options, positionals, _, _ = table
+        base = DASH_BASES[name]
+        argvs += [[name, *base, f"{option}=--"]
+                  for option, slot in options.items() if slot[1] is not cli._FLAG]
+        if positionals:
+            argvs.append([name, *base[:-1], "--", "--"])
+    return argvs
+
+
+@pytest.mark.parametrize("argv", dash_value_argvs(), ids=" ".join)
+def test_a_lone_dash_dash_value_exits_2_or_3(argv):
+    # argparse strips such a value to an empty list, which ended in a
+    # traceback before the list refusal
+    code, out, err = call(argv)
+    assert code in (2, 3) and not out and "Traceback" not in err, (code, err)
 
 
 class TestOracle:

@@ -326,13 +326,12 @@ sparse_rows = st.dictionaries(
 
 
 @settings(max_examples=300, deadline=None)
-@given(sparse_rows, sparse_rows, st.lists(st.integers(-2, 2), max_size=3),
-       st.integers(0, 4), st.integers(-3, 3), st.none() | st.integers(0, 10), st.integers(6, 40))
-def test_add_shifted_matches_a_flat_reference(acc, rows, poly, t_shift, u_shift, t_max, w):
+@given(sparse_rows, sparse_rows, st.lists(st.integers(-2, 2), max_size=3), st.integers(6, 40))
+def test_add_shifted_matches_a_flat_reference(acc, rows, poly, w):
     # every sum is at most 3 + 3 * 3 * 2 = 21 < 2^(w-1) in absolute value
-    want = flat_add_shifted(acc, rows, poly, t_shift, u_shift, t_max)
+    want = flat_add_shifted(acc, rows, poly)
     start = packed(acc, w)
-    got = _add_shifted(start, packed(rows, w), tuple(poly), w, t_shift, u_shift, t_max)
+    got = _add_shifted(start, packed(rows, w), tuple(poly), w, w)
     assert got is start
     assert {(t, e): c for t, row in unpacked(got, w).items() for e, c in row.items()} == want
     # no empty row, and each row's lowest digit is nonzero
@@ -855,3 +854,42 @@ class TestPackedWidth:
         assert_matches_the_references(ZetaRational([(RatFunc(BIG), [(2, 3)])]), 3)
         # runs store whole bytes, so the 202 bits of the bound take 208
         assert ratpoly._width(BIG) == 202 and z._cleared[0].w == 208
+
+
+@st.composite
+def balanced_digits(draw):
+    """(e, digits): the balanced digits |c| < 2^(e-1) of one packed value at
+    the exact width e from 2 to 210, lowest first, the top one nonzero.
+    Often the top digit is 1 or 2^(e-2), of either sign, above lower digits
+    of the other sign, where the bit length sits on a digit boundary."""
+    e = draw(st.integers(2, 210))
+    half = 1 << (e - 1)
+    digit = st.integers(1 - half, half - 1) | st.sampled_from([1 - half, -1, 0, 1, half - 1])
+    lower = draw(st.lists(digit, max_size=6))
+    top = draw(st.sampled_from([1, half >> 1]) | st.integers(1, half - 1))
+    sign = draw(st.sampled_from([1, -1]))
+    if draw(st.booleans()):
+        lower = [-sign * abs(c) for c in lower]
+    return e, lower + [sign * top]
+
+
+@settings(max_examples=500, deadline=None)
+@given(balanced_digits())
+@example((2, [-1, 1]))
+@example((9, [-255, 0, 64]))
+@example((65, [1, -1]))
+@example((210, [-1, 1 << 208]))
+def test_digits_read_back_and_count_at_the_exact_width(case):
+    # the one readout gives back the digits stored at the byte width, as the
+    # independent carry does; and the stored bit length, converted, is the
+    # bit length of the same digits at the exact width, which keeps each
+    # MAX_PACKED_BITS refusal where the exact width puts it
+    e, digits = case
+    w = ratpoly._byte_width(e)
+    v = sum(c << w * i for i, c in enumerate(digits))
+    assert tuple(ratpoly._digits(v, w)) == tuple(digits)
+    assert unpacked({0: (0, v)}, w) == {0: {i: c for i, c in enumerate(digits) if c}}
+    assert ratpoly._row_poly((5, v), w) == (5, tuple(digits))
+    assert ratpoly._row_poly((5, 0), w) == (5, ())
+    at_exact = sum(c << e * i for i, c in enumerate(digits))
+    assert ratpoly._exact_bits([v.bit_length()], w, e) == at_exact.bit_length()
