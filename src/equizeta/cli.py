@@ -12,11 +12,14 @@ to the subcommand's own parser, then for an empty argv, an unknown first
 word, a top-level ``-h`` or any argument the subcommand leaves over to the
 full parser.  So argparse stays the one declaration and the only writer of
 usage, help and error texts and exit codes.  Structured output is
-indented JSON with sorted keys, written by ``_emit``, which writes engine
-objects without a ``to_json`` tree: a cleared fraction straight from its
-interleaved term lists, one ``%`` call on a template of one JSON block per
-term for each polynomial, and a ``TSeries`` or ``RatFunc`` from its
-coefficient tuples, one ``join`` per tuple.
+indented JSON with sorted keys, and each output has one writer.
+``catalog show`` prints ``resolution.serialize``.  Everything else goes
+through ``_emit``, which takes an engine object, or a flat dict of scalars
+and engine objects, and writes each object without a ``to_json`` tree: a
+cleared fraction straight from its interleaved term lists, one ``%`` call
+on a template of one JSON block per term for each polynomial, and a
+``TSeries`` or ``RatFunc`` from its coefficient tuples, one ``join`` per
+tuple.
 """
 
 from __future__ import annotations
@@ -47,82 +50,53 @@ _JSON_SCALARS = {
 
 def _emit(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for the
-    JSON the CLI prints: dicts with str keys, lists, str, int, bool and None.
-    A ``ZetaRational`` is written as its cleared fraction (``_write_cleared``),
-    and a ``TSeries`` or ``RatFunc`` as its ``to_json()`` would be
-    (``_write_series``, ``_write_ratfunc``).
+    JSON the CLI prints: an engine object, or a flat dict with str keys whose
+    values are str, int, bool, None or engine objects.  A ``ZetaRational`` is
+    written as its cleared fraction (``_cleared_text``), and a ``TSeries`` or
+    ``RatFunc`` as its ``to_json()`` would be (``_series_text``,
+    ``_ratfunc_text``), straight from the object.
 
     ``json`` falls back to its pure-Python encoder whenever ``indent`` is
     set; this writer quotes strings with the C routine ``json`` uses.
-    Anything else raises ``TypeError``.
+    Anything else, a list or a nested dict among them, raises ``TypeError``.
     """
-    out = []
-    _write_json(obj, out, "\n")
-    return "".join(out)
+    if type(obj) is not dict:
+        return _value_text(obj, "\n")
+    if not obj:
+        return "{}"
+    return "{\n  " + ",\n  ".join(
+        encode_basestring_ascii(key) + ": " + _value_text(obj[key], "\n  ") for key in sorted(obj)
+    ) + "\n}"
 
 
-def _write_json(obj, out, newline):
+def _value_text(obj, newline) -> str:
+    """The JSON text of a scalar or an engine object whose lines after the
+    first start with ``newline``."""
     write = _JSON_SCALARS.get(type(obj))
     if write is not None:
-        out.append(write(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(obj):
-            value = obj[key]
-            head = sep + encode_basestring_ascii(key) + ": "
-            write = _JSON_SCALARS.get(type(value))
-            if write is not None:
-                out.append(head + write(value))
-            else:
-                out.append(head)
-                _write_json(value, out, inner)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(obj, list):
-        if not obj:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in obj:
-            out.append(sep)
-            _write_json(item, out, inner)
-            sep = "," + inner
-        out.append(newline + "]")
-    else:
-        write = _JSON_OBJECTS.get(type(obj))
-        if write is None:
-            raise TypeError(
-                f"Object of type {obj.__class__.__name__} is not JSON serializable"
-            )
-        write(obj, out, newline)
+        return write(obj)
+    write = _JSON_OBJECTS.get(type(obj))
+    if write is None:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+    return write(obj, newline)
 
 
-def _write_cleared(z, out, newline):
+def _cleared_text(z, newline) -> str:
     """The cleared fraction of ``z`` as ``{"den": [...], "num": [...]}``, one
     ``{"c": decimal string, "t": T exponent, "u": u exponent}`` object per
-    term in (t, u) order: what ``_write_json`` gives for that dict, written
-    straight from ``z.cleared_terms()``."""
+    term in (t, u) order, written straight from ``z.cleared_terms()``."""
     num, den = z.cleared_terms()
     inner = newline + "  "
-    out.append("{" + inner + '"den": ')
-    _write_terms(den, out, inner)
-    out.append("," + inner + '"num": ')
-    _write_terms(num, out, inner)
-    out.append(newline + "}")
+    return ("{" + inner + '"den": ' + _terms_text(den, inner) + ","
+            + inner + '"num": ' + _terms_text(num, inner) + newline + "}")
 
 
-def _write_terms(terms, out, newline):
+def _terms_text(terms, newline) -> str:
     """The interleaved [c, t, u, ...] list ``terms`` as the JSON list of its
     term objects, in one ``%`` call on a template of one block per term.  A
     coefficient too long to print is ``ratpoly._too_long_to_print`` (exit 2)."""
     if not terms:
-        out.append("[]")
-        return
+        return "[]"
     item = newline + "  "
     field = item + "  "
     block = "{" + field + '"c": "%d",' + field + '"t": %d,' + field + '"u": %d' + item + "}"
@@ -130,7 +104,7 @@ def _write_terms(terms, out, newline):
         text = ("," + item).join([block] * (len(terms) // 3)) % tuple(terms)
     except ValueError as exc:
         raise _too_long_to_print(exc) from exc
-    out.append("[" + item + text + newline + "]")
+    return "[" + item + text + newline + "]"
 
 
 def _poly_text(coeffs, newline) -> str:
@@ -143,32 +117,27 @@ def _poly_text(coeffs, newline) -> str:
 
 
 def _ratfunc_text(f, newline) -> str:
-    """``f.to_json()``, ``{"den": [...], "num": [...]}``, as ``_write_json``
-    writes it."""
+    """``f.to_json()``, ``{"den": [...], "num": [...]}``, from its tuples."""
     inner = newline + "  "
     return ("{" + inner + '"den": ' + _poly_text(f.den, inner) + ","
             + inner + '"num": ' + _poly_text(f.num, inner) + newline + "}")
 
 
-def _write_ratfunc(f, out, newline):
-    out.append(_ratfunc_text(f, newline))
-
-
-def _write_series(s, out, newline):
-    """``s.to_json()``, ``{"coeffs": [...], "order": n}``, as ``_write_json``
-    writes it, from the coefficients themselves."""
+def _series_text(s, newline) -> str:
+    """``s.to_json()``, ``{"coeffs": [...], "order": n}``, from the
+    coefficients themselves."""
     inner = newline + "  "
     item = inner + "  "
     coeffs = ("," + item).join([_ratfunc_text(c, item) for c in s.coeffs])
-    out.append("{" + inner + '"coeffs": [' + item + coeffs + inner + "],"
-               + inner + '"order": ' + str(s.order) + newline + "}")
+    return ("{" + inner + '"coeffs": [' + item + coeffs + inner + "],"
+            + inner + '"order": ' + str(s.order) + newline + "}")
 
 
 # How _emit writes each engine object; exact types, as for _JSON_SCALARS.
 _JSON_OBJECTS = {
-    ZetaRational: _write_cleared,
-    TSeries: _write_series,
-    RatFunc: _write_ratfunc,
+    ZetaRational: _cleared_text,
+    TSeries: _series_text,
+    RatFunc: _ratfunc_text,
 }
 
 
@@ -220,7 +189,7 @@ def _cmd_compare(args) -> int:
     a = _load_resolution(args.lhs)
     b = _load_resolution(args.rhs)
     report = zeta.distinguish(a, b, args.variant, args.order)
-    print(_emit(report.to_json()))
+    print(_emit(vars(report)))
     return EXIT_OK if report.equal else EXIT_UNEQUAL
 
 
@@ -253,7 +222,7 @@ def _cmd_catalog(args) -> int:
             print(name)
         return EXIT_OK
     res = catalog.get(args.name)
-    print(_emit(resolution.resolution_to_json(res)))
+    print(resolution.serialize(res).decode())
     return EXIT_OK
 
 

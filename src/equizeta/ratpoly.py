@@ -673,7 +673,10 @@ MAX_EXPANSION = 1 << 24
 # a divisor with nu = 10^9 beside one with nu = 1 puts the two ends of a row
 # 10^9 digits apart, and fails at once with InvalidInput (exit 2).  The
 # catalog's largest polynomial, on the way to gk(62,+,-), holds 8.0 million
-# bits in its runs.
+# bits in its runs.  A series coefficient read off a row is charged the same
+# way for the dense u-tuples it would be stored in (``_check_span``): the
+# one term u^(-1-10^9) T^2 of a single stratum on those two divisors is
+# refused there.
 MAX_PACKED_BITS = 1 << 27
 
 
@@ -803,7 +806,7 @@ def _expand(groups: dict, order: int):
     width comes from sum_g |P_g|_1 * box_g, and w is its ``_byte_width``.
     InvalidInput, before anything is built, when the box would exceed
     MAX_EXPANSION, and as soon as the rows would hold more than
-    MAX_PACKED_BITS bits at the exact width."""
+    MAX_PACKED_BITS bits at the exact width.  Returns (rows, w, exact)."""
     _check_expansion(groups, order)
     exact = _width(sum(
         _l1(poly) * prod(order // N for _, N in factors) for factors, poly in groups.items()
@@ -815,7 +818,7 @@ def _expand(groups: dict, order: int):
         for nu, N in factors:
             series = _times_geometric(series, nu, N, order, w, exact)
         _within_bits(_add_shifted(out, series, poly, w, exact), w, exact)
-    return out, w
+    return out, w, exact
 
 
 def _times_geometric(series: dict, nu: int, N: int, order: int, w: int, exact: int) -> dict:
@@ -939,6 +942,18 @@ def _laurent_over(low: int, poly: tuple, den_u: tuple) -> RatFunc:
     return RatFunc(poly, (0,) * -low + den_u)
 
 
+def _check_span(low: int, size: int, den_u: tuple, exact: int):
+    """InvalidInput when u^low times a polynomial of ``size`` coefficients,
+    over den_u, would hold more than MAX_PACKED_BITS bits at the exact width
+    ``exact`` in the dense tuples that ``_laurent_over`` builds, counted as a
+    packed row of as many digits as the longer of them: the numerator,
+    u^max(low, 0) times the polynomial, or the denominator, u^max(-low, 0)
+    den_u.  A series coefficient's own digits were charged as its row was
+    built, but not the powers of u between the row and u^0."""
+    if max(max(low, 0) + size, max(-low, 0) + len(den_u)) * exact > MAX_PACKED_BITS:
+        raise _too_many_bits()
+
+
 class ZetaRational:
     """A zeta function as the sum of coeff * prod T^N / (u^nu - T^N) terms.
 
@@ -976,24 +991,26 @@ class ZetaRational:
         window, through T^0.  InvalidInput, before the first window, when the
         whole dT(Delta) would exceed MAX_EXPANSION.  Only this side is
         expanded, through n; the other's coefficient is this one's less
-        Delta's, over the same u-denominator."""
+        Delta's, over the same u-denominator; ``_check_span`` charges the
+        span of the two, at Delta's exact width, before either is built."""
         den_u = _common_den(self.terms + other.terms)
         delta = _grouped(den_u, self.terms, other.terms)
         bound = _t_bound(delta)
         _check_expansion(delta, bound)
         lowest = min((sum(N for _, N in factors) for factors in delta), default=0)
         window = min(max(lowest, 1), bound)
-        rows, w = _expand(delta, window)
+        rows, w, exact = _expand(delta, window)
         while not rows and window < bound:
             window = min(2 * window, bound)
-            rows, w = _expand(delta, window)
+            rows, w, exact = _expand(delta, window)
         if not rows:
             return None
         n = min(rows)
         low_d, diff = _row_poly(rows[n], w)
-        own, own_w = _expand(_grouped(den_u, self.terms), n)
+        own, own_w, _ = _expand(_grouped(den_u, self.terms), n)
         low_o, mine = _row_poly(own.get(n, (low_d, 0)), own_w)
         low = min(low_o, low_d)
+        _check_span(low, max(low_o + len(mine), low_d + len(diff)) - low, den_u, exact)
         theirs = padd((0,) * (low_o - low) + mine, pneg((0,) * (low_d - low) + diff))
         return n, _laurent_over(low_o, mine, den_u), _laurent_over(low, theirs, den_u)
 
@@ -1005,7 +1022,9 @@ class ZetaRational:
     def t_series(self, order: int) -> "TSeries":
         """Unique power-series expansion in T through T^order.  InvalidInput,
         before any coefficient is built, when its order + 1 coefficients
-        alone would exceed MAX_EXPANSION."""
+        alone would exceed MAX_EXPANSION, and before a coefficient whose
+        dense u-tuples would hold more than MAX_PACKED_BITS bits
+        (``_check_span``)."""
         if order < 0:
             raise ValueError("order must be non-negative")
         if order + 1 > MAX_EXPANSION:
@@ -1014,12 +1033,13 @@ class ZetaRational:
                 f"MAX_EXPANSION = {MAX_EXPANSION} coefficients; the order is too large"
             )
         den_u = _common_den(self.terms)
-        rows, w = _expand(_grouped(den_u, self.terms), order)
-        zero = _laurent_over(0, (), den_u)
-        return TSeries(tuple(
-            _laurent_over(*_row_poly(rows[n], w), den_u) if n in rows else zero
-            for n in range(order + 1)
-        ))
+        rows, w, exact = _expand(_grouped(den_u, self.terms), order)
+        coeffs = [_laurent_over(0, (), den_u)] * (order + 1)
+        for n, row in rows.items():
+            low, poly = _row_poly(row, w)
+            _check_span(low, len(poly), den_u, exact)
+            coeffs[n] = _laurent_over(low, poly, den_u)
+        return TSeries(coeffs)
 
     @cached_property
     def _cleared(self):

@@ -147,13 +147,13 @@ def distinguish(
 
 def zeta_json(res: ResolutionData, variant: str, expand_order: Optional[int] = None) -> dict:
     """Machine-readable bundle: cleared fraction, optional series, display.
-    The cleared fraction is ``z`` itself, which ``cli._emit`` writes from its
-    rows."""
+    The cleared fraction is ``z`` itself and the series the ``TSeries``,
+    which ``cli._emit`` writes straight from the objects."""
     z = denef_loeser(res, variant)
     out = {
         "variant": variant,
         "rational": z,
-        "series": None if expand_order is None else z.t_series(expand_order).to_json(),
+        "series": None if expand_order is None else z.t_series(expand_order),
         "display": display(z),
     }
     return out

@@ -344,8 +344,8 @@ def two_sided_first_difference(a: ZetaRational, b: ZetaRational):
     both = a.terms + b.terms
     den_u = _common_den(both)
     bound = _t_bound(factors for _, factors in both)
-    mine = unpacked(*_expand(_grouped(den_u, a.terms), bound))
-    theirs = unpacked(*_expand(_grouped(den_u, b.terms), bound))
+    mine = unpacked(*_expand(_grouped(den_u, a.terms), bound)[:2])
+    theirs = unpacked(*_expand(_grouped(den_u, b.terms), bound)[:2])
     for n in sorted(mine.keys() | theirs.keys()):
         lhs, rhs = mine.get(n, {}), theirs.get(n, {})
         if lhs != rhs:
@@ -374,7 +374,7 @@ def shifted_copy_expand(groups: dict, order: int):
                 _within_bits(_add_shifted(product, copy, (1,), w, exact), w, exact)
             series = product
         _within_bits(_add_shifted(out, series, poly, w, exact), w, exact)
-    return out, w
+    return out, w, exact
 
 
 def flat_add_shifted(acc: dict, rows: dict, poly) -> dict:

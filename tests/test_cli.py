@@ -1,6 +1,8 @@
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -599,6 +601,28 @@ class TestCatalogAndCohomology:
         assert code == 3 and "not UTF-8" in err
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("argv, code, first_line", [
+    (["catalog", "list"], 0, "y4-x2_Z2"),
+    (["compare", "y4-x2_Z2", "x4-y2_Z2"], 1, "{"),
+    (["compute", "nope"], 2, "error: unknown fixture 'nope'"),
+    (["oracle", "--exponents=x", "--trivial-group"], 3, "error: --exponents expects"),
+    (["compute"], 2, "usage: equizeta compute"),
+])
+def test_python_m_equizeta_exits_as_main_returns(argv, code, first_line):
+    # ``python -m equizeta`` runs __main__ and ``cli.main_entry``: the same
+    # exit code and output as an in-process ``main`` call, in a new process
+    proc = subprocess.run([sys.executable, "-m", "equizeta", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == call(argv)
+    assert proc.returncode == code
+    assert (proc.stdout or proc.stderr).startswith(first_line)
+    if code == 1:
+        assert json.loads(proc.stdout)["first_differing_T_order"] == 4
+
+
 # -- the indented JSON writer against json.dumps ---------------------------------
 
 json_scalars = (
@@ -609,12 +633,6 @@ json_scalars = (
     | st.text(alphabet=st.characters(codec=None), max_size=12)
     | st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é€😀", "\ud800"])
 )
-json_docs = st.recursive(
-    json_scalars,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
-    max_leaves=30,
-)
 
 
 # Coefficients of up to several hundred digits, zeros among them; an all-zero
@@ -623,39 +641,43 @@ coefficient_lists = st.lists(
     st.integers(-3, 3) | st.integers(-(10**400), 10**400), max_size=4
 ).map(tuple)
 rational_functions = st.builds(RatFunc, coefficient_lists, coefficient_lists.filter(any))
-series_docs = st.recursive(
-    rational_functions | st.builds(TSeries, st.lists(rational_functions, min_size=1, max_size=5))
-    | json_scalars,
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=8,
+engine_objects = rational_functions | st.builds(
+    TSeries, st.lists(rational_functions, min_size=1, max_size=5)
 )
+keys = st.text(alphabet=st.characters(codec=None), max_size=6)
+# What the CLI hands _emit: an engine object, or a flat dict of scalars and
+# engine objects.
+scalar_docs = st.dictionaries(keys, json_scalars, max_size=5)
+flat_docs = engine_objects | st.dictionaries(keys, json_scalars | engine_objects, max_size=5)
 
 
 class TestEmit:
     @settings(max_examples=200, deadline=None)
-    @given(json_docs)
+    @given(scalar_docs)
     def test_matches_json_dumps(self, obj):
         assert _emit(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
-    def test_unsorted_keys_empty_containers_and_constants(self):
-        obj = {"z": [], "a": {}, "m": [True, False, None, 1, 0, -(10**50)], "B": {"y": 1, "x": "\""}}
-        assert _emit(obj) == json.dumps(obj, indent=2, sort_keys=True)
-        assert _emit([True, 1, False, 0]) == "[\n  true,\n  1,\n  false,\n  0\n]"
-
-    @pytest.mark.parametrize("bad", [1.5, {1, 2}, {"k": [0.0]}, [set()], (1,)])
-    def test_other_types_raise_type_error(self, bad):
-        with pytest.raises(TypeError):
-            _emit(bad)
-
-    @settings(max_examples=200, deadline=None)
-    @given(series_docs)
+    @settings(max_examples=300, deadline=None)
+    @given(flat_docs)
     def test_series_and_rational_functions_match_json_dumps(self, obj):
         want = json.dumps(obj, indent=2, sort_keys=True, default=lambda x: x.to_json())
         assert _emit(obj) == want
 
+    def test_unsorted_keys_empty_containers_and_constants(self):
+        obj = {"z": None, "a": True, "m": -(10**50), "B": '"', "A": False, "e": "", "0": RatFunc(0)}
+        assert _emit(obj) == json.dumps(obj, indent=2, sort_keys=True, default=lambda x: x.to_json())
+        assert _emit({}) == "{}"
+
+    @pytest.mark.parametrize(
+        "bad", [1.5, {1, 2}, {"k": [0.0]}, [set()], (1,), [True, 1], {"k": {"j": 1}}, {"k": []}]
+    )
+    def test_other_types_raise_type_error(self, bad):
+        with pytest.raises(TypeError):
+            _emit(bad)
+
     def test_coefficient_too_long_to_print_raises(self):
         huge = RatFunc((10 ** sys.get_int_max_str_digits(),))
-        for obj in (huge, TSeries([RatFunc(1), huge]), {"k": [huge]}):
+        for obj in (huge, TSeries([RatFunc(1), huge]), {"k": huge}):
             with pytest.raises(InvalidInput, match="too long to print"):
                 _emit(obj)
 
@@ -669,6 +691,18 @@ class TestEmit:
         assert code == 0 and json.loads(out)["order"] == 12
         code, out, _ = run("oracle", "--exponents", "2,2", "--action", "-1,1", "--order", "9")
         assert code == 0 and json.loads(out)["order"] == 9
+
+    def test_compare_and_json_bundle_build_no_json_tree(self, run, monkeypatch):
+        # the witness and the bundle's series are written from the objects
+        def refuse(*args):
+            raise AssertionError("to_json tree built for compare or --format json")
+
+        monkeypatch.setattr(TSeries, "to_json", refuse)
+        monkeypatch.setattr(RatFunc, "to_json", refuse)
+        code, out, _ = run("compare", "y4-x2_Z2", "x4-y2_Z2")
+        assert code == 1 and json.loads(out)["first_differing_T_order"] == 4
+        code, out, _ = run("compute", "y4-x2_Z2", "--format", "json", "--expand", "6")
+        assert code == 0 and json.loads(out)["series"]["order"] == 6
 
 
 # -- the error boundary: every failure is one typed error and an exit code ---------
@@ -884,15 +918,37 @@ class TestErrorBoundary:
             assert "MAX_PACKED_BITS" in result[2]
 
     def test_far_apart_nu_in_one_stratum_expand_exits_2_at_once(self):
-        # one stratum on both: after the factor with nu = 1, the sum of a row
-        # and the next term of the geometric series with nu = 10^9 would
-        # span 10^9 powers of u, so the expansion refuses before that add
+        # one stratum on both: through T^8, after the factor with nu = 1, the
+        # sum of a row and the next term of the geometric series with
+        # nu = 10^9 would span 10^9 powers of u, so the expansion refuses
+        # before that add.  Through T^2 the one row, the digit 1 at
+        # u^(-1-10^9), is refused as a coefficient, before the 10^9 zeros of
+        # its denominator are built, in the series and in compare's witness
         doc = json.dumps(self._strata_doc([(1, 1), (1, 10**9)], [([1, 2], 1)]))
-        start = time.perf_counter()
-        result = call(["compute", "-", "--format", "series", "--expand", "8"], doc)
-        assert time.perf_counter() - start < 1.0
-        assert_one_error(result, 2)
-        assert "MAX_PACKED_BITS" in result[2]
+        for argv in (["compute", "-", "--format", "series", "--expand", "8"],
+                     ["compute", "-", "--format", "series", "--expand", "2"],
+                     ["compare", "-", "y4-x2_Z2"]):
+            start = time.perf_counter()
+            result = call(argv, doc)
+            assert time.perf_counter() - start < 1.0
+            assert_one_error(result, 2)
+            assert "MAX_PACKED_BITS" in result[2]
+
+    def test_far_apart_witness_exits_2_at_once(self, tmp_path):
+        # the T^2 terms u^(-1-10^9), on both sides, and u^-2, on one: each
+        # side's rows and Delta's are short, but the witness of the side
+        # without u^-2 would span 10^9 powers of u, so compare refuses it
+        # before building it
+        lhs = self._strata_doc([(1, 1), (1, 10**9), (2, 2)], [([1, 2], 1)])
+        rhs = self._strata_doc([(1, 1), (1, 10**9), (2, 2)], [([1, 2], 1), ([3], 1)])
+        (tmp_path / "lhs.json").write_text(json.dumps(lhs))
+        (tmp_path / "rhs.json").write_text(json.dumps(rhs))
+        for pair in (("lhs.json", "rhs.json"), ("rhs.json", "lhs.json")):
+            start = time.perf_counter()
+            result = call(["compare", *(str(tmp_path / name) for name in pair)])
+            assert time.perf_counter() - start < 1.0
+            assert_one_error(result, 2)
+            assert "MAX_PACKED_BITS" in result[2]
 
     def test_far_apart_nu_at_the_bits_cap_clears(self):
         # the widest row, u^nu - u, spans nu powers of u of 6 bits each: with

@@ -39,6 +39,7 @@ from equizeta.ratpoly import (
     TSeries,
     ZetaRational,
     _add_shifted,
+    _check_span,
     _cofactors,
     _common_den,
     _coprime_mod_p,
@@ -390,7 +391,7 @@ def test_expansion_adds_each_group_once(monkeypatch):
     z = denef_loeser(catalog.get("gk(6,+,-)"))
     den_u = _common_den(z.terms)
     groups = _grouped(den_u, z.terms)
-    rows, w = _expand(groups, 48)
+    rows, _, _ = _expand(groups, 48)
     assert rows and len(calls) == len(groups)
 
 
@@ -571,6 +572,21 @@ def assert_laurent_over_is_canonical(low, poly, den_u):
     got = _laurent_over(low, poly, den_u)
     want = RatFunc((0,) * low + poly, den_u) if low >= 0 else RatFunc(poly, (0,) * -low + den_u)
     assert (got.num, got.den) == (want.num, want.den)
+
+
+@pytest.mark.parametrize("fits, refused", [
+    ((127, 1, (1,)), (128, 1, (1,))),  # num: zeros below the digit
+    ((-127, 1, (1,)), (-128, 1, (1,))),  # den: zeros below den_u
+    ((-126, 1, (-1, 1)), (-127, 1, (-1, 1))),
+    ((-5, 128, (1,)), (-5, 129, (1,))),  # num, with low < 0
+])
+def test_check_span_charges_the_dense_tuples_at_the_exact_width(fits, refused):
+    # 128 powers of u at 2^20 bits each are MAX_PACKED_BITS exactly; one
+    # more is refused
+    exact = ratpoly.MAX_PACKED_BITS // 128
+    _check_span(*fits, exact)
+    with pytest.raises(InvalidInput, match="MAX_PACKED_BITS"):
+        _check_span(*refused, exact)
 
 
 @settings(max_examples=200, deadline=None)
@@ -838,8 +854,18 @@ def assert_matches_the_references(z: ZetaRational, order: int):
 
 @settings(max_examples=150, deadline=None)
 @given(big_term_sums(), st.integers(0, 8))
+# eight factors with N = 1 to T^8 box 8^8 lattice points, one more than
+# MAX_EXPANSION beside the factorless term's one
+@example([(RatFunc(1), []), (RatFunc(1), [(1, 1)] * 2 + [(2, 1)] * 3 + [(3, 1)] * 3)], 8)
 def test_packed_width_holds_large_coefficients(terms, order):
-    assert_matches_the_references(ZetaRational(terms), order)
+    # the series is refused by contract where the box passes MAX_EXPANSION
+    z = ZetaRational(terms)
+    if _expansion_work(_grouped(_common_den(z.terms), z.terms), order) > MAX_EXPANSION:
+        assert (z.num, z.den) == per_term_cleared(z)
+        with pytest.raises(InvalidInput, match="MAX_EXPANSION"):
+            z.t_series(order)
+    else:
+        assert_matches_the_references(z, order)
 
 
 class TestPackedWidth:
