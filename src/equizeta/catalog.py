@@ -58,8 +58,8 @@ def _chain(name, chain, at=None, branches=(), trivial=False, sign=None) -> Resol
         return () if sign is None else (c, None) if sign == "+" else (None, c)
 
     ids = [i for i, _, _ in chain]
-    two = DisjointUnion(pt, pt)
-    crossings = [StratumEntry({a, b}, pt, *covers(two)) for a, b in zip(ids, ids[1:])]
+    two = None if sign is None else DisjointUnion(pt, pt)
+    crossings = [StratumEntry(frozenset((a, b)), pt, *covers(two)) for a, b in zip(ids, ids[1:])]
     image = sorted(ids)  # the generator: each id's image, in id order
     points = []  # where the strict transform meets E_at
     for kind in branches:
@@ -67,23 +67,28 @@ def _chain(name, chain, at=None, branches=(), trivial=False, sign=None) -> Resol
         if kind == "pair":
             image += [new + 1, new]
             points.append(_PAIR)
-            crossings.append(StratumEntry({at, new}, _PAIR))
+            crossings.append(StratumEntry(frozenset((at, new)), _PAIR))
         else:
             image.append(new)
             points.append(pt)
-            crossings.append(StratumEntry({at, new}, pt))
-    # the circle minus 0 to 4 fixed points, shared: k for a divisor with k
-    # chain neighbours, 2k for the sign's cover over it
-    minus = [_circle_minus(*[pt] * k, circle=circle) for k in range(5)]
+            crossings.append(StratumEntry(frozenset((at, new)), pt))
+    # the circle minus k fixed points, shared and built once for each k that
+    # a stratum uses: k for a divisor with k chain neighbours, 2k for the
+    # sign's cover over it
+    neighbours = {i: (i != ids[0]) + (i != ids[-1]) for i in ids}
+    used = set(neighbours.values())
+    if sign is not None:
+        used |= {2 * k for k in used}
+    minus = {k: _circle_minus(*[pt] * k, circle=circle) for k in used}
     strata = []
     for i in sorted(ids):
-        k = (i != ids[0]) + (i != ids[-1])
+        k = neighbours[i]
         value = _circle_minus(*[pt] * k, *points, circle=circle) if i == at else minus[k]
-        strata.append(StratumEntry({i}, value, *covers(minus[2 * k])))
+        strata.append(StratumEntry(frozenset((i,)), value, *covers(minus.get(2 * k))))
     divisors = [Divisor(i, N, nu, zero_fiber=True) for i, N, nu in sorted(chain)]
     divisors += [Divisor(i, N=1, nu=1) for i in range(len(ids) + 1, len(image) + 1)]
     group = GroupSpec(1) if trivial else GroupSpec(2, (tuple(image),))
-    return ResolutionData(name, divisors, group, strata + crossings)
+    return ResolutionData(name, tuple(divisors), group, tuple(strata + crossings))
 
 
 # y^4 - x^2 and x^4 - y^2 under (x, y) -> (-x, y): two blowups

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 from .errors import SchemaError, UnknownAtom
-from .ratpoly import RatFunc, padd, pmul, pneg, ppow
+from .ratpoly import RatFunc, _laurent_over, padd, pmul, pneg, ppow
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,9 @@ _FIXED_ATOMS = {
     "circle_trivial": RatFunc((1, 1)),
 }
 
+# one shared node for each fixed atom, for the parser
+_FIXED_ATOM_NODES = {name: Atom(name) for name in _FIXED_ATOMS}
+
 # affine(n), affine_trivial(n), product_affine n and product_punctured m cost
 # work in proportion to their size, so all are capped at MAX_AFFINE.
 MAX_AFFINE = 256
@@ -111,8 +114,9 @@ def atom_value(name: str) -> RatFunc:
 
 def beta_value(expr: GSpace) -> RatFunc:
     """Evaluate the equivariant virtual Poincare series of an expression,
-    canonicalised once."""
-    return RatFunc(*_unreduced(expr))
+    canonicalised once, by ``ratpoly._laurent_over``: catalog values lie
+    over 1 or u - 1 and take no gcd step."""
+    return _laurent_over(0, *_unreduced(expr))
 
 
 def _sum(a: tuple, b: tuple) -> tuple:
@@ -198,6 +202,8 @@ def expr_from_json(obj, depth: int = 1) -> GSpace:
         name = obj.get("name")
         if not isinstance(name, str):
             raise SchemaError("atom needs a string 'name'")
+        if name in _FIXED_ATOM_NODES:
+            return _FIXED_ATOM_NODES[name]
         try:
             atom_value(name)  # rejects unknown names early
         except UnknownAtom as exc:

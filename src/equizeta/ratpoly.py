@@ -48,10 +48,10 @@ only when both of those are non-constant, and only when Euclid on their
 images modulo the prime 2^61 - 1 does not already show them coprime.  Series
 coefficients are Laurent polynomials over small denominators such as u^s,
 and G-space values are fractions over powers of u and u - 1, so most of them
-need no PRS at all.  Series coefficients over the denominator 1, or over
-u - 1 when u - 1 does not divide their numerator (``_laurent_over``, which
-also builds the arc oracle's coefficients), and canonical values times a
-power of u - 1 are canonical by construction and skip even the strips
+need no PRS at all.  Laurent polynomials over the denominator 1 or u - 1
+(``_laurent_over``, which builds the engine's series coefficients, the arc
+oracle's and the G-space values) and canonical values times a power of
+u - 1 are canonical by construction and skip even the strips
 (``RatFunc._reduced``).
 """
 
@@ -61,7 +61,7 @@ import sys
 from functools import cached_property
 from itertools import repeat
 from math import gcd, prod
-from operator import add, lshift
+from operator import add, lshift, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -534,7 +534,9 @@ def _times_u_minus_1(r: RatFunc, e: int) -> RatFunc:
             break
         den = q
         e -= 1
-    return RatFunc._reduced(pmul(num, ppow((-1, 1), e)) if e else num, den)
+    for _ in range(e):  # num * (u - 1): coefficient k is num[k-1] - num[k]
+        num = tuple(map(sub, (0,) + num, num + (0,)))
+    return RatFunc._reduced(num, den)
 
 
 def _ints_from_json(seq) -> tuple:
@@ -922,24 +924,28 @@ def _bipoly(terms: list) -> BiPoly:
 def _laurent_over(low: int, poly: tuple, den_u: tuple) -> RatFunc:
     """The Laurent polynomial u^low * poly(u) divided by den_u, canonical.
 
-    Over den_u = 1, and over den_u = u - 1 when poly(1) = sum(poly) != 0, it
-    needs no gcd step.  Once poly's valuation has moved into low, poly has
-    no factor u, and over u - 1 none of u - 1 either; den_u is primitive
-    with a positive leading coefficient, and its only prime factors are u
-    and u - 1.  So u^low poly / den_u, or poly / (u^-low den_u), is already
-    canonical.  Any other den_u, or a poly that u - 1 divides, goes through
-    the gcd step."""
+    Over den_u = 1 and over den_u = u - 1 it needs no gcd step.  Over u - 1,
+    a poly that u - 1 divides is divided by synthetic division first and is
+    then over 1.  Once poly's valuation has moved into low, poly has no
+    factor u, and over u - 1 none of u - 1 either; den_u is primitive with a
+    positive leading coefficient, and its only prime factors are u and
+    u - 1.  So u^low poly / den_u, or poly / (u^-low den_u), is already
+    canonical.  Any other den_u goes through the gcd step."""
     if not poly:
         return RatFunc._reduced((), (1,))
-    if den_u == (1,) or (den_u == (-1, 1) and sum(poly)):
-        v = _valuation(poly)
-        low += v
+    if den_u == (-1, 1):
+        quotient = _over_u_minus_1(poly)
+        if quotient is not None:
+            poly, den_u = quotient, (1,)
+    elif den_u != (1,):
         if low >= 0:
-            return RatFunc._reduced((0,) * low + poly[v:], den_u)
-        return RatFunc._reduced(poly[v:], (0,) * -low + den_u)
+            return RatFunc((0,) * low + poly, den_u)
+        return RatFunc(poly, (0,) * -low + den_u)
+    v = _valuation(poly)
+    low += v
     if low >= 0:
-        return RatFunc((0,) * low + poly, den_u)
-    return RatFunc(poly, (0,) * -low + den_u)
+        return RatFunc._reduced((0,) * low + poly[v:], den_u)
+    return RatFunc._reduced(poly[v:], (0,) * -low + den_u)
 
 
 def _check_span(low: int, size: int, den_u: tuple, exact: int):

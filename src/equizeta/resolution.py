@@ -15,6 +15,7 @@ the result.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -54,9 +55,9 @@ class GroupSpec:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("group order must be positive")
-        object.__setattr__(
-            self, "generators", tuple(tuple(g) for g in self.generators)
-        )
+        gens = self.generators
+        if type(gens) is not tuple or any(type(g) is not tuple for g in gens):
+            object.__setattr__(self, "generators", tuple(tuple(g) for g in gens))
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,8 @@ class StratumEntry:
     beta_minus: Optional[gspace.GSpace] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "divisors", frozenset(self.divisors))
+        if type(self.divisors) is not frozenset:
+            object.__setattr__(self, "divisors", frozenset(self.divisors))
 
 
 @dataclass(frozen=True)
@@ -78,8 +80,10 @@ class ResolutionData:
     strata: Tuple[StratumEntry, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "divisors", tuple(self.divisors))
-        object.__setattr__(self, "strata", tuple(self.strata))
+        if type(self.divisors) is not tuple:
+            object.__setattr__(self, "divisors", tuple(self.divisors))
+        if type(self.strata) is not tuple:
+            object.__setattr__(self, "strata", tuple(self.strata))
 
     def divisor_map(self) -> Dict[int, Divisor]:
         return {d.id: d for d in self.divisors}
@@ -106,36 +110,30 @@ def generated_group(res: ResolutionData) -> List[Dict[int, int]]:
 
     By Lagrange the generated group has at most the declared order, so the
     closure stops with InvalidResolution once it holds more permutations than
-    that order (or than MAX_GROUP_ORDER).
+    that order (or than MAX_GROUP_ORDER).  The closure runs on each
+    permutation's images of the ids in ascending order; the identity comes
+    first.
     """
     limit = min(res.group.order, MAX_GROUP_ORDER)
     ids = sorted(d.id for d in res.divisors)
-    identity = {i: i for i in ids}
-    seen = {tuple(identity[i] for i in ids): identity}
-    frontier = [identity]
     gens = _generator_maps(res)
+    seen = dict.fromkeys([tuple(ids)])
+    frontier = list(seen)
     while frontier:
         current = frontier.pop()
         for gen in gens:
-            composed = {i: gen.get(current[i], current[i]) for i in ids}
-            key = tuple(composed[i] for i in ids)
+            key = tuple([gen.get(i, i) for i in current])
             if key not in seen:
-                seen[key] = composed
+                seen[key] = None
                 if len(seen) > limit:
                     raise InvalidResolution([f"generators span more than {limit} permutations"])
-                frontier.append(composed)
-    return list(seen.values())
+                frontier.append(key)
+    return [dict(zip(ids, key)) for key in seen]
 
 
 def subset_orbit(subset: FrozenSet[int], group: List[Dict[int, int]]):
     """Orbit of a divisor subset under the generated group."""
     return {frozenset(g[i] for i in subset) for g in group}
-
-
-def _orbit_rep(subset: FrozenSet[int], group: List[Dict[int, int]]) -> Tuple[int, ...]:
-    """The canonical representative of a divisor subset's orbit, the least
-    of its images as sorted tuples, in one pass over the group."""
-    return min(tuple(sorted(g[i] for i in subset)) for g in group)
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +144,16 @@ def validate(res: ResolutionData) -> List[str]:
     """Every violated invariant as one diagnostic string; empty means valid."""
     diags = []
     ids = [d.id for d in res.divisors]
-    if len(set(ids)) != len(ids):
+    id_set = set(ids)
+    if len(id_set) != len(ids):
         diags.append("duplicate divisor ids")
         return diags
     if len(ids) > MAX_DIVISORS:
         diags.append(f"more than {MAX_DIVISORS} divisors")
     if res.group.order > MAX_GROUP_ORDER:
         diags.append(f"group order above {MAX_GROUP_ORDER}")
-    dmap = res.divisor_map()
-    id_set = set(ids)
+    kinds = {d.id: (d.N, d.nu, d.zero_fiber) for d in res.divisors}
+    ascending = sorted(ids)
 
     generators_ok = True
     for gi, gen in enumerate(res.group.generators):
@@ -162,21 +161,13 @@ def validate(res: ResolutionData) -> List[str]:
             diags.append(f"generator {gi} is not a bijection on divisor ids")
             generators_ok = False
             continue
-        gmap = dict(zip(sorted(ids), gen))
-        for i, j in gmap.items():
-            a, b = dmap[i], dmap[j]
-            if a.N != b.N:
-                diags.append(
-                    f"generator {gi} does not preserve N: divisor {i} -> {j}"
-                )
-            if a.nu != b.nu:
-                diags.append(
-                    f"generator {gi} does not preserve nu: divisor {i} -> {j}"
-                )
-            if a.zero_fiber != b.zero_fiber:
-                diags.append(
-                    f"generator {gi} does not preserve zero_fiber: divisor {i} -> {j}"
-                )
+        for i, j in zip(ascending, gen):
+            if kinds[i] != kinds[j]:
+                diags += [
+                    f"generator {gi} does not preserve {field}: divisor {i} -> {j}"
+                    for field, a, b in zip(("N", "nu", "zero_fiber"), kinds[i], kinds[j])
+                    if a != b
+                ]
 
     group = None
     if generators_ok:
@@ -191,24 +182,35 @@ def validate(res: ResolutionData) -> List[str]:
             f"generators span {len(group)} permutations, not dividing {res.group.order}"
         )
     zero_ids = {d.id for d in res.divisors if d.zero_fiber}
-    first_in_orbit = {}  # canonical representative -> first stratum index
+    # each registered stratum's own subset -> its index: the registered
+    # strata lie in distinct orbits, so the first image of a new stratum found
+    # here names the one stratum that shares its orbit
+    declared = {}
     for si, st in enumerate(res.strata):
-        if not st.divisors:
+        subset = st.divisors
+        if not subset:
             diags.append(f"stratum {si} has an empty divisor set")
             continue
-        unknown = st.divisors - id_set
-        if unknown:
-            diags.append(f"stratum {si} references unknown divisors {sorted(unknown)}")
+        if not subset <= id_set:
+            diags.append(
+                f"stratum {si} references unknown divisors {sorted(subset - id_set)}"
+            )
             continue
-        if not (st.divisors & zero_ids):
+        if subset.isdisjoint(zero_ids):
             diags.append(
                 f"stratum {si} does not meet the zero fiber and must be omitted"
             )
-        if group is not None:
-            rep = _orbit_rep(st.divisors, group)
-            sj = first_in_orbit.setdefault(rep, si)
-            if sj != si:
-                diags.append(f"duplicate orbit: strata {sj} and {si} lie in the same orbit")
+        if group is None:
+            continue
+        sj = declared.get(subset)
+        for g in group[1:]:  # group[0] is the identity
+            if sj is not None:
+                break
+            sj = declared.get(frozenset([g[i] for i in subset]))
+        if sj is None:
+            declared[subset] = si
+        else:
+            diags.append(f"duplicate orbit: strata {sj} and {si} lie in the same orbit")
     return diags
 
 
@@ -261,6 +263,13 @@ def require(obj, key, kind, where, default=_REQUIRED):
 
 
 def resolution_from_json(obj) -> ResolutionData:
+    """Resolution data from a JSON document; SchemaError at the first
+    malformed field, named by its path.
+
+    Each field takes one exact type check; only a field that fails it goes
+    through ``require``, which names what is wrong or accepts the value (a
+    subclass of the JSON type), so no path text is built for a well-formed
+    document."""
     name = require(obj, "name", str, "resolution")
     group_obj = require(obj, "group", dict, "resolution")
     order = require(group_obj, "order", int, "group")
@@ -268,46 +277,57 @@ def resolution_from_json(obj) -> ResolutionData:
         raise SchemaError("group.order: must be >= 1")
     gens = []
     for gi, gen in enumerate(require(group_obj, "generators", list, "group", [])):
-        if not isinstance(gen, list) or any(
-            isinstance(x, bool) or not isinstance(x, int) for x in gen
-        ):
-            raise SchemaError(f"group.generators[{gi}]: expected array of ids")
+        if type(gen) is not list or not all(type(x) is int for x in gen):
+            if not isinstance(gen, list) or any(
+                isinstance(x, bool) or not isinstance(x, int) for x in gen
+            ):
+                raise SchemaError(f"group.generators[{gi}]: expected array of ids")
         gens.append(tuple(gen))
 
-    divisors_obj = require(obj, "divisors", list, "resolution")
     divisors = []
-    for di, dv in enumerate(divisors_obj):
-        where = f"divisors[{di}]"
-        did = require(dv, "id", int, where)
-        N = require(dv, "N", int, where)
-        nu = require(dv, "nu", int, where)
-        zf = require(dv, "zero_fiber", bool, where, False)
+    for di, dv in enumerate(require(obj, "divisors", list, "resolution")):
+        if type(dv) is dict:
+            did, N, nu = dv.get("id"), dv.get("N"), dv.get("nu")
+            zf = dv.get("zero_fiber", False)
+        if type(dv) is not dict or not (
+            type(did) is int and type(N) is int and type(nu) is int and type(zf) is bool
+        ):
+            where = f"divisors[{di}]"
+            did = require(dv, "id", int, where)
+            N = require(dv, "N", int, where)
+            nu = require(dv, "nu", int, where)
+            zf = require(dv, "zero_fiber", bool, where, False)
         if N < 1 or nu < 1:
-            raise SchemaError(f"{where}: multiplicities must be >= 1")
+            raise SchemaError(f"divisors[{di}]: multiplicities must be >= 1")
         divisors.append(Divisor(did, N, nu, zf))
     known = {d.id for d in divisors}
 
-    strata_obj = require(obj, "strata", list, "resolution")
     strata = []
-    for si, st in enumerate(strata_obj):
-        where = f"strata[{si}]"
-        I = require(st, "I", list, where)
-        if any(isinstance(x, bool) or not isinstance(x, int) for x in I):
-            raise SchemaError(f"{where}.I: expected array of divisor ids")
-        bad = set(I) - known
-        if bad:
-            raise SchemaError(f"{where}.I: unknown divisor ids {sorted(bad)}")
-        beta = gspace.expr_from_json(require(st, "beta", dict, where))
-        plus = st.get("beta_plus")
-        minus = st.get("beta_minus")
-        strata.append(
-            StratumEntry(
-                frozenset(I),
-                beta,
-                gspace.expr_from_json(plus) if plus is not None else None,
-                gspace.expr_from_json(minus) if minus is not None else None,
-            )
-        )
+    expr = gspace.expr_from_json
+    for si, st in enumerate(require(obj, "strata", list, "resolution")):
+        I = st.get("I") if type(st) is dict else None
+        if type(I) is not list:
+            I = require(st, "I", list, f"strata[{si}]")
+        if not all(type(x) is int for x in I) and any(
+            isinstance(x, bool) or not isinstance(x, int) for x in I
+        ):
+            raise SchemaError(f"strata[{si}].I: expected array of divisor ids")
+        subset = frozenset(I)
+        if not subset <= known:
+            raise SchemaError(f"strata[{si}].I: unknown divisor ids {sorted(subset - known)}")
+        if len(subset) != len(I):
+            repeated = sorted(x for x, count in Counter(I).items() if count > 1)
+            raise SchemaError(f"strata[{si}].I: repeated divisor ids {repeated}")
+        beta = st.get("beta")
+        if type(beta) is not dict:
+            beta = require(st, "beta", dict, f"strata[{si}]")
+        plus, minus = st.get("beta_plus"), st.get("beta_minus")
+        strata.append(StratumEntry(
+            subset,
+            expr(beta),
+            None if plus is None else expr(plus),
+            None if minus is None else expr(minus),
+        ))
     return ResolutionData(name, tuple(divisors), GroupSpec(order, tuple(gens)), tuple(strata))
 
 

@@ -20,7 +20,7 @@ from typing import Optional
 from .errors import InvalidResolution
 from .gspace import beta_value
 from .ratpoly import RatFunc, ZetaRational, _times_u_minus_1
-from .resolution import ResolutionData, StratumEntry, validate
+from .resolution import ResolutionData, validate
 
 VARIANTS = ("naive", "plus", "minus")
 
@@ -30,57 +30,51 @@ def _check_variant(variant: str):
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
-def _stratum_expr(st: StratumEntry, variant: str):
-    if variant == "naive":
-        return st.beta
-    if variant == "plus":
-        return st.beta_plus
-    return st.beta_minus
+_EXPR_FIELD = {"naive": "beta", "plus": "beta_plus", "minus": "beta_minus"}
 
 
-def _stratum_terms(res: ResolutionData, variant: str, values: dict):
+def _stratum_terms(res: ResolutionData, variant: str, memo: tuple):
     """Per-stratum (coefficient, factor multiset) pairs, declared order.
 
-    Strata repeat a few G-space values, so each distinct expression is
-    evaluated once into ``values``, a memo that lives for one command, and
-    each distinct (expression, e) pair takes that canonical value times
-    (u-1)^e once in this call, with no gcd step
-    (``ratpoly._times_u_minus_1``).
+    Strata repeat a few G-space values.  ``memo`` holds two dicts that live
+    for one command: each distinct expression's value, evaluated once, and
+    each distinct (value, e) pair's coefficient, that value times (u-1)^e
+    with no gcd step (``ratpoly._times_u_minus_1``).
     """
-    dmap = res.divisor_map()
-    coeffs = {}
+    values, coeffs = memo
+    field = _EXPR_FIELD[variant]
+    drop = 0 if variant == "naive" else 1
+    factor = {d.id: (d.nu, d.N) for d in res.divisors}
     terms = []
     for st in res.strata:
-        expr = _stratum_expr(st, variant)
+        expr = getattr(st, field)
         if expr is None:
             continue
-        exponent = len(st.divisors) - (0 if variant == "naive" else 1)
-        key = (expr, exponent)
+        value = values.get(expr)
+        if value is None:
+            value = values[expr] = beta_value(expr)
+        key = (value, len(st.divisors) - drop)
         coeff = coeffs.get(key)
         if coeff is None:
-            value = values.get(expr)
-            if value is None:
-                value = values[expr] = beta_value(expr)
-            coeff = coeffs[key] = _times_u_minus_1(value, exponent)
-        if coeff.is_zero():
-            continue
-        factors = [(dmap[i].nu, dmap[i].N) for i in st.divisors]
-        terms.append((coeff, factors))
+            coeff = coeffs[key] = _times_u_minus_1(*key)
+        if coeff:
+            terms.append((coeff, [factor[i] for i in st.divisors]))
     return terms
 
 
-def _closed_form(res: ResolutionData, variant: str, values: dict) -> ZetaRational:
-    """``denef_loeser`` with the stratum values memoised in ``values``."""
+def _closed_form(res: ResolutionData, variant: str, memo: tuple) -> ZetaRational:
+    """``denef_loeser`` with the stratum values and coefficients memoised in
+    ``memo`` (``_stratum_terms``)."""
     _check_variant(variant)
     diags = validate(res)
     if diags:
         raise InvalidResolution(diags)
-    return ZetaRational(_stratum_terms(res, variant, values))
+    return ZetaRational(_stratum_terms(res, variant, memo))
 
 
 def denef_loeser(res: ResolutionData, variant: str = "naive") -> ZetaRational:
     """Closed-form zeta function of resolution data, validated here."""
-    return _closed_form(res, variant, {})
+    return _closed_form(res, variant, ({}, {}))
 
 
 def display(z: ZetaRational) -> str:
@@ -133,9 +127,9 @@ def distinguish(
     smallest separating T-order lies within T^order, the two coefficients
     there come along as the witness; otherwise the report carries none.
     """
-    values = {}  # both sides share their G-space values
-    za = _closed_form(a, variant, values)
-    zb = _closed_form(b, variant, values)
+    memo = {}, {}  # both sides share their values and coefficients
+    za = _closed_form(a, variant, memo)
+    zb = _closed_form(b, variant, memo)
     diff = za.first_difference(zb)
     if diff is None:
         return ComparisonReport(equal=True, variant=variant)

@@ -45,11 +45,18 @@ from equizeta.ratpoly import (
     pprimitive,
     ptrim,
 )
+from equizeta.errors import InvalidResolution, SchemaError
+from equizeta.gspace import _unreduced, expr_from_json
 from equizeta.resolution import (
+    MAX_DIVISORS,
+    MAX_GROUP_ORDER,
     Divisor,
     GroupSpec,
+    ResolutionData,
     StratumEntry,
+    _generator_maps,
     generated_group,
+    require,
     subset_orbit,
 )
 
@@ -741,8 +748,7 @@ def atom_table(max_affine: int = 8):
 
 
 def canonical_rep(orbit):
-    """The least sorted tuple of an orbit of divisor subsets: the reference
-    for ``resolution._orbit_rep``."""
+    """The least sorted tuple of an orbit of divisor subsets."""
     return min(tuple(sorted(s)) for s in orbit)
 
 
@@ -758,3 +764,134 @@ def truncate(series: TSeries, order: int) -> TSeries:
     if order > series.order:
         raise ValueError("cannot extend a truncated series")
     return TSeries(series.coeffs[: order + 1])
+
+
+# -- the resolution front end as it was before its fast paths -------------------
+
+def reference_resolution_from_json(obj) -> ResolutionData:
+    """``resolution_from_json`` by ``require`` calls field by field, before
+    the fast path for well-formed documents and the refusal of a divisor id
+    repeated within a stratum, which this reads as one."""
+    name = require(obj, "name", str, "resolution")
+    group_obj = require(obj, "group", dict, "resolution")
+    order = require(group_obj, "order", int, "group")
+    if order < 1:
+        raise SchemaError("group.order: must be >= 1")
+    gens = []
+    for gi, gen in enumerate(require(group_obj, "generators", list, "group", [])):
+        if not isinstance(gen, list) or any(
+            isinstance(x, bool) or not isinstance(x, int) for x in gen
+        ):
+            raise SchemaError(f"group.generators[{gi}]: expected array of ids")
+        gens.append(tuple(gen))
+    divisors = []
+    for di, dv in enumerate(require(obj, "divisors", list, "resolution")):
+        where = f"divisors[{di}]"
+        did = require(dv, "id", int, where)
+        N = require(dv, "N", int, where)
+        nu = require(dv, "nu", int, where)
+        zf = require(dv, "zero_fiber", bool, where, False)
+        if N < 1 or nu < 1:
+            raise SchemaError(f"{where}: multiplicities must be >= 1")
+        divisors.append(Divisor(did, N, nu, zf))
+    known = {d.id for d in divisors}
+    strata = []
+    for si, st in enumerate(require(obj, "strata", list, "resolution")):
+        where = f"strata[{si}]"
+        I = require(st, "I", list, where)
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in I):
+            raise SchemaError(f"{where}.I: expected array of divisor ids")
+        bad = set(I) - known
+        if bad:
+            raise SchemaError(f"{where}.I: unknown divisor ids {sorted(bad)}")
+        beta = expr_from_json(require(st, "beta", dict, where))
+        plus = st.get("beta_plus")
+        minus = st.get("beta_minus")
+        strata.append(StratumEntry(
+            frozenset(I),
+            beta,
+            expr_from_json(plus) if plus is not None else None,
+            expr_from_json(minus) if minus is not None else None,
+        ))
+    return ResolutionData(name, tuple(divisors), GroupSpec(order, tuple(gens)), tuple(strata))
+
+
+def dict_closure_group(res):
+    """``generated_group`` by composing dicts, one per permutation."""
+    limit = min(res.group.order, MAX_GROUP_ORDER)
+    ids = sorted(d.id for d in res.divisors)
+    identity = {i: i for i in ids}
+    seen = {tuple(identity[i] for i in ids): identity}
+    frontier = [identity]
+    gens = _generator_maps(res)
+    while frontier:
+        current = frontier.pop()
+        for gen in gens:
+            composed = {i: gen.get(current[i], current[i]) for i in ids}
+            key = tuple(composed[i] for i in ids)
+            if key not in seen:
+                seen[key] = composed
+                if len(seen) > limit:
+                    raise InvalidResolution([f"generators span more than {limit} permutations"])
+                frontier.append(composed)
+    return list(seen.values())
+
+
+def reference_validate(res) -> list:
+    """``validate`` with every orbit keyed by its least image as a sorted
+    tuple, and each divisor's N, nu and zero_fiber compared one at a time."""
+    diags = []
+    ids = [d.id for d in res.divisors]
+    if len(set(ids)) != len(ids):
+        return ["duplicate divisor ids"]
+    if len(ids) > MAX_DIVISORS:
+        diags.append(f"more than {MAX_DIVISORS} divisors")
+    if res.group.order > MAX_GROUP_ORDER:
+        diags.append(f"group order above {MAX_GROUP_ORDER}")
+    dmap = res.divisor_map()
+    id_set = set(ids)
+    generators_ok = True
+    for gi, gen in enumerate(res.group.generators):
+        if len(gen) != len(ids) or set(gen) != id_set:
+            diags.append(f"generator {gi} is not a bijection on divisor ids")
+            generators_ok = False
+            continue
+        for i, j in zip(sorted(ids), gen):
+            a, b = dmap[i], dmap[j]
+            for field in ("N", "nu", "zero_fiber"):
+                if getattr(a, field) != getattr(b, field):
+                    diags.append(f"generator {gi} does not preserve {field}: divisor {i} -> {j}")
+    group = None
+    if generators_ok:
+        try:
+            group = dict_closure_group(res)
+        except InvalidResolution as exc:
+            diags.extend(exc.diagnostics)
+    if group is not None and res.group.order % len(group):
+        diags.append(
+            f"generators span {len(group)} permutations, not dividing {res.group.order}"
+        )
+    zero_ids = {d.id for d in res.divisors if d.zero_fiber}
+    first_in_orbit = {}
+    for si, st in enumerate(res.strata):
+        if not st.divisors:
+            diags.append(f"stratum {si} has an empty divisor set")
+            continue
+        unknown = st.divisors - id_set
+        if unknown:
+            diags.append(f"stratum {si} references unknown divisors {sorted(unknown)}")
+            continue
+        if not (st.divisors & zero_ids):
+            diags.append(f"stratum {si} does not meet the zero fiber and must be omitted")
+        if group is not None:
+            rep = canonical_rep(subset_orbit(st.divisors, group))
+            sj = first_in_orbit.setdefault(rep, si)
+            if sj != si:
+                diags.append(f"duplicate orbit: strata {sj} and {si} lie in the same orbit")
+    return diags
+
+
+def reference_beta_value(expr) -> RatFunc:
+    """``beta_value`` with every value canonicalised by ``RatFunc``'s gcd
+    step."""
+    return RatFunc(*_unreduced(expr))

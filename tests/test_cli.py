@@ -91,6 +91,17 @@ class TestCompute:
         bad.write_text(json.dumps(doc))
         assert run("compute", str(bad))[0] == 3
 
+    def test_divisor_repeated_in_a_stratum_exits_3(self, run, tmp_path):
+        # read as {1}, the stratum would take (u-1)^1, not the (u-1)^2 of
+        # the two ids it lists
+        doc = resolution_to_json(catalog.get("x2+y2_Z2"))
+        doc["strata"][0]["I"] = [1, 1]
+        bad = tmp_path / "repeated.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run("compute", str(bad))
+        assert (code, out) == (3, "")
+        assert err == "error: strata[0].I: repeated divisor ids [1]\n"
+
     def test_validation_failure_exits_2(self, run, tmp_path):
         doc = resolution_to_json(catalog.get("y4-x2_Z2"))
         doc["divisors"][2]["N"] = 5  # breaks the swapped pair

@@ -1,8 +1,9 @@
 import pytest
-from helpers import atom_table, folded_beta_value
+from helpers import atom_table, folded_beta_value, reference_beta_value
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from equizeta import catalog, ratpoly
 from equizeta.errors import SchemaError, UnknownAtom
 from equizeta.gspace import (
     MAX_AFFINE,
@@ -157,6 +158,49 @@ expressions = st.recursive(
 @example(ClosedComplement(Atom("point_trivial"), DisjointUnion(Atom("point_fixed"))))
 def test_beta_value_matches_the_step_by_step_fold(expr):
     assert beta_value(expr) == folded_beta_value(expr)
+
+
+
+def catalog_values():
+    """Every stratum value of every sample fixture and of the gk and hk
+    ladders to k = 14, in every variant, once each."""
+    names = catalog.sample_names()
+    names += [f"gk({k},{sx},{sy})" for k in range(3, 15) for sx in "+-" for sy in "+-"]
+    names += [f"hk({k},{sign})" for k in range(3, 15) for sign in "+-"]
+    exprs = {}
+    for name in names:
+        for st_ in catalog.get(name).strata:
+            for expr in (st_.beta, st_.beta_plus, st_.beta_minus):
+                if expr is not None:
+                    exprs.setdefault(expr, name)
+    return exprs
+
+
+class TestGcdFreeValues:
+    def test_catalog_values_need_no_gcd(self, monkeypatch):
+        exprs = catalog_values()
+        want = {expr: reference_beta_value(expr) for expr in exprs}
+
+        def no_gcd(a, b):
+            raise AssertionError("gcd step taken")
+
+        monkeypatch.setattr(ratpoly, "_cofactors", no_gcd)
+        for expr, name in exprs.items():
+            assert beta_value(expr) == want[expr], name
+
+    @pytest.mark.parametrize("den", [(1, -2, 1), (1, 2)])
+    def test_rational_leaves_over_other_denominators_take_the_gcd(self, monkeypatch, den):
+        # over (u-1)^2 and 2u + 1 the value goes through RatFunc's gcd step
+        exprs = [Rational(RatFunc((0, 1), den)),
+                 DisjointUnion(Rational(RatFunc((0, 1), den)), Atom("point_fixed"))]
+        want = [reference_beta_value(expr) for expr in exprs]
+        steps = []
+        cofactors = ratpoly._cofactors
+        monkeypatch.setattr(ratpoly, "_cofactors", lambda a, b: steps.append(1) or cofactors(a, b))
+        for expr, value in zip(exprs, want):
+            steps.clear()
+            assert beta_value(expr) == value == folded_beta_value(expr)
+            assert steps
 
 
 class TestJson:

@@ -557,13 +557,14 @@ def test_laurent_over_one_is_canonical_by_construction(low, zeros, cs):
 @given(st.integers(-8, 8), st.integers(0, 3), coeffs, st.integers(0, 2))
 @example(-3, 2, [], 0)
 @example(-5, 1, [0, 0, 4, -1], 0)
-@example(2, 0, [3], 1)  # 3(u - 1) / (u - 1): the gcd step
+@example(2, 0, [3], 1)  # 3(u - 1) / (u - 1): u - 1 cancels
 @example(-2, 1, [1, 1], 2)  # (u + 1)(u - 1)^2 over u^2 (u - 1)
 @example(-1, 0, [2, -1, -1], 0)  # sums to 0: u - 1 divides
 @example(0, 0, [-4], 0)
 def test_laurent_over_u_minus_1_is_canonical_by_construction(low, zeros, cs, shared):
-    # a factor (u - 1)^shared makes poly sum to 0, so the gcd step runs;
-    # otherwise the sum is 0 only when u - 1 divides cs by chance
+    # a factor (u - 1)^shared makes poly sum to 0, so u - 1 cancels before
+    # the value is built over 1; otherwise the sum is 0 only when u - 1
+    # divides cs by chance
     poly = pmul(ptrim([0] * zeros + cs), ppow((-1, 1), shared))
     assert_laurent_over_is_canonical(low, poly, (-1, 1))
 

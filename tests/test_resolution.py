@@ -1,31 +1,41 @@
 import dataclasses
 import itertools
 import json
+import re
 import time
+import tracemalloc
 
 import pytest
-from helpers import canonical_rep, subset_orbits
+from helpers import (
+    dict_closure_group,
+    per_stratum_terms,
+    reference_beta_value,
+    reference_resolution_from_json,
+    reference_validate,
+    subset_orbits,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_cli import paths, replaced, small_json, valid_documents
 
 from equizeta import catalog
 from equizeta.errors import InvalidResolution, ParseError, SchemaError, UnknownFixture
-from equizeta.gspace import Atom
+from equizeta.gspace import Atom, beta_value
 from equizeta.resolution import (
     MAX_GROUP_ORDER,
     Divisor,
     GroupSpec,
     ResolutionData,
     StratumEntry,
-    _orbit_rep,
     generated_group,
     parse,
     require,
+    resolution_from_json,
     resolution_to_json,
     serialize,
-    subset_orbit,
     validate,
 )
+from equizeta.zeta import VARIANTS, denef_loeser
 
 
 def with_divisor(res, index, **changes):
@@ -57,14 +67,18 @@ class TestValidation:
 
     def test_duplicate_orbit_names_the_first_stratum(self):
         res = catalog.get("y4-x2_Z2")  # stratum 3 is {2, 3}
+        # stratum 7 repeats stratum 4's subset, but 4, itself a duplicate,
+        # is not the first of the orbit
         extra = res.strata + tuple(
-            StratumEntry(I, Atom("point_pair_swapped")) for I in ({2, 4}, {2, 3}, {1, 2})
+            StratumEntry(I, Atom("point_pair_swapped"))
+            for I in ({2, 4}, {2, 3}, {1, 2}, {2, 4})
         )
         diags = validate(dataclasses.replace(res, strata=extra))
         assert diags == [
             "duplicate orbit: strata 3 and 4 lie in the same orbit",
             "duplicate orbit: strata 3 and 5 lie in the same orbit",
             "duplicate orbit: strata 2 and 6 lie in the same orbit",
+            "duplicate orbit: strata 3 and 7 lie in the same orbit",
         ]
 
     def test_many_distinct_strata_validate_in_linear_time(self):
@@ -130,12 +144,12 @@ class TestValidation:
             ).map(lambda case: (n, [tuple(g) for g in case[0]], frozenset(case[1])))
         ),
     )
-    def test_one_pass_representative_is_the_least_of_the_orbit(self, case):
+    def test_group_closure_matches_the_closure_over_dicts(self, case):
         n, gens, subset = case
         divisors = tuple(Divisor(i, 1, 1, True) for i in range(1, n + 1))
-        strata = (StratumEntry({1}, Atom("point_fixed")),)
-        group = generated_group(ResolutionData("random", divisors, GroupSpec(120, gens), strata))
-        assert _orbit_rep(subset, group) == canonical_rep(subset_orbit(subset, group))
+        strata = (StratumEntry(subset, Atom("point_fixed")),)
+        res = ResolutionData("random", divisors, GroupSpec(120, gens), strata)
+        assert generated_group(res) == dict_closure_group(res)
 
     def test_group_closure_stops_after_the_declared_order(self):
         # a 9-cycle and a transposition span all of S_9 (362880 permutations)
@@ -151,6 +165,39 @@ class TestValidation:
         for name in catalog.sample_names():
             res = catalog.get(name)
             assert len(generated_group(res)) <= res.group.order, name
+
+    def test_orbit_check_holds_one_subset_per_stratum(self):
+        # (Z2)^10 swaps the divisors 2k - 1 and 2k of each of ten pairs, so
+        # the 56 strata taking one divisor of at least eight pairs (and both
+        # of the rest) lie in distinct orbits of 256 to 1024 subsets each.
+        # Keeping every image of every stratum would hold 17664 subsets, a
+        # peak near 14 MB; the check keeps one per stratum, and the peak is
+        # the group's 1024 permutations, near 1.3 MB.
+        divisors = tuple(Divisor(i, 1, 1, True) for i in range(1, 21))
+        gens = tuple(
+            tuple({2 * k - 1: 2 * k, 2 * k: 2 * k - 1}.get(i, i) for i in range(1, 21))
+            for k in range(1, 11)
+        )
+        strata = [
+            StratumEntry(
+                frozenset(i for k, c in enumerate(counts, 1) for i in (2 * k - 1, 2 * k)[:c]),
+                Atom("point_fixed"),
+            )
+            for counts in itertools.product((1, 2), repeat=10)
+            if counts.count(1) >= 8
+        ]
+        # stratum 0 again, moved by the first generator
+        moved = frozenset(gens[0][i - 1] for i in strata[0].divisors)
+        strata.append(StratumEntry(moved, Atom("point_fixed")))
+        res = ResolutionData("Z2^10", divisors, GroupSpec(MAX_GROUP_ORDER, gens), tuple(strata))
+        tracemalloc.start()
+        try:
+            diags = validate(res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diags == [f"duplicate orbit: strata 0 and {len(strata) - 1} lie in the same orbit"]
+        assert peak < 4 << 20, peak
 
     def test_declared_group_order_is_capped(self):
         res = catalog.get("y4-x2_Z2")
@@ -283,6 +330,104 @@ class TestSerialization:
         doc["strata"][0]["beta"] = {"kind": "atom", "name": "gremlin"}
         with pytest.raises(SchemaError):
             parse(json.dumps(doc))
+
+
+
+def outcome(f, *args):
+    """f(*args), or the class and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# ids that are not a divisor's, and values equal to the id 1 of other JSON
+# types, which a set of ids would take for it
+foreign_ids = st.sampled_from([0, -3, 99, True, 1.0, "1", None])
+
+
+@st.composite
+def edited_documents(draw):
+    """A valid resolution document with one edit: a subtree replaced, a
+    divisor id repeated in, replaced in or shuffled within a stratum, a
+    generator image changed, or a stratum's orbit declared twice."""
+    _, doc = draw(valid_documents.filter(lambda job: job[0][0] == "compute"))
+    edit = draw(st.sampled_from(
+        ["subtree", "repeated", "foreign", "shuffled", "generator", "orbit"]))
+    if edit == "subtree":
+        path = draw(st.sampled_from(list(paths(doc))), label="path")
+        return replaced(doc, path, draw(small_json))
+    doc = json.loads(json.dumps(doc))
+    strata, gens = doc["strata"], doc["group"]["generators"]
+    ids = [d["id"] for d in doc["divisors"]]
+    si = draw(st.integers(0, len(strata) - 1), label="stratum")
+    I = strata[si]["I"]
+    if edit == "repeated":
+        I.insert(draw(st.integers(0, len(I))), draw(st.sampled_from(I)))
+    elif edit == "foreign":
+        I[draw(st.integers(0, len(I) - 1))] = draw(foreign_ids)
+    elif edit == "shuffled":
+        strata[si]["I"] = draw(st.permutations(I))
+        doc["strata"] = draw(st.permutations(strata))
+    elif edit == "generator" and gens:
+        k = draw(st.integers(0, len(gens[0]) - 1))
+        gens[0][k] = draw(st.sampled_from(ids) | foreign_ids)
+    elif edit == "generator":
+        gens.append(draw(st.permutations(ids)))
+    else:
+        image = dict(zip(sorted(ids), gens[0])) if gens else {i: i for i in ids}
+        strata.append(dict(strata[si], I=[image[i] for i in I]))
+    return doc
+
+
+class TestFrontEndAgainstReference:
+    """The parser, ``validate`` and the stratum values against the versions
+    before their fast paths (``helpers``)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(edited_documents())
+    def test_same_data_diagnostics_and_terms(self, doc):
+        got = outcome(resolution_from_json, doc)
+        want = outcome(reference_resolution_from_json, doc)
+        if got != want:
+            # the one difference: a divisor id repeated in stratum i is
+            # refused where the reference read past it
+            kind, message = got
+            m = re.fullmatch(r"strata\[(\d+)\]\.I: repeated divisor ids \[.+\]", message)
+            assert kind is SchemaError and m, (got, want)
+            i = int(m.group(1))
+            assert len(set(doc["strata"][i]["I"])) < len(doc["strata"][i]["I"])
+            before = dict(doc, strata=doc["strata"][:i])
+            assert isinstance(reference_resolution_from_json(before), ResolutionData)
+            return
+        if not isinstance(got, ResolutionData):
+            return
+        diags = validate(got)
+        assert diags == reference_validate(want)
+        for st_ in got.strata:
+            for expr in (st_.beta, st_.beta_plus, st_.beta_minus):
+                if expr is not None:
+                    assert outcome(beta_value, expr) == outcome(reference_beta_value, expr)
+        if not diags:
+            for variant in VARIANTS:
+                assert denef_loeser(got, variant).terms == per_stratum_terms(want, variant)
+
+    def test_subclasses_of_the_json_types_read_as_before(self):
+        # a field whose exact type check fails goes through ``require``,
+        # which accepts a subclass of its JSON type, as the reference does
+        class Obj(dict):
+            pass
+
+        class Int(int):
+            pass
+
+        res = catalog.get("y4-x2_Z2")
+        doc = json.loads(serialize(res))
+        doc["group"]["generators"][0] = [Int(x) for x in doc["group"]["generators"][0]]
+        doc["divisors"][0] = Obj(doc["divisors"][0], N=Int(doc["divisors"][0]["N"]))
+        doc["strata"][0] = Obj(doc["strata"][0], I=[Int(x) for x in doc["strata"][0]["I"]])
+        doc["strata"][1]["beta"] = Obj(doc["strata"][1]["beta"])
+        assert resolution_from_json(doc) == reference_resolution_from_json(doc) == res
 
 
 class TestCatalog:
