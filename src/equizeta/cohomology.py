@@ -5,20 +5,26 @@ entry in column j.  Cohomology dimensions come from rank arithmetic on the
 two structural maps of a cyclic group -- the generator-plus-identity map and
 the norm map N = s + s^2 + ... + s^d.
 
-Spectral pages hold dimensions only.  Differentials are *declared* ranks
-(they come from geometry, not from this module) and are simply subtracted
-from source and target.  A series is assembled from a page plus a tail
+Spectral pages hold dimensions only, each row in closed form: the
+cohomology of a cyclic group is periodic, so a row is its degree-0, odd and
+even dimensions over a window of p, whatever the window's width.
+Differentials are *declared* ranks (they come from geometry, not from this
+module) and are simply subtracted from source and target, as sparse
+offsets on the rows.  A series is assembled from a page plus a tail
 declaration saying how the anti-diagonal dimensions stabilize in low degree;
-the stable part is summed in closed form as tail_dim * u^n0 / (u - 1).
+the stable part is summed in closed form as tail_dim * u^n0 / (u - 1).  So
+a pipeline costs its modules, differentials and tail, not its window.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Tuple
 
 from .errors import InvalidInput, RankTooLarge, SchemaError, TailMismatch
-from .ratpoly import RatFunc, pmonomial
+from .ratpoly import RatFunc, _laurent_over, ptrim
 from .resolution import require
 
 
@@ -43,12 +49,27 @@ class F2Matrix:
                 raise ValueError("row has bits outside the column range")
 
     @classmethod
+    def _trusted(cls, rows: int, cols: int, data: tuple) -> "F2Matrix":
+        """A matrix with no per-row check, for a value valid by construction:
+        ``data`` is a tuple of ``rows`` bitmasks below 2^cols and neither
+        dimension is negative.  The caller guarantees that invariant."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "data", data)
+        return self
+
+    @classmethod
     def zero(cls, rows: int, cols: int) -> "F2Matrix":
-        return cls(rows, cols, (0,) * rows)
+        if rows < 0 or cols < 0:
+            raise ValueError("negative matrix dimensions")
+        return cls._trusted(rows, cols, (0,) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "F2Matrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
+        if n < 0:
+            raise ValueError("negative matrix dimensions")
+        return cls._trusted(n, n, tuple(1 << i for i in range(n)))
 
     @classmethod
     def from_strings(cls, rows: Sequence[str], cols: int = None) -> "F2Matrix":
@@ -56,10 +77,14 @@ class F2Matrix:
             cols = len(rows[0]) if rows else 0
         data = []
         for row in rows:
-            if not isinstance(row, str) or len(row) != cols or any(ch not in "01" for ch in row):
+            # a row of "0"s and "1"s strips to "", and is read reversed
+            # because bit j is column j
+            if not isinstance(row, str) or len(row) != cols or row.strip("01"):
                 raise SchemaError(f"bad bit-string row {row!r}")
-            data.append(sum((1 << j) for j, ch in enumerate(row) if ch == "1"))
-        return cls(len(rows), cols, tuple(data))
+            data.append(int(row[::-1], 2) if row else 0)
+        if cols < 0:
+            raise ValueError("negative matrix dimensions")
+        return cls._trusted(len(rows), cols, tuple(data))
 
     def to_strings(self):
         return [
@@ -70,7 +95,7 @@ class F2Matrix:
     def __add__(self, other: "F2Matrix") -> "F2Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("matrix shapes differ")
-        return F2Matrix(
+        return F2Matrix._trusted(
             self.rows, self.cols, tuple(a ^ b for a, b in zip(self.data, other.data))
         )
 
@@ -86,19 +111,22 @@ class F2Matrix:
                 acc ^= other.data[j]
                 r &= r - 1
             out.append(acc)
-        return F2Matrix(self.rows, other.cols, tuple(out))
+        return F2Matrix._trusted(self.rows, other.cols, tuple(out))
 
     def power(self, e: int) -> "F2Matrix":
         if self.rows != self.cols:
             raise ValueError("only square matrices have powers")
-        out = F2Matrix.identity(self.rows)
+        if e < 0:
+            raise ValueError("negative exponent")
+        out = None  # the identity, until a bit of e is set
         base = self
         while e:
             if e & 1:
-                out = out @ base
-            base = base @ base
+                out = base if out is None else out @ base
             e >>= 1
-        return out
+            if e:
+                base = base @ base
+        return F2Matrix.identity(self.rows) if out is None else out
 
     def rank(self) -> int:
         rows = [r for r in self.data if r]
@@ -151,9 +179,17 @@ class CyclicGModule:
 
     @classmethod
     def from_json(cls, obj) -> "CyclicGModule":
-        dim = require(obj, "dim", int, "module")
-        order = require(obj, "group_order", int, "module")
-        rows = require(obj, "action", list, "module")
+        """Each field takes one exact type check; only a field that fails it
+        goes through ``require``, which names what is wrong or accepts the
+        value (a subclass of the JSON type)."""
+        if type(obj) is dict:
+            dim, order, rows = obj.get("dim"), obj.get("group_order"), obj.get("action")
+        if type(obj) is not dict or not (
+            type(dim) is int and type(order) is int and type(rows) is list
+        ):
+            dim = require(obj, "dim", int, "module")
+            order = require(obj, "group_order", int, "module")
+            rows = require(obj, "action", list, "module")
         if len(rows) != dim:
             raise SchemaError("action must list one bit-string per row")
         return cls(dim, F2Matrix.from_strings(rows, dim), order)
@@ -164,11 +200,10 @@ def norm_element(module: CyclicGModule) -> F2Matrix:
 
     By doubling over the bits of d, from the top: with S_k = s + ... + s^k,
     S_2k = S_k + s^k S_k and S_(2k+1) = S_2k + s^(2k+1), so N takes
-    O(log d) matrix products.
+    O(log d) matrix products.  The top bit of d gives S_1 = s.
     """
-    acc = F2Matrix.zero(module.dim, module.dim)  # S_k
-    power = F2Matrix.identity(module.dim)  # s^k
-    for bit in bin(module.group_order)[2:]:
+    acc = power = module.action  # S_k and s^k
+    for bit in bin(module.group_order)[3:]:
         acc = acc + power @ acc
         power = power @ power
         if bit == "1":
@@ -203,10 +238,29 @@ def cohomology_dim(module: CyclicGModule, n: int) -> int:
 # spectral pages
 # ---------------------------------------------------------------------------
 
-class SpectralPage:
-    """Sparse dimensions at positions (p, q) with p <= 0 and q >= 0."""
+def _row_value(rows: dict, p_min: int, p: int, q: int) -> int:
+    """The dimension that row q of closed-form ``rows`` gives at (p, q): its
+    degree-0, odd or even value inside the window p_min <= p <= 0, else 0."""
+    row = rows.get(q)
+    if row is None or not p_min <= p <= 0:
+        return 0
+    return row[0] if p == 0 else row[1] if p % 2 else row[2]
 
-    __slots__ = ("dims",)
+
+class SpectralPage:
+    """Dimensions at positions (p, q) with p <= 0 and q >= 0.
+
+    A page is closed-form rows plus sparse offsets.  Row q is a triple
+    ``(zero, odd, even)``: its dimension is ``zero`` at p = 0, ``odd`` at odd
+    p and ``even`` at even p < 0, for every p in the window p_min <= p <= 0,
+    and 0 outside it.  ``_offsets`` adds to that, position by position: minus
+    the ranks that differentials subtracted, each inside a row's window, or
+    every entry of a page built from a mapping of dimensions, which has no
+    rows.  So a page holds its rows and declarations, not one entry per
+    degree of its window; ``dims`` lists every nonzero entry when asked for.
+    """
+
+    __slots__ = ("_p_min", "_rows", "_offsets")
 
     def __init__(self, dims: Mapping[Tuple[int, int], int] = ()):
         clean = {}
@@ -217,26 +271,51 @@ class SpectralPage:
                 raise ValueError("negative dimension")
             if d:
                 clean[(p, q)] = d
-        object.__setattr__(self, "dims", clean)
+        object.__setattr__(self, "_p_min", 0)
+        object.__setattr__(self, "_rows", {})
+        object.__setattr__(self, "_offsets", clean)
 
     @classmethod
-    def _clean(cls, dims: dict) -> "SpectralPage":
-        """A page that takes ``dims`` as is, with no per-entry check, for a
-        dict already in the form that ``__init__`` builds: every position
-        has p <= 0 and q >= 0 and every dimension is positive.  The caller
-        guarantees that invariant and gives up the dict."""
+    def _clean(cls, p_min: int, rows: dict, offsets: dict) -> "SpectralPage":
+        """A page that takes ``rows`` and ``offsets`` as they are, with no
+        check, for values already in the form described above: p_min <= 0,
+        every row at a q >= 0 with non-negative dimensions, and every offset
+        nonzero, at a position with p <= 0 and q >= 0 whose dimension, row
+        value plus offset, is not negative, and inside a row's window unless
+        there are no rows.  The caller guarantees that invariant and gives
+        up both dicts."""
         self = object.__new__(cls)
-        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "_p_min", p_min)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_offsets", offsets)
         return self
 
     def __setattr__(self, *args):
         raise AttributeError("SpectralPage is immutable")
 
+    @property
+    def dims(self) -> dict:
+        """Every nonzero dimension by position, in a new dict: one entry per
+        p in the window of each row, so built only when asked for."""
+        dims = {}
+        for q, (zero, odd, even) in self._rows.items():
+            for p in range(self._p_min, 1):
+                d = zero if p == 0 else odd if p % 2 else even
+                if d:
+                    dims[(p, q)] = d
+        for key, offset in self._offsets.items():
+            d = dims.get(key, 0) + offset
+            if d:
+                dims[key] = d
+            else:
+                del dims[key]
+        return dims
+
     def dim(self, p: int, q: int) -> int:
-        return self.dims.get((p, q), 0)
+        return _row_value(self._rows, self._p_min, p, q) + self._offsets.get((p, q), 0)
 
     def antidiagonal(self, n: int) -> int:
-        return sum(d for (p, q), d in self.dims.items() if p + q == n)
+        return _totals(self, (n,))[n]
 
     def __eq__(self, other):
         if not isinstance(other, SpectralPage):
@@ -247,20 +326,24 @@ class SpectralPage:
         return f"SpectralPage({self.dims!r})"
 
 
-# The deepest page window ``hs_e2_page`` materialises, p_min >= -MAX_PAGE_DEPTH,
-# and the highest homology degree it takes, q <= MAX_PAGE_DEPTH.  Every row
-# holds one entry per p in the window, ``betti_series`` one head coefficient
-# per total degree up to the largest q, and nothing else bounds p_min or q in
-# pipeline JSON, so either past its bound fails at once with InvalidInput
-# (exit 2) instead of exhausting memory.  Built-in pipelines use p_min from
-# -16 to -256 and q <= 2.
+# The deepest page window, p_min >= -MAX_PAGE_DEPTH, and the highest homology
+# degree, q <= MAX_PAGE_DEPTH, that ``hs_e2_page`` takes.  A row costs one
+# triple whatever its window, but the window and q bound the total degrees
+# that ``betti_series`` reads: its head holds one coefficient per degree from
+# the cutoff (or the page's lowest degree) to the largest q, so at most
+# 2 * MAX_PAGE_DEPTH + 1, and ``SpectralPage.dims`` one entry per p in the
+# window.  Nothing else bounds p_min or q in pipeline JSON, so either past its
+# bound fails at once with InvalidInput (exit 2).  Built-in pipelines use
+# p_min from -16 to -256 and q <= 2.
 MAX_PAGE_DEPTH = 1 << 12
 
-# The most entries ``hs_e2_page`` materialises: rows * (1 - p_min), counted
-# before any entry is built.  Nothing else bounds the number of rows in
-# pipeline JSON; 256 rows at the deepest window, 17.7 KB of JSON, would hold
-# a million entries (2.9 s and 377 MB) and fail with InvalidInput (exit 2) at
-# once instead.  Sixteen rows fit at the deepest window, and the built-in
+# The most entries that the rows of an E2 page cover: rows * (1 - p_min),
+# counted before any row is built.  ``betti_series`` adds each row's values
+# at the head degrees that its window covers, and ``SpectralPage.dims`` lists
+# every entry, so this bounds that work and that dict.  Nothing else bounds
+# the number of rows in pipeline JSON; 256 rows at the deepest window, 17.7 KB
+# of JSON, would cover a million entries and fail with InvalidInput (exit 2)
+# at once instead.  Sixteen rows fit at the deepest window, and the built-in
 # pipelines use two rows of at most 257 entries.
 MAX_PAGE_CELLS = 1 << 16
 
@@ -270,11 +353,14 @@ def hs_e2_page(
 ) -> SpectralPage:
     """Second page with entry (p, q) = degree-(-p) cohomology of H_q.
 
-    Rows extend infinitely to the left; only the window p_min <= p <= 0 is
-    materialized, so pick p_min comfortably below every degree later steps
-    will inspect, and no lower than -MAX_PAGE_DEPTH.  InvalidInput when a
-    degree q lies outside 0..MAX_PAGE_DEPTH, or when the rows times the window
-    hold more than MAX_PAGE_CELLS entries.
+    Rows extend infinitely to the left; each is kept in closed form over the
+    window p_min <= p <= 0, from ``_cohomology_dims`` computed once per
+    distinct module, so the page costs its rows, not its window.  Pick p_min
+    comfortably below every degree later steps will inspect, and no lower
+    than -MAX_PAGE_DEPTH.  InvalidInput when a degree q lies outside
+    0..MAX_PAGE_DEPTH, or when the rows times the window cover more than
+    MAX_PAGE_CELLS entries.  A degree q listed twice keeps, at each position,
+    the last nonzero dimension listed there (``run_pipeline`` refuses it).
     """
     if p_min > 0:
         raise InvalidInput("p_min must be <= 0")
@@ -291,15 +377,18 @@ def hs_e2_page(
             raise InvalidInput(
                 f"homology degree q = {q} must lie in 0..MAX_PAGE_DEPTH = {MAX_PAGE_DEPTH}"
             )
-    dims = {}
+    rows = {}
+    dims_of = {}  # module -> _cohomology_dims(module), for this page only
     for q, module in homology:
-        zero, odd, even = _cohomology_dims(module)
-        for p in range(p_min, 1):
-            d = zero if p == 0 else odd if p % 2 else even
-            if d:
-                dims[(p, q)] = d
-    # p runs over p_min..0, q was checked above and d is positive
-    return SpectralPage._clean(dims)
+        dims = dims_of.get(module)
+        if dims is None:
+            dims = dims_of[module] = _cohomology_dims(module)
+        if q in rows:
+            dims = tuple(later or earlier for earlier, later in zip(rows[q], dims))
+        rows[q] = dims
+    # q was checked above, _cohomology_dims are non-negative and no offset
+    # is set yet
+    return SpectralPage._clean(p_min, rows, {})
 
 
 def apply_differentials(
@@ -308,26 +397,41 @@ def apply_differentials(
     """Subtract declared differential ranks, lowest page number first.
 
     Each declaration (r, p, q, rank) kills ``rank`` dimensions at the source
-    (p, q) and at the target (p - r, q + r - 1).
+    (p, q) and at the target (p - r, q + r - 1), as offsets on the page's
+    rows.  Ranks are non-negative (ValueError otherwise).
     """
-    dims = dict(page.dims)
-    for r, p, q, rank in sorted(ranks, key=lambda entry: entry[0]):
-        if rank == 0:
+    rows, p_min = page._rows, page._p_min
+    offsets = dict(page._offsets)
+    for r, p, q, rank in sorted(ranks, key=itemgetter(0)):
+        if rank <= 0:
+            if rank:
+                raise ValueError("differential rank must be non-negative")
             continue
         src = (p, q)
         tgt = (p - r, q + r - 1)
-        avail = min(dims.get(src, 0), dims.get(tgt, 0))
+        off_src = offsets.get(src, 0)
+        off_tgt = offsets.get(tgt, 0)
+        avail = min(
+            _row_value(rows, p_min, p, q) + off_src,
+            _row_value(rows, p_min, p - r, q + r - 1) + off_tgt,
+        )
         if rank > avail:
             raise RankTooLarge(
                 f"d^{r} at {src} declared rank {rank} but only {avail} available"
             )
-        for key in (src, tgt):
-            dims[key] -= rank
-            if not dims[key]:
-                del dims[key]
+        # an offset that reaches 0 was positive, so its key is there to drop
+        if off_src == rank:
+            del offsets[src]
+        else:
+            offsets[src] = off_src - rank
+        if off_tgt == rank:
+            del offsets[tgt]
+        else:
+            offsets[tgt] = off_tgt - rank
     # a nonzero rank only lowers entries of the page that hold at least that
-    # rank, and an entry that reaches 0 is dropped
-    return SpectralPage._clean(dims)
+    # rank, so every offset stays inside a row's window or on a page that
+    # has no rows
+    return SpectralPage._clean(p_min, rows, offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +453,20 @@ class TailSpec:
 
     @classmethod
     def from_json(cls, obj) -> "TailSpec":
-        stable_below = require(obj, "stable_below", int, "tail")
-        tail_dim = require(obj, "tail_dim", int, "tail")
+        """Each field takes one exact type check, as in
+        ``CyclicGModule.from_json``."""
+        if type(obj) is dict:
+            stable_below, tail_dim = obj.get("stable_below"), obj.get("tail_dim")
+        if type(obj) is not dict or not (type(stable_below) is int and type(tail_dim) is int):
+            stable_below = require(obj, "stable_below", int, "tail")
+            tail_dim = require(obj, "tail_dim", int, "tail")
         pinned = require(obj, "explicit", dict, "tail", {})
-        explicit = {_degree(k): require(pinned, k, int, "tail.explicit") for k in pinned}
+        explicit = {}
+        for key, value in pinned.items():
+            degree = _degree(key)
+            if type(value) is not int:
+                value = require(pinned, key, int, "tail.explicit")
+            explicit[degree] = value
         return cls(stable_below, tail_dim, explicit)
 
 
@@ -371,42 +485,72 @@ def _degree(key: str) -> int:
     return degree
 
 
+def _totals(page: SpectralPage, degrees: Sequence[int]) -> dict:
+    """The anti-diagonal dimensions of ``page`` at the ascending ``degrees``.
+
+    Each row adds its value, and its offsets, at the degrees that its window
+    p_min + q <= n <= q covers, found by bisection, so the work is at most
+    rows * (1 - p_min) however many degrees are asked for, and no offset
+    outside those degrees is read.  A page with no rows holds its entries as
+    offsets, and they are scanned."""
+    totals = dict.fromkeys(degrees, 0)
+    offsets = page._offsets
+    if not page._rows:
+        for (p, q), d in offsets.items():
+            if p + q in totals:
+                totals[p + q] += d
+        return totals
+    for q, (zero, odd, even) in page._rows.items():
+        for n in degrees[bisect_left(degrees, page._p_min + q):bisect_right(degrees, q)]:
+            p = n - q
+            totals[n] += (zero if p == 0 else odd if p % 2 else even) + offsets.get((p, q), 0)
+    return totals
+
+
+def _degree_span(page: SpectralPage) -> Tuple[int, int]:
+    """The lowest and highest total degree at which ``page`` may be nonzero;
+    lowest > highest for an empty page."""
+    if page._rows:
+        return page._p_min + min(page._rows), max(page._rows)
+    degrees = [p + q for p, q in page._offsets]
+    return min(degrees, default=1), max(degrees, default=0)
+
+
 def betti_series(page: SpectralPage, tail: TailSpec) -> RatFunc:
     """Total series of a converged page: explicit head plus geometric tail.
 
     The page is trusted only at total degrees >= tail.stable_below; below
     that the tail declaration applies, validated against the page on a window
-    of width 3 directly under the cutoff.
+    of width 3 directly under the cutoff.  Only the checked degrees and the
+    head's are summed, and the series is built canonical as one Laurent
+    polynomial over 1 or u - 1.
     """
     n0 = tail.stable_below
-    totals = {}  # the anti-diagonal dimensions, summed in one pass
-    for (p, q), d in page.dims.items():
-        totals[p + q] = totals.get(p + q, 0) + d
+    totals = _totals(page, sorted({*range(n0 - 3, n0), *tail.explicit}))
     for n in range(n0 - 3, n0):
-        got = totals.get(n, 0)
-        if got != tail.tail_dim:
+        if totals[n] != tail.tail_dim:
             raise TailMismatch(
-                f"anti-diagonal at degree {n} has dimension {got}, "
+                f"anti-diagonal at degree {n} has dimension {totals[n]}, "
                 f"tail declares {tail.tail_dim}"
             )
     for n, want in sorted(tail.explicit.items()):
-        got = totals.get(n, 0)
-        if got != want:
+        if totals[n] != want:
             raise TailMismatch(
-                f"anti-diagonal at degree {n} has dimension {got}, "
+                f"anti-diagonal at degree {n} has dimension {totals[n]}, "
                 f"explicit declares {want}"
             )
-    # the head sum_{n >= n0} totals[n] u^n as one fraction over u^-lo
-    head = {n: d for n, d in totals.items() if n >= n0}
-    lo = min(0, min(head, default=0))
-    coeffs = [0] * (max(head, default=0) - lo + 1)
-    for n, d in head.items():
-        coeffs[n - lo] = d
-    total = RatFunc(coeffs, pmonomial(-lo))
-    if tail.tail_dim:
-        # sum_{n < n0} tail_dim * u^n == tail_dim * u^n0 / (u - 1)
-        total = total + RatFunc.monomial(n0, tail.tail_dim) / RatFunc.poly((-1, 1))
-    return total
+    # the head sum_{n >= lo} c_n u^n up to the page's top degree, from n0, or
+    # with no tail from the page's lowest degree if that is higher
+    low, top = _degree_span(page)
+    lo = n0 if tail.tail_dim else max(n0, low)
+    head = list(_totals(page, range(lo, top + 1)).values())
+    if not tail.tail_dim:
+        return _laurent_over(lo, ptrim(head), (1,))
+    # head + tail_dim u^n0 / (u - 1) == u^n0 (tail_dim + (u - 1) c(u)) / (u - 1)
+    # with c(u) = sum_k c_(n0+k) u^k
+    num = [a - b for a, b in zip([0] + head, head + [0])]
+    num[0] += tail.tail_dim
+    return _laurent_over(n0, ptrim(num), (-1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +558,21 @@ def betti_series(page: SpectralPage, tail: TailSpec) -> RatFunc:
 # ---------------------------------------------------------------------------
 
 def run_pipeline(spec: dict) -> RatFunc:
-    """Evaluate a JSON pipeline: E2 page, declared differentials, series."""
+    """Evaluate a JSON pipeline: E2 page, declared differentials, series.
+
+    Each field takes one exact type check; only a field that fails it goes
+    through ``require``, so every refusal names the field as ``require``
+    does and in the same order."""
     homology_json = require(spec, "homology", list, "pipeline")
     p_min = require(spec, "p_min", int, "pipeline")
     tail_json = require(spec, "tail", object, "pipeline")  # parsed after the page
     homology = {}
     for entry in homology_json:
-        q = require(entry, "q", int, "homology entry")
-        module = require(entry, "module", object, "homology entry")
+        if type(entry) is dict and type(entry.get("q")) is int and "module" in entry:
+            q, module = entry["q"], entry["module"]
+        else:
+            q = require(entry, "q", int, "homology entry")
+            module = require(entry, "module", object, "homology entry")
         if q in homology:
             # H_q is one module: a second one would overwrite its row of the page
             raise SchemaError(f"homology entry: degree q = {q} is listed twice")
@@ -429,9 +580,14 @@ def run_pipeline(spec: dict) -> RatFunc:
     page = hs_e2_page(homology.items(), p_min)
     ranks = []
     for entry in require(spec, "differentials", list, "pipeline", []):
-        r, p, q, rank = (
-            require(entry, key, int, "differential") for key in ("r", "p", "q", "rank")
-        )
+        if type(entry) is dict:
+            r, p, q, rank = entry.get("r"), entry.get("p"), entry.get("q"), entry.get("rank")
+        if type(entry) is not dict or not (
+            type(r) is int and type(p) is int and type(q) is int and type(rank) is int
+        ):
+            r, p, q, rank = (
+                require(entry, key, int, "differential") for key in ("r", "p", "q", "rank")
+            )
         if rank < 0:
             raise SchemaError(f"differential: rank must be non-negative, got {rank}")
         ranks.append((r, p, q, rank))

@@ -7,8 +7,8 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
 
-from equizeta.cohomology import F2Matrix
-from equizeta.errors import NotExpandable
+from equizeta.cohomology import F2Matrix, SpectralPage
+from equizeta.errors import NotExpandable, RankTooLarge, TailMismatch
 from equizeta.gspace import (
     _FIXED_ATOMS,
     Atom,
@@ -718,22 +718,54 @@ def per_degree_e2_page(homology, p_min):
 
 
 def scanned_betti_series(page, tail):
-    """``betti_series`` with one full page scan per anti-diagonal, or the
-    message of the first tail mismatch."""
+    """``betti_series`` with one full scan of the page's entries per
+    anti-diagonal, or the message of the first tail mismatch.  It reads only
+    ``page.dims``, the plain dict of entries."""
+    dims = page.dims
+
+    def antidiagonal(n):
+        return sum(d for (p, q), d in dims.items() if p + q == n)
+
     n0 = tail.stable_below
-    checks = [(n, tail.tail_dim) for n in range(n0 - 3, n0)]
-    checks += sorted(tail.explicit.items())
-    for n, want in checks:
-        if page.antidiagonal(n) != want:
-            return f"anti-diagonal at degree {n} has dimension {page.antidiagonal(n)}"
+    checks = [(n, tail.tail_dim, "tail") for n in range(n0 - 3, n0)]
+    checks += [(n, want, "explicit") for n, want in sorted(tail.explicit.items())]
+    for n, want, what in checks:
+        if antidiagonal(n) != want:
+            return (f"anti-diagonal at degree {n} has dimension {antidiagonal(n)}, "
+                    f"{what} declares {want}")
     total = RatFunc(0)
-    if page.dims:
-        for n in range(n0, max(p + q for p, q in page.dims) + 1):
-            if page.antidiagonal(n):
-                total = total + RatFunc.monomial(n, page.antidiagonal(n))
+    if dims:
+        for n in range(n0, max(p + q for p, q in dims) + 1):
+            if antidiagonal(n):
+                total = total + RatFunc.monomial(n, antidiagonal(n))
     if tail.tail_dim:
         total = total + RatFunc.monomial(n0, tail.tail_dim) / RatFunc.poly((-1, 1))
     return total
+
+
+def subtracted_page(homology, p_min, ranks) -> dict:
+    """The per-degree E2 dimensions with each declared rank subtracted from a
+    plain dict, lowest page number first; RankTooLarge as ``apply_differentials``
+    words it."""
+    dims = per_degree_e2_page(homology, p_min)
+    for r, p, q, rank in sorted(ranks, key=lambda entry: entry[0]):
+        src, tgt = (p, q), (p - r, q + r - 1)
+        avail = min(dims.get(src, 0), dims.get(tgt, 0))
+        if rank > avail:
+            raise RankTooLarge(f"d^{r} at {src} declared rank {rank} but only {avail} available")
+        for key in (src, tgt):
+            if rank:
+                dims[key] -= rank
+    return {key: d for key, d in dims.items() if d}
+
+
+def reference_pipeline(homology, p_min, ranks, tail):
+    """``run_pipeline`` on a well-formed pipeline by a second path: the
+    per-degree page, plain dict subtraction and the scanned series."""
+    series = scanned_betti_series(SpectralPage(subtracted_page(homology, p_min, ranks)), tail)
+    if isinstance(series, str):
+        raise TailMismatch(series)
+    return series
 
 
 # -- listings and views that only the tests need ------------------------------------

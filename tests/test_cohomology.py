@@ -7,12 +7,14 @@ from helpers import (
     nullity,
     per_degree_cohomology_dim,
     per_degree_e2_page,
+    reference_pipeline,
     scanned_betti_series,
+    subtracted_page,
     summed_norm,
 )
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from test_cli import paths
+from test_cli import call, paths
 
 from equizeta import cohomology
 from equizeta.cohomology import (
@@ -70,6 +72,9 @@ class TestF2Matrix:
 
     def test_power(self):
         assert SWAP.action.power(2) == F2Matrix.identity(2)
+        # a negative exponent halved forever at -1
+        with pytest.raises(ValueError, match="negative exponent"):
+            SWAP.action.power(-1)
 
     def test_mul(self):
         a = f2_from_rows([[1, 1], [0, 1]])
@@ -86,6 +91,44 @@ class TestF2Matrix:
         with pytest.raises(InvalidInput):
             CyclicGModule(3, three_cycle, 2)
         CyclicGModule(3, three_cycle, 3)  # fine
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 4).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n),
+                st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n),
+            )
+        ),
+        st.integers(0, 7),
+    )
+    def test_built_matrices_pass_the_full_check(self, rows, e):
+        # sums, products, powers and the classmethods skip the per-row
+        # check, so each must equal its checked copy
+        a, b = (F2Matrix(len(r), len(r), tuple(r)) for r in rows)
+        n = a.rows
+        strings = [format(r, f"0{n}b")[::-1] for r in a.data]
+        repeated = F2Matrix.identity(n)
+        for _ in range(e):
+            repeated = F2Matrix(n, n, (repeated @ a).data)
+        built = [a + b, a @ b, a.power(e), F2Matrix.identity(n), F2Matrix.zero(n, 3),
+                 F2Matrix.from_strings(strings, n)]
+        for m in built:
+            assert m == F2Matrix(m.rows, m.cols, m.data)
+        assert built[-1] == a and built[2] == repeated
+
+    @pytest.mark.parametrize(
+        "row", ["0b1", " 1", "1_0", "+1", "2", "\uff11", "1\n", "", "101", 1]
+    )
+    def test_bad_bit_string_rows_are_schema_errors(self, row):
+        with pytest.raises(SchemaError, match="bad bit-string row"):
+            F2Matrix.from_strings(["01", row], 2)
+
+    def test_negative_dimensions_are_value_errors(self):
+        for build in (lambda: F2Matrix.identity(-1), lambda: F2Matrix.zero(1, -1),
+                      lambda: F2Matrix.from_strings([], -1)):
+            with pytest.raises(ValueError, match="negative matrix dimensions"):
+                build()
 
 
 class TestNormElement:
@@ -174,6 +217,11 @@ class TestPages:
     def test_no_declarations_is_identity(self):
         page = hs_e2_page([(0, TRIV1), (2, TRIV1)], p_min=-5)
         assert apply_differentials(page, []) == page
+
+    def test_negative_rank_is_a_value_error(self):
+        page = hs_e2_page([(0, TRIV1), (2, TRIV1)], p_min=-5)
+        with pytest.raises(ValueError, match="non-negative"):
+            apply_differentials(page, [(3, 0, 0, -1)])
 
     def test_rank_too_large(self):
         page = hs_e2_page([(0, TRIV1), (2, TRIV1)], p_min=-5)
@@ -401,3 +449,197 @@ def test_mutated_pipelines_fail_only_as_equizeta_errors(spec):
     for page in pages:
         assert type(page.dims) is dict
         assert page == SpectralPage(dict(page.dims))
+
+
+# -- run_pipeline against a second path --------------------------------------------
+
+@st.composite
+def declarations(draw, e2):
+    """A differential (r, p, q, rank): mostly one whose source and target
+    both hold a class of the E2 dimensions ``e2``, so that some runs apply
+    declarations and reach the series, and sometimes one anywhere near the
+    window."""
+    feasible = [
+        (q_t - q + 1, p, q)
+        for (p, q) in e2
+        for q_t in {q for _, q in e2}
+        if (p - (q_t - q + 1), q_t) in e2
+    ]
+    if feasible and draw(st.sampled_from((True, True, True, False))):
+        r, p, q = draw(st.sampled_from(feasible))
+        return r, p, q, draw(st.integers(1, min(e2[p, q], e2[p - r, q + r - 1])))
+    r, p, q = draw(st.integers(-1, 5)), draw(st.integers(-28, 2)), draw(st.integers(-1, 6))
+    return r, p, q, draw(st.integers(0, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 4), st.one_of(modules().filter(lambda m: m.dim), modules())),
+        min_size=1, max_size=3, unique_by=lambda e: e[0],
+    ),
+    st.integers(-24, 0),
+    st.data(),
+    st.integers(-28, 8),
+    st.one_of(st.none(), st.integers(0, 4)),
+    st.dictionaries(st.integers(-28, 8), st.one_of(st.none(), st.integers(0, 4)), max_size=3),
+)
+def test_run_pipeline_matches_the_reference_pipeline(homology, p_min, data, n0, tail_dim,
+                                                     explicit):
+    e2 = per_degree_e2_page(homology, p_min)
+    ranks = data.draw(st.lists(declarations(e2), max_size=3))
+    # None asks for the reference page's own values, from the first cutoff
+    # at or above n0 under which they are constant, so that series are
+    # compared, not only refusals
+    try:
+        final = subtracted_page(homology, p_min, ranks)
+    except RankTooLarge:
+        final = {}
+
+    def actual(n):
+        return sum(d for (p, q), d in final.items() if p + q == n)
+
+    if tail_dim is None:
+        while not actual(n0 - 3) == actual(n0 - 2) == actual(n0 - 1):
+            n0 += 1
+        tail_dim = actual(n0 - 1)
+    tail = TailSpec(
+        n0, tail_dim, {n: actual(n) if want is None else want for n, want in explicit.items()}
+    )
+    spec = json.loads(json.dumps({
+        "homology": [{"q": q, "module": module.to_json()} for q, module in homology],
+        "p_min": p_min,
+        "differentials": [{"r": r, "p": p, "q": q, "rank": rank} for r, p, q, rank in ranks],
+        "tail": {"stable_below": tail.stable_below, "tail_dim": tail.tail_dim,
+                 "explicit": {str(n): d for n, d in tail.explicit.items()}},
+    }))
+
+    def outcome(evaluate):
+        try:
+            return evaluate()
+        except EquizetaError as exc:
+            return type(exc), str(exc)
+
+    assert outcome(lambda: run_pipeline(spec)) == outcome(
+        lambda: reference_pipeline(homology, p_min, ranks, tail)
+    )
+
+
+# -- refusal texts, pinned as they were before the exact-type reader ------------------
+
+MISSING = object()
+WRONG_TYPES = ("1", 1.0, True, None, MISSING)
+# field: its path in sphere_free_pipeline(), the refusal of a wrong type and
+# the refusal of a missing key
+REFUSALS = {
+    "p_min": (("p_min",), "pipeline.p_min: expected integer",
+              "pipeline: missing field 'p_min'"),
+    "homology q": (("homology", 0, "q"), "homology entry.q: expected integer",
+                   "homology entry: missing field 'q'"),
+    "module dim": (("homology", 0, "module", "dim"), "module.dim: expected integer",
+                   "module: missing field 'dim'"),
+    "module group_order": (("homology", 1, "module", "group_order"),
+                           "module.group_order: expected integer",
+                           "module: missing field 'group_order'"),
+    "module action": (("homology", 0, "module", "action"), "module.action: expected array",
+                      "module: missing field 'action'"),
+    "differential r": (("differentials", 0, "r"), "differential.r: expected integer",
+                       "differential: missing field 'r'"),
+    "differential p": (("differentials", 5, "p"), "differential.p: expected integer",
+                       "differential: missing field 'p'"),
+    "differential q": (("differentials", 0, "q"), "differential.q: expected integer",
+                       "differential: missing field 'q'"),
+    "differential rank": (("differentials", 13, "rank"), "differential.rank: expected integer",
+                          "differential: missing field 'rank'"),
+    "tail stable_below": (("tail", "stable_below"), "tail.stable_below: expected integer",
+                          "tail: missing field 'stable_below'"),
+    "tail tail_dim": (("tail", "tail_dim"), "tail.tail_dim: expected integer",
+                      "tail: missing field 'tail_dim'"),
+    # a missing explicit value pins nothing, and the pipeline runs
+    "tail explicit": (("tail", "explicit", "0"), "tail.explicit.0: expected integer", None),
+}
+
+
+@pytest.mark.parametrize("value", WRONG_TYPES, ids=("string", "float", "bool", "null", "missing"))
+@pytest.mark.parametrize("field", REFUSALS)
+def test_pinned_refusal_of_each_pipeline_field(field, value):
+    path, wrong_type, missing = REFUSALS[field]
+    spec = sphere_free_pipeline()
+    *head, last = path
+    parent = spec
+    for key in head:
+        parent = parent[key]
+    if value is MISSING:
+        del parent[last]
+    else:
+        parent[last] = value
+    result = call(["cohomology", "-"], json.dumps(spec))
+    if value is MISSING and missing is None:
+        assert result == (0, "u^2 + u + 1\nlaurent u^2..u^-4: 1 1 1 0 0 0 0\n", "")
+    else:
+        text = missing if value is MISSING else wrong_type
+        assert result == (3, "", f"error: {text}\n")
+
+
+def test_subclasses_of_the_json_types_read_as_before():
+    # a field that fails the exact type check goes through ``require``, which
+    # accepts a subclass of the JSON type, as the reader always did
+    class Int(int):
+        pass
+
+    class Dict(dict):
+        pass
+
+    def retyped(node):
+        if type(node) is dict:
+            return Dict((key, retyped(value)) for key, value in node.items())
+        if type(node) is list:
+            return [retyped(value) for value in node]
+        return Int(node) if type(node) is int else node
+
+    for build in (sphere_free_pipeline, sphere_fixed_pipeline, circle_fixed_pipeline):
+        assert run_pipeline(retyped(build())) == run_pipeline(build())
+
+
+# -- what a pipeline costs: counted, not timed -----------------------------------------
+
+class TestPipelineCost:
+    def test_identical_modules_cost_one_cohomology_computation_per_page(self):
+        dims = mock.Mock(wraps=cohomology._cohomology_dims)
+        rank = mock.Mock(wraps=F2Matrix.rank)
+        with mock.patch.object(cohomology, "_cohomology_dims", dims), \
+                mock.patch.object(F2Matrix, "rank", lambda self: rank(self)):
+            assert run_pipeline(sphere_free_pipeline()) == RatFunc((1, 1, 1))
+        # one module, ranked once for 1 + s and once for the norm
+        assert dims.call_count == 1 and rank.call_count == 2
+        with mock.patch.object(cohomology, "_cohomology_dims", dims):
+            hs_e2_page([(0, TRIV1), (1, SWAP), (2, TRIV1), (3, SWAP)], -4)
+        assert dims.call_count == 3
+
+    def test_a_page_stores_its_rows_and_declarations_not_its_window(self):
+        pages = []
+
+        def recording(build):
+            def wrapper(*args):
+                pages.append(build(*args))
+                return pages[-1]
+            return wrapper
+
+        for build in (sphere_free_pipeline, sphere_fixed_pipeline):
+            for p_min in (-16, -MAX_PAGE_DEPTH):
+                spec = build(p_min)
+                declared = len(spec["differentials"])
+                pages.clear()
+                with mock.patch.object(cohomology, "hs_e2_page", recording(hs_e2_page)), \
+                        mock.patch.object(cohomology, "apply_differentials",
+                                          recording(apply_differentials)):
+                    run_pipeline(spec)
+                e2, final = pages
+                # two rows, and an offset at each source and target of a
+                # declaration at most, whatever the window
+                assert (len(e2._rows), len(e2._offsets)) == (2, 0)
+                assert final._rows is e2._rows and len(final._offsets) <= 2 * declared
+
+    def test_the_series_does_not_depend_on_the_window(self):
+        for build in (sphere_free_pipeline, sphere_fixed_pipeline, circle_fixed_pipeline):
+            assert run_pipeline(build(-MAX_PAGE_DEPTH)) == run_pipeline(build(-16))
