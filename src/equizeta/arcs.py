@@ -17,10 +17,15 @@ never listed: ``_order_counts`` builds the table for every n <= order one
 support coordinate at a time.  Coordinate i contributes the geometric series
 x^w y / (1 - x^w y) in x^n y^m (w = N_i), so the table C_i over the first i
 coordinates satisfies C_i = x^w y (C_(i-1) + C_i), that is
-C_i[n][m] = C_(i-1)[n-w][m-1] + C_i[n-w][m-1], starting from C_0 = 1 at
-(0, 0).  That is O(|S| * order^2) integer additions and no recursion.  The
-table is bounded before it is built: above ``MAX_ORACLE_CELLS`` the request
-is an ``InvalidInput``.
+C_i[n][m] = C_(i-1)[n-w][m-1] + C_i[n-w][m-1].  With C_0 = 1 at (0, 0) that
+gives the counts.  The recurrence is linear, so ``oracle_series`` starts it
+instead from W's numerator: u^k P(u), with P(0) != 0, laid reversed along m
+as the n = 0 row (C_0[0][m] = P_(deg P - m), y standing for 1/u).  Row n of
+the last table then already holds P(u) sum_m counts[n][m] u^-m, reversed, so
+no per-order product with W remains.  That is |S| passes of
+(order + 1) * (order // min N_i + deg P + 1) integer additions and no
+recursion.  The table is bounded before it is built: above
+``MAX_ORACLE_CELLS`` the request is an ``InvalidInput``.
 
 For the signed variants the punctured-line factor is replaced by the set of
 leading-coefficient tuples solving sign * prod rho_i^(N_i) = +1 or -1.  That
@@ -29,35 +34,35 @@ its sign pattern satisfies the equation, its solution set is a copy of
 R^(|S|-1), and the involution permutes orthants through the sign flips.
 Exact for constant units only, which is all a monomial germ has.
 
-Every coefficient is built canonical, with no gcd step.  W is a canonical
-fraction over 1 or u - 1: (u - 1)^|S| times 1 or u/(u - 1) for the naive
-variant, and a multiple of a power of u, over 1 or u - 1, for the signed
-ones.  The counts are non-negative, so a nonzero row times W.num does not
-vanish at u = 1 when W.den = u - 1 (W.num is then a positive multiple of
-u^|S|).  The order-n coefficient, a Laurent polynomial in u over W.den, is
-then canonical once its valuation is moved into the power of u, which is
-what ``ratpoly._laurent_over`` does for the engine's series coefficients
-too.
+Every coefficient is built canonical, with no gcd step.  W is built
+canonical over 1 or u - 1: (u - 1)^|S| or u (u - 1)^(|S|-1) over 1 for the
+naive variant, and c u^k over 1 or u - 1 for the signed ones.  The counts are
+non-negative, so a nonzero row times W.num does not vanish at u = 1 when
+W.den = u - 1 (W.num is then a positive multiple of u^|S|).  The order-n
+coefficient, a Laurent polynomial in u over W.den, is then canonical once its
+valuation is moved into the power of u, which is what
+``ratpoly._laurent_over`` does for the engine's series coefficients too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import add
 from typing import Tuple
 
 from .errors import InvalidInput, NotInvariant
 from .gspace import MAX_AFFINE
-from .ratpoly import RatFunc, TSeries, _laurent_over, pmul, ppow
-
-_POINT = RatFunc((0, 1), (-1, 1))
-_U_MINUS_1 = RatFunc.poly((-1, 1))
+from .ratpoly import RatFunc, TSeries, _laurent_over, _valuation, pmonomial, ppow
 
 # Cap on the oracle's work, counted before anything is built as
-# (|S| + 1) * (order + 1) * (order // min N_i + 1) cells: |S| passes build the
-# order-vector table and one reads the coefficients out of it, whose printed
-# size grows with the table's.  x*y*z passes at --order 1000 (about 1 s, 6.6 MB
-# of JSON) and is refused from 1024 on.
+# (|S| + 1) * (order + 1) * (order // min N_i + len(seed)) cells, seed being
+# W's numerator less its power of u (one coefficient for the signed variants,
+# |S| or |S| + 1 for the naive one): |S| passes build the seeded order-vector
+# table and one reads the coefficients out of it, whose printed size grows
+# with the table's.  x*y*z on the trivial group passes at --order 1000 (about
+# 0.2 s in process, 6.6 MB of JSON) and is refused from 1022 on, its signed
+# variants from 1024 on.
 MAX_ORACLE_CELLS = 1 << 22
 
 
@@ -119,15 +124,18 @@ def _require_invariant(germ, action):
         raise NotInvariant("germ is not invariant under the given sign action")
 
 
-def _order_counts(germ: MonomialGerm, order: int) -> list:
-    """counts[n][m], for n <= order, by the recurrence in the module docstring.
+def _order_counts(germ: MonomialGerm, order: int, seed: tuple = (1,)) -> list:
+    """The table C[n][m], for n <= order, by the recurrence in the module
+    docstring started from ``seed`` as the n = 0 row; the default seed 1
+    gives counts[n][m].
 
-    Row n lists m = 0 .. n // min N_i, the largest m an order-n vector can
-    have.
+    Every row lists m = 0 .. order // min N_i + len(seed) - 1; past
+    n // min N_i + len(seed) - 1, the largest m an order-n vector reaches
+    after the seed's shift, row n is 0.
     """
     weights = [germ.exponents[i] for i in germ.support()]
     min_w = min(weights)
-    width = order // min_w + 1
+    width = order // min_w + len(seed)
     cells = (len(weights) + 1) * (order + 1) * width
     if cells > MAX_ORACLE_CELLS:
         raise InvalidInput(
@@ -135,7 +143,7 @@ def _order_counts(germ: MonomialGerm, order: int) -> list:
             f"above the cap of {MAX_ORACLE_CELLS}"
         )
     zero = [0] * width
-    table = [[1] + zero[1:]] + [zero] * order
+    table = [list(seed) + zero[len(seed):]] + [zero] * order
     for w in weights:
         new = [zero] * min(w, order + 1)
         for n in range(w, order + 1):
@@ -144,16 +152,18 @@ def _order_counts(germ: MonomialGerm, order: int) -> list:
             row.pop()  # m = width is beyond any order-n vector
             new.append(row)
         table = new
-    return [row[: n // min_w + 1] for n, row in enumerate(table)]
+    return table
 
 
 def _leading_factor(germ: MonomialGerm, action: SignAction, variant: str) -> RatFunc:
     """W: the series of the leading-coefficient tuples, which every order
-    vector shares."""
+    vector shares, built canonical.  Naive: (u - 1)^|S| punctured lines,
+    times the point u / (u - 1) under a sign action."""
     if variant == "naive":
-        point = RatFunc(1) if action.trivial else _POINT
-        punct = ppow((-1, 1), len(germ.support()))
-        return RatFunc(pmul(punct, point.num), point.den)
+        s_count = len(germ.support())
+        if action.trivial:
+            return RatFunc._reduced(ppow((-1, 1), s_count), (1,))
+        return RatFunc._reduced((0,) + ppow((-1, 1), s_count - 1), (1,))
     return _sign_factor(germ, action, 1 if variant == "plus" else -1)
 
 
@@ -187,15 +197,15 @@ def _sign_factor(germ: MonomialGerm, action: SignAction, target: int) -> RatFunc
     s_count = len(support)
     solvable = _solvable_orthants(germ, target)
     if not solvable:
-        return RatFunc(0)
+        return RatFunc._reduced((), (1,))
     if action.trivial:
-        return RatFunc.monomial(s_count - 1, solvable)
+        return RatFunc._reduced(pmonomial(s_count - 1, solvable), (1,))
     if all(action.eps[i] == 1 for i in support):
         # every solvable orthant is pointwise fixed
-        return RatFunc.monomial(s_count, solvable) / _U_MINUS_1
+        return RatFunc._reduced(pmonomial(s_count, solvable), (-1, 1))
     # the involution flips at least one support sign, so solvable orthants
     # come in free swapped pairs
-    return RatFunc.monomial(s_count - 1, solvable // 2)
+    return RatFunc._reduced(pmonomial(s_count - 1, solvable // 2), (1,))
 
 
 def arc_beta_signed(
@@ -212,19 +222,32 @@ def oracle_series(
 ) -> TSeries:
     """Generating series through T^order, coefficient of T^n scaled by u^-nd.
 
-    With top = n // min N_i, that coefficient is
-    W.num * sum_m counts[n][m] u^(top - m) / (W.den * u^top), which
-    ``_laurent_over`` builds with no gcd step (module docstring); only W is
-    canonicalised, once per call.
+    With W.num = u^k P(u), the order-vector table is seeded with P reversed
+    (module docstring), so that coefficient is u^(k + deg P) R_n(1/u) / W.den
+    for the table's row n, R_n(y) = sum_m C[n][m] y^m, which ``_read_row``
+    builds with no gcd step.  A zero W (no leading coefficients of that sign)
+    seeds 0.
     """
     if variant not in ("naive", "plus", "minus"):
         raise ValueError(f"bad variant {variant!r}")
     _require_invariant(germ, action)
     if order < 0:
         raise ValueError("order must be non-negative")
-    counts = _order_counts(germ, order)
     wfac = _leading_factor(germ, action, variant)
-    return TSeries(
-        [_laurent_over(1 - len(row), pmul(wfac.num, row[::-1]) if any(row) else (), wfac.den)
-         for row in counts]
-    )
+    k = _valuation(wfac.num) if wfac.num else 0
+    seed = wfac.num[k:][::-1] or (0,)
+    top = k + len(seed) - 1
+    return TSeries([_read_row(row, top, wfac.den) for row in _order_counts(germ, order, seed)])
+
+
+def _read_row(row: list, top: int, den: tuple) -> RatFunc:
+    """u^top R(1/u) / den for the table row R, canonical (module docstring).
+
+    R(1/u) is u^-hi times the row's nonzero band lo..hi reversed, a
+    polynomial with nonzero ends.  The band is found at C speed, because most
+    of a row is zeros on one side of it or the other."""
+    band = list(compress(range(len(row)), row))
+    if not band:
+        return RatFunc._reduced((), (1,))
+    lo, hi = band[0], band[-1]
+    return _laurent_over(top - hi, tuple(row[lo:hi + 1][::-1]), den)

@@ -74,7 +74,8 @@ class F2Matrix:
     @classmethod
     def from_strings(cls, rows: Sequence[str], cols: int = None) -> "F2Matrix":
         if cols is None:
-            cols = len(rows[0]) if rows else 0
+            # a first row that is not a string is refused by the loop below
+            cols = len(rows[0]) if rows and isinstance(rows[0], str) else 0
         data = []
         for row in rows:
             # a row of "0"s and "1"s strips to "", and is read reversed
@@ -557,16 +558,36 @@ def betti_series(page: SpectralPage, tail: TailSpec) -> RatFunc:
 # pipeline descriptions (homology -> page -> differentials -> series)
 # ---------------------------------------------------------------------------
 
+def _module_key(obj):
+    """A hashable key for module JSON whose three fields have their exact
+    JSON types (an object with integer ``dim`` and ``group_order`` and an
+    ``action`` list of strings), else None.  Equal keys then mean equal
+    fields, the only ones ``CyclicGModule.from_json`` reads, so two modules
+    with one key build the same module.  A field of any other type gets no
+    key: JSON ``==`` takes ``true`` for 1, and ``true`` is refused."""
+    if type(obj) is not dict:
+        return None
+    dim, order, rows = obj.get("dim"), obj.get("group_order"), obj.get("action")
+    if type(dim) is int and type(order) is int and type(rows) is list and all(
+        type(row) is str for row in rows
+    ):
+        return (dim, order, *rows)
+    return None
+
+
 def run_pipeline(spec: dict) -> RatFunc:
     """Evaluate a JSON pipeline: E2 page, declared differentials, series.
 
     Each field takes one exact type check; only a field that fails it goes
     through ``require``, so every refusal names the field as ``require``
-    does and in the same order."""
+    does and in the same order.  Each distinct homology module is built and
+    checked once per pipeline (``_module_key``); a module that fails is
+    refused where it is first listed, before any row repeats it."""
     homology_json = require(spec, "homology", list, "pipeline")
     p_min = require(spec, "p_min", int, "pipeline")
     tail_json = require(spec, "tail", object, "pipeline")  # parsed after the page
     homology = {}
+    built = {}  # _module_key -> module, for this pipeline only
     for entry in homology_json:
         if type(entry) is dict and type(entry.get("q")) is int and "module" in entry:
             q, module = entry["q"], entry["module"]
@@ -576,7 +597,13 @@ def run_pipeline(spec: dict) -> RatFunc:
         if q in homology:
             # H_q is one module: a second one would overwrite its row of the page
             raise SchemaError(f"homology entry: degree q = {q} is listed twice")
-        homology[q] = CyclicGModule.from_json(module)
+        key = _module_key(module)
+        if key is None:
+            homology[q] = CyclicGModule.from_json(module)
+            continue
+        if key not in built:
+            built[key] = CyclicGModule.from_json(module)
+        homology[q] = built[key]
     page = hs_e2_page(homology.items(), p_min)
     ranks = []
     for entry in require(spec, "differentials", list, "pipeline", []):

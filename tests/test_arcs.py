@@ -12,7 +12,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equizeta import catalog
+from equizeta import arcs, catalog
 from equizeta.arcs import (
     MAX_ORACLE_CELLS,
     MonomialGerm,
@@ -26,7 +26,7 @@ from equizeta.arcs import (
     oracle_series,
 )
 from equizeta.errors import InvalidInput, NotInvariant
-from equizeta.ratpoly import RatFunc
+from equizeta.ratpoly import RatFunc, pmul, ppow
 from equizeta.zeta import denef_loeser
 
 FLIP = SignAction((-1,))
@@ -216,6 +216,25 @@ class TestAgainstEnumeration:
         with pytest.raises(InvalidInput, match="above the cap"):
             arc_beta_naive(germ, TRIVIAL, 10**18)
 
+    def test_the_seeded_width_moves_only_the_naive_boundary(self, monkeypatch):
+        # x*y*z on the trivial group: the naive seed (u - 1)^3 has four
+        # coefficients, so 4 * (order + 1) * (order + 4) cells, first refused
+        # at 1022; a signed seed has one, 4 * (order + 1)^2 cells, first
+        # refused at 1024.  A table that would be built reaches ``add``.
+        class Built(Exception):
+            pass
+
+        def build(*_):
+            raise Built
+
+        monkeypatch.setattr(arcs, "add", build)
+        germ = MonomialGerm((1, 1, 1))
+        for variant, refused in (("naive", 1022), ("plus", 1024), ("minus", 1024)):
+            with pytest.raises(Built):
+                oracle_series(germ, TRIVIAL, variant, refused - 1)
+            with pytest.raises(InvalidInput, match="above the cap"):
+                oracle_series(germ, TRIVIAL, variant, refused)
+
 
 class TestOracleSeries:
     def test_matches_closed_forms(self):
@@ -252,10 +271,25 @@ class TestOracleSeries:
             if is_invariant(germ, SignAction(eps))
         ]
         action = data.draw(st.sampled_from(actions), label="action")
-        assert _leading_factor(germ, action, variant).den in ((1,), (-1, 1))
-        for c in oracle_series(germ, action, variant, order).coeffs:
+        wfac = _leading_factor(germ, action, variant)
+        assert wfac.den in ((1,), (-1, 1))
+        series = oracle_series(germ, action, variant, order)
+        for c in (wfac, *series.coeffs):
             want = RatFunc(c.num, c.den)
             assert (c.num, c.den) == (want.num, want.den)
+        assert series == enumerated_oracle_series(germ, action, variant, order)
+
+    @pytest.mark.parametrize("s_count", [1, 2, 3, 4])
+    def test_naive_leading_factor_equals_its_gcd_construction(self, s_count):
+        # the construction that the closed form replaced: (u - 1)^|S| times
+        # the point, 1 or u / (u - 1), put over its gcd by RatFunc
+        germ = MonomialGerm((2,) * s_count + (0,))
+        for action in (TRIVIAL, SignAction((-1,) * s_count + (1,)),
+                       SignAction((1,) * (s_count + 1))):
+            point = RatFunc(1) if action.trivial else RatFunc((0, 1), (-1, 1))
+            want = RatFunc(pmul(ppow((-1, 1), s_count), point.num), point.den)
+            got = _leading_factor(germ, action, "naive")
+            assert (got.num, got.den) == (want.num, want.den), action
 
     def test_support_permutation_symmetry(self):
         exps = (2, 0, 4)

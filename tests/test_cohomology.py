@@ -124,6 +124,12 @@ class TestF2Matrix:
         with pytest.raises(SchemaError, match="bad bit-string row"):
             F2Matrix.from_strings(["01", row], 2)
 
+    @pytest.mark.parametrize("first", [5, None, 1.0, ["01"]])
+    def test_a_first_row_that_is_not_a_string_is_a_schema_error(self, first):
+        # with no cols given, the width is read only from a string first row
+        with pytest.raises(SchemaError, match="bad bit-string row"):
+            F2Matrix.from_strings([first])
+
     def test_negative_dimensions_are_value_errors(self):
         for build in (lambda: F2Matrix.identity(-1), lambda: F2Matrix.zero(1, -1),
                       lambda: F2Matrix.from_strings([], -1)):
@@ -615,6 +621,30 @@ class TestPipelineCost:
         with mock.patch.object(cohomology, "_cohomology_dims", dims):
             hs_e2_page([(0, TRIV1), (1, SWAP), (2, TRIV1), (3, SWAP)], -4)
         assert dims.call_count == 3
+
+    def test_a_module_listed_twice_is_built_once(self):
+        # the built-in pipelines list one trivial module in both rows; a copy
+        # through JSON text makes the two rows distinct, equal dicts
+        for build in (sphere_free_pipeline, sphere_fixed_pipeline, circle_fixed_pipeline):
+            want = run_pipeline(build())
+            built = mock.Mock(wraps=CyclicGModule.from_json)
+            with mock.patch.object(CyclicGModule, "from_json", built):
+                assert run_pipeline(json.loads(json.dumps(build()))) == want
+            assert built.call_count == 1
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [("dim", True, "module.dim: expected integer"),
+         ("dim", 1.0, "module.dim: expected integer"),
+         ("group_order", 2.0, "module.group_order: expected integer")],
+    )
+    def test_a_module_equal_only_under_json_equality_is_still_refused(self, field, value, error):
+        # True == 1 and 1.0 == 1 in JSON (and Python) equality, so a build
+        # shared by equal module JSON would let the second row through
+        spec = sphere_free_pipeline()
+        spec["homology"][1]["module"] = {**spec["homology"][0]["module"], field: value}
+        assert spec["homology"][1]["module"] == spec["homology"][0]["module"]
+        assert call(["cohomology", "-"], json.dumps(spec)) == (3, "", f"error: {error}\n")
 
     def test_a_page_stores_its_rows_and_declarations_not_its_window(self):
         pages = []
