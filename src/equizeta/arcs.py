@@ -62,7 +62,9 @@ from .ratpoly import RatFunc, TSeries, _laurent_over, _valuation, pmonomial, ppo
 # table and one reads the coefficients out of it, whose printed size grows
 # with the table's.  x*y*z on the trivial group passes at --order 1000 (about
 # 0.2 s in process, 6.6 MB of JSON) and is refused from 1022 on, its signed
-# variants from 1024 on.
+# variants from 1024 on.  A zero W builds no table but is held to the cap of
+# a one-coefficient seed: x^2 y^2 z^2's minus variant on the trivial group is
+# refused from 1448 on.
 MAX_ORACLE_CELLS = 1 << 22
 
 
@@ -124,6 +126,19 @@ def _require_invariant(germ, action):
         raise NotInvariant("germ is not invariant under the given sign action")
 
 
+def _check_cells(weights: list, order: int, seed_len: int) -> int:
+    """The width of the order-vector table seeded with ``seed_len``
+    coefficients; InvalidInput when its cells would exceed MAX_ORACLE_CELLS."""
+    width = order // min(weights) + seed_len
+    cells = (len(weights) + 1) * (order + 1) * width
+    if cells > MAX_ORACLE_CELLS:
+        raise InvalidInput(
+            f"arc order {order} needs {cells} table cells, "
+            f"above the cap of {MAX_ORACLE_CELLS}"
+        )
+    return width
+
+
 def _order_counts(germ: MonomialGerm, order: int, seed: tuple = (1,)) -> list:
     """The table C[n][m], for n <= order, by the recurrence in the module
     docstring started from ``seed`` as the n = 0 row; the default seed 1
@@ -134,14 +149,7 @@ def _order_counts(germ: MonomialGerm, order: int, seed: tuple = (1,)) -> list:
     after the seed's shift, row n is 0.
     """
     weights = [germ.exponents[i] for i in germ.support()]
-    min_w = min(weights)
-    width = order // min_w + len(seed)
-    cells = (len(weights) + 1) * (order + 1) * width
-    if cells > MAX_ORACLE_CELLS:
-        raise InvalidInput(
-            f"arc order {order} needs {cells} table cells, "
-            f"above the cap of {MAX_ORACLE_CELLS}"
-        )
+    width = _check_cells(weights, order, len(seed))
     zero = [0] * width
     table = [list(seed) + zero[len(seed):]] + [zero] * order
     for w in weights:
@@ -226,7 +234,8 @@ def oracle_series(
     (module docstring), so that coefficient is u^(k + deg P) R_n(1/u) / W.den
     for the table's row n, R_n(y) = sum_m C[n][m] y^m, which ``_read_row``
     builds with no gcd step.  A zero W (no leading coefficients of that sign)
-    seeds 0.
+    makes every coefficient 0: the table it would seed with 0 is checked
+    against the cap but not built.
     """
     if variant not in ("naive", "plus", "minus"):
         raise ValueError(f"bad variant {variant!r}")
@@ -234,8 +243,11 @@ def oracle_series(
     if order < 0:
         raise ValueError("order must be non-negative")
     wfac = _leading_factor(germ, action, variant)
-    k = _valuation(wfac.num) if wfac.num else 0
-    seed = wfac.num[k:][::-1] or (0,)
+    if not wfac.num:
+        _check_cells([germ.exponents[i] for i in germ.support()], order, 1)
+        return TSeries([wfac] * (order + 1))
+    k = _valuation(wfac.num)
+    seed = wfac.num[k:][::-1]
     top = k + len(seed) - 1
     return TSeries([_read_row(row, top, wfac.den) for row in _order_counts(germ, order, seed)])
 

@@ -18,14 +18,15 @@ import re
 from typing import List
 
 from .errors import UnknownFixture
-from .gspace import Atom, ClosedComplement, DisjointUnion
+from .gspace import _FIXED_ATOM_NODES, ClosedComplement, DisjointUnion
 from .resolution import MAX_DIVISORS, Divisor, GroupSpec, ResolutionData, StratumEntry
 
-_PT = Atom("point_fixed")
-_PAIR = Atom("point_pair_swapped")
-_CIRCLE = Atom("circle_with_fixed_point")
-_PT_TRIV = Atom("point_trivial")
-_CIRCLE_TRIV = Atom("circle_trivial")
+# the parser's own atom nodes, so built-in and parsed trees share their atoms
+_PT = _FIXED_ATOM_NODES["point_fixed"]
+_PAIR = _FIXED_ATOM_NODES["point_pair_swapped"]
+_CIRCLE = _FIXED_ATOM_NODES["circle_with_fixed_point"]
+_PT_TRIV = _FIXED_ATOM_NODES["point_trivial"]
+_CIRCLE_TRIV = _FIXED_ATOM_NODES["circle_trivial"]
 
 
 def _circle_minus(*removed, circle=_CIRCLE):

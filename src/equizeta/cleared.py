@@ -330,10 +330,15 @@ class _Layout:
         of a run holds its digits from S(j) on, the digit at position p
         being the term c u^(p - k j) T^(g j): so over row j, u counts up
         from S(j) - k j, and each digit's t and u come off ranges chained
-        row by row, all in C."""
+        row by row, all in C.  A machine-width digit memoryview becomes a
+        list once, so the three ``compress`` selections, four passes over
+        the digits, read its ints instead of making each digit anew on every
+        pass."""
         cs, ts, us = [], [], []
         for j0, j1, e, v in runs:
             digits = _digits(v, self.w)
+            if isinstance(digits, memoryview):
+                digits = digits.tolist()
             end = e + len(digits)
             starts = self.starts(j0 + 1, j1)
             first, last = bisect_right(starts, e), bisect_left(starts, end)

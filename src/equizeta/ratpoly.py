@@ -642,14 +642,16 @@ def _grouped(den_u: tuple, terms, negated=()) -> dict:
     """den_u * (sum(terms) - sum(negated)) as {factor tuple: u-polynomial}:
     terms sharing a factor tuple add up and cancelled groups are dropped.
     den_u must be a multiple of every coefficient's denominator, and each
-    distinct denominator divides it once."""
+    distinct denominator divides it once.  A coefficient whose denominator
+    is den_u itself, quotient 1, adds its numerator as it is."""
     groups = {}
     quotients = {}
     for negate, part in ((False, terms), (True, negated)):
         for coeff, factors in part:
             if coeff.den not in quotients:
                 quotients[coeff.den] = pdivexact(den_u, coeff.den)
-            scaled = pmul(coeff.num, quotients[coeff.den])
+            quotient = quotients[coeff.den]
+            scaled = coeff.num if quotient == (1,) else pmul(coeff.num, quotient)
             if negate:
                 scaled = pneg(scaled)
             groups[factors] = padd(groups[factors], scaled) if factors in groups else scaled

@@ -36,27 +36,36 @@ _EXPR_FIELD = {"naive": "beta", "plus": "beta_plus", "minus": "beta_minus"}
 def _stratum_terms(res: ResolutionData, variant: str, memo: tuple):
     """Per-stratum (coefficient, factor multiset) pairs, declared order.
 
-    Strata repeat a few G-space values.  ``memo`` holds two dicts that live
-    for one command: each distinct expression's value, evaluated once, and
-    each distinct (value, e) pair's coefficient, that value times (u-1)^e
-    with no gcd step (``ratpoly._times_u_minus_1``).
+    Strata repeat a few G-space values, often as one shared expression
+    object.  Each stratum's coefficient is looked up first among this
+    resolution's own expression objects, by identity and (u-1) exponent e,
+    and only then through ``memo``, so that both sides of ``compare``
+    evaluate each distinct value once.  ``memo`` holds two dicts that live
+    for one command: each distinct expression's value, keyed by the
+    expression compared by value, and each coefficient, that value times (u-1)^e with
+    no gcd step (``ratpoly._times_u_minus_1``), keyed by the identity of the
+    value the first dict returned, which that dict keeps alive, and e.
     """
     values, coeffs = memo
     field = _EXPR_FIELD[variant]
     drop = 0 if variant == "naive" else 1
     factor = {d.id: (d.nu, d.N) for d in res.divisors}
+    own = {}  # (id(expression), e) -> coefficient; res keeps the objects alive
     terms = []
     for st in res.strata:
         expr = getattr(st, field)
         if expr is None:
             continue
-        value = values.get(expr)
-        if value is None:
-            value = values[expr] = beta_value(expr)
-        key = (value, len(st.divisors) - drop)
-        coeff = coeffs.get(key)
+        e = len(st.divisors) - drop
+        coeff = own.get((id(expr), e))
         if coeff is None:
-            coeff = coeffs[key] = _times_u_minus_1(*key)
+            value = values.get(expr)
+            if value is None:
+                value = values[expr] = beta_value(expr)
+            coeff = coeffs.get((id(value), e))
+            if coeff is None:
+                coeff = coeffs[id(value), e] = _times_u_minus_1(value, e)
+            own[id(expr), e] = coeff
         if coeff:
             terms.append((coeff, [factor[i] for i in st.divisors]))
     return terms
@@ -78,17 +87,29 @@ def denef_loeser(res: ResolutionData, variant: str = "naive") -> ZetaRational:
 
 
 def display(z: ZetaRational) -> str:
-    """Per-stratum sum in the u^-nu T^N notation, for eyeballing."""
+    """Per-stratum sum in the u^-nu T^N notation, for eyeballing.  Terms
+    repeat a few coefficients and (nu, N) factors, so each distinct
+    coefficient and each distinct factor is formatted once, in this call."""
     if not z.terms:
         return "0"
+    coeff_text = {}  # (num, den) -> the coefficient's text
+    factor_text = {}
     parts = []
     for coeff, factors in z.terms:
-        text = str(coeff)
-        if " " in text or "/" in text:
-            text = f"({text})"
+        key = coeff.num, coeff.den
+        text = coeff_text.get(key)
+        if text is None:
+            text = str(coeff)
+            if " " in text or "/" in text:
+                text = f"({text})"
+            coeff_text[key] = text
         pieces = [text]
-        for nu, N in factors:
-            pieces.append(f"[u^-{nu} T^{N} / (1 - u^-{nu} T^{N})]")
+        for f in factors:
+            piece = factor_text.get(f)
+            if piece is None:
+                nu, N = f
+                piece = factor_text[f] = f"[u^-{nu} T^{N} / (1 - u^-{nu} T^{N})]"
+            pieces.append(piece)
         parts.append(" * ".join(pieces))
     return " + ".join(parts)
 

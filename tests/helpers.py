@@ -290,6 +290,23 @@ def per_stratum_terms(res, variant):
     return ZetaRational(terms).terms
 
 
+def per_term_display(z: ZetaRational) -> str:
+    """``zeta.display`` by the loop its memo replaced: every term's
+    coefficient and factors formatted anew."""
+    if not z.terms:
+        return "0"
+    parts = []
+    for coeff, factors in z.terms:
+        text = str(coeff)
+        if " " in text or "/" in text:
+            text = f"({text})"
+        pieces = [text]
+        for nu, N in factors:
+            pieces.append(f"[u^-{nu} T^{N} / (1 - u^-{nu} T^{N})]")
+        parts.append(" * ".join(pieces))
+    return " + ".join(parts)
+
+
 def unpacked(rows: dict, w: int) -> dict:
     """Packed T-rows {t: (low, v)} of digit width w as {t: {u: c}} with no
     zero entries.  Each digit comes off as the low w bits, moved into

@@ -235,6 +235,23 @@ class TestAgainstEnumeration:
             with pytest.raises(InvalidInput, match="above the cap"):
                 oracle_series(germ, TRIVIAL, variant, refused)
 
+    def test_a_zero_leading_factor_builds_no_table_but_keeps_the_cap(self, monkeypatch):
+        # x^2 y^2 z^2 on the trivial group has no leading coefficients of
+        # sign -, so W = 0 and the series is 0 with no table built; the cap
+        # still counts the table a one-coefficient seed would take,
+        # 4 * (order + 1) * (order // 2 + 1) cells, first refused at 1448
+        def build(*_):
+            raise AssertionError("a zero W built a table")
+
+        monkeypatch.setattr(arcs, "add", build)
+        germ = MonomialGerm((2, 2, 2))
+        assert _leading_factor(germ, TRIVIAL, "minus").is_zero()
+        for order in (0, 1, 7, 1447):
+            series = oracle_series(germ, TRIVIAL, "minus", order)
+            assert series.order == order and all(c == RatFunc(0) for c in series.coeffs)
+        with pytest.raises(InvalidInput, match="above the cap"):
+            oracle_series(germ, TRIVIAL, "minus", 1448)
+
 
 class TestOracleSeries:
     def test_matches_closed_forms(self):

@@ -660,10 +660,14 @@ def test_laurent_matches_recurrence(r, k_min):
         assert r.laurent(k_min) == want
 
 
+# u (u-1) and u (u-1)^2 are common denominators of the others, so a term
+# over one of them can sit beside terms of other denominators with quotient
+# 1 over the sum's common denominator (``ratpoly._grouped``), as a sum with
+# one denominator has for every term
 small_coeffs = st.builds(
     RatFunc,
     st.lists(st.integers(-4, 4), min_size=1, max_size=3),
-    st.sampled_from([(1,), (-1, 1), (1, -2, 1), (0, 1), (2,)]),
+    st.sampled_from([(1,), (-1, 1), (1, -2, 1), (0, 1), (2,), (0, -1, 1), (0, 1, -2, 1)]),
 )
 factor_lists = st.lists(
     st.tuples(st.integers(1, 3), st.integers(1, 4)), min_size=1, max_size=3
@@ -840,7 +844,7 @@ def big_term_sums(draw):
     for _ in range(draw(st.integers(1, 5))):
         num = draw(st.lists(st.sampled_from([0, 1, -1, BIG, -BIG]) | st.integers(-BIG, BIG),
                             min_size=1, max_size=3))
-        den = draw(st.sampled_from([(1,), (-1, 1), (0, 1), (2,)]))
+        den = draw(st.sampled_from([(1,), (-1, 1), (0, 1), (2,), (0, -1, 1)]))
         factors = [f for f in pool for _ in range(draw(st.integers(0, 3)))]
         terms.append((RatFunc(num, den), factors))
     return terms

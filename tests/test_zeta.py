@@ -12,24 +12,36 @@ from helpers import (
     eval_at,
     per_stratum_terms,
     per_term_cleared,
+    per_term_display,
     series_values_match,
     two_sided_first_difference,
 )
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from equizeta import catalog, zeta
 from equizeta.cli import _emit
 from equizeta.errors import InvalidResolution
 from equizeta.gspace import Atom
-from equizeta.ratpoly import RatFunc
+from equizeta.ratpoly import RatFunc, ZetaRational
 from equizeta.resolution import (
     Divisor,
     GroupSpec,
     ResolutionData,
     StratumEntry,
     generated_group,
+    parse,
+    resolution_from_json,
+    serialize,
     validate,
 )
 from equizeta.zeta import VARIANTS, denef_loeser, display, distinguish, zeta_json
+
+
+def populated_variants(res):
+    """The variants for which some stratum carries a value."""
+    return [v for v in VARIANTS
+            if any(getattr(st, zeta._EXPR_FIELD[v]) is not None for st in res.strata)]
 
 
 class TestEngineBasics:
@@ -123,6 +135,26 @@ class TestWorkedExamples:
                 (StratumEntry({1}, point, point), StratumEntry({1, 2}, point, point)),
             )
         )
+        # parsed: {1} and {2} hold equal but distinct expression objects, and
+        # the parser's one point_fixed node is shared by {3} and {1, 2}
+        point = {"kind": "atom", "name": "point_fixed"}
+        minus_point = {"kind": "closed_complement", "closed_part": point,
+                       "whole": {"kind": "atom", "name": "circle_with_fixed_point"}}
+        parsed = resolution_from_json({
+            "name": "parsed values",
+            "group": {"order": 1},
+            "divisors": [{"id": i, "N": 2 * i, "nu": i + 1, "zero_fiber": True} for i in (1, 2, 3)],
+            "strata": [
+                {"I": [1], "beta": minus_point, "beta_plus": minus_point},
+                {"I": [2], "beta": minus_point, "beta_plus": minus_point},
+                {"I": [3], "beta": point, "beta_minus": point},
+                {"I": [1, 2], "beta": point, "beta_plus": point, "beta_minus": point},
+            ],
+        })
+        first, second, third, crossing = parsed.strata
+        assert first.beta == second.beta and first.beta is not second.beta
+        assert third.beta is crossing.beta is third.beta_minus is crossing.beta_plus
+        resolutions.append(parsed)
         for res in resolutions:
             for variant in VARIANTS:
                 got = denef_loeser(res, variant).terms
@@ -153,6 +185,29 @@ class TestWorkedExamples:
             both = {st.beta for st in lhs.strata + rhs.strata}
             assert len(calls) == len(set(calls)) == len(both)
         assert len(both) < len(distinct) + len(other.strata)
+
+    def test_parsed_tree_against_its_built_in_tree_evaluates_each_value_once(self, monkeypatch):
+        calls = []
+        evaluate = zeta.beta_value
+
+        def counting(expr):
+            calls.append(expr)
+            return evaluate(expr)
+
+        monkeypatch.setattr(zeta, "beta_value", counting)
+        for name in ("gk(14,+,-)", "hk(13,-)", "-x2-y4_Z2", "A-boundary_f"):
+            built = catalog.get(name)
+            parsed = parse(serialize(built))
+            # built-in trees hold the parser's own atom nodes
+            atoms = [(a.beta, b.beta) for a, b in zip(built.strata, parsed.strata)
+                     if isinstance(a.beta, Atom)]
+            assert atoms and all(a is b for a, b in atoms), name
+            for variant in populated_variants(built):
+                calls.clear()
+                assert distinguish(parsed, built, variant).equal, (name, variant)
+                field = zeta._EXPR_FIELD[variant]
+                distinct = {getattr(st, field) for st in built.strata} - {None}
+                assert len(calls) == len(distinct), (name, variant)
 
     def test_expansion_matches_numeric_long_division(self):
         for name in ("y4-x2_Z2", "x4-y2_Z2", "-x2-y4_Z2", "A-boundary_f"):
@@ -308,11 +363,62 @@ class TestInvariances:
         assert saw_difference
 
 
+@st.composite
+def repeated_term_sums(draw):
+    """Up to 8 terms drawn from small pools of coefficients and factors, so
+    that both repeat; the coefficients' numerators repeat over different
+    denominators, and a coefficient may come as an equal but distinct copy."""
+    coeffs = draw(st.lists(st.builds(
+        RatFunc,
+        st.sampled_from([(1,), (-1,), (0, 1), (1, 1), (-1, 1), (0, 0, 2)]),
+        st.sampled_from([(1,), (-1, 1), (0, 1), (0, -1, 1)]),
+    ), min_size=1, max_size=4))
+    pool = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 30)), min_size=1, max_size=4))
+    terms = []
+    for _ in range(draw(st.integers(0, 8))):
+        coeff = draw(st.sampled_from(coeffs))
+        if draw(st.booleans()):
+            coeff = RatFunc(coeff.num, coeff.den)
+        terms.append((coeff, draw(st.lists(st.sampled_from(pool), max_size=4))))
+    return terms
+
+
 class TestDisplayAndJson:
     def test_display_mentions_every_factor(self):
         text = display(denef_loeser(catalog.get("y4-x2_Z2")))
         assert "u^-2 T^2" in text and "u^-3 T^4" in text and "u^-1 T^1" in text
         assert text.count("] + ") == 3  # four summands
+
+    def test_display_matches_per_term_loop(self):
+        ladder = [f"gk({k},{a},{b})" for k in range(3, 15) for a in "+-" for b in "+-"]
+        ladder += [f"hk({k},{s})" for k in range(3, 15) for s in "+-"]
+        for name in catalog.sample_names() + ladder:
+            res = catalog.get(name)
+            for variant in populated_variants(res):
+                z = denef_loeser(res, variant)
+                assert display(z) == per_term_display(z), (name, variant)
+
+    @settings(max_examples=150, deadline=None)
+    @given(repeated_term_sums())
+    # one numerator over two denominators
+    @example([(RatFunc((0, 1), (-1, 1)), [(2, 2)]), (RatFunc((0, 1)), [(2, 2)])])
+    def test_display_matches_per_term_loop_on_repeated_terms(self, terms):
+        z = ZetaRational(terms)
+        assert display(z) == per_term_display(z)
+
+    def test_display_formats_each_distinct_coefficient_once(self, monkeypatch):
+        z = denef_loeser(catalog.get("gk(14,+,-)"))
+        want = per_term_display(z)
+        calls = []
+        text = RatFunc.__str__
+
+        def counting(self):
+            calls.append(self)
+            return text(self)
+
+        monkeypatch.setattr(RatFunc, "__str__", counting)
+        assert display(z) == want
+        assert len(z.terms) == 29 and len(calls) == len(set(calls)) == 3
 
     def test_zeta_json_bundle(self):
         doc = zeta_json(catalog.get("x2+y2_Z2"), "naive", expand_order=4)
