@@ -14,11 +14,13 @@ row, as the T-expansion's packed rows in ``ratpoly`` do.  The runs use
 ``_byte_width`` of the coefficients' exact ``_width``), its readout
 ``_digits``, and its bit count ``_exact_bits``.  The caps count terms, and
 the bits that each row would take packed alone at the exact width,
-whatever the runs hold.  The readout gives every polynomial as one
-interleaved [c, t, u, ...] list in (t, u) order, which ``cli`` prints with
-one format call.  ``ratpoly.ZetaRational._cleared`` imports this module
-when a cleared fraction is first asked for, so commands that print none do
-not load it.
+whatever the runs hold.  No polynomial on the way spans more digits than
+its layout's ``span``, so where the span lies within both caps a step
+takes one comparison, and only past that bound are the steps counted.  The readout
+gives every polynomial as one interleaved [c, t, u, ...] list in (t, u)
+order, which ``cli`` prints with one format call.
+``ratpoly.ZetaRational._cleared`` imports this module when a cleared
+fraction is first asked for, so commands that print none do not load it.
 """
 
 from __future__ import annotations
@@ -46,14 +48,16 @@ from .ratpoly import (
 )
 
 # Cap on the nonzero (u, T) terms of any one polynomial that
-# ``cleared_fraction`` holds while it builds num / den, counted exactly after
-# each step; ``ratpoly.MAX_PACKED_BITS`` bounds the bits its rows would take
-# as packed rows (``_Layout.within_cap``).
-# The catalog's largest polynomials on the way are gk(62,+,-) at 83,324 terms,
-# hk(129,+) at 47,891 and gk(64,+,+) at 45,758.  Sixteen divisors whose N
-# have distinct subset sums, with every pair a stratum, pass it within a
-# second and fail with InvalidInput (exit 2); twice the cap lets them print
-# 16 MB of JSON in 0.8 s at 94 MB peak RSS.
+# ``cleared_fraction`` holds while it builds num / den, checked after each
+# step; ``ratpoly.MAX_PACKED_BITS`` bounds the bits its rows would take as
+# packed rows (``_Layout.within_cap``).  Where the layout's span, the digits
+# that any polynomial on the way can spread over, is within both caps, the
+# check is that one comparison; past it the terms are counted exactly.  The
+# catalog's largest polynomials on the way are gk(62,+,-) at 83,324 terms
+# (span 111,316), hk(129,+) at 47,891 and gk(64,+,+) at 45,758.  Sixteen
+# divisors whose N have distinct subset sums, with every pair a stratum,
+# pass it within a second and fail with InvalidInput (exit 2); twice the cap
+# lets them print 16 MB of JSON in 0.8 s at 94 MB peak RSS.
 MAX_CLEARED_TERMS = 1 << 17
 
 
@@ -108,12 +112,6 @@ def _segments(factors) -> list:
     return out
 
 
-def _fill(segments: list, t: int) -> tuple:
-    """A greedy fill at the T-height t as the fraction (num, den)."""
-    B, a, nu, N = segments[bisect_right(segments, (t, inf)) - 1]
-    return a * N + (t - B) * nu, N
-
-
 # The most empty bits that two runs join across: 64 machine words of empty
 # digits cost an integer operation less than the Python steps of one more
 # run.
@@ -150,10 +148,20 @@ class _Layout:
     L(t + g)) every row ends before the next one starts, so the map is one to
     one on each polynomial, and row j of the cleared fraction starts at the
     digit S(j) = ceil(L(g j)) + k j.  U(t) - L(t + g) is concave, so its max
-    lies on a breakpoint: k costs a few fills per factor, whatever dT is.
+    lies on a breakpoint: k costs one walk up the breakpoints of the two
+    fills, whatever dT is.
+
+    Each polynomial on the way is, up to its shift in u, one whose row j
+    holds its digits in [S(j), S(j + 1)): so it spreads over at most
+    ``span`` = S(R + 1) - S(0) digits, R = sum_f M_f N_f / g its last row.
+    Then it has at most span nonzero terms, its rows packed at the exact
+    width take at most span * exact bits, and the empty digits that ``add``
+    and ``times`` open in one row are fewer than span: where span is within
+    MAX_CLEARED_TERMS and span * exact within MAX_PACKED_BITS, none of their
+    checks can fire (``within_cap``).
     """
 
-    __slots__ = ("g", "k", "w", "exact", "_top", "_steep")
+    __slots__ = ("g", "k", "w", "exact", "span", "_top", "_steep", "_starts")
 
     def __init__(self, factors, polys, exact: int):
         """factors as ((nu, N), M) pairs; polys the nonzero u-polynomials
@@ -162,25 +170,38 @@ class _Layout:
         held at the ``_byte_width`` w."""
         self.exact = exact
         self.w = _byte_width(exact)
-        self.g = gcd(*(N for (_, N), _ in factors)) or 1
+        g = self.g = gcd(*(N for (_, N), _ in factors)) or 1
         lo = min(map(_valuation, polys))
         spread = max(map(len, polys)) - 1 - lo
         # by nu / N from the largest, compared exactly
         steep = sorted(factors, key=cmp_to_key(lambda f, h: h[0][0] * f[0][1] - f[0][0] * h[0][1]))
-        self._steep = _segments(steep)
-        self._top = lo + sum(nu * M for (nu, _), M in factors)
         flat = _segments(reversed(steep))
-        end = sum(N * M for (_, N), M in factors) - self.g  # the last row t with one after it
-        heights = {0, end, *(B for B, *_ in flat), *(B - self.g for B, *_ in self._steep)}
-        most = 0
-        for t in heights:
-            if 0 <= t <= end:
-                x, c = _fill(self._steep, t + self.g)
-                y, d = _fill(flat, t)
-                most = max(most, (x * d - y * c) // (c * d))
+        steep = self._steep = _segments(steep)
+        self._top = lo + sum(nu * M for (nu, _), M in factors)
+        end = sum(N * M for (_, N), M in factors) - g  # the last row t with one after it
+        heights = {0, end, *(B for B, *_ in flat), *(B - g for B, *_ in steep)}
+        # one walk up the heights and both fills, each at its segment from
+        # the last that starts at or below its height: the steep fill at t + g
+        # and the flat one at t
+        most, i, f = 0, 0, 0
+        for t in sorted(t for t in heights if 0 <= t <= end):
+            while i + 1 < len(steep) and steep[i + 1][0] <= t + g:
+                i += 1
+            while f + 1 < len(flat) and flat[f + 1][0] <= t:
+                f += 1
+            B, a, nu, N = steep[i]
+            C, b, mu, M = flat[f]
+            x, y = a * N + (t + g - B) * nu, b * M + (t - C) * mu
+            most = max(most, (x * M - y * N) // (N * M))
         self.k = 1 + spread + most
+        self._starts = 0, -1, []
+        # S(R + 1) - S(0), S(0) = top and the row R + 1 after the last on
+        # the steep fill's last segment
+        after = end // g + 2
+        B, a, nu, N = steep[-1] if steep else (0, 0, 0, 1)
+        self.span = self.k * after - a - (g * after - B) * nu // N
 
-    def starts(self, j0: int, j1: int) -> list:
+    def _row_starts(self, j0: int, j1: int) -> list:
         """S(j) for the rows j0..j1 of the cleared fraction."""
         g, k, top, steep = self.g, self.k, self._top, self._steep
         out = []
@@ -192,6 +213,24 @@ class _Layout:
             out += [top - a - (g * j - B) * nu // N + k * j for j in range(j0, last + 1)]
             j0 = max(j0, last + 1)
         return out
+
+    def starts(self, j0: int, j1: int) -> list:
+        """S(j) for the rows j0..j1, built once per row over the calls that
+        ask for them: the layout keeps the last range it built, and builds
+        only the rows outside it of a range that meets it, so the readouts
+        of num and den share theirs, while rows that no run holds, between
+        the runs of a T-sparse polynomial, are never built."""
+        if j0 > j1:
+            return []
+        c0, c1, held = self._starts
+        if j0 < c0 or j1 > c1:
+            if held and j0 <= c1 + 1 and c0 <= j1 + 1:
+                held = self._row_starts(j0, c0 - 1) + held + self._row_starts(c1 + 1, j1)
+                c0, c1 = min(c0, j0), max(c1, j1)
+            else:
+                held, c0, c1 = self._row_starts(j0, j1), j0, j1
+            self._starts = c0, c1, held
+        return held[j0 - c0:j1 - c0 + 1]
 
     def scaled(self, runs: list, poly: tuple, N: int = 0) -> list:
         """runs * poly(u) T^N for a nonzero u-polynomial poly, one int
@@ -242,11 +281,27 @@ class _Layout:
         one run, while T-sparse ones, and rows whose bands lie far apart,
         keep a run per row, and no run holds more than _SLACK_BITS empty
         bits per row.  Each part is added to its run as it comes, shifted
-        onto the run's lowest digit, and a run whose digits cancel goes."""
+        onto the run's lowest digit, and a run whose digits cancel goes.
+        One run each that share a row, the most common sum, take one
+        shifted add and the same check."""
         w = self.w
         if not a or not b:
             return self.within_cap(a or b)
         spare = MAX_PACKED_BITS // self.exact
+        if len(a) == 1 == len(b):
+            (j0, j1, e, v), (i0, i1, f, x) = a[0], b[0]
+            if i0 <= j1 and j0 <= i1:  # one run each, sharing a row: one shifted add
+                if max(f - e - v.bit_length() // w, e - f - x.bit_length() // w) - 1 > spare:
+                    raise _too_many_bits()
+                low = min(e, f)
+                v = (v << w * (e - low)) + (x << w * (f - low))
+                if e == f:
+                    if not v:
+                        return []
+                    zeros = ((v & -v).bit_length() - 1) // w
+                    v >>= w * zeros
+                    low += zeros
+                return self.within_cap([(min(j0, i0), max(j1, i1), low, v)])
         # [j0, j1, lowest digit, highest digit, bits of the parts, sum,
         #  whether two parts start at the lowest digit, which may cancel]
         runs = []
@@ -299,12 +354,17 @@ class _Layout:
         """runs, or InvalidInput once they hold more than MAX_CLEARED_TERMS
         nonzero (u, T) terms, or once their rows, as packed rows of the
         coefficients' exact width, would hold more than MAX_PACKED_BITS
-        bits.  Each is first bounded from above in O(runs) and counted only
+        bits.  Where the layout's span is within both caps, neither can
+        fire, and runs come back at once; the caps are read at each check,
+        so a cap set after the layout was built still holds.  Past that
+        bound each is first bounded from above in O(runs) and counted only
         when the bound exceeds its cap: the digits by the bits over w, plus
         one per run; the bits by the runs' own, and then by those at the
         exact width, where a run of b bits holds b // w digits below its top
         one, whose b % w bits are the same at either width."""
         w, exact = self.w, self.exact
+        if self.span <= MAX_CLEARED_TERMS and self.span * exact <= MAX_PACKED_BITS:
+            return runs
         values = list(map(itemgetter(3), runs))
         sizes = list(map(int.bit_length, values))
         bits = sum(sizes)

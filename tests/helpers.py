@@ -7,8 +7,9 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
 
+from equizeta import cleared
 from equizeta.cohomology import F2Matrix, SpectralPage
-from equizeta.errors import NotExpandable, RankTooLarge, TailMismatch
+from equizeta.errors import InvalidInput, NotExpandable, RankTooLarge, TailMismatch
 from equizeta.gspace import (
     _FIXED_ATOMS,
     Atom,
@@ -340,6 +341,34 @@ def run_digit_count(runs: list, w: int) -> int:
     """The nonzero digits of ``cleared._Layout`` runs (j0, j1, e, v) of digit
     width w, read off by ``ratpoly._digits``."""
     return sum(sum(map(bool, _digits(v, w))) for *_, v in runs)
+
+
+def counted_within_cap(layout, runs: list) -> list:
+    """``cleared._Layout.within_cap`` that counts every step, whatever the
+    layout's span: runs, or InvalidInput once they hold more than
+    MAX_CLEARED_TERMS nonzero terms, or once their rows, as packed rows of
+    the exact width, would hold more than MAX_PACKED_BITS bits, with each
+    count made only where its bound from above passes the cap.  Both caps
+    are read from ``cleared`` at each call."""
+    w, exact = layout.w, layout.exact
+    values = [v for *_, v in runs]
+    sizes = list(map(int.bit_length, values))
+    bits = sum(sizes)
+    if bits // w + len(runs) > cleared.MAX_CLEARED_TERMS and sum(
+        cleared._nonzero_digits(v, w) for v in values
+    ) > cleared.MAX_CLEARED_TERMS:
+        raise InvalidInput(
+            f"the cleared fraction would hold more than MAX_CLEARED_TERMS = "
+            f"{cleared.MAX_CLEARED_TERMS} terms; the strata hold too many distinct factors or "
+            "too large multiplicities"
+        )
+    if (
+        bits > cleared.MAX_PACKED_BITS
+        and cleared._exact_bits(sizes, w, exact) > cleared.MAX_PACKED_BITS
+        and cleared._row_bits(layout.terms(runs), exact) > cleared.MAX_PACKED_BITS
+    ):
+        raise cleared._too_many_bits()
+    return runs
 
 
 def skewed(layout, rows: dict) -> list:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -913,6 +914,42 @@ class TestErrorBoundary:
         assert time.perf_counter() - start < 1.0
         assert_one_error(result, 2)
         assert "MAX_CLEARED_TERMS" in result[2]
+
+    def test_cleared_fraction_over_the_cap_is_counted(self, monkeypatch):
+        # the 24 divisors' layout spans past MAX_CLEARED_TERMS, so its steps
+        # are counted, and the count refuses them
+        counted = []
+        nonzero_digits = cleared._nonzero_digits
+
+        def count(v, w):
+            counted.append(v)
+            return nonzero_digits(v, w)
+
+        monkeypatch.setattr(cleared, "_nonzero_digits", count)
+        doc = self._strata_doc([(1000, 2**i) for i in range(24)], [(list(range(1, 25)), 1)])
+        result = call(["compute", "-", "--format", "rational"], json.dumps(doc))
+        assert_one_error(result, 2)
+        assert "MAX_CLEARED_TERMS" in result[2] and counted
+
+    def test_catalog_clears_on_the_proved_path(self, monkeypatch):
+        # the ladder's layouts and the catalog's largest span within both
+        # caps, so no step is counted, and each prints the bytes it printed
+        # when every step was
+        def refuse(*args):
+            raise AssertionError("a step of a proved layout was counted")
+
+        for name in ("_nonzero_digits", "_exact_bits", "_row_bits"):
+            monkeypatch.setattr(cleared, name, refuse)
+        names = [f"gk({k},{a},{b})" for k in range(3, 15) for a in "+-" for b in "+-"]
+        names += [f"hk({k},{s})" for k in range(3, 15) for s in "+-"]
+        digest = hashlib.sha256()
+        for name in names + ["gk(62,+,-)", "hk(129,+)"]:
+            code, out, _ = call(["compute", name, "--format", "rational"])
+            assert code == 0, name
+            digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "f5ec7dd58fd544419cf94522b6a22eb704eec5a94c66b53a48d189d77d948bfc"
+        )
 
     def test_far_apart_nu_exit_2_at_once(self):
         # nu = 1 and nu = 10^9 on one N: a packed row holding both ends would

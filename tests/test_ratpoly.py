@@ -6,6 +6,7 @@ from helpers import (
     cleared_equal,
     cleared_t_series,
     cleared_width,
+    counted_within_cap,
     euclid_gcd,
     eval_fraction,
     flat_add_shifted,
@@ -283,6 +284,14 @@ class TestClearedBound:
         denef_loeser(catalog.get("gk(62,+,-)"), "naive").num
         assert max(sizes) == 83324 < MAX_CLEARED_TERMS
 
+    def test_the_largest_catalog_layout_spans_within_both_caps(self):
+        # no polynomial on the way to gk(62,+,-) spans more digits than its
+        # layout's span, so neither cap is counted for it
+        layout = denef_loeser(catalog.get("gk(62,+,-)"), "naive")._cleared[0]
+        assert (layout.span, layout.exact) == (111316, 72)
+        assert layout.span <= MAX_CLEARED_TERMS
+        assert layout.span * layout.exact <= ratpoly.MAX_PACKED_BITS
+
     @pytest.mark.parametrize(
         "name", [f"gk(14,{a},{b})" for a in "+-" for b in "+-"]
         + ["gk(62,+,-)", "gk(64,+,+)", "hk(129,+)"],
@@ -317,6 +326,17 @@ class TestClearedBound:
         monkeypatch.setattr(cleared, "MAX_CLEARED_TERMS", 3)
         with pytest.raises(InvalidInput, match="MAX_CLEARED_TERMS"):
             layout.times(runs, 1, 2)
+
+    def test_one_row_bands_too_far_apart_are_invalid_input(self, monkeypatch):
+        # 1 and u^e, one run each in row 0, open e - 1 empty digits between
+        # their bands: up to MAX_PACKED_BITS // exact = 64 they are added,
+        # and past it ``add`` refuses them, in either order
+        layout = _Layout([((1, 1), 1)], [(1,)], 8)
+        monkeypatch.setattr(cleared, "MAX_PACKED_BITS", 64 * 8)
+        assert layout.terms(layout.add([(0, 0, 0, 1)], [(0, 0, 65, 1)])) == [1, 0, 0, 1, 0, 65]
+        for a, b in (([(0, 0, 0, 1)], [(0, 0, 66, 1)]), ([(0, 0, 66, 1)], [(0, 0, 0, 1)])):
+            with pytest.raises(InvalidInput, match="MAX_PACKED_BITS"):
+                layout.add(a, b)
 
 
 sparse_rows = st.dictionaries(
@@ -826,6 +846,47 @@ def spread_term_lists(draw):
 def test_cleared_fraction_matches_per_term_assembly(terms):
     z = ZetaRational(terms)
     assert (z.num, z.den) == per_term_cleared(z)
+
+
+@st.composite
+def capped_term_sums(draw):
+    """Up to 5 terms whose coefficients have denominator 1, u, u - 1 or
+    u(u - 1), each on 0 to 4 factors with N in {1, 2, 3, 4, 6, 12}."""
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        num = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3))
+        den = draw(st.sampled_from([(1,), (0, 1), (-1, 1), (0, -1, 1)]))
+        factors = draw(st.lists(
+            st.tuples(st.integers(1, 6), st.sampled_from([1, 2, 3, 4, 6, 12])), max_size=4
+        ))
+        terms.append((RatFunc(num, den), factors))
+    return terms
+
+
+def cleared_outcome(terms):
+    """The cleared fraction's terms, or the text of its InvalidInput."""
+    try:
+        return ZetaRational(terms).cleared_terms()
+    except InvalidInput as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    capped_term_sums(),
+    st.integers(2, 64) | st.integers(2, 1 << 17),
+    st.integers(64, 4096) | st.integers(64, 1 << 27),
+)
+def test_caps_refuse_as_counting_every_step(terms, max_terms, max_bits):
+    # the layout's span only decides whether a step is counted, so each
+    # cleared fraction and each refusal is the one that counting every step
+    # gives, wherever the caps lie
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cleared, "MAX_CLEARED_TERMS", max_terms)
+        patch.setattr(cleared, "MAX_PACKED_BITS", max_bits)
+        got = cleared_outcome(terms)
+        patch.setattr(_Layout, "within_cap", counted_within_cap)
+        assert got == cleared_outcome(terms)
 
 
 BIG = 1 << 200
