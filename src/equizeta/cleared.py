@@ -6,19 +6,20 @@ So each polynomial on the way is held as runs of consecutive T-rows, each
 run one int under the skewed Kronecker map u -> 2^w, T^g -> 2^(w k)
 (``_Layout``): g is the gcd of the factors' N, and k keeps each row clear of
 the next in the factors' zonotope.  A product by a binomial is then one
-shift and one subtraction per run.  Runs that share a row become one, and
-neighbouring runs join only across at most _SLACK_BITS empty bits, so
-T-sparse polynomials, and rows whose u-bands lie far apart, keep a run per
-row, as the T-expansion's packed rows in ``ratpoly`` do.  The runs use
-``ratpoly``'s packed format: its width rule (digits stored at the
-``_byte_width`` of the coefficients' exact ``_width``), its readout
-``_digits``, and its bit count ``_exact_bits``.  The caps count terms, and
-the bits that each row would take packed alone at the exact width,
-whatever the runs hold.  No polynomial on the way spans more digits than
-its layout's ``span``, so where the span lies within both caps a step
-takes one comparison, and only past that bound are the steps counted.  The readout
-gives every polynomial as one interleaved [c, t, u, ...] list in (t, u)
-order, which ``cli`` prints with one format call.
+shift and one subtraction per run.  Runs that share a row become one by
+``ratpoly._band_sum``, and neighbouring runs join only across at most
+_SLACK_BITS empty bits, so T-sparse polynomials, and rows whose u-bands lie
+far apart, keep a run per row, as the T-expansion's packed rows in
+``ratpoly`` do.  The runs use ``ratpoly``'s packed format: its width rule
+(digits stored at the ``_byte_width`` of the coefficients' exact
+``_width``), its readout ``_digits``, and its bit count ``_exact_bits``.
+The caps count terms, and the bits that each row would take packed alone at
+the exact width, whatever the runs hold.  No polynomial on the way spans
+more digits than its layout's ``span``, so where the span lies within both
+caps a step takes one comparison, and only past that bound are the steps
+counted.  The readout gives every polynomial as one interleaved
+[c, t, u, ...] list in (t, u) order, which ``cli`` prints with one format
+call.
 ``ratpoly.ZetaRational._cleared`` imports this module when a cleared
 fraction is first asked for, so commands that print none do not load it.
 """
@@ -34,6 +35,7 @@ from operator import itemgetter, mul, sub
 from .errors import InvalidInput
 from .ratpoly import (
     MAX_PACKED_BITS,
+    _band_sum,
     _byte_width,
     _common_den,
     _digits,
@@ -123,7 +125,8 @@ def _joins(gap: int, parts: int, span: int) -> bool:
     bits between them, ``parts`` bits in the two, ``span`` bits from the
     lowest digit of one to the highest of the other.  They join across at
     most _SLACK_BITS empty bits, and only where those cost no more than
-    the two runs or the joined run is no longer than _SLACK_BITS."""
+    the two runs or the joined run is no longer than _SLACK_BITS.  Runs
+    that share a row are not joined but summed, by ``ratpoly._band_sum``."""
     return gap <= _SLACK_BITS and (gap <= parts or span <= _SLACK_BITS)
 
 
@@ -252,7 +255,8 @@ class _Layout:
         run, and most products are of one; its T^N copy lies above its u^nu
         copy, k n > nu, so ``add``'s rules come down to one shift and one
         subtraction, or the two copies apart, which it takes here in a few
-        steps instead of ``add``'s general merge."""
+        steps: ``ratpoly._band_sum``'s gap check, as the copies' lows differ
+        and no low digit cancels, and ``add``'s join rule."""
         n = N // self.g
         shift = self.k * n
         w = self.w
@@ -272,83 +276,39 @@ class _Layout:
         )
 
     def add(self, a: list, b: list) -> list:
-        """a + b, checked by ``within_cap``.  Runs that share a row become
-        one, so that each row is dense in its band as a packed row is;
-        InvalidInput, before allocating them, once the empty digits opened
-        between the bands in one row would exceed MAX_PACKED_BITS bits at
-        the exact width.  Neighbouring runs join by ``_joins``, the last one
-        with the one before it as long as they may: so a dense polynomial is
-        one run, while T-sparse ones, and rows whose bands lie far apart,
-        keep a run per row, and no run holds more than _SLACK_BITS empty
-        bits per row.  Each part is added to its run as it comes, shifted
-        onto the run's lowest digit, and a run whose digits cancel goes.
-        One run each that share a row, the most common sum, take one
-        shifted add and the same check."""
-        w = self.w
+        """a + b, checked by ``within_cap``, in one pass over the runs by
+        first row.  A run that shares a row with the last one is summed into
+        it by ``ratpoly._band_sum``, the one band-sum rule: InvalidInput,
+        before allocating them, once the empty digits opened between the
+        bands in one row would exceed MAX_PACKED_BITS bits at the exact
+        width, and the low digits that cancel are trimmed off, so each row
+        is dense in its band as a packed row is; a run whose digits all
+        cancel goes.  Any other run is appended.  The last run then joins
+        the one before it by ``_joins`` as long as they may: so a dense
+        polynomial is one run, while T-sparse ones, and rows whose bands lie
+        far apart, keep a run per row, and no run holds more than
+        _SLACK_BITS empty bits per row."""
         if not a or not b:
             return self.within_cap(a or b)
+        w = self.w
         spare = MAX_PACKED_BITS // self.exact
-        if len(a) == 1 == len(b):
-            (j0, j1, e, v), (i0, i1, f, x) = a[0], b[0]
-            if i0 <= j1 and j0 <= i1:  # one run each, sharing a row: one shifted add
-                if max(f - e - v.bit_length() // w, e - f - x.bit_length() // w) - 1 > spare:
-                    raise _too_many_bits()
-                low = min(e, f)
-                v = (v << w * (e - low)) + (x << w * (f - low))
-                if e == f:
-                    if not v:
-                        return []
-                    zeros = ((v & -v).bit_length() - 1) // w
-                    v >>= w * zeros
-                    low += zeros
-                return self.within_cap([(min(j0, i0), max(j1, i1), low, v)])
-        # [j0, j1, lowest digit, highest digit, bits of the parts, sum,
-        #  whether two parts start at the lowest digit, which may cancel]
         runs = []
         for j0, j1, e, v in sorted(a + b, key=itemgetter(0)):
-            bits = v.bit_length()
-            top = e + bits // w
             if runs and j0 <= runs[-1][1]:
-                last = runs[-1]
-                low = last[2]
-                gap = max(e - last[3], low - top) - 1
-                if gap > 0:
-                    spare -= gap
-                    if spare < 0:
-                        raise _too_many_bits()
-                if e > low:
-                    last[5] += v << w * (e - low)
-                elif e < low:
-                    last[2], last[5], last[6] = e, (last[5] << w * (low - e)) + v, False
-                else:
-                    last[5] += v
-                    last[6] = True
-                if j1 > last[1]:
-                    last[1] = j1
-                if top > last[3]:
-                    last[3] = top
-                last[4] += bits
-            else:
-                runs.append([j0, j1, e, top, bits, v, False])
-            while len(runs) > 1:  # rows apart: join the last run down while it may
-                below, above = runs[-2], runs[-1]
-                if not _joins((above[2] - below[3] - 1) * w, below[4] + above[4],
-                              (above[3] - below[2] + 1) * w):
-                    break
-                runs.pop()
-                below[5] += above[5] << w * (above[2] - below[2])
-                below[1], below[3] = above[1], above[3]
-                below[4] += above[4]
-        out = []
-        for j0, j1, low, _, _, v, shared in runs:
-            if shared:
+                i0, i1, low, x = runs.pop()
+                e, v, spare = _band_sum(low, x, e, v, w, spare)
                 if not v:
                     continue
-                zeros = ((v & -v).bit_length() - 1) // w
-                v >>= w * zeros
-                low += zeros
-            out.append((j0, j1, low, v))
-        return self.within_cap(out)
+                j0, j1 = i0, max(i1, j1)
+            runs.append((j0, j1, e, v))
+            while len(runs) > 1:  # rows apart: join the last run down while it may
+                (i0, _, low, x), (_, i1, e, v) = runs[-2:]
+                below, above = x.bit_length(), v.bit_length()
+                if not _joins((e - low - below // w - 1) * w, below + above,
+                              (e + above // w - low + 1) * w):
+                    break
+                runs[-2:] = [(i0, i1, low, x + (v << w * (e - low)))]
+        return self.within_cap(runs)
 
     def within_cap(self, runs: list) -> list:
         """runs, or InvalidInput once they hold more than MAX_CLEARED_TERMS
@@ -454,15 +414,15 @@ def cleared_fraction(terms) -> tuple:
         return _Layout((), [den_u], exact), [], one
     layout = _Layout(factors, [den_u, *groups.values()], exact)
     index = {f: i for i, (f, _) in enumerate(factors)}
-    pending = {(): []}  # (factor index, multiplicity) pairs still held -> partial sum
+    pending = {}  # (factor index, multiplicity) pairs still held -> partial sum
     joining = {}  # index of the first factor -> [(held pairs, poly, T shift)]
     for group, poly in groups.items():
         held = tuple((index[f], group.count(f)) for f in dict.fromkeys(group))
         shift = sum(N for _, N in group)
         if held:
             joining.setdefault(held[0][0], []).append((held, poly, shift))
-        else:
-            pending[()] = layout.add(pending[()], layout.scaled(one, poly, shift))
+        else:  # the one factorless group
+            pending[()] = layout.within_cap(layout.scaled(one, poly, shift))
     prefix = one
     for i, ((nu, N), count) in enumerate(factors):
         merged = {}
@@ -477,9 +437,11 @@ def cleared_fraction(terms) -> tuple:
             powers.append(layout.times(powers[-1], nu, N))
         for held, poly, shift in joining.get(i, ()):
             joined = layout.scaled(powers[count - held[0][1]], poly, shift)
-            merged[held[1:]] = layout.add(merged.get(held[1:], []), joined)
+            rest = held[1:]
+            merged[rest] = (layout.add(merged[rest], joined) if rest in merged
+                            else layout.within_cap(joined))
         pending, prefix = merged, powers[-1]
-    num = pending[()]
+    num = pending.get((), [])
     if not num:
         return layout, num, one
     return layout, num, layout.within_cap(layout.scaled(prefix, den_u))

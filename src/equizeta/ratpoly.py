@@ -37,7 +37,8 @@ through one in-place adder, ``_add_shifted``.  The cleared fraction is a
 product of binomials u^nu - T^N, dense in T, so the ``cleared`` module
 packs runs of consecutive T-rows into one int under a skewed map that keeps
 each row clear of the next: a product by a binomial is then one shift and
-one subtraction per run.
+one subtraction per run.  Both sum two bands of one row by ``_band_sum``,
+which charges the gap between them and trims the low digits that cancel.
 
 Canonicalisation strips the two primes that the engine's denominators are
 built from before any gcd: the power of u, read from the low zero
@@ -862,17 +863,19 @@ def _times_geometric(series: dict, nu: int, N: int, order: int, w: int, exact: i
             if t + N > order:
                 break
             if t in series:
-                low, v, spare = _merge_bands(low, v, *series[t], w, spare)
+                low, v, spare = _band_sum(low, v, *series[t], w, spare)
     return product
 
 
-def _merge_bands(low_a: int, a: int, low_b: int, b: int, w: int, spare: int):
-    """The sum of the packed rows (low_a, a) and (low_b, b) of width w as
-    (low, v, spare): one aligned shift and one int add.  spare counts the
+def _band_sum(low_a: int, a: int, low_b: int, b: int, w: int, spare: int):
+    """The sum of the packed rows (low_a, a) and (low_b, b) of width w, two
+    bands of one row, as (low, v, spare): one aligned shift and one int add.
+    This is the one band-sum rule of both packed drivers.  spare counts the
     empty digits that MAX_PACKED_BITS still allows at the exact width; the
     digits between the top of the lower band and the bottom of the higher
     one are charged to it before the shift, and InvalidInput is raised once
-    it falls below 0."""
+    it falls below 0.  Bands with the same low may cancel there: the low
+    digits that cancel are trimmed off, and v = 0 when every digit does."""
     if low_b < low_a:
         low_a, a, low_b, b = low_b, b, low_a, a
     gap = low_b - low_a - a.bit_length() // w - 1
@@ -880,7 +883,11 @@ def _merge_bands(low_a: int, a: int, low_b: int, b: int, w: int, spare: int):
         spare -= gap
         if spare < 0:
             raise _too_many_bits()
-    return low_a, a + (b << w * (low_b - low_a)), spare
+    v = a + (b << w * (low_b - low_a))
+    if low_a < low_b or v & ((1 << w) - 1) or not v:
+        return low_a, v, spare
+    zeros = ((v & -v).bit_length() - 1) // w
+    return low_a + zeros, v >> w * zeros, spare
 
 
 def _add_shifted(acc: dict, rows: dict, poly: tuple, w: int, exact: int) -> dict:
@@ -894,7 +901,6 @@ def _add_shifted(acc: dict, rows: dict, poly: tuple, w: int, exact: int) -> dict
     if not any(poly):
         return acc
     low_p, p = _pack(poly, w)
-    mask = (1 << w) - 1
     spare = MAX_PACKED_BITS // exact - (len(poly) - 1 - low_p) * len(rows)
     if spare < 0:
         raise _too_many_bits()
@@ -902,18 +908,10 @@ def _add_shifted(acc: dict, rows: dict, poly: tuple, w: int, exact: int) -> dict
         low += low_p
         v *= p
         if t in acc:
-            low_a, a = acc[t]
-            if low == low_a:
-                v += a
-                if not v & mask:
-                    if not v:
-                        del acc[t]
-                        continue
-                    zeros = ((v & -v).bit_length() - 1) // w
-                    v >>= w * zeros
-                    low += zeros
-            else:
-                low, v, spare = _merge_bands(low_a, a, low, v, w, spare)
+            low, v, spare = _band_sum(*acc[t], low, v, w, spare)
+            if not v:
+                del acc[t]
+                continue
         acc[t] = low, v
     return acc
 
@@ -1065,11 +1063,11 @@ class ZetaRational:
 
     @cached_property
     def num(self) -> BiPoly:
-        return _bipoly(self.cleared_terms()[0])
+        return _bipoly(self._cleared[0].terms(self._cleared[1]))
 
     @cached_property
     def den(self) -> BiPoly:
-        return _bipoly(self.cleared_terms()[1])
+        return _bipoly(self._cleared[0].terms(self._cleared[2]))
 
     def __repr__(self):
         return f"ZetaRational({self.terms!r})"

@@ -7,7 +7,9 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
 
-from equizeta import cleared
+from operator import itemgetter
+
+from equizeta import cleared, ratpoly
 from equizeta.cohomology import F2Matrix, SpectralPage
 from equizeta.errors import InvalidInput, NotExpandable, RankTooLarge, TailMismatch
 from equizeta.gspace import (
@@ -369,6 +371,122 @@ def counted_within_cap(layout, runs: list) -> list:
     ):
         raise cleared._too_many_bits()
     return runs
+
+
+def merged_bands(low_a: int, a: int, low_b: int, b: int, w: int, spare: int):
+    """The sum of two bands of one packed row as (low, v, spare), by the rule
+    that ``ratpoly._band_sum`` replaced: the empty digits between the bands
+    charged to spare before the shift, and no trim."""
+    if low_b < low_a:
+        low_a, a, low_b, b = low_b, b, low_a, a
+    gap = low_b - low_a - a.bit_length() // w - 1
+    if gap > 0:
+        spare -= gap
+        if spare < 0:
+            raise ratpoly._too_many_bits()
+    return low_a, a + (b << w * (low_b - low_a)), spare
+
+
+def reference_add_shifted(acc: dict, rows: dict, poly: tuple, w: int, exact: int) -> dict:
+    """``ratpoly._add_shifted`` with its own mask, add and trim for bands of
+    equal low, and ``merged_bands`` for the others; MAX_PACKED_BITS is read
+    from ``ratpoly`` at each call."""
+    if not any(poly):
+        return acc
+    low_p, p = ratpoly._pack(poly, w)
+    mask = (1 << w) - 1
+    spare = ratpoly.MAX_PACKED_BITS // exact - (len(poly) - 1 - low_p) * len(rows)
+    if spare < 0:
+        raise ratpoly._too_many_bits()
+    for t, (low, v) in rows.items():
+        low += low_p
+        v *= p
+        if t in acc:
+            low_a, a = acc[t]
+            if low == low_a:
+                v += a
+                if not v & mask:
+                    if not v:
+                        del acc[t]
+                        continue
+                    zeros = ((v & -v).bit_length() - 1) // w
+                    v >>= w * zeros
+                    low += zeros
+            else:
+                low, v, spare = merged_bands(low_a, a, low, v, w, spare)
+        acc[t] = low, v
+    return acc
+
+
+def reference_layout_add(layout, a: list, b: list) -> list:
+    """``cleared._Layout.add`` by the general merge that the fold over
+    ``ratpoly._band_sum`` replaced: one record [j0, j1, lowest digit, highest
+    digit, bits of the parts, sum, whether two parts start at the lowest
+    digit] per run, the gap to each part charged against the bound on the
+    parts' digits, joins decided on the parts' bits, and cancelled low digits
+    trimmed only at the end; two one-run operands that share a row take one
+    shifted add.  MAX_PACKED_BITS is read from ``cleared`` at each call."""
+    w = layout.w
+    if not a or not b:
+        return layout.within_cap(a or b)
+    spare = cleared.MAX_PACKED_BITS // layout.exact
+    if len(a) == 1 == len(b):
+        (j0, j1, e, v), (i0, i1, f, x) = a[0], b[0]
+        if i0 <= j1 and j0 <= i1:
+            if max(f - e - v.bit_length() // w, e - f - x.bit_length() // w) - 1 > spare:
+                raise cleared._too_many_bits()
+            low = min(e, f)
+            v = (v << w * (e - low)) + (x << w * (f - low))
+            if e == f:
+                if not v:
+                    return []
+                zeros = ((v & -v).bit_length() - 1) // w
+                v >>= w * zeros
+                low += zeros
+            return layout.within_cap([(min(j0, i0), max(j1, i1), low, v)])
+    runs = []
+    for j0, j1, e, v in sorted(a + b, key=itemgetter(0)):
+        bits = v.bit_length()
+        top = e + bits // w
+        if runs and j0 <= runs[-1][1]:
+            last = runs[-1]
+            low = last[2]
+            gap = max(e - last[3], low - top) - 1
+            if gap > 0:
+                spare -= gap
+                if spare < 0:
+                    raise cleared._too_many_bits()
+            if e > low:
+                last[5] += v << w * (e - low)
+            elif e < low:
+                last[2], last[5], last[6] = e, (last[5] << w * (low - e)) + v, False
+            else:
+                last[5] += v
+                last[6] = True
+            last[1] = max(last[1], j1)
+            last[3] = max(last[3], top)
+            last[4] += bits
+        else:
+            runs.append([j0, j1, e, top, bits, v, False])
+        while len(runs) > 1:
+            below, above = runs[-2], runs[-1]
+            if not cleared._joins((above[2] - below[3] - 1) * w, below[4] + above[4],
+                                  (above[3] - below[2] + 1) * w):
+                break
+            runs.pop()
+            below[5] += above[5] << w * (above[2] - below[2])
+            below[1], below[3] = above[1], above[3]
+            below[4] += above[4]
+    out = []
+    for j0, j1, low, _, _, v, shared in runs:
+        if shared:
+            if not v:
+                continue
+            zeros = ((v & -v).bit_length() - 1) // w
+            v >>= w * zeros
+            low += zeros
+        out.append((j0, j1, low, v))
+    return layout.within_cap(out)
 
 
 def skewed(layout, rows: dict) -> list:

@@ -11,11 +11,14 @@ from helpers import (
     eval_fraction,
     flat_add_shifted,
     fraction_divmod,
+    merged_bands,
     packed,
     per_term_cleared,
     prs_canonical,
     prs_lcm_fold,
     recurrence_laurent,
+    reference_add_shifted,
+    reference_layout_add,
     run_digit_count,
     series_values_match,
     shifted_copy_expand,
@@ -40,6 +43,7 @@ from equizeta.ratpoly import (
     TSeries,
     ZetaRational,
     _add_shifted,
+    _band_sum,
     _check_span,
     _cofactors,
     _common_den,
@@ -337,6 +341,54 @@ class TestClearedBound:
         for a, b in (([(0, 0, 0, 1)], [(0, 0, 66, 1)]), ([(0, 0, 66, 1)], [(0, 0, 0, 1)])):
             with pytest.raises(InvalidInput, match="MAX_PACKED_BITS"):
                 layout.add(a, b)
+
+    def test_num_and_den_each_read_one_polynomial(self, monkeypatch):
+        readouts = []
+        terms = _Layout.terms
+
+        def counted(layout, runs):
+            readouts.append(len(runs))
+            return terms(layout, runs)
+
+        monkeypatch.setattr(_Layout, "terms", counted)
+        z = denef_loeser(catalog.get("gk(14,+,-)"), "naive")
+        _ = z.num, z.den
+        assert len(readouts) == 2
+
+    def test_a_fold_drops_a_run_whose_digits_cancel(self):
+        # 1, 2 u T and -2 u T, 3 u^2 T^2: the middle pair cancels.  Where
+        # rows lie close the three rows are one run, the middle one empty;
+        # where nu = 1000 sets them far apart, the middle run goes and its
+        # neighbours stay apart
+        for nu, want in (
+            (1, [(0, 2, 0, 1 + (3 << 48))]),
+            (1000, [(0, 0, 0, 1), (2, 2, 2004, 3)]),
+        ):
+            layout = _Layout([((nu, 1), 2)], [(1,)], 8)
+            k = layout.k
+            runs = layout.add([(0, 0, 0, 1), (1, 1, k + 1, 2)],
+                              [(1, 1, k + 1, -2), (2, 2, 2 * k + 2, 3)])
+            assert runs == want
+            assert layout.terms(runs) == [1, 0, 0, 3, 2, 2]
+
+
+class TestBandSum:
+    def test_equal_bands_that_cancel_give_zero(self):
+        assert _band_sum(3, 5 - (7 << 8), 3, -5 + (7 << 8), 8, 10) == (3, 0, 10)
+
+    def test_a_partial_cancel_trims_and_moves_low(self):
+        # (1 + 2u) + (-1 + 3u) = 5u: the cancelled digit goes, low moves up one
+        assert _band_sum(4, 1 + (2 << 8), 4, -1 + (3 << 8), 8, 10) == (5, 5, 10)
+        assert _band_sum(4, 1 + (2 << 8), 4, 1, 8, 10) == (4, 2 + (2 << 8), 10)
+
+    def test_a_gap_of_spare_digits_passes_and_one_more_raises(self):
+        # 1 and u^(spare + 1) open spare empty digits between them
+        spare = 5
+        for a, b in (((0, 1), (6, 1)), ((6, 1), (0, 1))):
+            assert _band_sum(*a, *b, 8, spare) == (0, 1 + (1 << 48), 0)
+        for a, b in (((0, 1), (7, 1)), ((7, 1), (0, 1))):
+            with pytest.raises(InvalidInput, match="MAX_PACKED_BITS"):
+                _band_sum(*a, *b, 8, spare)
 
 
 sparse_rows = st.dictionaries(
@@ -887,6 +939,73 @@ def test_caps_refuse_as_counting_every_step(terms, max_terms, max_bits):
         got = cleared_outcome(terms)
         patch.setattr(_Layout, "within_cap", counted_within_cap)
         assert got == cleared_outcome(terms)
+
+
+SPARSE_NS = [1, 2, 3, 4, 6, 12, 50, 400]
+far_nu = st.integers(1, 6) | st.integers(1, 5000)
+
+
+@st.composite
+def far_apart_sums(draw):
+    """(terms, other, order): two sums of up to 4 terms over one pool of up
+    to 4 factors whose nu lie far apart, 1 to 5000, and whose N are in
+    SPARSE_NS, so that both packed drivers hold T-sparse rows whose bands
+    lie far apart.  A term may come with its negation on a factor of the
+    same N and another nu, whose products cancel whole rows."""
+    pool = draw(st.lists(st.tuples(far_nu, st.sampled_from(SPARSE_NS)),
+                         min_size=1, max_size=4, unique=True))
+
+    def term_sum():
+        terms = []
+        for _ in range(draw(st.integers(1, 4))):
+            num = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+            coeff = RatFunc(num, draw(st.sampled_from([(1,), (0, 1)])))
+            factors = draw(st.lists(st.sampled_from(pool), max_size=3))
+            terms.append((coeff, factors))
+            if factors and draw(st.booleans()):
+                terms.append((-coeff, [(draw(far_nu), factors[0][1]), *factors[1:]]))
+        return terms
+
+    order = draw(st.integers(0, 40) | st.sampled_from([400, 450]))
+    return term_sum(), term_sum(), order
+
+
+def packed_outcomes(terms, other, order):
+    """The cleared terms, the T-series through ``order`` and the first
+    difference from ``other``, each or the text of its InvalidInput."""
+    out = []
+    for step in (
+        lambda: ZetaRational(terms).cleared_terms(),
+        lambda: ZetaRational(terms).t_series(order),
+        lambda: ZetaRational(terms).first_difference(ZetaRational(other)),
+    ):
+        try:
+            out.append(step())
+        except InvalidInput as exc:
+            out.append(str(exc))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    far_apart_sums(),
+    st.integers(2, 64) | st.just(MAX_CLEARED_TERMS),
+    st.integers(64, 4096) | st.just(ratpoly.MAX_PACKED_BITS),
+    st.integers(64, 4096) | st.just(ratpoly.MAX_PACKED_BITS),
+)
+def test_band_sums_match_the_merges_they_replaced(case, max_terms, cleared_bits, series_bits):
+    # one band-sum rule, ``_band_sum``, in both drivers gives the terms,
+    # series and refusals of the separate merges it replaced, wherever the
+    # caps lie
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cleared, "MAX_CLEARED_TERMS", max_terms)
+        patch.setattr(cleared, "MAX_PACKED_BITS", cleared_bits)
+        patch.setattr(ratpoly, "MAX_PACKED_BITS", series_bits)
+        got = packed_outcomes(*case)
+        patch.setattr(_Layout, "add", reference_layout_add)
+        patch.setattr(ratpoly, "_add_shifted", reference_add_shifted)
+        patch.setattr(ratpoly, "_band_sum", merged_bands)
+        assert got == packed_outcomes(*case)
 
 
 BIG = 1 << 200
