@@ -254,11 +254,12 @@ class SpectralPage:
     A page is closed-form rows plus sparse offsets.  Row q is a triple
     ``(zero, odd, even)``: its dimension is ``zero`` at p = 0, ``odd`` at odd
     p and ``even`` at even p < 0, for every p in the window p_min <= p <= 0,
-    and 0 outside it.  ``_offsets`` adds to that, position by position: minus
-    the ranks that differentials subtracted, each inside a row's window, or
-    every entry of a page built from a mapping of dimensions, which has no
-    rows.  So a page holds its rows and declarations, not one entry per
-    degree of its window; ``dims`` lists every nonzero entry when asked for.
+    and 0 outside it.  ``_offsets`` adds to that, position by position, each
+    inside a row's window: minus the ranks that differentials subtracted, or
+    every entry of a page built from a mapping of dimensions, whose rows are
+    zero rows at the q it lists over the window of its lowest p.  So a page
+    holds its rows and declarations, not one entry per degree of its window;
+    ``dims`` lists every nonzero entry when asked for.
     """
 
     __slots__ = ("_p_min", "_rows", "_offsets")
@@ -272,8 +273,8 @@ class SpectralPage:
                 raise ValueError("negative dimension")
             if d:
                 clean[(p, q)] = d
-        object.__setattr__(self, "_p_min", 0)
-        object.__setattr__(self, "_rows", {})
+        object.__setattr__(self, "_p_min", min((p for p, _ in clean), default=0))
+        object.__setattr__(self, "_rows", dict.fromkeys((q for _, q in clean), (0, 0, 0)))
         object.__setattr__(self, "_offsets", clean)
 
     @classmethod
@@ -282,9 +283,8 @@ class SpectralPage:
         check, for values already in the form described above: p_min <= 0,
         every row at a q >= 0 with non-negative dimensions, and every offset
         nonzero, at a position with p <= 0 and q >= 0 whose dimension, row
-        value plus offset, is not negative, and inside a row's window unless
-        there are no rows.  The caller guarantees that invariant and gives
-        up both dicts."""
+        value plus offset, is not negative, and inside a row's window.  The
+        caller guarantees that invariant and gives up both dicts."""
         self = object.__new__(cls)
         object.__setattr__(self, "_p_min", p_min)
         object.__setattr__(self, "_rows", rows)
@@ -297,10 +297,11 @@ class SpectralPage:
     @property
     def dims(self) -> dict:
         """Every nonzero dimension by position, in a new dict: one entry per
-        p in the window of each row, so built only when asked for."""
+        p in the window of each nonzero row, so built only when asked for.
+        The zero rows of a page built from a mapping add no entry."""
         dims = {}
         for q, (zero, odd, even) in self._rows.items():
-            for p in range(self._p_min, 1):
+            for p in range(self._p_min, 1) if zero or odd or even else ():
                 d = zero if p == 0 else odd if p % 2 else even
                 if d:
                     dims[(p, q)] = d
@@ -430,8 +431,7 @@ def apply_differentials(
         else:
             offsets[tgt] = off_tgt - rank
     # a nonzero rank only lowers entries of the page that hold at least that
-    # rank, so every offset stays inside a row's window or on a page that
-    # has no rows
+    # rank, so every offset stays inside a row's window
     return SpectralPage._clean(p_min, rows, offsets)
 
 
@@ -492,15 +492,9 @@ def _totals(page: SpectralPage, degrees: Sequence[int]) -> dict:
     Each row adds its value, and its offsets, at the degrees that its window
     p_min + q <= n <= q covers, found by bisection, so the work is at most
     rows * (1 - p_min) however many degrees are asked for, and no offset
-    outside those degrees is read.  A page with no rows holds its entries as
-    offsets, and they are scanned."""
+    outside those degrees is read."""
     totals = dict.fromkeys(degrees, 0)
     offsets = page._offsets
-    if not page._rows:
-        for (p, q), d in offsets.items():
-            if p + q in totals:
-                totals[p + q] += d
-        return totals
     for q, (zero, odd, even) in page._rows.items():
         for n in degrees[bisect_left(degrees, page._p_min + q):bisect_right(degrees, q)]:
             p = n - q
@@ -511,10 +505,9 @@ def _totals(page: SpectralPage, degrees: Sequence[int]) -> dict:
 def _degree_span(page: SpectralPage) -> Tuple[int, int]:
     """The lowest and highest total degree at which ``page`` may be nonzero;
     lowest > highest for an empty page."""
-    if page._rows:
-        return page._p_min + min(page._rows), max(page._rows)
-    degrees = [p + q for p, q in page._offsets]
-    return min(degrees, default=1), max(degrees, default=0)
+    if not page._rows:
+        return 1, 0
+    return page._p_min + min(page._rows), max(page._rows)
 
 
 def betti_series(page: SpectralPage, tail: TailSpec) -> RatFunc:

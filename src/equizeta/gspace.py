@@ -98,7 +98,9 @@ _AFFINE_RE = re.compile(r"^affine(_trivial)?\((\d+)\)$")
 
 
 def atom_value(name: str) -> RatFunc:
-    """Series of a catalog atom; UnknownAtom for anything else."""
+    """Series of a catalog atom; UnknownAtom for anything else.
+    affine_trivial(n) is u^n and affine(n) is u^(n+1)/(u-1), both built
+    canonical by ``ratpoly._laurent_over``, with no gcd step."""
     if name in _FIXED_ATOMS:
         return _FIXED_ATOMS[name]
     m = _AFFINE_RE.match(name)
@@ -108,8 +110,8 @@ def atom_value(name: str) -> RatFunc:
     if len(digits) > 9 or int(digits) > MAX_AFFINE:
         raise UnknownAtom(f"atom {name!r}: affine dimension above {MAX_AFFINE}")
     if trivial:
-        return RatFunc.monomial(int(digits))
-    return RatFunc.monomial(int(digits) + 1) / RatFunc.poly((-1, 1))
+        return _laurent_over(int(digits), (1,), (1,))
+    return _laurent_over(int(digits) + 1, (1,), (-1, 1))
 
 
 def beta_value(expr: GSpace) -> RatFunc:

@@ -46,14 +46,13 @@ coefficients, and the power of u - 1 that num and den share, found by
 synthetic division at the root u = 1 (the coefficients sum to 0 exactly when
 u - 1 divides).  The primitive PRS runs only on what is left of num and den,
 only when both of those are non-constant, and only when Euclid on their
-images modulo the prime 2^61 - 1 does not already show them coprime.  Series
-coefficients are Laurent polynomials over small denominators such as u^s,
-and G-space values are fractions over powers of u and u - 1, so most of them
-need no PRS at all.  Laurent polynomials over the denominator 1 or u - 1
-(``_laurent_over``, which builds the engine's series coefficients, the arc
-oracle's and the G-space values) and canonical values times a power of
-u - 1 are canonical by construction and skip even the strips
-(``RatFunc._reduced``).
+images modulo the prime 2^61 - 1 does not already show them coprime.
+Laurent polynomials over the denominator 1 or u - 1 (``_laurent_over``,
+which builds the engine's series coefficients, the arc oracle's, the
+G-space values and the affine atoms) and canonical values times a power of
+u - 1 are canonical by construction and skip the gcd step altogether
+(``RatFunc._reduced``), so ``_canonical`` serves parsed ``rational`` values
+and the public ``RatFunc`` arithmetic only.
 """
 
 from __future__ import annotations
@@ -293,14 +292,6 @@ def _coprime_mod_p(a: tuple, b: tuple) -> bool:
     return len(x) == 1
 
 
-def _is_u_minus_1_power(p: tuple) -> bool:
-    """True when p is a constant times (u - 1)^j, j = deg p.  The top
-    coefficient fixes the rest: c (u-1)^j is the one polynomial of degree j
-    whose coefficients satisfy (j - k + 1) p_(k-1) = -k p_k for k = 1..j."""
-    j = len(p) - 1
-    return all((j - k + 1) * p[k - 1] == -k * p[k] for k in range(1, j + 1))
-
-
 def _cofactors(a: tuple, b: tuple):
     """(a / g, b / g) for g = pgcd(a, b), a and b nonzero: the one gcd step.
 
@@ -309,12 +300,8 @@ def _cofactors(a: tuple, b: tuple):
     share, by synthetic division at u = 1 of both while both are divisible.
     Both factors are prime, so what is left, A and B, has no common factor u
     or u - 1, and g is u^min (u-1)^min gcd(A, B).  The primitive PRS runs on
-    A and B only: not when either is a constant, not when B is a constant
-    times a power of u - 1 (``_is_u_minus_1_power``), and not when their
-    images mod 2^61 - 1 show them coprime (``_coprime_mod_p``).  A
-    non-constant B = c (u-1)^j has u - 1 as its only prime factor and is
-    divisible by it, so the shared strip stopped because u - 1 does not
-    divide A: A and B share no non-constant factor."""
+    A and B only: not when either is a constant, and not when their images
+    mod 2^61 - 1 show them coprime (``_coprime_mod_p``)."""
     va, vb = _valuation(a), _valuation(b)
     v = min(va, vb)
     a, b = a[va:], b[vb:]
@@ -323,8 +310,7 @@ def _cofactors(a: tuple, b: tuple):
         if qa is None or qb is None:
             break
         a, b = qa, qb
-    if (len(a) > 1 and len(b) > 1 and not _is_u_minus_1_power(b)
-            and not _coprime_mod_p(a, b)):
+    if len(a) > 1 and len(b) > 1 and not _coprime_mod_p(a, b):
         g = pgcd(a, b)
         if g != (1,):
             a, b = pdivexact(a, g), pdivexact(b, g)
@@ -609,8 +595,9 @@ class BiPoly:
 def _lcm_fold(polys):
     """LCM over Z of u-polynomials with positive leading coefficients:
     out * p / (c g) with g = pgcd(out, p) from ``_cofactors`` and c the gcd
-    of their contents."""
-    out = (1,)
+    of their contents, folded from the first polynomial ((1,) for none)."""
+    polys = iter(polys)
+    out = next(polys, (1,))
     for p in polys:
         c = gcd(pcontent(out), pcontent(p))
         rest = _cofactors(out, p)[1]
@@ -1110,10 +1097,14 @@ class TSeries:
 
     @classmethod
     def from_json(cls, obj) -> "TSeries":
-        if not isinstance(obj, dict) or "coeffs" not in obj:
-            raise SchemaError("series must be {order, coeffs}")
-        coeffs = [RatFunc.from_json(c) for c in obj["coeffs"]]
-        if obj.get("order") is not None and obj["order"] != len(coeffs) - 1:
+        """A series from {order, coeffs}: SchemaError unless coeffs is a
+        non-empty array and order, if given, is the integer len(coeffs) - 1."""
+        coeffs = obj.get("coeffs") if isinstance(obj, dict) else None
+        if not isinstance(coeffs, list) or not coeffs:
+            raise SchemaError("series must be {order, coeffs} with at least one coefficient")
+        coeffs = [RatFunc.from_json(c) for c in coeffs]
+        order = obj.get("order")
+        if order is not None and (type(order) is not int or order != len(coeffs) - 1):
             raise SchemaError("series order does not match coefficient count")
         return cls(coeffs)
 

@@ -16,11 +16,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_properties import variants_of
 
-from equizeta import catalog, cleared, cli, cohomology, ratpoly
+from equizeta import catalog, cleared, cli, cohomology, ratpoly, zeta
 from equizeta.cli import _emit, build_parser, main
-from equizeta.errors import InvalidInput
+from equizeta.errors import EquizetaError, InvalidInput
+from equizeta.gspace import expr_from_json
 from equizeta.ratpoly import BiPoly, RatFunc, TSeries, ZetaRational, pmul
-from equizeta.resolution import parse, resolution_to_json, serialize
+from equizeta.resolution import parse, resolution_from_json, resolution_to_json, serialize
 from equizeta.zeta import denef_loeser
 
 
@@ -613,7 +614,76 @@ class TestCatalogAndCohomology:
         assert code == 3 and "not UTF-8" in err
 
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+def atom(name):
+    return {"kind": "atom", "name": name}
+
+
+# Strata valued by affine atoms and by every closure operation over named
+# atoms, with both signed variants; CI's console-script step writes the same
+# resolution.
+NAMED_ATOMS = {
+    "name": "affine", "group": {"order": 2, "generators": [[2, 1, 3]]},
+    "divisors": [{"id": 1, "N": 2, "nu": 1, "zero_fiber": True},
+                 {"id": 2, "N": 2, "nu": 1, "zero_fiber": True},
+                 {"id": 3, "N": 1, "nu": 2, "zero_fiber": False}],
+    "strata": [
+        {"I": [1], "beta": {"kind": "product_punctured", "base": atom("affine(3)"), "m": 1},
+         "beta_plus": atom("affine_trivial(2)"), "beta_minus": atom("affine(3)")},
+        {"I": [1, 3],
+         "beta": {"kind": "closed_complement", "whole": atom("affine(3)"),
+                  "closed_part": atom("point_fixed")},
+         "beta_plus": {"kind": "product_affine", "base": atom("affine_trivial(2)"), "n": 2}},
+        {"I": [1, 2],
+         "beta": {"kind": "disjoint_union", "parts": [
+             atom("affine(3)"), atom("affine_trivial(2)"),
+             {"kind": "product_affine", "base": atom("circle_with_fixed_point"), "n": 1}]},
+         "beta_minus": {"kind": "product_punctured", "base": atom("affine_trivial(2)"), "m": 2}},
+    ],
+}
+
+
+def engine_argvs(named_atoms_path):
+    """Every sample fixture and the named-atom file in each variant it
+    carries, in all four ``compute`` formats and compared with itself and
+    with the next input; the oracle on invariant monomial germs; the three
+    built-in pipelines."""
+    inputs = catalog.sample_names() + [named_atoms_path]
+    for lhs, rhs in zip(inputs, inputs[1:] + inputs[:1]):
+        res = resolution_from_json(NAMED_ATOMS) if lhs == named_atoms_path else catalog.get(lhs)
+        for variant in variants_of(res):
+            for fmt in ("display", "json", "rational"):
+                yield ["compute", "--variant", variant, "--format", fmt, "--", lhs]
+            yield ["compute", "--variant", variant, "--format", "series", "--expand", "8", "--", lhs]
+            yield ["compare", "--variant", variant, "--", lhs, lhs]
+            yield ["compare", "--variant", variant, "--", lhs, rhs]
+    for germ in (["--exponents", "2", "--action", "-1"],
+                 ["--exponents", "1,1", "--trivial-group"],
+                 ["--exponents", "2,2", "--sign", "-1", "--action", "-1,1"]):
+        for variant in zeta.VARIANTS:
+            yield ["oracle", *germ, "--variant", variant]
+    for pipeline in ("sphere_free", "sphere_fixed", "circle_fixed"):
+        yield ["cohomology", pipeline]
+
+
+def test_engine_commands_take_no_gcd_step(tmp_path, monkeypatch):
+    # every value the engine builds is canonical by construction, so the gcd
+    # step serves parsed rational values and the public RatFunc arithmetic
+    # only
+    path = tmp_path / "affine.json"
+    path.write_text(json.dumps(NAMED_ATOMS))
+    argvs = list(engine_argvs(str(path)))
+
+    def gcd_step(*args):
+        raise AssertionError("gcd step taken")
+
+    for name in ("_canonical", "pgcd", "_coprime_mod_p"):
+        monkeypatch.setattr(ratpoly, name, gcd_step)
+    for argv in argvs:
+        code, out, err = call(argv)
+        assert code in (0, 1) and out and not err, (argv, code, err)
+
+
+SRC =Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.mark.parametrize("argv, code, first_line", [
@@ -1216,3 +1286,30 @@ class TestBoundaryFuzz:
         assert result[0] in (0, 2, 3)
         if result[0]:
             assert_one_error(result, result[0])
+
+
+# The fields of the public JSON readers, so that drawn objects reach past
+# their first check.
+READER_KEYS = ["num", "den", "order", "coeffs", "dim", "group_order", "action", "stable_below",
+               "tail_dim", "explicit", "kind", "name", "value", "parts", "whole",
+               "closed_part", "base", "n", "m"]
+reader_json = st.recursive(
+    st.integers(-8, 8) | st.floats(width=16) | st.booleans() | st.none()
+    | st.sampled_from(["1", "-2", "01", "x", "atom", "rational", "disjoint_union",
+                       "closed_complement", "product_affine", "product_punctured",
+                       "point_fixed", "affine(2)"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(READER_KEYS) | st.text(max_size=2), inner, max_size=4),
+    max_leaves=8,
+)
+READERS = [RatFunc.from_json, TSeries.from_json, cohomology.CyclicGModule.from_json,
+           cohomology.TailSpec.from_json, expr_from_json]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(READERS), reader_json)
+def test_public_json_readers_refuse_only_through_equizeta_errors(read, obj):
+    try:
+        read(obj)
+    except EquizetaError:
+        pass

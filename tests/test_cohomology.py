@@ -1,4 +1,5 @@
 import json
+import time
 from unittest import mock
 
 import pytest
@@ -269,6 +270,14 @@ class TestPages:
         with pytest.raises(InvalidInput):
             hs_e2_page(homology, p_min)
 
+    def test_a_page_from_a_mapping_lists_its_entries_at_once(self):
+        # its zero rows span the window down to the lowest p, which dims
+        # does not walk
+        entries = {(-10**7, 0): 1, (0, 3): 2}
+        start = time.perf_counter()
+        assert SpectralPage(entries).dims == entries
+        assert time.perf_counter() - start < 0.5
+
     def test_deepest_page_window_runs(self):
         page = hs_e2_page([(0, TRIV1)], -MAX_PAGE_DEPTH)
         assert min(p for p, _ in page.dims) == -MAX_PAGE_DEPTH
@@ -326,6 +335,23 @@ class TestBettiSeries:
 
     def test_all_zero_page(self):
         assert betti_series(SpectralPage(), TailSpec(0, 0)) == RatFunc(0)
+
+    @pytest.mark.parametrize(
+        "build", [sphere_free_pipeline, sphere_fixed_pipeline, circle_fixed_pipeline]
+    )
+    def test_a_page_from_its_dims_has_the_same_series(self, build):
+        # a page built from a mapping holds every entry as an offset on zero
+        # rows, a pipeline's as closed-form rows less the declared ranks
+        seen = []
+
+        def recording(page, tail):
+            seen.append((page, tail))
+            return betti_series(page, tail)
+
+        with mock.patch.object(cohomology, "betti_series", recording):
+            series = run_pipeline(build())
+        (page, tail), = seen
+        assert betti_series(SpectralPage(page.dims), tail) == series
 
     @settings(max_examples=80, deadline=None)
     @given(
