@@ -22,10 +22,12 @@ gives the counts.  The recurrence is linear, so ``oracle_series`` starts it
 instead from W's numerator: u^k P(u), with P(0) != 0, laid reversed along m
 as the n = 0 row (C_0[0][m] = P_(deg P - m), y standing for 1/u).  Row n of
 the last table then already holds P(u) sum_m counts[n][m] u^-m, reversed, so
-no per-order product with W remains.  That is |S| passes of
-(order + 1) * (order // min N_i + deg P + 1) integer additions and no
-recursion.  The table is bounded before it is built: above
-``MAX_ORACLE_CELLS`` the request is an ``InvalidInput``.
+no per-order product with W remains.  Each row is one int in the packed
+format of ``ratpoly``, entry m its base-2^w digit m, so the table is |S|
+passes of order + 1 int additions and shifts, on rows of
+order // min N_i + deg P + 1 digits, and no recursion.  The table is
+bounded before it is built: above ``MAX_ORACLE_CELLS`` the request is an
+``InvalidInput``.
 
 For the signed variants the punctured-line factor is replaced by the set of
 leading-coefficient tuples solving sign * prod rho_i^(N_i) = +1 or -1.  That
@@ -47,24 +49,37 @@ valuation is moved into the power of u, which is what
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import add
+from math import prod
 from typing import Tuple
 
 from .errors import InvalidInput, NotInvariant
 from .gspace import MAX_AFFINE
-from .ratpoly import RatFunc, TSeries, _laurent_over, _valuation, pmonomial, ppow
+from .ratpoly import (
+    RatFunc,
+    TSeries,
+    _byte_width,
+    _digits,
+    _laurent_over,
+    _pack,
+    _valuation,
+    _width,
+    pmonomial,
+    ppow,
+)
 
 # Cap on the oracle's work, counted before anything is built as
 # (|S| + 1) * (order + 1) * (order // min N_i + len(seed)) cells, seed being
 # W's numerator less its power of u (one coefficient for the signed variants,
 # |S| or |S| + 1 for the naive one): |S| passes build the seeded order-vector
 # table and one reads the coefficients out of it, whose printed size grows
-# with the table's.  x*y*z on the trivial group passes at --order 1000 (about
-# 0.2 s in process, 6.6 MB of JSON) and is refused from 1022 on, its signed
-# variants from 1024 on.  A zero W builds no table but is held to the cap of
-# a one-coefficient seed: x^2 y^2 z^2's minus variant on the trivial group is
-# refused from 1448 on.
+# with the table's.  A cell is one digit of w bits in a packed row, w the
+# byte width of |seed|_1 * prod max(1, order // N_i), so the table holds at
+# most (order + 1) * (order // min N_i + len(seed)) * w bits.  x*y*z on the
+# trivial group passes at --order 1000 (about 0.1 s in process on a shared
+# 2-core host, most of it printing 6.6 MB of JSON; about 20 ms builds the
+# series) and is refused from 1022 on, its signed variants from 1024 on.  A
+# zero W builds no table but is held to the cap of a one-coefficient seed:
+# x^2 y^2 z^2's minus variant on the trivial group is refused from 1448 on.
 MAX_ORACLE_CELLS = 1 << 22
 
 
@@ -126,41 +141,41 @@ def _require_invariant(germ, action):
         raise NotInvariant("germ is not invariant under the given sign action")
 
 
-def _check_cells(weights: list, order: int, seed_len: int) -> int:
-    """The width of the order-vector table seeded with ``seed_len``
-    coefficients; InvalidInput when its cells would exceed MAX_ORACLE_CELLS."""
-    width = order // min(weights) + seed_len
-    cells = (len(weights) + 1) * (order + 1) * width
+def _check_cells(weights: list, order: int, seed_len: int):
+    """InvalidInput when the order-vector table seeded with ``seed_len``
+    coefficients would exceed MAX_ORACLE_CELLS cells."""
+    cells = (len(weights) + 1) * (order + 1) * (order // min(weights) + seed_len)
     if cells > MAX_ORACLE_CELLS:
         raise InvalidInput(
             f"arc order {order} needs {cells} table cells, "
             f"above the cap of {MAX_ORACLE_CELLS}"
         )
-    return width
 
 
-def _order_counts(germ: MonomialGerm, order: int, seed: tuple = (1,)) -> list:
+def _order_counts(germ: MonomialGerm, order: int, seed: tuple = (1,)) -> tuple:
     """The table C[n][m], for n <= order, by the recurrence in the module
-    docstring started from ``seed`` as the n = 0 row; the default seed 1
-    gives counts[n][m].
+    docstring started from ``seed`` as the n = 0 row, as (rows, w): row n
+    is one int whose balanced base-2^w digit m is C[n][m], the packed form
+    of ``ratpoly``.  The default seed 1 gives counts[n][m].
 
-    Every row lists m = 0 .. order // min N_i + len(seed) - 1; past
-    n // min N_i + len(seed) - 1, the largest m an order-n vector reaches
-    after the seed's shift, row n is 0.
+    An order-n vector over the first i coordinates has k_j <= order // N_j,
+    so no count exceeds prod max(1, order // N_i), no entry exceeds |seed|_1
+    times that, and w is the ``_byte_width`` that stores such digits.  A
+    pass is then one int add and one shift per row, and digit m of row n is
+    0 past n // min N_i + len(seed) - 1, the largest m an order-n vector
+    reaches after the seed's shift.
     """
     weights = [germ.exponents[i] for i in germ.support()]
-    width = _check_cells(weights, order, len(seed))
-    zero = [0] * width
-    table = [list(seed) + zero[len(seed):]] + [zero] * order
-    for w in weights:
-        new = [zero] * min(w, order + 1)
-        for n in range(w, order + 1):
-            row = [0]
-            row += map(add, table[n - w], new[n - w])
-            row.pop()  # m = width is beyond any order-n vector
-            new.append(row)
+    _check_cells(weights, order, len(seed))
+    bound = sum(map(abs, seed)) * prod(max(1, order // n) for n in weights)
+    w = _byte_width(_width(bound))
+    table = [_pack(seed, w)[1]] + [0] * order
+    for n_i in weights:
+        new = [0] * min(n_i, order + 1)
+        for n in range(n_i, order + 1):
+            new.append((table[n - n_i] + new[n - n_i]) << w)
         table = new
-    return table
+    return table, w
 
 
 def _leading_factor(germ: MonomialGerm, action: SignAction, variant: str) -> RatFunc:
@@ -249,17 +264,19 @@ def oracle_series(
     k = _valuation(wfac.num)
     seed = wfac.num[k:][::-1]
     top = k + len(seed) - 1
-    return TSeries([_read_row(row, top, wfac.den) for row in _order_counts(germ, order, seed)])
+    rows, w = _order_counts(germ, order, seed)
+    return TSeries([_read_row(v, w, top, wfac.den) for v in rows])
 
 
-def _read_row(row: list, top: int, den: tuple) -> RatFunc:
-    """u^top R(1/u) / den for the table row R, canonical (module docstring).
+def _read_row(v: int, w: int, top: int, den: tuple) -> RatFunc:
+    """u^top R(1/u) / den for the packed table row v of width w, R its
+    polynomial in y, canonical (module docstring).
 
     R(1/u) is u^-hi times the row's nonzero band lo..hi reversed, a
-    polynomial with nonzero ends.  The band is found at C speed, because most
-    of a row is zeros on one side of it or the other."""
-    band = list(compress(range(len(row)), row))
-    if not band:
+    polynomial with nonzero ends: lo is the count of v's trailing zero
+    digits, and ``_digits`` reads the band off at C speed."""
+    if not v:
         return RatFunc._reduced((), (1,))
-    lo, hi = band[0], band[-1]
-    return _laurent_over(top - hi, tuple(row[lo:hi + 1][::-1]), den)
+    lo = ((v & -v).bit_length() - 1) // w
+    band = _digits(v >> w * lo, w)
+    return _laurent_over(top - lo - len(band) + 1, tuple(band[::-1]), den)

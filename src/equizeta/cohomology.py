@@ -503,11 +503,15 @@ def _totals(page: SpectralPage, degrees: Sequence[int]) -> dict:
 
 
 def _degree_span(page: SpectralPage) -> Tuple[int, int]:
-    """The lowest and highest total degree at which ``page`` may be nonzero;
-    lowest > highest for an empty page."""
-    if not page._rows:
-        return 1, 0
-    return page._p_min + min(page._rows), max(page._rows)
+    """The lowest and highest total degree at which ``page`` may be nonzero,
+    from the windows p_min + q .. q of its nonzero rows and the degrees of
+    its offsets: a page built from a mapping, whose rows are all zero, spans
+    only its entries' degrees.  An empty page gives lowest > highest."""
+    degrees = [p + q for p, q in page._offsets]
+    for q, row in page._rows.items():
+        if any(row):
+            degrees += (page._p_min + q, q)
+    return (min(degrees), max(degrees)) if degrees else (1, 0)
 
 
 def betti_series(page: SpectralPage, tail: TailSpec) -> RatFunc:

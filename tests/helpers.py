@@ -7,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
 
-from operator import itemgetter
+from operator import add, itemgetter
 
 from equizeta import cleared, ratpoly
 from equizeta.cohomology import F2Matrix, SpectralPage
@@ -803,6 +803,32 @@ def order_vectors(weights, n):
         for tail in order_vectors(rest, n - head * k):
             yield (k,) + tail
         k += 1
+
+
+def reference_order_counts(germ, order, seed=(1,)):
+    """The table C[n][m] of ``arcs._order_counts`` as lists, by the same
+    recurrence added up entry by entry: each of the |S| passes sets
+    C_i[n][m] = C_(i-1)[n-N_i][m-1] + C_i[n-N_i][m-1], over rows of
+    order // min N_i + len(seed) entries."""
+    weights = [germ.exponents[i] for i in germ.support()]
+    width = order // min(weights) + len(seed)
+    zero = [0] * width
+    table = [list(seed) + zero[len(seed):]] + [zero] * order
+    for w in weights:
+        new = [zero] * min(w, order + 1)
+        for n in range(w, order + 1):
+            row = [0]
+            row += map(add, table[n - w], new[n - w])
+            row.pop()  # m = width is beyond any order-n vector
+            new.append(row)
+        table = new
+    return table
+
+
+def table_rows(rows: list, w: int) -> list:
+    """The packed rows of ``arcs._order_counts``, of digit width w, as
+    {m: C[n][m]} dicts with no zero entries, read by ``unpacked``."""
+    return list(unpacked({n: (0, v) for n, v in enumerate(rows)}, w).values())
 
 
 def enumerated_affine_sum(germ, n):

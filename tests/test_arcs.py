@@ -1,5 +1,6 @@
 import itertools
 import time
+from collections import Counter
 
 import pytest
 from helpers import (
@@ -8,8 +9,10 @@ from helpers import (
     enumerated_oracle_series,
     enumerated_orthants,
     order_vectors,
+    reference_order_counts,
+    table_rows,
 )
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from equizeta import arcs, catalog
@@ -26,7 +29,7 @@ from equizeta.arcs import (
     oracle_series,
 )
 from equizeta.errors import InvalidInput, NotInvariant
-from equizeta.ratpoly import RatFunc, pmul, ppow
+from equizeta.ratpoly import RatFunc, _valuation, pmul, ppow
 from equizeta.zeta import denef_loeser
 
 FLIP = SignAction((-1,))
@@ -38,15 +41,15 @@ def u_power(k, c=1):
 
 
 @st.composite
-def invariant_germs(draw):
-    """A germ with weights 0..5 in d <= 4 variables (zeros are off the
+def invariant_germs(draw, top=5):
+    """A germ with weights 0..top in d <= 4 variables (zeros are off the
     support) and either the trivial group or a sign action it is invariant
     under: a drawn action whose product comes out -1 has the sign flipped on
     its first odd-weight coordinate."""
     d = draw(st.integers(1, 4))
-    exps = draw(st.lists(st.integers(0, 5), min_size=d, max_size=d))
+    exps = draw(st.lists(st.integers(0, top), min_size=d, max_size=d))
     if not any(exps):
-        exps[draw(st.integers(0, d - 1))] = draw(st.integers(1, 5))
+        exps[draw(st.integers(0, d - 1))] = draw(st.integers(1, top))
     germ = MonomialGerm(exps, draw(st.sampled_from((1, -1))))
     if draw(st.booleans()):
         return germ, TRIVIAL
@@ -184,11 +187,9 @@ class TestAgainstEnumeration:
     def test_counted_strata_equal_the_enumerated_ones(self, germ_action, order):
         germ, action = germ_action
         weights = [germ.exponents[i] for i in germ.support()]
-        counts = _order_counts(germ, order)
+        counts = table_rows(*_order_counts(germ, order))
         for n in range(order + 1):
-            sizes = [sum(k) for k in order_vectors(weights, n)]
-            assert sum(counts[n]) == len(sizes), n
-            assert all(counts[n][m] == sizes.count(m) for m in range(len(counts[n])))
+            assert counts[n] == Counter(sum(k) for k in order_vectors(weights, n)), n
         for n in range(1, order + 1):
             assert arc_beta_naive(germ, action, n) == enumerated_arc_beta(
                 germ, action, n, "naive"
@@ -204,13 +205,33 @@ class TestAgainstEnumeration:
     def test_affine_sum_of_xy(self):
         # x*y at order 4: k = (1,3), (2,2), (3,1), each of dimension 2*4 - 4
         assert enumerated_affine_sum(MonomialGerm((1, 1)), 4) == (0,) * 4 + (3,)
-        assert _order_counts(MonomialGerm((1, 1)), 4)[4] == [0, 0, 0, 0, 3]
+        assert table_rows(*_order_counts(MonomialGerm((1, 1)), 4))[4] == {4: 3}
+
+    @settings(max_examples=150, deadline=None)
+    @given(invariant_germs(top=6), st.sampled_from(("counts", "naive", "plus", "minus")),
+           st.integers(0, 40))
+    # 64 exponents of 1 at order 200: |(u - 1)^64|_1 = 2^64 times 200^64
+    # order vectors bounds the entries below 2^553, so w = 560 bits and
+    # ``_digits`` reads the rows through its multi-word path
+    @example((MonomialGerm((1,) * 64), TRIVIAL), "naive", 200)
+    def test_packed_table_equals_the_reference(self, germ_action, seed_of, order):
+        # every seed the oracle builds: W's numerator less its power of u,
+        # reversed, or 1 for the plain counts
+        germ, action = germ_action
+        seed = (1,)
+        if seed_of != "counts":
+            wfac = _leading_factor(germ, action, seed_of)
+            assume(wfac.num)
+            seed = wfac.num[_valuation(wfac.num):][::-1]
+        rows, w = _order_counts(germ, order, seed)
+        want = reference_order_counts(germ, order, seed)
+        assert table_rows(rows, w) == [{m: c for m, c in enumerate(row) if c} for row in want]
 
     def test_table_over_the_cap_is_refused_before_it_is_built(self):
         # (|S| + 1) * (order + 1) * (order // min N + 1) cells
         germ = MonomialGerm((1, 2, 0))
         order = next(n for n in range(2000) if 3 * (n + 1) * (n + 1) > MAX_ORACLE_CELLS)
-        assert len(_order_counts(germ, order - 1)) == order
+        assert len(_order_counts(germ, order - 1)[0]) == order
         with pytest.raises(InvalidInput, match="above the cap"):
             _order_counts(germ, order)
         with pytest.raises(InvalidInput, match="above the cap"):
@@ -220,14 +241,18 @@ class TestAgainstEnumeration:
         # x*y*z on the trivial group: the naive seed (u - 1)^3 has four
         # coefficients, so 4 * (order + 1) * (order + 4) cells, first refused
         # at 1022; a signed seed has one, 4 * (order + 1)^2 cells, first
-        # refused at 1024.  A table that would be built reaches ``add``.
+        # refused at 1024.  A table that passes the cap is built, and the
+        # patched builder stops there, before its rows are read.
         class Built(Exception):
             pass
 
-        def build(*_):
+        def build(*args):
+            rows, _ = packed_build(*args)
+            assert len(rows) == args[1] + 1
             raise Built
 
-        monkeypatch.setattr(arcs, "add", build)
+        packed_build = arcs._order_counts
+        monkeypatch.setattr(arcs, "_order_counts", build)
         germ = MonomialGerm((1, 1, 1))
         for variant, refused in (("naive", 1022), ("plus", 1024), ("minus", 1024)):
             with pytest.raises(Built):
@@ -243,7 +268,7 @@ class TestAgainstEnumeration:
         def build(*_):
             raise AssertionError("a zero W built a table")
 
-        monkeypatch.setattr(arcs, "add", build)
+        monkeypatch.setattr(arcs, "_order_counts", build)
         germ = MonomialGerm((2, 2, 2))
         assert _leading_factor(germ, TRIVIAL, "minus").is_zero()
         for order in (0, 1, 7, 1447):
@@ -270,6 +295,16 @@ class TestOracleSeries:
     def test_order_zero(self):
         s = oracle_series(MonomialGerm((2,)), FLIP, "naive", 0)
         assert s.order == 0 and s[0].is_zero()
+
+    def test_the_order_1000_table_of_xyz_is_fast(self):
+        # 3 passes of one int add per row over 1001 packed rows
+        germ = MonomialGerm((1, 1, 1))
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            oracle_series(germ, TRIVIAL, "naive", 1000)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.1
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -353,6 +353,14 @@ class TestBettiSeries:
         (page, tail), = seen
         assert betti_series(SpectralPage(page.dims), tail) == series
 
+    def test_a_deep_entry_costs_its_degree_not_its_window(self):
+        # the page's zero row at q = 0 spans p = -10^6 .. 0, but only the
+        # entry's degree is summed
+        start = time.perf_counter()
+        series = betti_series(SpectralPage({(-10**6, 0): 1}), TailSpec(-10**6 - 5, 0))
+        assert series == RatFunc.monomial(-10**6)
+        assert time.perf_counter() - start < 0.5
+
     @settings(max_examples=80, deadline=None)
     @given(
         st.dictionaries(
