@@ -43,7 +43,7 @@ non-negative, so a nonzero row times W.num does not vanish at u = 1 when
 W.den = u - 1 (W.num is then a positive multiple of u^|S|).  The order-n
 coefficient, a Laurent polynomial in u over W.den, is then canonical once its
 valuation is moved into the power of u, which is what
-``ratpoly._laurent_over`` does for the engine's series coefficients too.
+``ratpoly._laurent_row`` does for the engine's series coefficients too.
 """
 
 from __future__ import annotations
@@ -57,9 +57,10 @@ from .gspace import MAX_AFFINE
 from .ratpoly import (
     RatFunc,
     TSeries,
+    _ZERO_ROW,
     _byte_width,
     _digits,
-    _laurent_over,
+    _laurent_row,
     _pack,
     _valuation,
     _width,
@@ -75,8 +76,8 @@ from .ratpoly import (
 # with the table's.  A cell is one digit of w bits in a packed row, w the
 # byte width of |seed|_1 * prod max(1, order // N_i), so the table holds at
 # most (order + 1) * (order // min N_i + len(seed)) * w bits.  x*y*z on the
-# trivial group passes at --order 1000 (about 0.1 s in process on a shared
-# 2-core host, most of it printing 6.6 MB of JSON; about 20 ms builds the
+# trivial group passes at --order 1000 (about 30 ms in process on a shared
+# 2-core host, most of it writing 6.6 MB of JSON; about 10 ms builds the
 # series) and is refused from 1022 on, its signed variants from 1024 on.  A
 # zero W builds no table but is held to the cap of a one-coefficient seed:
 # x^2 y^2 z^2's minus variant on the trivial group is refused from 1448 on.
@@ -247,10 +248,12 @@ def oracle_series(
 
     With W.num = u^k P(u), the order-vector table is seeded with P reversed
     (module docstring), so that coefficient is u^(k + deg P) R_n(1/u) / W.den
-    for the table's row n, R_n(y) = sum_m C[n][m] y^m, which ``_read_row``
-    builds with no gcd step.  A zero W (no leading coefficients of that sign)
-    makes every coefficient 0: the table it would seed with 0 is checked
-    against the cap but not built.
+    for the table's row n, R_n(y) = sum_m C[n][m] y^m.  ``_read_row`` turns
+    each row into that coefficient's Laurent row with no gcd step, and the
+    series holds those rows; no ``RatFunc`` is built unless asked for.  A
+    zero W (no leading coefficients of that sign) makes every coefficient
+    the zero row: the table it would seed with 0 is checked against the cap
+    but not built.
     """
     if variant not in ("naive", "plus", "minus"):
         raise ValueError(f"bad variant {variant!r}")
@@ -260,23 +263,24 @@ def oracle_series(
     wfac = _leading_factor(germ, action, variant)
     if not wfac.num:
         _check_cells([germ.exponents[i] for i in germ.support()], order, 1)
-        return TSeries([wfac] * (order + 1))
+        return TSeries._from_rows([_ZERO_ROW] * (order + 1))
     k = _valuation(wfac.num)
     seed = wfac.num[k:][::-1]
     top = k + len(seed) - 1
     rows, w = _order_counts(germ, order, seed)
-    return TSeries([_read_row(v, w, top, wfac.den) for v in rows])
+    return TSeries._from_rows([_read_row(v, w, top, wfac.den) for v in rows])
 
 
-def _read_row(v: int, w: int, top: int, den: tuple) -> RatFunc:
-    """u^top R(1/u) / den for the packed table row v of width w, R its
-    polynomial in y, canonical (module docstring).
+def _read_row(v: int, w: int, top: int, den: tuple) -> tuple:
+    """The Laurent row (``ratpoly._laurent_row``) of u^top R(1/u) / den for
+    the packed table row v of width w, R its polynomial in y (module
+    docstring).
 
     R(1/u) is u^-hi times the row's nonzero band lo..hi reversed, a
     polynomial with nonzero ends: lo is the count of v's trailing zero
     digits, and ``_digits`` reads the band off at C speed."""
     if not v:
-        return RatFunc._reduced((), (1,))
+        return _ZERO_ROW
     lo = ((v & -v).bit_length() - 1) // w
     band = _digits(v >> w * lo, w)
-    return _laurent_over(top - lo - len(band) + 1, tuple(band[::-1]), den)
+    return _laurent_row(top - lo - len(band) + 1, tuple(band[::-1]), den)

@@ -18,8 +18,8 @@ through ``_emit``, which takes an engine object, or a flat dict of scalars
 and engine objects, and writes each object without a ``to_json`` tree: a
 cleared fraction straight from its interleaved term lists, one ``%`` call
 on a template of one JSON block per term for each polynomial, and a
-``TSeries`` or ``RatFunc`` from its coefficient tuples, one ``join`` per
-tuple.
+``TSeries`` or ``RatFunc`` from the Laurent rows of its values
+(``ratpoly._laurent_row``), one ``join`` per polynomial.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from json.encoder import encode_basestring_ascii
 from . import catalog, cohomology, resolution, zeta
 from .arcs import MonomialGerm, SignAction, oracle_series
 from .errors import EquizetaError, InvalidInput, ParseError, SchemaError
-from .ratpoly import RatFunc, TSeries, ZetaRational, _decimals, _too_long_to_print
+from .ratpoly import _ZERO_ROW, RatFunc, TSeries, ZetaRational, _row_of, _too_long_to_print
 
 EXIT_OK = 0
 EXIT_UNEQUAL = 1
@@ -54,7 +54,7 @@ def _emit(obj) -> str:
     values are str, int, bool, None or engine objects.  A ``ZetaRational`` is
     written as its cleared fraction (``_cleared_text``), and a ``TSeries`` or
     ``RatFunc`` as its ``to_json()`` would be (``_series_text``,
-    ``_ratfunc_text``), straight from the object.
+    ``_ratfunc_text``), straight from its Laurent rows (``_row_writer``).
 
     ``json`` falls back to its pure-Python encoder whenever ``indent`` is
     set; this writer quotes strings with the C routine ``json`` uses.
@@ -107,30 +107,58 @@ def _terms_text(terms, newline) -> str:
     return "[" + item + text + newline + "]"
 
 
-def _poly_text(coeffs, newline) -> str:
-    """The JSON list of the decimal strings of ``coeffs``, in one ``join``;
-    ``ratpoly._decimals`` refuses a coefficient too long to print (exit 2)."""
-    if not coeffs:
-        return "[]"
-    item = newline + '  "'
-    return "[" + item + ('",' + item).join(_decimals(coeffs)) + '"' + newline + "]"
+def _row_writer(newline):
+    """The writer of a Laurent row's value (``ratpoly._laurent_row``) as its
+    ``to_json()``, ``{"den": [...], "num": [...]}``, whose lines after the
+    first start with ``newline``.  The num is u^low poly and the den
+    u^-low den, whichever power of u is not negative: each list is that
+    power's zeros as one repeated string and the polynomial in one
+    ``map(str)`` join, and each distinct den is joined once per writer."""
+    inner = newline + "  "
+    item = inner + '  "'
+    sep = '",' + item
+    zero = "0" + sep
+    dens = {}
+
+    def write(row) -> str:
+        low, poly, den = row
+        den_text = dens.get(den)
+        if den_text is None:
+            den_text = dens[den] = _joined(sep, den)
+        num_text = f'[{item}{zero * low}{_joined(sep, poly)}"{inner}]' if poly else "[]"
+        return (f'{{{inner}"den": [{item}{zero * -low}{den_text}"{inner}],'
+                f'{inner}"num": {num_text}{newline}}}')
+
+    return write
+
+
+def _joined(sep: str, poly: tuple) -> str:
+    """``sep.join`` of the decimal strings of ``poly``; a coefficient too long
+    to print is ``ratpoly._too_long_to_print`` (exit 2)."""
+    try:
+        return sep.join(map(str, poly))
+    except ValueError as exc:
+        raise _too_long_to_print(exc) from exc
 
 
 def _ratfunc_text(f, newline) -> str:
-    """``f.to_json()``, ``{"den": [...], "num": [...]}``, from its tuples."""
-    inner = newline + "  "
-    return ("{" + inner + '"den": ' + _poly_text(f.den, inner) + ","
-            + inner + '"num": ' + _poly_text(f.num, inner) + newline + "}")
+    """``f.to_json()``, written from its Laurent row."""
+    return _row_writer(newline)(_row_of(f))
 
 
 def _series_text(s, newline) -> str:
-    """``s.to_json()``, ``{"coeffs": [...], "order": n}``, from the
-    coefficients themselves."""
+    """``s.to_json()``, ``{"coeffs": [...], "order": n}``, written from its
+    rows by one ``_row_writer``, a run of leading zero rows as one repeated
+    string."""
     inner = newline + "  "
     item = inner + "  "
-    coeffs = ("," + item).join([_ratfunc_text(c, item) for c in s.coeffs])
+    sep = "," + item
+    write = _row_writer(item)
+    rows = s.rows
+    lead = next((n for n, row in enumerate(rows[:-1]) if row[1]), len(rows) - 1)
+    coeffs = (write(_ZERO_ROW) + sep) * lead + sep.join([write(row) for row in rows[lead:]])
     return ("{" + inner + '"coeffs": [' + item + coeffs + inner + "],"
-            + inner + '"order": ' + str(s.order) + newline + "}")
+            + inner + '"order": ' + str(len(rows) - 1) + newline + "}")
 
 
 # How _emit writes each engine object; exact types, as for _JSON_SCALARS.

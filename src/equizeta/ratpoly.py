@@ -9,7 +9,8 @@ powers with no trailing zeros (the empty tuple is 0).  On top of those sit:
   multiplied out, give the cleared fraction, which the CLI prints directly,
 * ``BiPoly``       -- a (u, T) map view of the cleared fraction, built only
   on request,
-* ``TSeries``      -- truncated power series in T with ``RatFunc`` coefficients.
+* ``TSeries``      -- truncated power series in T, each coefficient held as
+  its Laurent row (below) and built as a ``RatFunc`` only on request.
 
 Everything is immutable and uses arbitrary-precision integers only: one long
 division over Z serves exact quotients and Laurent expansions, and gcds run
@@ -47,12 +48,17 @@ synthetic division at the root u = 1 (the coefficients sum to 0 exactly when
 u - 1 divides).  The primitive PRS runs only on what is left of num and den,
 only when both of those are non-constant, and only when Euclid on their
 images modulo the prime 2^61 - 1 does not already show them coprime.
-Laurent polynomials over the denominator 1 or u - 1 (``_laurent_over``,
-which builds the engine's series coefficients, the arc oracle's, the
-G-space values and the affine atoms) and canonical values times a power of
-u - 1 are canonical by construction and skip the gcd step altogether
-(``RatFunc._reduced``), so ``_canonical`` serves parsed ``rational`` values
-and the public ``RatFunc`` arithmetic only.
+A value's one canonical form as a Laurent row is (low, poly, den), the value
+u^low poly(u) / den(u) with poly(0) != 0 and den(0) != 0, and zero
+(0, (), (1,)); ``_laurent_row`` is the one rule that canonicalises a row,
+and ``_laurent_over`` builds the value of its row.  Laurent polynomials over
+the denominator 1 or u - 1 (the engine's series coefficients, the arc
+oracle's, the G-space values and the affine atoms) and canonical values
+times a power of u - 1 are canonical by construction and skip the gcd step
+altogether (``RatFunc._reduced``), so ``_canonical`` serves parsed
+``rational`` values and the public ``RatFunc`` arithmetic only.  A series
+keeps its coefficients' rows, which compare as the values do, and the CLI
+writes them to JSON without building a ``RatFunc``.
 """
 
 from __future__ import annotations
@@ -908,41 +914,71 @@ def _bipoly(terms: list) -> BiPoly:
     return BiPoly(dict(zip(zip(terms[2::3], terms[1::3]), terms[::3])))
 
 
-def _laurent_over(low: int, poly: tuple, den_u: tuple) -> RatFunc:
-    """The Laurent polynomial u^low * poly(u) divided by den_u, canonical.
+# The Laurent row of 0.
+_ZERO_ROW = (0, (), (1,))
+
+
+def _laurent_row(low: int, poly: tuple, den_u: tuple) -> tuple:
+    """The Laurent row (low, poly, den) of u^low * poly(u) / den_u, for a
+    trimmed poly and a nonzero den_u: poly(0) != 0, den(0) != 0, and
+    u^low poly / den for low >= 0, or poly / (u^-low den) below, is the
+    canonical ``RatFunc`` of the value (``_row_value``), so equal values
+    have equal rows; 0 is ``_ZERO_ROW``.
 
     Over den_u = 1 and over den_u = u - 1 it needs no gcd step.  Over u - 1,
     a poly that u - 1 divides is divided by synthetic division first and is
     then over 1.  Once poly's valuation has moved into low, poly has no
     factor u, and over u - 1 none of u - 1 either; den_u is primitive with a
     positive leading coefficient, and its only prime factors are u and
-    u - 1.  So u^low poly / den_u, or poly / (u^-low den_u), is already
-    canonical.  Any other den_u goes through the gcd step."""
+    u - 1.  So the row is already canonical.  Any other den_u goes through
+    the gcd step."""
     if not poly:
-        return RatFunc._reduced((), (1,))
+        return _ZERO_ROW
     if den_u == (-1, 1):
         quotient = _over_u_minus_1(poly)
         if quotient is not None:
             poly, den_u = quotient, (1,)
     elif den_u != (1,):
         if low >= 0:
-            return RatFunc((0,) * low + poly, den_u)
-        return RatFunc(poly, (0,) * -low + den_u)
+            return _row_of(RatFunc((0,) * low + poly, den_u))
+        return _row_of(RatFunc(poly, (0,) * -low + den_u))
     v = _valuation(poly)
-    low += v
-    if low >= 0:
-        return RatFunc._reduced((0,) * low + poly[v:], den_u)
-    return RatFunc._reduced(poly[v:], (0,) * -low + den_u)
+    return low + v, poly[v:], den_u
+
+
+def _row_of(r: RatFunc) -> tuple:
+    """The Laurent row of the canonical value r: the powers of u come off
+    num and den, and at most one of them has any."""
+    num, den = r.num, r.den
+    if not num:
+        return _ZERO_ROW
+    a, b = _valuation(num), _valuation(den)
+    return a - b, num[a:], den[b:]
+
+
+def _row_value(row: tuple) -> RatFunc:
+    """The value of the Laurent row ``row``, canonical with no gcd step."""
+    low, poly, den = row
+    if low < 0:
+        return RatFunc._reduced(poly, (0,) * -low + den)
+    return RatFunc._reduced((0,) * low + poly, den)
+
+
+def _laurent_over(low: int, poly: tuple, den_u: tuple) -> RatFunc:
+    """The value of u^low * poly(u) / den_u, canonical: the value of its
+    ``_laurent_row``."""
+    return _row_value(_laurent_row(low, poly, den_u))
 
 
 def _check_span(low: int, size: int, den_u: tuple, exact: int):
     """InvalidInput when u^low times a polynomial of ``size`` coefficients,
     over den_u, would hold more than MAX_PACKED_BITS bits at the exact width
-    ``exact`` in the dense tuples that ``_laurent_over`` builds, counted as a
-    packed row of as many digits as the longer of them: the numerator,
-    u^max(low, 0) times the polynomial, or the denominator, u^max(-low, 0)
-    den_u.  A series coefficient's own digits were charged as its row was
-    built, but not the powers of u between the row and u^0."""
+    ``exact`` in the dense tuples of its value, which its JSON lists digit
+    for digit, counted as a packed row of as many digits as the longer of
+    them: the numerator, u^max(low, 0) times the polynomial, or the
+    denominator, u^max(-low, 0) den_u.  A series coefficient's own digits
+    were charged as its row was built, but not the powers of u between the
+    row and u^0."""
     if max(max(low, 0) + size, max(-low, 0) + len(den_u)) * exact > MAX_PACKED_BITS:
         raise _too_many_bits()
 
@@ -1027,12 +1063,12 @@ class ZetaRational:
             )
         den_u = _common_den(self.terms)
         rows, w, exact = _expand(_grouped(den_u, self.terms), order)
-        coeffs = [_laurent_over(0, (), den_u)] * (order + 1)
+        out = [_ZERO_ROW] * (order + 1)
         for n, row in rows.items():
             low, poly = _row_poly(row, w)
             _check_span(low, len(poly), den_u, exact)
-            coeffs[n] = _laurent_over(low, poly, den_u)
-        return TSeries(coeffs)
+            out[n] = _laurent_row(low, poly, den_u)
+        return TSeries._from_rows(out)
 
     @cached_property
     def _cleared(self):
@@ -1065,32 +1101,57 @@ class ZetaRational:
 # ---------------------------------------------------------------------------
 
 class TSeries:
-    """Truncated series sum_{n=0..order} c_n T^n with RatFunc coefficients."""
+    """Truncated series sum_{n=0..order} c_n T^n with RatFunc coefficients.
 
-    __slots__ = ("coeffs",)
+    ``rows`` holds each coefficient as its Laurent row (``_laurent_row``),
+    the one form a value has, so equality and hashing compare rows.  The
+    ``RatFunc`` coefficients are built from the rows on first request, by
+    ``coeffs``, ``[n]``, ``to_json`` or ``str``; the CLI writes a series
+    straight from its rows.
+    """
+
+    __slots__ = ("rows", "_coeffs")
 
     def __init__(self, coeffs: Sequence[RatFunc]):
+        coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a TSeries holds at least the T^0 coefficient")
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "rows", tuple(map(_row_of, coeffs)))
+        object.__setattr__(self, "_coeffs", coeffs)
+
+    @classmethod
+    def _from_rows(cls, rows) -> "TSeries":
+        """The series of the Laurent rows ``rows``, at least one, which the
+        caller guarantees are canonical (``_laurent_row``)."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "_coeffs", None)
+        return self
 
     def __setattr__(self, *args):
         raise AttributeError("TSeries is immutable")
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as ``RatFunc``s, built once."""
+        if self._coeffs is None:
+            object.__setattr__(self, "_coeffs", tuple(map(_row_value, self.rows)))
+        return self._coeffs
+
+    @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.rows) - 1
 
     def __getitem__(self, n: int) -> RatFunc:
-        return self.coeffs[n]
+        return _row_value(self.rows[n])
 
     def __eq__(self, other):
         if not isinstance(other, TSeries):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.rows == other.rows
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.rows)
 
     def to_json(self) -> dict:
         return {"order": self.order, "coeffs": [c.to_json() for c in self.coeffs]}

@@ -182,6 +182,8 @@ def validate(res: ResolutionData) -> List[str]:
             f"generators span {len(group)} permutations, not dividing {res.group.order}"
         )
     zero_ids = {d.id for d in res.divisors if d.zero_fiber}
+    # each element but the identity, group[0], with the divisors it moves
+    others = [(g, frozenset(i for i in g if g[i] != i)) for g in group[1:]] if group else []
     # each registered stratum's own subset -> its index: the registered
     # strata lie in distinct orbits, so the first image of a new stratum found
     # here names the one stratum that shares its orbit
@@ -202,15 +204,28 @@ def validate(res: ResolutionData) -> List[str]:
             )
         if group is None:
             continue
+        # the engine values a stratum's normal torus (R*)^I as (u-1)^|I|,
+        # its class when the stabiliser of I fixes each divisor of I; so each
+        # element that maps I onto itself adds the divisors of I it moves
         sj = declared.get(subset)
-        for g in group[1:]:  # group[0] is the identity
-            if sj is not None:
-                break
-            sj = declared.get(frozenset([g[i] for i in subset]))
+        moved = frozenset()
+        for g, moves in others:
+            if moves.isdisjoint(subset):  # g fixes I pointwise
+                continue
+            image = frozenset([g[i] for i in subset])
+            if image == subset:
+                moved |= subset & moves
+            elif sj is None:
+                sj = declared.get(image)
         if sj is None:
             declared[subset] = si
         else:
             diags.append(f"duplicate orbit: strata {sj} and {si} lie in the same orbit")
+        if moved:
+            diags.append(
+                f"stratum {si}: its stabiliser permutes divisors {sorted(moved)}, "
+                "and only a stabiliser that fixes each divisor of a stratum is supported"
+            )
     return diags
 
 

@@ -1061,7 +1061,8 @@ def dict_closure_group(res):
 
 def reference_validate(res) -> list:
     """``validate`` with every orbit keyed by its least image as a sorted
-    tuple, and each divisor's N, nu and zero_fiber compared one at a time."""
+    tuple, each divisor's N, nu and zero_fiber compared one at a time, and
+    each stabiliser found from whole images of the stratum."""
     diags = []
     ids = [d.id for d in res.divisors]
     if len(set(ids)) != len(ids):
@@ -1110,6 +1111,13 @@ def reference_validate(res) -> list:
             sj = first_in_orbit.setdefault(rep, si)
             if sj != si:
                 diags.append(f"duplicate orbit: strata {sj} and {si} lie in the same orbit")
+            stabiliser = [g for g in group if subset_orbit(st.divisors, [g]) == {st.divisors}]
+            moved = sorted({i for g in stabiliser for i in st.divisors if g[i] != i})
+            if moved:
+                diags.append(
+                    f"stratum {si}: its stabiliser permutes divisors {moved}, and only a "
+                    "stabiliser that fixes each divisor of a stratum is supported"
+                )
     return diags
 
 

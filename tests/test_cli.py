@@ -15,6 +15,7 @@ from helpers import big_coprime_pair, cleared_json, per_term_cleared, reference_
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_properties import variants_of
+from test_ratpoly import laurent_inputs
 
 from equizeta import catalog, cleared, cli, cohomology, ratpoly, zeta
 from equizeta.cli import _emit, build_parser, main
@@ -620,9 +621,11 @@ def atom(name):
 
 # Strata valued by affine atoms and by every closure operation over named
 # atoms, with both signed variants; CI's console-script step writes the same
-# resolution.
+# resolution.  The group acts on the values only: a generator swapping
+# divisors 1 and 2 would permute the divisors of the stratum {1, 2}, which
+# ``validate`` refuses.
 NAMED_ATOMS = {
-    "name": "affine", "group": {"order": 2, "generators": [[2, 1, 3]]},
+    "name": "affine", "group": {"order": 2, "generators": []},
     "divisors": [{"id": 1, "N": 2, "nu": 1, "zero_fiber": True},
                  {"id": 2, "N": 2, "nu": 1, "zero_fiber": True},
                  {"id": 3, "N": 1, "nu": 2, "zero_fiber": False}],
@@ -762,6 +765,53 @@ class TestEmit:
         for obj in (huge, TSeries([RatFunc(1), huge]), {"k": huge}):
             with pytest.raises(InvalidInput, match="too long to print"):
                 _emit(obj)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 4), st.lists(st.none() | laurent_inputs(), max_size=6))
+    @example(3, [])
+    @example(2, [(-9, (0, 4, -4), (-1, 1)), None, (-2, (1, 1), (-1, 1)), (3, (2,), (1,))])
+    def test_series_rows_match_json_dumps(self, lead, cases):
+        # leading and inner zero runs, negative lows and the den u - 1, each
+        # row written straight from its Laurent row
+        rows = [ratpoly._ZERO_ROW] * lead + [
+            ratpoly._ZERO_ROW if case is None else ratpoly._laurent_row(*case) for case in cases
+        ]
+        series = TSeries._from_rows(rows or [ratpoly._ZERO_ROW])
+        assert _emit(series) == json.dumps(series.to_json(), indent=2, sort_keys=True)
+        doc = {"series": series, "witness": series[-1]}
+        assert _emit(doc) == json.dumps(doc, indent=2, sort_keys=True, default=lambda x: x.to_json())
+
+    def test_coefficient_too_long_to_print_exits_2(self, run, tmp_path):
+        # c is the longest integer the interpreter converts.  The stratum {1}
+        # gives c (u - 1) u^-n at every T^n; {1, 2} first shows at T^3, as
+        # c (u - 1)^2 u^-3, whose coefficient -2c is one digit longer
+        c = "9" * sys.get_int_max_str_digits()
+        value = {"kind": "rational", "value": {"num": [c], "den": ["1"]}}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "name": "huge", "group": {"order": 1, "generators": []},
+            "divisors": [{"id": i, "N": i, "nu": 1, "zero_fiber": True} for i in (1, 2)],
+            "strata": [{"I": I, "beta": value} for I in ([1], [1, 2])],
+        }))
+        code, out, _ = run("compute", str(path), "--format", "series", "--expand", "2")
+        assert code == 0 and json.loads(out)["coeffs"][2]["num"] == ["-" + c, c]
+        for fmt in ("series", "json"):
+            code, out, err = run("compute", str(path), "--format", fmt, "--expand", "3")
+            assert (code, out) == (2, "") and "too long to print" in err, fmt
+
+    def test_series_and_oracle_build_no_coefficients(self, run, monkeypatch):
+        # the writer reads the rows; no RatFunc is built from them
+        def refuse(*args):
+            raise AssertionError("a series coefficient was built on a writer path")
+
+        monkeypatch.setattr(TSeries, "coeffs", property(refuse))
+        monkeypatch.setattr(TSeries, "__getitem__", refuse)
+        code, out, _ = run("compute", "gk(5,+,-)", "--format", "series", "--expand", "12")
+        assert code == 0 and json.loads(out)["order"] == 12
+        code, out, _ = run("oracle", "--exponents", "1,1,4", "--trivial-group", "--order", "16")
+        assert code == 0 and json.loads(out)["order"] == 16
+        code, out, _ = run("oracle", "--exponents", "2,2", "--variant", "minus", "--trivial-group")
+        assert code == 0 and json.loads(out)["order"] == 8
 
     def test_series_and_oracle_build_no_json_tree(self, run, monkeypatch):
         def refuse(*args):

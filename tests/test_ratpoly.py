@@ -43,6 +43,7 @@ from equizeta.errors import (
     ZeroDenominator,
 )
 from equizeta.ratpoly import (
+    _ZERO_ROW,
     MAX_EXPANSION,
     BiPoly,
     RatFunc,
@@ -58,7 +59,10 @@ from equizeta.ratpoly import (
     _expansion_work,
     _grouped,
     _laurent_over,
+    _laurent_row,
     _lcm_fold,
+    _row_of,
+    _row_value,
     _t_bound,
     _times_u_minus_1,
     pcontent,
@@ -659,6 +663,54 @@ def assert_laurent_over_is_canonical(low, poly, den_u):
     got = _laurent_over(low, poly, den_u)
     want = RatFunc((0,) * low + poly, den_u) if low >= 0 else RatFunc(poly, (0,) * -low + den_u)
     assert (got.num, got.den) == (want.num, want.den)
+
+
+# -- the Laurent row: the one stored form of a series coefficient --------------
+
+@st.composite
+def laurent_inputs(draw):
+    """(low, poly, den_u) for ``_laurent_row``: a trimmed poly with up to
+    three low zeros, whose coefficients sum to 0 about half the time, so that
+    u - 1 divides it, over 1, u - 1, u + 1 or u^2 - 1."""
+    cs = draw(st.lists(st.integers(-5, 5) | st.integers(-(10**30), 10**30), max_size=6))
+    if draw(st.booleans()):
+        cs.append(-sum(cs))
+    poly = ptrim([0] * draw(st.integers(0, 3)) + cs)
+    return draw(st.integers(-20, 20)), poly, draw(st.sampled_from([(1,), (-1, 1), (1, 1), (-1, 0, 1)]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(laurent_inputs())
+@example((-3, (0, 0, 2, -2), (-1, 1)))  # 2 u^-1 (u - 1) / (u - 1)
+@example((4, (), (-1, 0, 1)))  # zero over u^2 - 1
+@example((-20, (0, 3, 0, -3), (-1, 0, 1)))  # u^2 - 1 cancels
+@example((0, (1, -1), (1, 1)))
+def test_laurent_row_is_the_one_canonical_form(case):
+    low, poly, den_u = case
+    row = _laurent_row(low, poly, den_u)
+    value = _laurent_over(low, poly, den_u)
+    public = RatFunc(poly, den_u) * RatFunc.monomial(low)
+    assert (value.num, value.den) == (public.num, public.den)
+    assert (_row_value(row).num, _row_value(row).den) == (value.num, value.den)
+    assert _row_of(value) == row and _row_of(_row_value(row)) == row
+    low_r, poly_r, den_r = row
+    if poly_r:
+        assert poly_r[0] and den_r[0] and den_r[-1] > 0
+    else:
+        assert row == _ZERO_ROW and not value
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(laurent_inputs(), min_size=1, max_size=6))
+def test_series_of_rows_is_the_series_of_their_values(cases):
+    rows = [_laurent_row(*case) for case in cases]
+    values = [_laurent_over(*case) for case in cases]
+    from_rows, from_values = TSeries._from_rows(rows), TSeries(values)
+    assert from_rows == from_values and hash(from_rows) == hash(from_values)
+    assert from_rows.rows == from_values.rows == tuple(rows)
+    assert from_rows.coeffs == from_values.coeffs == tuple(values)
+    assert [from_rows[n] for n in range(len(rows))] == values
+    assert TSeries.from_json(from_rows.to_json()).rows == from_rows.rows
 
 
 @pytest.mark.parametrize("fits, refused", [

@@ -14,11 +14,11 @@ from helpers import (
     reference_validate,
     subset_orbits,
 )
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from test_cli import paths, replaced, small_json, valid_documents
+from test_cli import call, paths, replaced, small_json, valid_documents
 
-from equizeta import catalog
+from equizeta import catalog, zeta
 from equizeta.errors import InvalidResolution, ParseError, SchemaError, UnknownFixture
 from equizeta.gspace import Atom, beta_value
 from equizeta.resolution import (
@@ -168,8 +168,9 @@ class TestValidation:
 
     def test_orbit_check_holds_one_subset_per_stratum(self):
         # (Z2)^10 swaps the divisors 2k - 1 and 2k of each of ten pairs, so
-        # the 56 strata taking one divisor of at least eight pairs (and both
-        # of the rest) lie in distinct orbits of 256 to 1024 subsets each.
+        # the 56 strata taking one divisor of at least eight pairs (and none
+        # of the rest, so that no swap stabilises a stratum) lie in distinct
+        # orbits of 256 to 1024 subsets each.
         # Keeping every image of every stratum would hold 17664 subsets, a
         # peak near 14 MB; the check keeps one per stratum, and the peak is
         # the group's 1024 permutations, near 1.3 MB.
@@ -183,7 +184,7 @@ class TestValidation:
                 frozenset(i for k, c in enumerate(counts, 1) for i in (2 * k - 1, 2 * k)[:c]),
                 Atom("point_fixed"),
             )
-            for counts in itertools.product((1, 2), repeat=10)
+            for counts in itertools.product((1, 0), repeat=10)
             if counts.count(1) >= 8
         ]
         # stratum 0 again, moved by the first generator
@@ -219,6 +220,60 @@ class TestValidation:
             (StratumEntry({1}, Atom("point_fixed")),),
         )
         assert any("bijection" in d for d in validate(res))
+
+    def test_stratum_whose_stabiliser_swaps_its_divisors_is_refused(self, monkeypatch):
+        # xy under (x, y) -> (y, x): the swap maps {1, 2} onto itself, so the
+        # torus (R*)^2 is not (u - 1)^2 under it; refused before any value
+        doc = {"name": "xy", "group": {"order": 2, "generators": [[2, 1]]},
+               "divisors": [{"id": i, "N": 1, "nu": 1, "zero_fiber": True} for i in (1, 2)],
+               "strata": [{"I": [1, 2], "beta": {"kind": "atom", "name": "point_fixed"}}]}
+        want = ("stratum 0: its stabiliser permutes divisors [1, 2], and only a "
+                "stabiliser that fixes each divisor of a stratum is supported")
+        assert validate(resolution_from_json(doc)) == [want]
+
+        def refuse(*args):
+            raise AssertionError("a value was built")
+
+        monkeypatch.setattr(zeta, "beta_value", refuse)
+        for argv in (["compute", "-"], ["compute", "-", "--format", "series", "--expand", "4"],
+                     ["compare", "-", "y4-x2_Z2"]):
+            assert call(argv, json.dumps(doc)) == (2, "", f"error: {want}\n"), argv
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.permutations(range(1, n + 1)), max_size=2),
+                st.lists(st.sets(st.integers(1, n), min_size=1), min_size=1, max_size=4),
+            )
+        )
+    )
+    # the swap (1 2)(3 4) stabilises {1, 2}, moving it and divisors outside it
+    @example((4, [(2, 1, 4, 3)], [{1, 2}, {3}, {1, 2, 3, 4}]))
+    @example((3, [(2, 3, 1)], [{1, 2, 3}, {1}]))
+    def test_stratum_refused_iff_its_stabiliser_moves_a_divisor(self, case):
+        n, gens, subsets = case
+        group = {tuple(range(1, n + 1)), *map(tuple, gens)}
+        while True:
+            products = {tuple(a[b[i] - 1] for i in range(n)) for a in group for b in group}
+            if products <= group:
+                break
+            group |= products
+        assume(len(group) <= 4)
+        divisors = tuple(Divisor(i, 1, 1, True) for i in range(1, n + 1))
+        strata = tuple(StratumEntry(I, Atom("point_fixed")) for I in subsets)
+        res = ResolutionData("random", divisors, GroupSpec(len(group), tuple(gens)), strata)
+        diags = validate(res)
+        for si, I in enumerate(subsets):
+            stabiliser = [g for g in group if {g[i - 1] for i in I} == I]
+            moved = sorted({i for g in stabiliser for i in I if g[i - 1] != i})
+            named = [d for d in diags if d.startswith(f"stratum {si}: its stabiliser")]
+            assert named == ([f"stratum {si}: its stabiliser permutes divisors {moved}, and only "
+                              "a stabiliser that fixes each divisor of a stratum is supported"]
+                             if moved else []), (gens, subsets, diags)
+        if not diags:
+            denef_loeser(res)
 
     def test_multiplicity_mutations_break_swapped_fixtures(self):
         # fixtures whose group moves a divisor: perturbing N or nu on one
