@@ -142,6 +142,11 @@ def _gk(k: int, sx: str, sy: str) -> ResolutionData:
     involution swaps for odd k, and in two fixed points for even k."""
     if not 3 <= k <= MAX_DIVISORS:  # at least k divisors
         raise UnknownFixture(f"gk fixtures require 3 <= k <= {MAX_DIVISORS}")
+    if sx != sy and k + 2 > MAX_DIVISORS:  # and two for the branches
+        raise UnknownFixture(
+            f"gk({k},{sx},{sy}) would have {k + 2} divisors, more than {MAX_DIVISORS}: "
+            f"gk(k,{sx},{sy}) fixtures require 3 <= k <= {MAX_DIVISORS - 2}"
+        )
     chain = [(j, 2 * j, j + 1) for j in range(1, k + 1)]
     branches = () if sx == sy else ("pair",) if k % 2 else ("fixed", "fixed")
     return _chain(f"gk({k},{sx},{sy})", chain, k, branches)
@@ -152,6 +157,16 @@ def _hk(k: int, sign: str) -> ResolutionData:
     if not 3 <= k <= 2 * MAX_DIVISORS + 1:  # at least (k - 1) / 2 divisors
         raise UnknownFixture(f"hk fixtures require 3 <= k <= {2 * MAX_DIVISORS + 1}")
     p = k // 2
+    # p divisors for odd k, and two for the branches of hk(k,-); for even
+    # k, p - 1 lead to the last two and one branch
+    divisors = p + 2 if k % 2 == 0 or sign == "-" else p
+    if divisors > MAX_DIVISORS:
+        span = (f"3 <= k <= {2 * MAX_DIVISORS + 1}, and k <= {2 * MAX_DIVISORS - 4} for even k"
+                if sign == "+" else f"3 <= k <= {2 * MAX_DIVISORS - 3}")
+        raise UnknownFixture(
+            f"hk({k},{sign}) would have {divisors} divisors, more than {MAX_DIVISORS}: "
+            f"hk(k,{sign}) fixtures require {span}"
+        )
     # E_1 .. E_p for odd k; for even k, E_1 .. E_(p-1) lead to the last two
     chain = [(j, 2 * j + 1, j + 1) for j in range(1, p + (k % 2))]
     if k % 2:

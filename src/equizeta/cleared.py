@@ -1,25 +1,37 @@
-"""The cleared fraction of a ``ZetaRational``, as runs of skew-packed T-rows.
+"""The cleared fraction of a ``ZetaRational``, as skew-packed T-rows.
 
 The cleared fraction num / den of a sum of coeff * prod T^N / (u^nu - T^N)
 terms multiplies out products of binomials u^nu - T^N, which are dense in T.
-So each polynomial on the way is held as runs of consecutive T-rows, each
-run one int under the skewed Kronecker map u -> 2^w, T^g -> 2^(w k)
-(``_Layout``): g is the gcd of the factors' N, and k keeps each row clear of
-the next in the factors' zonotope.  A product by a binomial is then one
-shift and one subtraction per run.  Runs that share a row become one by
-``ratpoly._band_sum``, and neighbouring runs join only across at most
-_SLACK_BITS empty bits, so T-sparse polynomials, and rows whose u-bands lie
-far apart, keep a run per row, as the T-expansion's packed rows in
-``ratpoly`` do.  The runs use ``ratpoly``'s packed format: its width rule
-(digits stored at the ``_byte_width`` of the coefficients' exact
-``_width``), its readout ``_digits``, and its bit count ``_exact_bits``.
-The caps count terms, and the bits that each row would take packed alone at
-the exact width, whatever the runs hold.  No polynomial on the way spans
-more digits than its layout's ``span``, so where the span lies within both
-caps a step takes one comparison, and only past that bound are the steps
-counted.  The readout gives every polynomial as one interleaved
-[c, t, u, ...] list in (t, u) order, which ``cli`` prints with one format
-call.
+Each polynomial on the way is held under the skewed Kronecker map
+u -> 2^w, T^g -> 2^(w k) (``_Layout``): g is the gcd of the factors' N, and
+k keeps each row clear of the next in the factors' zonotope.  No polynomial
+on the way spans more digits than the layout's ``span``, and one of two
+passes builds them, picked once per cleared fraction by
+``_Layout.packs_whole``:
+
+* the bare-int pass (``_bare_pass``) holds each polynomial as one pair
+  (e, v), a single int from its lowest digit up, empty rows and all: a
+  product by a binomial is one shift and one subtraction, a sum one aligned
+  add, and no step checks a cap.  It runs where the span lies within both
+  caps, so that none can fire, and where the int is dense enough: its bits
+  per T-height that can hold terms, times the rows per such height, at most
+  _SLACK_BITS.  Every tree of the catalog takes it;
+* the run-list pass (``_run_pass``) holds each polynomial as runs of
+  consecutive rows, each run one int.  Runs that share a row become one by
+  ``ratpoly._band_sum``, and neighbouring runs join only across at most
+  _SLACK_BITS empty bits, so T-sparse polynomials, and rows whose u-bands
+  lie far apart, keep a run per row, as the T-expansion's packed rows in
+  ``ratpoly`` do.  Each step is checked by ``_Layout.within_cap``, which
+  takes one comparison where the span proves both caps, and counts only
+  past that bound.
+
+Both use ``ratpoly``'s packed format: its width rule (digits stored at the
+``_byte_width`` of the coefficients' exact ``_width``), its readout
+``_digits``, and its bit count ``_exact_bits``; the caps count terms, and
+the bits that each row would take packed alone at the exact width.  Both
+give num and den as runs, the bare pass one run each, and one readout,
+``_Layout.terms``, gives every polynomial as one interleaved [c, t, u, ...]
+list in (t, u) order, which ``cli`` prints with one format call.
 ``ratpoly.ZetaRational._cleared`` imports this module when a cleared
 fraction is first asked for, so commands that print none do not load it.
 """
@@ -51,10 +63,11 @@ from .ratpoly import (
 
 # Cap on the nonzero (u, T) terms of any one polynomial that
 # ``cleared_fraction`` holds while it builds num / den, checked after each
-# step; ``ratpoly.MAX_PACKED_BITS`` bounds the bits its rows would take as
-# packed rows (``_Layout.within_cap``).  Where the layout's span, the digits
-# that any polynomial on the way can spread over, is within both caps, the
-# check is that one comparison; past it the terms are counted exactly.  The
+# step of the run-list pass; ``ratpoly.MAX_PACKED_BITS`` bounds the bits its
+# rows would take as packed rows (``_Layout.within_cap``).  Where the
+# layout's span, the digits that any polynomial on the way can spread over,
+# is within both caps, the check is that one comparison, and the bare-int
+# pass checks nothing; past it the terms are counted exactly.  The
 # catalog's largest polynomials on the way are gk(62,+,-) at 83,324 terms
 # (span 111,316), hk(129,+) at 47,891 and gk(64,+,+) at 45,758.  Sixteen
 # divisors whose N have distinct subset sums, with every pair a stratum,
@@ -137,10 +150,18 @@ class _Layout:
     g is the gcd of the factors' N, so every T-exponent is g times a row j.
 
     A polynomial is a list of runs (j0, j1, e, v) in row order: the rows
-    j0..j1, held as the one integer v whose digit i, the lowest nonzero, sits
-    at position e + i; a run keeps its rows when the digits of its first or
-    last ones cancel.  A product by u^nu - T^N is then one shift and one
-    subtraction per run, and a product by a u-polynomial one int product.
+    j0..j1, held as the one integer v whose digit i sits at position e + i;
+    a run keeps its rows when the digits of its first or last ones cancel.
+    A product by u^nu - T^N is then one shift and one subtraction per run,
+    and a product by a u-polynomial one int product.  The run-list pass
+    keeps a run per stretch of rows (``times``, ``add``, ``scaled``), its
+    lowest digit nonzero, and checks each step (``within_cap``); the
+    bare-int pass holds one (e, v) over all the rows, its low digits zero
+    where they cancelled, and hands it over as the run (0, R, e, v).  Which
+    one a cleared fraction takes is ``packs_whole``'s rule: the span proves
+    both caps, and the int spends at most _SLACK_BITS, the empty bits that
+    two runs join across, per T-height that can hold terms, scaled by the
+    rows per such height.
 
     Every polynomial on the way lies, up to a shift in u, in the factors'
     zonotope sum_f M_f [(nu_f, 0), (0, N_f)] widened by the u-range [lo, hi]
@@ -310,6 +331,32 @@ class _Layout:
                 runs[-2:] = [(i0, i1, low, x + (v << w * (e - low)))]
         return self.within_cap(runs)
 
+    def proves_caps(self) -> bool:
+        """Whether the span proves both caps, so that no step can pass
+        either: the caps are read at each call, so a cap set after the
+        layout was built still holds."""
+        return self.span <= MAX_CLEARED_TERMS and self.span * self.exact <= MAX_PACKED_BITS
+
+    def packs_whole(self, factors) -> bool:
+        """Whether ``cleared_fraction`` holds each polynomial on the way to
+        the factors' cleared fraction as one bare packed int: where the span
+        proves both caps, and the span's bits per T-height that can hold
+        terms, times the rows per such height, are at most _SLACK_BITS, the
+        empty bits that two runs join across.  Every polynomial on the way
+        holds terms only at heights sum_f c_f N_f, 0 <= c_f <= M_f, counted
+        here as the bits of one int.  So where every row can hold terms, a
+        row is at most _SLACK_BITS on average; where few can, the int is
+        mostly empty rows, whose digits each step moves and the readout
+        walks, while the run lists skip them."""
+        if not self.proves_caps():
+            return False
+        reach = 1  # bit j set where T-height g j can hold terms
+        for (_, N), M in factors:
+            for _ in range(M):
+                reach |= reach << N // self.g
+        heights = reach.bit_count()
+        return self.span * self.w * reach.bit_length() <= _SLACK_BITS * heights * heights
+
     def within_cap(self, runs: list) -> list:
         """runs, or InvalidInput once they hold more than MAX_CLEARED_TERMS
         nonzero (u, T) terms, or once their rows, as packed rows of the
@@ -323,7 +370,7 @@ class _Layout:
         exact width, where a run of b bits holds b // w digits below its top
         one, whose b % w bits are the same at either width."""
         w, exact = self.w, self.exact
-        if self.span <= MAX_CLEARED_TERMS and self.span * exact <= MAX_PACKED_BITS:
+        if self.proves_caps():
             return runs
         values = list(map(itemgetter(3), runs))
         sizes = list(map(int.bit_length, values))
@@ -377,52 +424,64 @@ class _Layout:
         return flat
 
 
-def cleared_fraction(terms) -> tuple:
-    """The cleared fraction of the ``ZetaRational`` terms ``terms`` as
-    (layout, num, den), num and den runs of the ``_Layout``, with
-    den = den_u * prod_f x_f^M_f, x_f = u^nu - T^N.
+def _plus(a: tuple, b: tuple, w: int) -> tuple:
+    """The sum of two bare packed polynomials (e, v) of digit width w: one
+    aligned shift and one int add, with no trim."""
+    (e, v), (f, x) = a, b
+    if e > f:
+        e, v, f, x = f, x, e, v
+    return e, v + (x << w * (f - e))
 
-    With the distinct factors f_1 < ... < f_K at their largest
-    multiplicities M_i, num = sum_g P_g T^N_g prod_f x_f^(M_f - m_g(f))
-    over the ``_grouped`` groups g, where m_g(f) is the multiplicity of f
-    in g and N_g the sum of N over g.  One pass over the factors builds
-    it, with no T-series and no division, keeping one partial sum for
-    each set of factors that its groups still hold.  Step i multiplies
-    the prefix Pre = prod_(j<i) x_j^M_j by x_i^M_i and each partial sum by
-    x_i^(M_i - m(f_i)), and merges the sums that hold the same factors
-    after f_i.  A group whose first factor is f_i then joins the sum for
-    the rest of its factors as P_g T^N_g Pre x_i^(M_i - m_g(f_i)), so all
-    the groups that hold the same factors from some point on share the
-    products after it.  The sum that holds no factor is num, and
-    den = den_u * Pre_K; (0, 1) when every group cancels.  Both come as
-    runs of the one ``_Layout``.  Every polynomial on the way is a sum of
-    some groups times at most sum M_f binomials of L1 norm 2, or den_u
-    times the prefix, so its coefficients are at most
-    max(sum_g |P_g|_1, |den_u|_1) * 2^(sum M_f), which sets w.
-    Not gcd-reduced: bivariate gcds are expensive and nothing needs them.
-    InvalidInput as soon as a polynomial on the way holds more than
-    MAX_CLEARED_TERMS terms or MAX_PACKED_BITS bits.
-    """
-    den_u = _common_den(terms)
-    groups = _grouped(den_u, terms)
-    factors = sorted(_factor_max(factors for _, factors in terms).items())
-    exact = _width(
-        max(sum(map(_l1, groups.values())), _l1(den_u)) << sum(count for _, count in factors)
-    )
+
+def _bare_pass(layout, factors, joining: dict, factorless, den_u: tuple) -> tuple:
+    """(num, den) of ``cleared_fraction`` with each polynomial on the way
+    held as one bare pair (e, v), v the int whose digit i sits at position
+    e + i of the layout, empty rows and cancelled digits and all.  A product
+    by u^nu - T^N is one shift and one subtraction, a sum one aligned add
+    (``_plus``), and each group's P_g is packed once.  Only for a layout
+    whose span proves both caps (``_Layout.packs_whole``): no step checks
+    either.  num and den come back as one run each over all the rows."""
+    k, w, g = layout.k, layout.w, layout.g
+    pending = {} if factorless is None else {(): _pack(factorless, w)}
+    prefix = 0, 1
+    for i, ((nu, N), count) in enumerate(factors):
+        step = w * (k * (N // g) - nu)  # from the u^nu copy up to the T^N one
+        merged = {}
+        for held, (e, v) in pending.items():
+            m = held[0][1] if held and held[0][0] == i else 0
+            for _ in range(count - m):
+                v -= v << step
+            rest = held[1:] if m else held
+            e += nu * (count - m)
+            merged[rest] = _plus(merged[rest], (e, v), w) if rest in merged else (e, v)
+        e, v = prefix
+        powers = [v]  # prefix * x_i^c for c = 0 .. M_i, each from e + nu c
+        for _ in range(count):
+            v -= v << step
+            powers.append(v)
+        for held, poly, shift in joining.get(i, ()):
+            c = count - held[0][1]
+            low, p = _pack(poly, w)
+            joined = e + nu * c + low + k * (shift // g), powers[c] * p
+            rest = held[1:]
+            merged[rest] = _plus(merged[rest], joined, w) if rest in merged else joined
+        pending, prefix = merged, (e + nu * count, v)
+    e, v = pending.get((), (0, 0))
+    if not v:
+        return [], [(0, 0, 0, 1)]
+    last = sum(N * M for (_, N), M in factors) // g
+    low, p = _pack(den_u, w)
+    return [(0, last, e, v)], [(0, last, prefix[0] + low, prefix[1] * p)]
+
+
+def _run_pass(layout, factors, joining: dict, factorless, den_u: tuple) -> tuple:
+    """(num, den) of ``cleared_fraction`` as run lists, each step checked
+    by ``_Layout.within_cap``: the pass for every layout that
+    ``_Layout.packs_whole`` turns down."""
     one = [(0, 0, 0, 1)]
-    if not groups:
-        return _Layout((), [den_u], exact), [], one
-    layout = _Layout(factors, [den_u, *groups.values()], exact)
-    index = {f: i for i, (f, _) in enumerate(factors)}
     pending = {}  # (factor index, multiplicity) pairs still held -> partial sum
-    joining = {}  # index of the first factor -> [(held pairs, poly, T shift)]
-    for group, poly in groups.items():
-        held = tuple((index[f], group.count(f)) for f in dict.fromkeys(group))
-        shift = sum(N for _, N in group)
-        if held:
-            joining.setdefault(held[0][0], []).append((held, poly, shift))
-        else:  # the one factorless group
-            pending[()] = layout.within_cap(layout.scaled(one, poly, shift))
+    if factorless is not None:
+        pending[()] = layout.within_cap(layout.scaled(one, factorless))
     prefix = one
     for i, ((nu, N), count) in enumerate(factors):
         merged = {}
@@ -443,5 +502,55 @@ def cleared_fraction(terms) -> tuple:
         pending, prefix = merged, powers[-1]
     num = pending.get((), [])
     if not num:
-        return layout, num, one
-    return layout, num, layout.within_cap(layout.scaled(prefix, den_u))
+        return num, one
+    return num, layout.within_cap(layout.scaled(prefix, den_u))
+
+
+def cleared_fraction(terms) -> tuple:
+    """The cleared fraction of the ``ZetaRational`` terms ``terms`` as
+    (layout, num, den), num and den runs of the ``_Layout``, with
+    den = den_u * prod_f x_f^M_f, x_f = u^nu - T^N.
+
+    With the distinct factors f_1 < ... < f_K at their largest
+    multiplicities M_i, num = sum_g P_g T^N_g prod_f x_f^(M_f - m_g(f))
+    over the ``_grouped`` groups g, where m_g(f) is the multiplicity of f
+    in g and N_g the sum of N over g.  One pass over the factors builds
+    it, with no T-series and no division, keeping one partial sum for
+    each set of factors that its groups still hold.  Step i multiplies
+    the prefix Pre = prod_(j<i) x_j^M_j by x_i^M_i and each partial sum by
+    x_i^(M_i - m(f_i)), and merges the sums that hold the same factors
+    after f_i.  A group whose first factor is f_i then joins the sum for
+    the rest of its factors as P_g T^N_g Pre x_i^(M_i - m_g(f_i)), so all
+    the groups that hold the same factors from some point on share the
+    products after it.  The sum that holds no factor is num, and
+    den = den_u * Pre_K; (0, 1) when every group cancels.  The pass runs on
+    bare packed ints (``_bare_pass``) where ``_Layout.packs_whole`` allows
+    it, and on run lists (``_run_pass``) elsewhere; both give runs of the
+    one ``_Layout``.  Every polynomial on the way is a sum of
+    some groups times at most sum M_f binomials of L1 norm 2, or den_u
+    times the prefix, so its coefficients are at most
+    max(sum_g |P_g|_1, |den_u|_1) * 2^(sum M_f), which sets w.
+    Not gcd-reduced: bivariate gcds are expensive and nothing needs them.
+    InvalidInput as soon as a polynomial on the way holds more than
+    MAX_CLEARED_TERMS terms or MAX_PACKED_BITS bits.
+    """
+    den_u = _common_den(terms)
+    groups = _grouped(den_u, terms)
+    factors = sorted(_factor_max(factors for _, factors in terms).items())
+    exact = _width(
+        max(sum(map(_l1, groups.values())), _l1(den_u)) << sum(count for _, count in factors)
+    )
+    if not groups:
+        return _Layout((), [den_u], exact), [], [(0, 0, 0, 1)]
+    layout = _Layout(factors, [den_u, *groups.values()], exact)
+    index = {f: i for i, (f, _) in enumerate(factors)}
+    joining = {}  # index of the first factor -> [(held pairs, poly, T shift)]
+    factorless = None  # the one group that holds no factor
+    for group, poly in groups.items():
+        held = tuple((index[f], group.count(f)) for f in dict.fromkeys(group))
+        if held:
+            joining.setdefault(held[0][0], []).append((held, poly, sum(N for _, N in group)))
+        else:
+            factorless = poly
+    fold = _bare_pass if layout.packs_whole(factors) else _run_pass
+    return layout, *fold(layout, factors, joining, factorless, den_u)

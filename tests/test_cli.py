@@ -989,6 +989,15 @@ class TestErrorBoundary:
         num, den = per_term_cleared(denef_loeser(parse(json.dumps(doc)), "naive"))
         assert json.loads(out) == cleared_json(num, den)
 
+    def test_rational_of_far_apart_factors_takes_run_lists(self, monkeypatch):
+        # its span proves neither cap, so each step is checked on run lists
+        def refuse(*_):
+            raise AssertionError("bare-int pass taken")
+
+        monkeypatch.setattr(cleared, "_bare_pass", refuse)
+        code, _, err = call(["compute", "-", "--format", "rational"], json.dumps(self._far_apart_doc()))
+        assert code == 0, err
+
     def test_expansion_at_the_cap_runs(self, monkeypatch):
         # y4-x2_Z2 through T^512 is bounded by 98688 lattice points
         argv = ["compute", "y4-x2_Z2", "--format", "series", "--expand", "512"]

@@ -1,3 +1,4 @@
+import json
 import time
 
 import pytest
@@ -32,6 +33,7 @@ from helpers import (
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_properties import variants_of
 
 from equizeta import catalog, cleared, ratpoly
 from equizeta.cleared import MAX_CLEARED_TERMS, _Layout
@@ -73,6 +75,7 @@ from equizeta.ratpoly import (
     ppow,
     ptrim,
 )
+from equizeta.resolution import parse
 from equizeta.zeta import denef_loeser
 
 PT = RatFunc((0, 1), (-1, 1))  # u/(u-1), the series of a fixed point
@@ -293,6 +296,8 @@ class TestClearedBound:
             sizes.append(run_digit_count(runs, layout.w))
             return within_cap(layout, runs)
 
+        # counted on the run lists, whose every step passes ``within_cap``
+        monkeypatch.setattr(_Layout, "packs_whole", lambda layout, factors: False)
         monkeypatch.setattr(_Layout, "within_cap", record)
         denef_loeser(catalog.get("gk(62,+,-)"), "naive").num
         assert max(sizes) == 83324 < MAX_CLEARED_TERMS
@@ -379,6 +384,81 @@ class TestClearedBound:
                               [(1, 1, k + 1, -2), (2, 2, 2 * k + 2, 3)])
             assert runs == want
             assert layout.terms(runs) == [1, 0, 0, 3, 2, 2]
+
+
+def by_pass(terms, bare: bool):
+    """``cleared_outcome`` of terms on the bare-int pass wherever the span
+    proves both caps, whatever the density rule says, or on the run lists
+    throughout."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Layout, "packs_whole",
+                      lambda layout, factors: bare and layout.proves_caps())
+        return cleared_outcome(terms)
+
+
+# The documents named below, each a tree of strata valued 1 on the divisors
+# (N, nu) given: CI's sparse.json, T-sparse with far-apart nu, and two
+# divisors whose one product fills 4 of its 402 rows.
+SPARSE_DIVISORS = [(2, 1), (1000, 3), (3, 2000)]
+SPARSE_STRATA = ([1], [2], [3], [1, 2], [2, 3])
+ROW_SPARSE_DIVISORS = [(1, 2), (400, 2)]
+ROW_SPARSE_STRATA = ([1], [2], [1, 2])
+
+
+def valued_one(divisors, strata) -> ZetaRational:
+    one = {"kind": "rational", "value": {"num": ["1"], "den": ["1"]}}
+    doc = {
+        "name": "t",
+        "group": {"order": 1, "generators": []},
+        "divisors": [{"id": i, "N": N, "nu": nu, "zero_fiber": True}
+                     for i, (N, nu) in enumerate(divisors, 1)],
+        "strata": [{"I": I, "beta": one} for I in strata],
+    }
+    return denef_loeser(parse(json.dumps(doc)), "naive")
+
+
+class TestTwoPasses:
+    @pytest.mark.parametrize(
+        "name",
+        catalog.sample_names()
+        + [f"gk({k},{a},{b})" for k in range(3, 15) for a in "+-" for b in "+-"]
+        + [f"hk({k},{s})" for k in range(3, 15) for s in "+-"]
+        + ["gk(62,+,-)", "gk(64,+,+)", "hk(129,+)"],
+    )
+    def test_bare_ints_and_run_lists_clear_catalog_trees_alike(self, name):
+        res = catalog.get(name)
+        for variant in variants_of(res):
+            terms = denef_loeser(res, variant).terms
+            assert by_pass(terms, True) == by_pass(terms, False), variant
+
+    @pytest.mark.parametrize("name", ["gk(14,+,-)", "gk(62,+,-)"])
+    def test_dense_ladder_trees_take_bare_ints(self, name, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("run list built")
+
+        z = denef_loeser(catalog.get(name), "naive")
+        monkeypatch.setattr(_Layout, "times", refuse)
+        monkeypatch.setattr(_Layout, "add", refuse)
+        num, den = z.cleared_terms()
+        assert num and den
+
+    @pytest.mark.parametrize(
+        "divisors, strata",
+        [(SPARSE_DIVISORS, SPARSE_STRATA), (ROW_SPARSE_DIVISORS, ROW_SPARSE_STRATA)],
+    )
+    def test_sparse_sums_take_run_lists(self, divisors, strata, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("bare-int pass taken")
+
+        z = valued_one(divisors, strata)
+        want = by_pass(z.terms, False)
+        monkeypatch.setattr(cleared, "_bare_pass", refuse)
+        assert z.cleared_terms() == want
+
+    def test_the_row_sparse_sum_is_proved(self):
+        # so only the density rule sends it to the run lists
+        z = valued_one(ROW_SPARSE_DIVISORS, ROW_SPARSE_STRATA)
+        assert z._cleared[0].proves_caps()
 
 
 class TestBandSum:
@@ -1070,6 +1150,23 @@ def test_band_sums_match_the_merges_they_replaced(case, max_terms, cleared_bits,
         patch.setattr(ratpoly, "_add_shifted", reference_add_shifted)
         patch.setattr(ratpoly, "_band_sum", merged_bands)
         assert got == packed_outcomes(*case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    far_apart_sums(),
+    st.integers(2, 64) | st.just(MAX_CLEARED_TERMS),
+    st.integers(64, 4096) | st.just(ratpoly.MAX_PACKED_BITS),
+)
+def test_bare_ints_match_run_lists(case, max_terms, cleared_bits):
+    # the bare-int pass, taken wherever the span proves both caps, gives the
+    # terms and refusals of the run lists, wherever the caps lie
+    terms, other, _ = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cleared, "MAX_CLEARED_TERMS", max_terms)
+        patch.setattr(cleared, "MAX_PACKED_BITS", cleared_bits)
+        for sum_ in (terms, other):
+            assert by_pass(sum_, True) == by_pass(sum_, False)
 
 
 BIG = 1 << 200

@@ -509,8 +509,21 @@ class TestCatalog:
 
     @pytest.mark.parametrize(
         "name",
+        ["gk(62,+,-)", "gk(62,-,+)", "gk(62,-)", "gk(64,+,+)", "gk(64,-,-)", "gk(64,+)",
+         "hk(129,+)", "hk(127,+)", "hk(125,+)", "hk(125,-)", "hk(124,+)", "hk(124,-)"],
+    )
+    def test_every_admitted_limit_member_validates(self, name):
+        # the largest member of each family, and of each parity of hk(k,+)
+        res = catalog.get(name)
+        assert len(res.divisors) <= 64 and validate(res) == []
+
+    @pytest.mark.parametrize(
+        "name",
         ["gk(65,+,+)", "gk(65,-)", "hk(130,+)", "gk(1000000,+,-)", "hk(1000000,+)",
-         "gk(" + "9" * 18 + ",+,-)", "x2k_Z2(" + "9" * 19 + ")", "x2k_Z2(" + "9" * 5000 + ")"],
+         "gk(" + "9" * 18 + ",+,-)", "x2k_Z2(" + "9" * 19 + ")", "x2k_Z2(" + "9" * 5000 + ")",
+         # 65 or 66 divisors: the chain and the strict transform's branches
+         "gk(63,+,-)", "gk(63,-,+)", "gk(64,+,-)", "gk(64,-,+)", "gk(64,-)", "hk(126,+)",
+         "hk(126,-)", "hk(127,-)", "hk(128,+)", "hk(128,-)", "hk(129,-)"],
     )
     def test_oversized_family_parameter_is_refused_at_once(self, name):
         start = time.perf_counter()
