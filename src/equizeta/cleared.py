@@ -1,39 +1,23 @@
-"""The cleared fraction of a ``ZetaRational``, as skew-packed T-rows.
+"""The cleared fraction of a ``ZetaRational``, on packed T-rows.
 
 The cleared fraction num / den of a sum of coeff * prod T^N / (u^nu - T^N)
-terms multiplies out products of binomials u^nu - T^N, which are dense in T.
-Each polynomial on the way is held under the skewed Kronecker map
-u -> 2^w, T^g -> 2^(w k) (``_Layout``): g is the gcd of the factors' N, and
-k keeps each row clear of the next in the factors' zonotope.  No polynomial
-on the way spans more digits than the layout's ``span``, and one of two
-passes builds them, picked once per cleared fraction by
-``_Layout.packs_whole``:
+terms multiplies out products of binomials u^nu - T^N.  Every T-exponent on
+the way is g times a row j, g the gcd of the factors' N, and one of two
+passes, picked once per cleared fraction by ``_Layout.packs_whole``, holds
+each polynomial in ``ratpoly``'s packed format:
 
-* the bare-int pass (``_bare_pass``) holds each polynomial as one pair
-  (e, v), a single int from its lowest digit up, empty rows and all: a
-  product by a binomial is one shift and one subtraction, a sum one aligned
-  add, and no step checks a cap.  It runs where the span lies within both
-  caps, so that none can fire, and where the int is dense enough: its bits
-  per T-height that can hold terms, times the rows per such height, at most
-  _SLACK_BITS.  Every tree of the catalog takes it;
-* the run-list pass (``_run_pass``) holds each polynomial as runs of
-  consecutive rows, each run one int.  Runs that share a row become one by
-  ``ratpoly._band_sum``, and neighbouring runs join only across at most
-  _SLACK_BITS empty bits, so T-sparse polynomials, and rows whose u-bands
-  lie far apart, keep a run per row, as the T-expansion's packed rows in
-  ``ratpoly`` do.  Each step is checked by ``_Layout.within_cap``, which
-  takes one comparison where the span proves both caps, and counts only
-  past that bound.
+* bare int (``_bare_pass``): one int over all the rows under the skewed
+  Kronecker map of ``_Layout``, where the rows are dense and the layout's
+  span proves both caps, so that no step checks one.  Every catalog tree
+  takes it;
+* ratpoly's packed rows (``_row_pass``), the T-expansion's {j: (low, v)},
+  elsewhere: a T-sparse polynomial, or one whose bands lie far apart,
+  costs its rows and not the empty digits between them.
 
-Both use ``ratpoly``'s packed format: its width rule (digits stored at the
-``_byte_width`` of the coefficients' exact ``_width``), its readout
-``_digits``, and its bit count ``_exact_bits``; the caps count terms, and
-the bits that each row would take packed alone at the exact width.  Both
-give num and den as runs, the bare pass one run each, and one readout,
-``_Layout.terms``, gives every polynomial as one interleaved [c, t, u, ...]
-list in (t, u) order, which ``cli`` prints with one format call.
-``ratpoly.ZetaRational._cleared`` imports this module when a cleared
-fraction is first asked for, so commands that print none do not load it.
+One readout, ``_Layout.terms``, turns num and den into interleaved
+[c, t, u, ...] lists in (t, u) order for ``cli`` to print with one format
+call.  ``ZetaRational._cleared`` imports this module on first use, so
+commands that print no cleared fraction do not load it.
 """
 
 from __future__ import annotations
@@ -44,35 +28,32 @@ from itertools import chain, compress, repeat
 from math import gcd, inf
 from operator import itemgetter, mul, sub
 
+from . import ratpoly
 from .errors import InvalidInput
 from .ratpoly import (
-    MAX_PACKED_BITS,
-    _band_sum,
+    _add_shifted,
     _byte_width,
     _common_den,
     _digits,
-    _exact_bits,
     _factor_max,
     _grouped,
     _l1,
     _pack,
-    _too_many_bits,
     _valuation,
     _width,
+    _within_bits,
 )
 
 # Cap on the nonzero (u, T) terms of any one polynomial that
 # ``cleared_fraction`` holds while it builds num / den, checked after each
-# step of the run-list pass; ``ratpoly.MAX_PACKED_BITS`` bounds the bits its
-# rows would take as packed rows (``_Layout.within_cap``).  Where the
-# layout's span, the digits that any polynomial on the way can spread over,
-# is within both caps, the check is that one comparison, and the bare-int
-# pass checks nothing; past it the terms are counted exactly.  The
-# catalog's largest polynomials on the way are gk(62,+,-) at 83,324 terms
-# (span 111,316), hk(129,+) at 47,891 and gk(64,+,+) at 45,758.  Sixteen
-# divisors whose N have distinct subset sums, with every pair a stratum,
-# pass it within a second and fail with InvalidInput (exit 2); twice the cap
-# lets them print 16 MB of JSON in 0.8 s at 94 MB peak RSS.
+# step on ratpoly's packed rows beside ``ratpoly.MAX_PACKED_BITS``
+# (``_Layout.within_cap``), and by the layout's span alone on bare ints.
+# The catalog's largest polynomials on the way are gk(62,+,-) at 83,324
+# terms (span 111,316), hk(129,+) at 47,891 and gk(64,+,+) at 45,758.
+# Sixteen divisors whose N have distinct subset sums, with every pair a
+# stratum, pass it within a second and fail with InvalidInput (exit 2);
+# twice the cap lets them print 16 MB of JSON in 1.0-1.3 s at 113 MiB peak
+# RSS (one process on a shared 2-core host).
 MAX_CLEARED_TERMS = 1 << 17
 
 
@@ -96,25 +77,6 @@ def _nonzero_digits(v: int, w: int) -> int:
     return (bits & ones).bit_count()
 
 
-def _row_bits(flat: list, w: int) -> int:
-    """The bits that the terms ``flat``, an interleaved [c, t, u, ...] list
-    in (t, u) order, take as packed rows of digit width w: for each row, w
-    bits a digit from its lowest term up to its highest, and that one's own
-    bits, less one where it is a power of two and the term below it in the
-    row, whose sign the digits below take, has the other sign."""
-    cs, ts, us = flat[::3], flat[1::3], flat[2::3]
-    bits, first = 0, 0
-    for i, t in enumerate(ts):
-        if i + 1 < len(ts) and ts[i + 1] == t:
-            continue
-        c = cs[i]
-        bits += (us[i] - us[first]) * w + c.bit_length()
-        if i > first and (cs[i - 1] < 0) != (c < 0) and not abs(c) & (abs(c) - 1):
-            bits -= 1
-        first = i + 1
-    return bits
-
-
 def _segments(factors) -> list:
     """[(B, a, nu, N)], the greedy fill of T-heights by the (nu, N) factors,
     each M times, in the given order: on [B, B + M N] it has used the
@@ -127,20 +89,29 @@ def _segments(factors) -> list:
     return out
 
 
-# The most empty bits that two runs join across: 64 machine words of empty
-# digits cost an integer operation less than the Python steps of one more
-# run.
+# About the bits at which one integer operation costs as much as the Python
+# steps of one more int, 64 machine words: the bare-int pass may spend this
+# many bits per T-height that can hold terms (``_Layout.packs_whole``), and
+# the term count joins short rows up to this many bits (``_terms_in``).
 _SLACK_BITS = 1 << 12
 
 
-def _joins(gap: int, parts: int, span: int) -> bool:
-    """Whether two runs whose rows lie apart join into one: ``gap`` empty
-    bits between them, ``parts`` bits in the two, ``span`` bits from the
-    lowest digit of one to the highest of the other.  They join across at
-    most _SLACK_BITS empty bits, and only where those cost no more than
-    the two runs or the joined run is no longer than _SLACK_BITS.  Runs
-    that share a row are not joined but summed, by ``ratpoly._band_sum``."""
-    return gap <= _SLACK_BITS and (gap <= parts or span <= _SLACK_BITS)
+def _terms_in(values: list, sizes: list, w: int) -> int:
+    """The nonzero digits of the packed values of bit lengths ``sizes``, one
+    ``_nonzero_digits`` call per _SLACK_BITS bits or longer value: a value
+    of b bits fits in b // w + 1 digits, so values joined side by side at
+    those offsets keep theirs."""
+    count, joined, used = 0, 0, 0
+    room = _SLACK_BITS // w
+    for v, b in zip(values, sizes):
+        digits = b // w + 1
+        if used + digits > room:
+            count += _nonzero_digits(joined, w)
+            joined, used = v, digits
+        else:
+            joined += v << w * used
+            used += digits
+    return count + _nonzero_digits(joined, w)
 
 
 class _Layout:
@@ -149,19 +120,10 @@ class _Layout:
     an integer whose balanced digits |c| < 2^(w-1) are the coefficients.
     g is the gcd of the factors' N, so every T-exponent is g times a row j.
 
-    A polynomial is a list of runs (j0, j1, e, v) in row order: the rows
-    j0..j1, held as the one integer v whose digit i sits at position e + i;
-    a run keeps its rows when the digits of its first or last ones cancel.
-    A product by u^nu - T^N is then one shift and one subtraction per run,
-    and a product by a u-polynomial one int product.  The run-list pass
-    keeps a run per stretch of rows (``times``, ``add``, ``scaled``), its
-    lowest digit nonzero, and checks each step (``within_cap``); the
-    bare-int pass holds one (e, v) over all the rows, its low digits zero
-    where they cancelled, and hands it over as the run (0, R, e, v).  Which
-    one a cleared fraction takes is ``packs_whole``'s rule: the span proves
-    both caps, and the int spends at most _SLACK_BITS, the empty bits that
-    two runs join across, per T-height that can hold terms, scaled by the
-    rows per such height.
+    The bare-int pass holds a polynomial as one (e, v), the int v whose
+    digit i sits at position e + i; the row pass's row j, (low, v), sits at
+    e = low + k j.  ``terms`` reads either as runs (j0, j1, e, v) in row
+    order, the rows j0..j1 as one int from position e.
 
     Every polynomial on the way lies, up to a shift in u, in the factors'
     zonotope sum_f M_f [(nu_f, 0), (0, N_f)] widened by the u-range [lo, hi]
@@ -178,11 +140,10 @@ class _Layout:
     Each polynomial on the way is, up to its shift in u, one whose row j
     holds its digits in [S(j), S(j + 1)): so it spreads over at most
     ``span`` = S(R + 1) - S(0) digits, R = sum_f M_f N_f / g its last row.
-    Then it has at most span nonzero terms, its rows packed at the exact
-    width take at most span * exact bits, and the empty digits that ``add``
-    and ``times`` open in one row are fewer than span: where span is within
-    MAX_CLEARED_TERMS and span * exact within MAX_PACKED_BITS, none of their
-    checks can fire (``within_cap``).
+    Then it has at most span terms, its rows at the exact width take at
+    most span * exact bits, and the digits that ``ratpoly._add_shifted``
+    charges are fewer than span: where span is within MAX_CLEARED_TERMS and
+    span * exact within MAX_PACKED_BITS, no check can fire.
     """
 
     __slots__ = ("g", "k", "w", "exact", "span", "_top", "_steep", "_starts")
@@ -242,8 +203,8 @@ class _Layout:
         """S(j) for the rows j0..j1, built once per row over the calls that
         ask for them: the layout keeps the last range it built, and builds
         only the rows outside it of a range that meets it, so the readouts
-        of num and den share theirs, while rows that no run holds, between
-        the runs of a T-sparse polynomial, are never built."""
+        of num and den share theirs, while the row pass's one-row runs need
+        none."""
         if j0 > j1:
             return []
         c0, c1, held = self._starts
@@ -256,98 +217,23 @@ class _Layout:
             self._starts = c0, c1, held
         return held[j0 - c0:j1 - c0 + 1]
 
-    def scaled(self, runs: list, poly: tuple, N: int = 0) -> list:
-        """runs * poly(u) T^N for a nonzero u-polynomial poly, one int
-        product per run; InvalidInput, before the products, once the digits
-        that poly adds to the runs would exceed MAX_PACKED_BITS bits at the
-        exact width."""
-        low, p = _pack(poly, self.w)
-        if (len(poly) - 1 - low) * len(runs) > MAX_PACKED_BITS // self.exact:
-            raise _too_many_bits()
-        n = N // self.g
-        shift = low + self.k * n
-        if p == 1:
-            return [(j0 + n, j1 + n, e + shift, v) for j0, j1, e, v in runs]
-        return [(j0 + n, j1 + n, e + shift, v * p) for j0, j1, e, v in runs]
-
-    def times(self, runs: list, nu: int, N: int) -> list:
-        """runs * (u^nu - T^N): each run shifted by u^nu, less each run
-        shifted by T^N, summed by ``add``.  A dense polynomial is a single
-        run, and most products are of one; its T^N copy lies above its u^nu
-        copy, k n > nu, so ``add``'s rules come down to one shift and one
-        subtraction, or the two copies apart, which it takes here in a few
-        steps: ``ratpoly._band_sum``'s gap check, as the copies' lows differ
-        and no low digit cancels, and ``add``'s join rule."""
-        n = N // self.g
-        shift = self.k * n
-        w = self.w
-        if len(runs) == 1:
-            j0, j1, e, v = runs[0]
-            bits = v.bit_length()
-            gap = shift - nu - bits // w - 1  # empty digits between the copies
-            if j1 - j0 >= n:  # they share a row
-                if gap > MAX_PACKED_BITS // self.exact:
-                    raise _too_many_bits()
-            elif not _joins(gap * w, 2 * bits, (shift - nu + bits // w + 1) * w):
-                return self.within_cap([(j0, j1, e + nu, v), (j0 + n, j1 + n, e + shift, -v)])
-            return self.within_cap([(j0, j1 + n, e + nu, v - (v << w * (shift - nu)))])
-        return self.add(
-            [(j0, j1, e + nu, v) for j0, j1, e, v in runs],
-            [(j0 + n, j1 + n, e + shift, -v) for j0, j1, e, v in runs],
-        )
-
-    def add(self, a: list, b: list) -> list:
-        """a + b, checked by ``within_cap``, in one pass over the runs by
-        first row.  A run that shares a row with the last one is summed into
-        it by ``ratpoly._band_sum``, the one band-sum rule: InvalidInput,
-        before allocating them, once the empty digits opened between the
-        bands in one row would exceed MAX_PACKED_BITS bits at the exact
-        width, and the low digits that cancel are trimmed off, so each row
-        is dense in its band as a packed row is; a run whose digits all
-        cancel goes.  Any other run is appended.  The last run then joins
-        the one before it by ``_joins`` as long as they may: so a dense
-        polynomial is one run, while T-sparse ones, and rows whose bands lie
-        far apart, keep a run per row, and no run holds more than
-        _SLACK_BITS empty bits per row."""
-        if not a or not b:
-            return self.within_cap(a or b)
-        w = self.w
-        spare = MAX_PACKED_BITS // self.exact
-        runs = []
-        for j0, j1, e, v in sorted(a + b, key=itemgetter(0)):
-            if runs and j0 <= runs[-1][1]:
-                i0, i1, low, x = runs.pop()
-                e, v, spare = _band_sum(low, x, e, v, w, spare)
-                if not v:
-                    continue
-                j0, j1 = i0, max(i1, j1)
-            runs.append((j0, j1, e, v))
-            while len(runs) > 1:  # rows apart: join the last run down while it may
-                (i0, _, low, x), (_, i1, e, v) = runs[-2:]
-                below, above = x.bit_length(), v.bit_length()
-                if not _joins((e - low - below // w - 1) * w, below + above,
-                              (e + above // w - low + 1) * w):
-                    break
-                runs[-2:] = [(i0, i1, low, x + (v << w * (e - low)))]
-        return self.within_cap(runs)
-
     def proves_caps(self) -> bool:
         """Whether the span proves both caps, so that no step can pass
         either: the caps are read at each call, so a cap set after the
         layout was built still holds."""
-        return self.span <= MAX_CLEARED_TERMS and self.span * self.exact <= MAX_PACKED_BITS
+        return self.span <= MAX_CLEARED_TERMS and self.span * self.exact <= ratpoly.MAX_PACKED_BITS
 
     def packs_whole(self, factors) -> bool:
         """Whether ``cleared_fraction`` holds each polynomial on the way to
         the factors' cleared fraction as one bare packed int: where the span
         proves both caps, and the span's bits per T-height that can hold
-        terms, times the rows per such height, are at most _SLACK_BITS, the
-        empty bits that two runs join across.  Every polynomial on the way
-        holds terms only at heights sum_f c_f N_f, 0 <= c_f <= M_f, counted
-        here as the bits of one int.  So where every row can hold terms, a
-        row is at most _SLACK_BITS on average; where few can, the int is
-        mostly empty rows, whose digits each step moves and the readout
-        walks, while the run lists skip them."""
+        terms, times the rows per such height, are at most _SLACK_BITS.
+        Every polynomial on the way holds terms only at heights
+        sum_f c_f N_f, 0 <= c_f <= M_f, counted here as the bits of one int.
+        So where every row can hold terms, a row is at most _SLACK_BITS on
+        average; where few can, the int is mostly empty rows, whose digits
+        each step moves and the readout walks, while ratpoly's packed rows
+        skip them."""
         if not self.proves_caps():
             return False
         reach = 1  # bit j set where T-height g j can hold terms
@@ -357,39 +243,26 @@ class _Layout:
         heights = reach.bit_count()
         return self.span * self.w * reach.bit_length() <= _SLACK_BITS * heights * heights
 
-    def within_cap(self, runs: list) -> list:
-        """runs, or InvalidInput once they hold more than MAX_CLEARED_TERMS
-        nonzero (u, T) terms, or once their rows, as packed rows of the
-        coefficients' exact width, would hold more than MAX_PACKED_BITS
-        bits.  Where the layout's span is within both caps, neither can
-        fire, and runs come back at once; the caps are read at each check,
-        so a cap set after the layout was built still holds.  Past that
-        bound each is first bounded from above in O(runs) and counted only
-        when the bound exceeds its cap: the digits by the bits over w, plus
-        one per run; the bits by the runs' own, and then by those at the
-        exact width, where a run of b bits holds b // w digits below its top
-        one, whose b % w bits are the same at either width."""
-        w, exact = self.w, self.exact
+    def within_cap(self, rows: dict) -> dict:
+        """The row pass's packed rows, or InvalidInput once they hold more
+        than MAX_CLEARED_TERMS nonzero (u, T) terms or, by
+        ``ratpoly._within_bits``, MAX_PACKED_BITS bits: one comparison where
+        the span proves both caps, and past it a count (``_terms_in``) only
+        where the rows' digits, a bound from above, pass the cap."""
         if self.proves_caps():
-            return runs
-        values = list(map(itemgetter(3), runs))
+            return rows
+        w = self.w
+        values = list(map(itemgetter(1), rows.values()))
         sizes = list(map(int.bit_length, values))
-        bits = sum(sizes)
-        if bits // w + len(runs) > MAX_CLEARED_TERMS and sum(
-            _nonzero_digits(v, w) for v in values
+        if sum(sizes) // w + len(sizes) > MAX_CLEARED_TERMS and _terms_in(
+            values, sizes, w
         ) > MAX_CLEARED_TERMS:
             raise InvalidInput(
                 f"the cleared fraction would hold more than MAX_CLEARED_TERMS = "
                 f"{MAX_CLEARED_TERMS} terms; the strata hold too many distinct factors or "
                 "too large multiplicities"
             )
-        if (
-            bits > MAX_PACKED_BITS
-            and _exact_bits(sizes, w, exact) > MAX_PACKED_BITS
-            and _row_bits(self.terms(runs), exact) > MAX_PACKED_BITS
-        ):
-            raise _too_many_bits()
-        return runs
+        return _within_bits(rows, w, self.exact)
 
     def terms(self, runs: list) -> list:
         """The nonzero terms of the cleared fraction's polynomial ``runs`` in
@@ -474,36 +347,51 @@ def _bare_pass(layout, factors, joining: dict, factorless, den_u: tuple) -> tupl
     return [(0, last, e, v)], [(0, last, prefix[0] + low, prefix[1] * p)]
 
 
-def _run_pass(layout, factors, joining: dict, factorless, den_u: tuple) -> tuple:
-    """(num, den) of ``cleared_fraction`` as run lists, each step checked
-    by ``_Layout.within_cap``: the pass for every layout that
-    ``_Layout.packs_whole`` turns down."""
-    one = [(0, 0, 0, 1)]
+def _times(layout, rows: dict, nu: int, N: int) -> dict:
+    """Packed rows {j: (low, v)} times u^nu - T^N, checked: the rows moved to
+    low + nu, plus the rows negated at j + N / g."""
+    moved = {j: (low + nu, v) for j, (low, v) in rows.items()}
+    n = N // layout.g
+    return layout.within_cap(_add_shifted(
+        moved, {j + n: row for j, row in rows.items()}, (-1,), layout.w, layout.exact
+    ))
+
+
+def _row_pass(layout, factors, joining: dict, factorless, den_u: tuple) -> tuple:
+    """(num, den) of ``cleared_fraction`` for a layout that
+    ``_Layout.packs_whole`` turns down: each polynomial on the way is packed
+    rows {j: (low, v)}, each product summed by ``ratpoly._add_shifted`` and
+    each step checked by ``_Layout.within_cap``; num and den come back as
+    one-row runs (j, j, low + k j, v)."""
+    w, exact, g = layout.w, layout.exact, layout.g
     pending = {}  # (factor index, multiplicity) pairs still held -> partial sum
     if factorless is not None:
-        pending[()] = layout.within_cap(layout.scaled(one, factorless))
-    prefix = one
+        pending[()] = layout.within_cap(_add_shifted({}, {0: (0, 1)}, factorless, w, exact))
+    prefix = {0: (0, 1)}
     for i, ((nu, N), count) in enumerate(factors):
         merged = {}
-        for held, runs in pending.items():
+        for held, rows in pending.items():
             m = held[0][1] if held and held[0][0] == i else 0
             for _ in range(count - m):
-                runs = layout.times(runs, nu, N)
+                rows = _times(layout, rows, nu, N)
             rest = held[1:] if m else held
-            merged[rest] = layout.add(merged[rest], runs) if rest in merged else runs
-        powers = [prefix]  # prefix * x_i^k for k = 0 .. M_i
+            merged[rest] = (layout.within_cap(_add_shifted(merged[rest], rows, (1,), w, exact))
+                            if rest in merged else rows)
+        powers = [prefix]  # prefix * x_i^c for c = 0 .. M_i
         for _ in range(count):
-            powers.append(layout.times(powers[-1], nu, N))
+            powers.append(_times(layout, powers[-1], nu, N))
         for held, poly, shift in joining.get(i, ()):
-            joined = layout.scaled(powers[count - held[0][1]], poly, shift)
-            rest = held[1:]
-            merged[rest] = (layout.add(merged[rest], joined) if rest in merged
-                            else layout.within_cap(joined))
+            n, acc = shift // g, merged.get(held[1:], {})
+            rows = {j + n: row for j, row in powers[count - held[0][1]].items()}
+            merged[held[1:]] = layout.within_cap(_add_shifted(acc, rows, poly, w, exact))
         pending, prefix = merged, powers[-1]
-    num = pending.get((), [])
+    num = pending.get((), {})
     if not num:
-        return num, one
-    return num, layout.within_cap(layout.scaled(prefix, den_u))
+        return [], [(0, 0, 0, 1)]
+    den = layout.within_cap(_add_shifted({}, prefix, den_u, w, exact))
+    k = layout.k
+    return tuple([(j, j, low + k * j, v) for j, (low, v) in sorted(rows.items())]
+                 for rows in (num, den))
 
 
 def cleared_fraction(terms) -> tuple:
@@ -523,13 +411,12 @@ def cleared_fraction(terms) -> tuple:
     the rest of its factors as P_g T^N_g Pre x_i^(M_i - m_g(f_i)), so all
     the groups that hold the same factors from some point on share the
     products after it.  The sum that holds no factor is num, and
-    den = den_u * Pre_K; (0, 1) when every group cancels.  The pass runs on
-    bare packed ints (``_bare_pass``) where ``_Layout.packs_whole`` allows
-    it, and on run lists (``_run_pass``) elsewhere; both give runs of the
-    one ``_Layout``.  Every polynomial on the way is a sum of
-    some groups times at most sum M_f binomials of L1 norm 2, or den_u
-    times the prefix, so its coefficients are at most
-    max(sum_g |P_g|_1, |den_u|_1) * 2^(sum M_f), which sets w.
+    den = den_u * Pre_K; (0, 1) when every group cancels.  ``_bare_pass``
+    builds them where ``_Layout.packs_whole`` allows it, ``_row_pass``
+    elsewhere.  Every polynomial on the way is a sum of some groups times
+    at most sum M_f binomials of L1 norm 2, or den_u times the prefix, so
+    its coefficients are at most max(sum_g |P_g|_1, |den_u|_1) *
+    2^(sum M_f), which sets w.
     Not gcd-reduced: bivariate gcds are expensive and nothing needs them.
     InvalidInput as soon as a polynomial on the way holds more than
     MAX_CLEARED_TERMS terms or MAX_PACKED_BITS bits.
@@ -552,5 +439,5 @@ def cleared_fraction(terms) -> tuple:
             joining.setdefault(held[0][0], []).append((held, poly, sum(N for _, N in group)))
         else:
             factorless = poly
-    fold = _bare_pass if layout.packs_whole(factors) else _run_pass
+    fold = _bare_pass if layout.packs_whole(factors) else _row_pass
     return layout, *fold(layout, factors, joining, factorless, den_u)

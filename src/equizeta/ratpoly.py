@@ -34,12 +34,13 @@ digits starts from MAX_PACKED_BITS // exact.  Two drivers use the format.
 The T-expansion, sparse in T, holds packed T-rows {T exponent: (low, v)},
 one int per row over the u-band of that row, multiplies by each factor
 through a one-step recurrence (``_times_geometric``), and sums the groups
-through one in-place adder, ``_add_shifted``.  The cleared fraction is a
-product of binomials u^nu - T^N, dense in T, so the ``cleared`` module
-packs runs of consecutive T-rows into one int under a skewed map that keeps
-each row clear of the next: a product by a binomial is then one shift and
-one subtraction per run.  Both sum two bands of one row by ``_band_sum``,
-which charges the gap between them and trims the low digits that cancel.
+through one in-place adder, ``_add_shifted``, which sums two bands of one
+row by ``_band_sum``: it charges the gap between them and trims the low
+digits that cancel.  The cleared fraction, a product of binomials
+u^nu - T^N, is one int over all its rows under a skewed map that keeps
+each row clear of the next where its rows are dense and its span proves
+both caps, so that a product by a binomial is one shift and one
+subtraction, and these same packed rows elsewhere (``cleared``).
 
 Canonicalisation strips the two primes that the engine's denominators are
 built from before any gcd: the power of u, read from the low zero
@@ -67,7 +68,7 @@ import sys
 from functools import cached_property
 from itertools import repeat
 from math import gcd, prod
-from operator import add, lshift, sub
+from operator import add, itemgetter, lshift, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -664,14 +665,14 @@ def _grouped(den_u: tuple, terms, negated=()) -> dict:
 MAX_EXPANSION = 1 << 24
 
 # Cap on the bits of the packed rows of any one polynomial that ``_expand``
-# holds, or that the rows of one that ``cleared.cleared_fraction`` holds
-# would take as packed rows, 16 MiB.  A packed row stores every power of u
-# in its band, zero or not, so this bounds memory where
-# ``cleared.MAX_CLEARED_TERMS``, which counts nonzero terms, does not:
-# a divisor with nu = 10^9 beside one with nu = 1 puts the two ends of a row
-# 10^9 digits apart, and fails at once with InvalidInput (exit 2).  The
-# catalog's largest polynomial, on the way to gk(62,+,-), holds 8.0 million
-# bits in its runs.  A series coefficient read off a row is charged the same
+# or ``cleared.cleared_fraction`` holds, 16 MiB, read at each check.  A
+# packed row stores every power of u in its band, zero or not, so this
+# bounds memory where ``cleared.MAX_CLEARED_TERMS``, which counts nonzero
+# terms, does not: a divisor with nu = 10^9 beside one with nu = 1 puts the
+# two ends of a row 10^9 digits apart, and fails at once with InvalidInput
+# (exit 2).  The
+# catalog's largest polynomial, on the way to gk(62,+,-), holds 5.8 million
+# bits in its rows.  A series coefficient read off a row is charged the same
 # way for the dense u-tuples it would be stored in (``_check_span``): the
 # one term u^(-1-10^9) T^2 of a single stratum on those two divisors is
 # refused there.
@@ -788,7 +789,7 @@ def _too_many_bits():
 def _within_bits(rows: dict, w: int, exact: int) -> dict:
     """rows, or InvalidInput once they hold more than MAX_PACKED_BITS bits
     at the exact width."""
-    sizes = [v.bit_length() for _, v in rows.values()]
+    sizes = list(map(int.bit_length, map(itemgetter(1), rows.values())))
     if sum(sizes) > MAX_PACKED_BITS and _exact_bits(sizes, w, exact) > MAX_PACKED_BITS:
         raise _too_many_bits()
     return rows

@@ -7,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
 
-from operator import add, itemgetter
+from operator import add
 
 from equizeta import cleared, ratpoly
 from equizeta.cohomology import F2Matrix, SpectralPage
@@ -339,38 +339,35 @@ def packed(rows: dict, w: int) -> dict:
     }
 
 
-def run_digit_count(runs: list, w: int) -> int:
-    """The nonzero digits of ``cleared._Layout`` runs (j0, j1, e, v) of digit
-    width w, read off by ``ratpoly._digits``."""
-    return sum(sum(map(bool, _digits(v, w))) for *_, v in runs)
+def row_digit_count(rows: dict, w: int) -> int:
+    """The nonzero digits of packed rows {j: (low, v)} of digit width w,
+    read off by ``ratpoly._digits``."""
+    return sum(sum(map(bool, _digits(v, w))) for _, v in rows.values())
 
 
-def counted_within_cap(layout, runs: list) -> list:
+def counted_within_cap(layout, rows: dict) -> dict:
     """``cleared._Layout.within_cap`` that counts every step, whatever the
-    layout's span: runs, or InvalidInput once they hold more than
-    MAX_CLEARED_TERMS nonzero terms, or once their rows, as packed rows of
-    the exact width, would hold more than MAX_PACKED_BITS bits, with each
-    count made only where its bound from above passes the cap.  Both caps
-    are read from ``cleared`` at each call."""
-    w, exact = layout.w, layout.exact
-    values = [v for *_, v in runs]
-    sizes = list(map(int.bit_length, values))
-    bits = sum(sizes)
-    if bits // w + len(runs) > cleared.MAX_CLEARED_TERMS and sum(
-        cleared._nonzero_digits(v, w) for v in values
-    ) > cleared.MAX_CLEARED_TERMS:
+    layout's span, on the terms read off digit by digit (``unpacked``), with
+    neither ``_nonzero_digits``, ``ratpoly``'s bit rule nor ``_Layout.terms``:
+    rows, or InvalidInput once they hold more than MAX_CLEARED_TERMS nonzero
+    terms, or once each row, packed alone at the exact width from its lowest
+    term to its highest, would take more than MAX_PACKED_BITS bits in all.
+    The caps are read from ``cleared`` and ``ratpoly`` at each call."""
+    exact = layout.exact
+    read = unpacked(rows, layout.w)
+    if sum(map(len, read.values())) > cleared.MAX_CLEARED_TERMS:
         raise InvalidInput(
             f"the cleared fraction would hold more than MAX_CLEARED_TERMS = "
             f"{cleared.MAX_CLEARED_TERMS} terms; the strata hold too many distinct factors or "
             "too large multiplicities"
         )
-    if (
-        bits > cleared.MAX_PACKED_BITS
-        and cleared._exact_bits(sizes, w, exact) > cleared.MAX_PACKED_BITS
-        and cleared._row_bits(layout.terms(runs), exact) > cleared.MAX_PACKED_BITS
-    ):
-        raise cleared._too_many_bits()
-    return runs
+    bits = sum(
+        sum(c << exact * (u - min(row)) for u, c in row.items()).bit_length()
+        for row in read.values()
+    )
+    if bits > ratpoly.MAX_PACKED_BITS:
+        raise ratpoly._too_many_bits()
+    return rows
 
 
 def merged_bands(low_a: int, a: int, low_b: int, b: int, w: int, spare: int):
@@ -416,88 +413,6 @@ def reference_add_shifted(acc: dict, rows: dict, poly: tuple, w: int, exact: int
                 low, v, spare = merged_bands(low_a, a, low, v, w, spare)
         acc[t] = low, v
     return acc
-
-
-def reference_layout_add(layout, a: list, b: list) -> list:
-    """``cleared._Layout.add`` by the general merge that the fold over
-    ``ratpoly._band_sum`` replaced: one record [j0, j1, lowest digit, highest
-    digit, bits of the parts, sum, whether two parts start at the lowest
-    digit] per run, the gap to each part charged against the bound on the
-    parts' digits, joins decided on the parts' bits, and cancelled low digits
-    trimmed only at the end; two one-run operands that share a row take one
-    shifted add.  MAX_PACKED_BITS is read from ``cleared`` at each call."""
-    w = layout.w
-    if not a or not b:
-        return layout.within_cap(a or b)
-    spare = cleared.MAX_PACKED_BITS // layout.exact
-    if len(a) == 1 == len(b):
-        (j0, j1, e, v), (i0, i1, f, x) = a[0], b[0]
-        if i0 <= j1 and j0 <= i1:
-            if max(f - e - v.bit_length() // w, e - f - x.bit_length() // w) - 1 > spare:
-                raise cleared._too_many_bits()
-            low = min(e, f)
-            v = (v << w * (e - low)) + (x << w * (f - low))
-            if e == f:
-                if not v:
-                    return []
-                zeros = ((v & -v).bit_length() - 1) // w
-                v >>= w * zeros
-                low += zeros
-            return layout.within_cap([(min(j0, i0), max(j1, i1), low, v)])
-    runs = []
-    for j0, j1, e, v in sorted(a + b, key=itemgetter(0)):
-        bits = v.bit_length()
-        top = e + bits // w
-        if runs and j0 <= runs[-1][1]:
-            last = runs[-1]
-            low = last[2]
-            gap = max(e - last[3], low - top) - 1
-            if gap > 0:
-                spare -= gap
-                if spare < 0:
-                    raise cleared._too_many_bits()
-            if e > low:
-                last[5] += v << w * (e - low)
-            elif e < low:
-                last[2], last[5], last[6] = e, (last[5] << w * (low - e)) + v, False
-            else:
-                last[5] += v
-                last[6] = True
-            last[1] = max(last[1], j1)
-            last[3] = max(last[3], top)
-            last[4] += bits
-        else:
-            runs.append([j0, j1, e, top, bits, v, False])
-        while len(runs) > 1:
-            below, above = runs[-2], runs[-1]
-            if not cleared._joins((above[2] - below[3] - 1) * w, below[4] + above[4],
-                                  (above[3] - below[2] + 1) * w):
-                break
-            runs.pop()
-            below[5] += above[5] << w * (above[2] - below[2])
-            below[1], below[3] = above[1], above[3]
-            below[4] += above[4]
-    out = []
-    for j0, j1, low, _, _, v, shared in runs:
-        if shared:
-            if not v:
-                continue
-            zeros = ((v & -v).bit_length() - 1) // w
-            v >>= w * zeros
-            low += zeros
-        out.append((j0, j1, low, v))
-    return layout.within_cap(out)
-
-
-def skewed(layout, rows: dict) -> list:
-    """{t: {u: c}} rows as runs of ``layout``, one term at a time through its
-    ``add``."""
-    runs = []
-    for t, row in rows.items():
-        j = t // layout.g
-        for u, c in row.items():
-            runs = layout.add(runs, [(j, j, u + layout.k * j, c)])
-    return runs
 
 
 def laurent_row(row: dict, den_u) -> RatFunc:

@@ -989,8 +989,8 @@ class TestErrorBoundary:
         num, den = per_term_cleared(denef_loeser(parse(json.dumps(doc)), "naive"))
         assert json.loads(out) == cleared_json(num, den)
 
-    def test_rational_of_far_apart_factors_takes_run_lists(self, monkeypatch):
-        # its span proves neither cap, so each step is checked on run lists
+    def test_rational_of_far_apart_factors_takes_packed_rows(self, monkeypatch):
+        # its span proves neither cap, so each step is checked on the row pass
         def refuse(*_):
             raise AssertionError("bare-int pass taken")
 
@@ -1067,7 +1067,7 @@ class TestErrorBoundary:
         def refuse(*args):
             raise AssertionError("a step of a proved layout was counted")
 
-        for name in ("_nonzero_digits", "_exact_bits", "_row_bits"):
+        for name in ("_nonzero_digits", "_terms_in", "_within_bits"):
             monkeypatch.setattr(cleared, name, refuse)
         names = [f"gk({k},{a},{b})" for k in range(3, 15) for a in "+-" for b in "+-"]
         names += [f"hk({k},{s})" for k in range(3, 15) for s in "+-"]
@@ -1079,6 +1079,18 @@ class TestErrorBoundary:
         assert digest.hexdigest() == (
             "f5ec7dd58fd544419cf94522b6a22eb704eec5a94c66b53a48d189d77d948bfc"
         )
+
+    def test_sixteen_divisors_of_distinct_subset_sums_exit_2_at_once(self):
+        # N = 2^i and nu = 1, every pair a stratum: each subset of the N has
+        # its own T-exponent, so the polynomials on the way hold one short
+        # row for each, and the count of their terms refuses them
+        doc = self._strata_doc([(2**i, 1) for i in range(16)],
+                               [([i, j], 1) for i in range(1, 17) for j in range(i + 1, 17)])
+        start = time.perf_counter()
+        result = call(["compute", "-", "--format", "rational"], json.dumps(doc))
+        assert time.perf_counter() - start < 1.0
+        assert_one_error(result, 2)
+        assert "MAX_CLEARED_TERMS" in result[2]
 
     def test_far_apart_nu_exit_2_at_once(self):
         # nu = 1 and nu = 10^9 on one N: a packed row holding both ends would
@@ -1130,8 +1142,8 @@ class TestErrorBoundary:
     def test_far_apart_nu_at_the_bits_cap_clears(self):
         # the widest row, u^nu - u, spans nu powers of u of 6 bits each: with
         # nu = 22,369,620 its packed row holds 2^27 - 8 bits, within
-        # MAX_PACKED_BITS, and with one more it would not.  The runs hold
-        # its digits at 8 bits, beside the row above it, and still clear it
+        # MAX_PACKED_BITS, and with one more it would not.  The row pass
+        # holds its digits at 8 bits, and still clears it
         divisors = [(1, 1), (1, 22369620)]
         doc = json.dumps(self._strata_doc(divisors, [([1], 1), ([2], 1)]))
         code, out, _ = call(["compute", "-", "--format", "rational"], doc)

@@ -19,11 +19,9 @@ from helpers import (
     prs_lcm_fold,
     recurrence_laurent,
     reference_add_shifted,
-    reference_layout_add,
-    run_digit_count,
+    row_digit_count,
     series_values_match,
     shifted_copy_expand,
-    skewed,
     term,
     term_series_at,
     truncate,
@@ -36,7 +34,7 @@ from hypothesis import strategies as st
 from test_properties import variants_of
 
 from equizeta import catalog, cleared, ratpoly
-from equizeta.cleared import MAX_CLEARED_TERMS, _Layout
+from equizeta.cleared import MAX_CLEARED_TERMS, _Layout, _times
 from equizeta.errors import (
     DivisionByZero,
     InvalidInput,
@@ -292,11 +290,11 @@ class TestClearedBound:
         sizes = []
         within_cap = _Layout.within_cap
 
-        def record(layout, runs):
-            sizes.append(run_digit_count(runs, layout.w))
-            return within_cap(layout, runs)
+        def record(layout, rows):
+            sizes.append(row_digit_count(rows, layout.w))
+            return within_cap(layout, rows)
 
-        # counted on the run lists, whose every step passes ``within_cap``
+        # counted on the row pass, whose every step passes ``within_cap``
         monkeypatch.setattr(_Layout, "packs_whole", lambda layout, factors: False)
         monkeypatch.setattr(_Layout, "within_cap", record)
         denef_loeser(catalog.get("gk(62,+,-)"), "naive").num
@@ -315,9 +313,10 @@ class TestClearedBound:
         + ["gk(62,+,-)", "gk(64,+,+)", "hk(129,+)"],
     )
     def test_runs_hold_at_most_twice_the_bits_of_their_terms_and_rows(self, name):
-        # the skewed map keeps rows apart by their widest band, and runs
-        # join across few empty digits: each term and each row is worth at
-        # most two digits.  The digits are the coefficient bound's width
+        # the skewed map keeps rows apart by their widest band, and the
+        # density rule sends these trees to the bare-int pass only where its
+        # one int is dense: each term and each row is worth at most two
+        # digits.  The digits are the coefficient bound's width
         # rounded up to a machine integer, and above 64 bits only to whole
         # bytes
         z = denef_loeser(catalog.get(name), "naive")
@@ -329,32 +328,42 @@ class TestClearedBound:
             bits = sum(v.bit_length() for *_, v in runs)
             assert bits <= 2 * w * (len(terms) // 3 + len(set(terms[1::3])))
 
+    @staticmethod
+    def _read(layout, rows: dict) -> list:
+        """Packed rows read out as the row pass hands them to ``terms``."""
+        return layout.terms([(j, j, low + layout.k * j, v) for j, (low, v) in sorted(rows.items())])
+
     def test_times_factor_drops_cancelled_terms(self):
         # (u + T)(u - T) = u^2 - T^2: the u*T terms cancel and their row goes
         layout = _Layout([((1, 1), 2)], [(1,)], 8)
-        runs = layout.times(skewed(layout, {0: {1: 1}, 1: {0: 1}}), 1, 1)
-        assert layout.terms(runs) == [1, 0, 2, -1, 2, 0]
+        rows = _times(layout, {0: (1, 1), 1: (0, 1)}, 1, 1)
+        assert rows == {0: (2, 1), 2: (0, -1)}
+        assert self._read(layout, rows) == [1, 0, 2, -1, 2, 0]
 
     def test_a_step_past_the_cap_is_invalid_input(self, monkeypatch):
         # (1 + u T)(u - T^2) has 4 terms
         layout = _Layout([((1, 1), 1), ((1, 2), 1)], [(1,), (0, 0, 1)], 8)
-        runs = skewed(layout, {0: {0: 1}, 1: {1: 1}})
+        rows = {0: (0, 1), 1: (1, 1)}
         monkeypatch.setattr(cleared, "MAX_CLEARED_TERMS", 4)
-        assert len(layout.terms(layout.times(runs, 1, 2))) == 3 * 4
+        assert len(self._read(layout, _times(layout, rows, 1, 2))) == 3 * 4
         monkeypatch.setattr(cleared, "MAX_CLEARED_TERMS", 3)
         with pytest.raises(InvalidInput, match="MAX_CLEARED_TERMS"):
-            layout.times(runs, 1, 2)
+            _times(layout, rows, 1, 2)
 
     def test_one_row_bands_too_far_apart_are_invalid_input(self, monkeypatch):
-        # 1 and u^e, one run each in row 0, open e - 1 empty digits between
-        # their bands: up to MAX_PACKED_BITS // exact = 64 they are added,
-        # and past it ``add`` refuses them, in either order
+        # 1 and u^e in row 0 open e - 1 empty digits between their bands: up
+        # to MAX_PACKED_BITS // exact = 64 the row pass sums them, and past
+        # it refuses them, in either order
         layout = _Layout([((1, 1), 1)], [(1,)], 8)
-        monkeypatch.setattr(cleared, "MAX_PACKED_BITS", 64 * 8)
-        assert layout.terms(layout.add([(0, 0, 0, 1)], [(0, 0, 65, 1)])) == [1, 0, 0, 1, 0, 65]
-        for a, b in (([(0, 0, 0, 1)], [(0, 0, 66, 1)]), ([(0, 0, 66, 1)], [(0, 0, 0, 1)])):
+        monkeypatch.setattr(ratpoly, "MAX_PACKED_BITS", 64 * 8)
+
+        def summed(a, b):
+            return layout.within_cap(_add_shifted({0: a}, {0: b}, (1,), layout.w, layout.exact))
+
+        assert self._read(layout, summed((0, 1), (65, 1))) == [1, 0, 0, 1, 0, 65]
+        for a, b in (((0, 1), (66, 1)), ((66, 1), (0, 1))):
             with pytest.raises(InvalidInput, match="MAX_PACKED_BITS"):
-                layout.add(a, b)
+                summed(a, b)
 
     def test_num_and_den_each_read_one_polynomial(self, monkeypatch):
         readouts = []
@@ -369,26 +378,34 @@ class TestClearedBound:
         _ = z.num, z.den
         assert len(readouts) == 2
 
-    def test_a_fold_drops_a_run_whose_digits_cancel(self):
-        # 1, 2 u T and -2 u T, 3 u^2 T^2: the middle pair cancels.  Where
-        # rows lie close the three rows are one run, the middle one empty;
-        # where nu = 1000 sets them far apart, the middle run goes and its
-        # neighbours stay apart
-        for nu, want in (
-            (1, [(0, 2, 0, 1 + (3 << 48))]),
-            (1000, [(0, 0, 0, 1), (2, 2, 2004, 3)]),
-        ):
+    def test_a_fold_drops_a_row_whose_digits_cancel(self):
+        # 1 + 2 u T and -2 u T + 3 u^2 T^2: the middle row cancels and goes,
+        # and its neighbours keep their rows, whether nu = 1 sets the rows
+        # close or nu = 1000 far apart
+        for nu in (1, 1000):
             layout = _Layout([((nu, 1), 2)], [(1,)], 8)
-            k = layout.k
-            runs = layout.add([(0, 0, 0, 1), (1, 1, k + 1, 2)],
-                              [(1, 1, k + 1, -2), (2, 2, 2 * k + 2, 3)])
-            assert runs == want
-            assert layout.terms(runs) == [1, 0, 0, 3, 2, 2]
+            rows = _add_shifted({0: (0, 1), 1: (1, 2)}, {1: (1, -2), 2: (2, 3)}, (1,), 8, 8)
+            assert layout.within_cap(rows) == {0: (0, 1), 2: (2, 3)}
+            assert self._read(layout, rows) == [1, 0, 0, 3, 2, 2]
+
+    def test_a_prefix_is_counted_on_its_own_rows(self, monkeypatch):
+        # with MAX_PACKED_BITS = 658 (w = 8, exact = 6) the prefix u^2 - T
+        # holds 12 bits in its two rows; read through the final layout's row
+        # starts, u^2 and the u^381 of a later row would share one row of
+        # 2274 bits, so a count on that readout refused the sum
+        monkeypatch.setattr(ratpoly, "MAX_PACKED_BITS", 658)
+        z = ZetaRational([(RatFunc((4, -2), (0, 1)), [(2, 1), (572, 3)])])
+        layout, *_ = z._cleared
+        assert (layout.w, layout.exact) == (8, 6) and not layout.proves_caps()
+        assert z.cleared_terms() == (
+            [4, 4, 0, -2, 4, 1],
+            [1, 0, 575, -1, 1, 573, -1, 3, 3, 1, 4, 1],
+        )
 
 
 def by_pass(terms, bare: bool):
     """``cleared_outcome`` of terms on the bare-int pass wherever the span
-    proves both caps, whatever the density rule says, or on the run lists
+    proves both caps, whatever the density rule says, or on the row pass
     throughout."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_Layout, "packs_whole",
@@ -434,11 +451,10 @@ class TestTwoPasses:
     @pytest.mark.parametrize("name", ["gk(14,+,-)", "gk(62,+,-)"])
     def test_dense_ladder_trees_take_bare_ints(self, name, monkeypatch):
         def refuse(*_):
-            raise AssertionError("run list built")
+            raise AssertionError("row pass taken")
 
         z = denef_loeser(catalog.get(name), "naive")
-        monkeypatch.setattr(_Layout, "times", refuse)
-        monkeypatch.setattr(_Layout, "add", refuse)
+        monkeypatch.setattr(cleared, "_row_pass", refuse)
         num, den = z.cleared_terms()
         assert num and den
 
@@ -446,7 +462,7 @@ class TestTwoPasses:
         "divisors, strata",
         [(SPARSE_DIVISORS, SPARSE_STRATA), (ROW_SPARSE_DIVISORS, ROW_SPARSE_STRATA)],
     )
-    def test_sparse_sums_take_run_lists(self, divisors, strata, monkeypatch):
+    def test_sparse_sums_take_packed_rows(self, divisors, strata, monkeypatch):
         def refuse(*_):
             raise AssertionError("bare-int pass taken")
 
@@ -456,7 +472,7 @@ class TestTwoPasses:
         assert z.cleared_terms() == want
 
     def test_the_row_sparse_sum_is_proved(self):
-        # so only the density rule sends it to the run lists
+        # so only the density rule sends it to the row pass
         z = valued_one(ROW_SPARSE_DIVISORS, ROW_SPARSE_STRATA)
         assert z._cleared[0].proves_caps()
 
@@ -1079,7 +1095,7 @@ def test_caps_refuse_as_counting_every_step(terms, max_terms, max_bits):
     # gives, wherever the caps lie
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cleared, "MAX_CLEARED_TERMS", max_terms)
-        patch.setattr(cleared, "MAX_PACKED_BITS", max_bits)
+        patch.setattr(ratpoly, "MAX_PACKED_BITS", max_bits)
         got = cleared_outcome(terms)
         patch.setattr(_Layout, "within_cap", counted_within_cap)
         assert got == cleared_outcome(terms)
@@ -1135,19 +1151,17 @@ def packed_outcomes(terms, other, order):
     far_apart_sums(),
     st.integers(2, 64) | st.just(MAX_CLEARED_TERMS),
     st.integers(64, 4096) | st.just(ratpoly.MAX_PACKED_BITS),
-    st.integers(64, 4096) | st.just(ratpoly.MAX_PACKED_BITS),
 )
-def test_band_sums_match_the_merges_they_replaced(case, max_terms, cleared_bits, series_bits):
+def test_band_sums_match_the_merges_they_replaced(case, max_terms, max_bits):
     # one band-sum rule, ``_band_sum``, in both drivers gives the terms,
-    # series and refusals of the separate merges it replaced, wherever the
+    # series and refusals of the separate merge it replaced, wherever the
     # caps lie
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cleared, "MAX_CLEARED_TERMS", max_terms)
-        patch.setattr(cleared, "MAX_PACKED_BITS", cleared_bits)
-        patch.setattr(ratpoly, "MAX_PACKED_BITS", series_bits)
+        patch.setattr(ratpoly, "MAX_PACKED_BITS", max_bits)
         got = packed_outcomes(*case)
-        patch.setattr(_Layout, "add", reference_layout_add)
         patch.setattr(ratpoly, "_add_shifted", reference_add_shifted)
+        patch.setattr(cleared, "_add_shifted", reference_add_shifted)
         patch.setattr(ratpoly, "_band_sum", merged_bands)
         assert got == packed_outcomes(*case)
 
@@ -1158,13 +1172,13 @@ def test_band_sums_match_the_merges_they_replaced(case, max_terms, cleared_bits,
     st.integers(2, 64) | st.just(MAX_CLEARED_TERMS),
     st.integers(64, 4096) | st.just(ratpoly.MAX_PACKED_BITS),
 )
-def test_bare_ints_match_run_lists(case, max_terms, cleared_bits):
+def test_bare_ints_match_packed_rows(case, max_terms, max_bits):
     # the bare-int pass, taken wherever the span proves both caps, gives the
-    # terms and refusals of the run lists, wherever the caps lie
+    # terms and refusals of the row pass, wherever the caps lie
     terms, other, _ = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cleared, "MAX_CLEARED_TERMS", max_terms)
-        patch.setattr(cleared, "MAX_PACKED_BITS", cleared_bits)
+        patch.setattr(ratpoly, "MAX_PACKED_BITS", max_bits)
         for sum_ in (terms, other):
             assert by_pass(sum_, True) == by_pass(sum_, False)
 
