@@ -14,19 +14,21 @@ each polynomial in ``ratpoly``'s packed format:
   elsewhere: a T-sparse polynomial, or one whose bands lie far apart,
   costs its rows and not the empty digits between them.
 
-One readout, ``_Layout.terms``, turns num and den into interleaved
+Each pass reads num and den out of the form it holds, as interleaved
 [c, t, u, ...] lists in (t, u) order for ``cli`` to print with one format
-call.  ``ZetaRational._cleared`` imports this module on first use, so
-commands that print no cleared fraction do not load it.
+call: the bare pass reads its two ints through one list of row starts
+(``_Layout.terms``), the row pass its rows in row order (``_row_terms``).
+``ZetaRational._cleared`` imports this module on first use, so commands
+that print no cleared fraction do not load it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cmp_to_key
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from math import gcd, inf
-from operator import itemgetter, mul, sub
+from operator import add, itemgetter, mul, sub
 
 from . import ratpoly
 from .errors import InvalidInput
@@ -52,7 +54,7 @@ from .ratpoly import (
 # terms (span 111,316), hk(129,+) at 47,891 and gk(64,+,+) at 45,758.
 # Sixteen divisors whose N have distinct subset sums, with every pair a
 # stratum, pass it within a second and fail with InvalidInput (exit 2);
-# twice the cap lets them print 16 MB of JSON in 1.0-1.3 s at 113 MiB peak
+# twice the cap lets them print 16 MB of JSON in 0.7-0.85 s at 91 MiB peak
 # RSS (one process on a shared 2-core host).
 MAX_CLEARED_TERMS = 1 << 17
 
@@ -121,9 +123,9 @@ class _Layout:
     g is the gcd of the factors' N, so every T-exponent is g times a row j.
 
     The bare-int pass holds a polynomial as one (e, v), the int v whose
-    digit i sits at position e + i; the row pass's row j, (low, v), sits at
-    e = low + k j.  ``terms`` reads either as runs (j0, j1, e, v) in row
-    order, the rows j0..j1 as one int from position e.
+    digit i sits at position e + i, and ``terms`` reads it out.  The row
+    pass holds ratpoly's packed rows {j: (low, v)} and reads them without
+    the map (``_row_terms``); it takes only the span and the widths.
 
     Every polynomial on the way lies, up to a shift in u, in the factors'
     zonotope sum_f M_f [(nu_f, 0), (0, N_f)] widened by the u-range [lo, hi]
@@ -146,7 +148,7 @@ class _Layout:
     span * exact within MAX_PACKED_BITS, no check can fire.
     """
 
-    __slots__ = ("g", "k", "w", "exact", "span", "_top", "_steep", "_starts")
+    __slots__ = ("g", "k", "w", "exact", "span", "_top", "_steep")
 
     def __init__(self, factors, polys, exact: int):
         """factors as ((nu, N), M) pairs; polys the nonzero u-polynomials
@@ -179,7 +181,6 @@ class _Layout:
             x, y = a * N + (t + g - B) * nu, b * M + (t - C) * mu
             most = max(most, (x * M - y * N) // (N * M))
         self.k = 1 + spread + most
-        self._starts = 0, -1, []
         # S(R + 1) - S(0), S(0) = top and the row R + 1 after the last on
         # the steep fill's last segment
         after = end // g + 2
@@ -198,24 +199,6 @@ class _Layout:
             out += [top - a - (g * j - B) * nu // N + k * j for j in range(j0, last + 1)]
             j0 = max(j0, last + 1)
         return out
-
-    def starts(self, j0: int, j1: int) -> list:
-        """S(j) for the rows j0..j1, built once per row over the calls that
-        ask for them: the layout keeps the last range it built, and builds
-        only the rows outside it of a range that meets it, so the readouts
-        of num and den share theirs, while the row pass's one-row runs need
-        none."""
-        if j0 > j1:
-            return []
-        c0, c1, held = self._starts
-        if j0 < c0 or j1 > c1:
-            if held and j0 <= c1 + 1 and c0 <= j1 + 1:
-                held = self._row_starts(j0, c0 - 1) + held + self._row_starts(c1 + 1, j1)
-                c0, c1 = min(c0, j0), max(c1, j1)
-            else:
-                held, c0, c1 = self._row_starts(j0, j1), j0, j1
-            self._starts = c0, c1, held
-        return held[j0 - c0:j1 - c0 + 1]
 
     def proves_caps(self) -> bool:
         """Whether the span proves both caps, so that no step can pass
@@ -264,37 +247,43 @@ class _Layout:
             )
         return _within_bits(rows, w, self.exact)
 
-    def terms(self, runs: list) -> list:
-        """The nonzero terms of the cleared fraction's polynomial ``runs`` in
-        (t, u) order, as one interleaved list [c, t, u, c, t, u, ...].  Row j
-        of a run holds its digits from S(j) on, the digit at position p
-        being the term c u^(p - k j) T^(g j): so over row j, u counts up
-        from S(j) - k j, and each digit's t and u come off ranges chained
-        row by row, all in C.  A machine-width digit memoryview becomes a
-        list once, so the three ``compress`` selections, four passes over
-        the digits, read its ints instead of making each digit anew on every
-        pass."""
-        cs, ts, us = [], [], []
-        for j0, j1, e, v in runs:
-            digits = _digits(v, self.w)
-            if isinstance(digits, memoryview):
-                digits = digits.tolist()
-            end = e + len(digits)
-            starts = self.starts(j0 + 1, j1)
-            first, last = bisect_right(starts, e), bisect_left(starts, end)
-            bounds = [e, *starts[first:last], end]
-            rows = range(j0 + first, j0 + last + 1)
-            shifts = [self.k * j for j in rows]
-            t_of = map(repeat, map(mul, rows, repeat(self.g)), map(sub, bounds[1:], bounds))
-            u_of = map(range, map(sub, bounds, shifts), map(sub, bounds[1:], shifts))
-            cs += compress(digits, digits)
-            ts += compress(chain.from_iterable(t_of), digits)
-            us += compress(chain.from_iterable(u_of), digits)
-        flat = [0] * (3 * len(cs))
-        flat[::3] = cs
-        flat[1::3] = ts
-        flat[2::3] = us
-        return flat
+    def terms(self, e: int, v: int, starts: list) -> list:
+        """The nonzero terms of the bare packed polynomial (e, v) in (t, u)
+        order, as one interleaved list [c, t, u, c, t, u, ...], with
+        ``starts`` the ``_row_starts`` S(1)..S(R) of all the rows after the
+        first, which num and den share.  Row j holds its digits from S(j)
+        on, the digit at position p being the term c u^(p - k j) T^(g j):
+        so over row j, u counts up from S(j) - k j, and each digit's t and u
+        come off ranges chained row by row, all in C."""
+        digits = _digits(v, self.w)
+        end = e + len(digits)
+        first, last = bisect_right(starts, e), bisect_left(starts, end)
+        bounds = [e, *starts[first:last], end]
+        rows = range(first, last + 1)
+        shifts = [self.k * j for j in rows]
+        t_of = map(repeat, map(mul, rows, repeat(self.g)), map(sub, bounds[1:], bounds))
+        u_of = map(range, map(sub, bounds, shifts), map(sub, bounds[1:], shifts))
+        return _interleaved(digits, chain.from_iterable(t_of), chain.from_iterable(u_of))
+
+
+def _interleaved(digits, ts, us) -> list:
+    """[c, t, u, c, t, u, ...] for the nonzero digits c that ``digits``
+    gives, each with the t and the u that ``ts`` and ``us`` give its place,
+    in one pass in C."""
+    return list(chain.from_iterable(filter(itemgetter(0), zip(digits, ts, us))))
+
+
+def _row_terms(rows: dict, w: int, g: int) -> list:
+    """The nonzero terms of packed rows {j: (low, v)} in (t, u) order, as
+    one interleaved list [c, t, u, ...]: the i-th digit c of row j is the
+    term c u^(low + i) T^(g j), and ``ratpoly._digits`` reads the b // w + 1
+    digits of a row of b bits, chained over the rows in row order."""
+    js = sorted(rows)
+    lows, values = zip(*map(rows.__getitem__, js))
+    sizes = [v.bit_length() // w + 1 for v in values]
+    ts = chain.from_iterable(map(repeat, [g * j for j in js], sizes))
+    us = chain.from_iterable(map(range, lows, map(add, lows, sizes)))
+    return _interleaved(chain.from_iterable(map(_digits, values, repeat(w))), ts, us)
 
 
 def _plus(a: tuple, b: tuple, w: int) -> tuple:
@@ -313,7 +302,7 @@ def _bare_pass(layout, factors, joining: dict, factorless, den_u: tuple) -> tupl
     by u^nu - T^N is one shift and one subtraction, a sum one aligned add
     (``_plus``), and each group's P_g is packed once.  Only for a layout
     whose span proves both caps (``_Layout.packs_whole``): no step checks
-    either.  num and den come back as one run each over all the rows."""
+    either.  num and den are read out through one list of row starts."""
     k, w, g = layout.k, layout.w, layout.g
     pending = {} if factorless is None else {(): _pack(factorless, w)}
     prefix = 0, 1
@@ -341,10 +330,10 @@ def _bare_pass(layout, factors, joining: dict, factorless, den_u: tuple) -> tupl
         pending, prefix = merged, (e + nu * count, v)
     e, v = pending.get((), (0, 0))
     if not v:
-        return [], [(0, 0, 0, 1)]
-    last = sum(N * M for (_, N), M in factors) // g
+        return [], [1, 0, 0]
+    starts = layout._row_starts(1, sum(N * M for (_, N), M in factors) // g)
     low, p = _pack(den_u, w)
-    return [(0, last, e, v)], [(0, last, prefix[0] + low, prefix[1] * p)]
+    return layout.terms(e, v, starts), layout.terms(prefix[0] + low, prefix[1] * p, starts)
 
 
 def _times(layout, rows: dict, nu: int, N: int) -> dict:
@@ -361,8 +350,8 @@ def _row_pass(layout, factors, joining: dict, factorless, den_u: tuple) -> tuple
     """(num, den) of ``cleared_fraction`` for a layout that
     ``_Layout.packs_whole`` turns down: each polynomial on the way is packed
     rows {j: (low, v)}, each product summed by ``ratpoly._add_shifted`` and
-    each step checked by ``_Layout.within_cap``; num and den come back as
-    one-row runs (j, j, low + k j, v)."""
+    each step checked by ``_Layout.within_cap``; num and den are read out
+    row by row (``_row_terms``)."""
     w, exact, g = layout.w, layout.exact, layout.g
     pending = {}  # (factor index, multiplicity) pairs still held -> partial sum
     if factorless is not None:
@@ -387,17 +376,17 @@ def _row_pass(layout, factors, joining: dict, factorless, den_u: tuple) -> tuple
         pending, prefix = merged, powers[-1]
     num = pending.get((), {})
     if not num:
-        return [], [(0, 0, 0, 1)]
+        return [], [1, 0, 0]
     den = layout.within_cap(_add_shifted({}, prefix, den_u, w, exact))
-    k = layout.k
-    return tuple([(j, j, low + k * j, v) for j, (low, v) in sorted(rows.items())]
-                 for rows in (num, den))
+    return _row_terms(num, w, g), _row_terms(den, w, g)
 
 
 def cleared_fraction(terms) -> tuple:
     """The cleared fraction of the ``ZetaRational`` terms ``terms`` as
-    (layout, num, den), num and den runs of the ``_Layout``, with
-    den = den_u * prod_f x_f^M_f, x_f = u^nu - T^N.
+    (layout, num, den), num and den each one interleaved list [c, t, u, ...]
+    of its nonzero terms in (t, u) order, with den = den_u * prod_f
+    x_f^M_f, x_f = u^nu - T^N.  Only tests read the layout, for its span
+    and widths.
 
     With the distinct factors f_1 < ... < f_K at their largest
     multiplicities M_i, num = sum_g P_g T^N_g prod_f x_f^(M_f - m_g(f))
@@ -411,7 +400,7 @@ def cleared_fraction(terms) -> tuple:
     the rest of its factors as P_g T^N_g Pre x_i^(M_i - m_g(f_i)), so all
     the groups that hold the same factors from some point on share the
     products after it.  The sum that holds no factor is num, and
-    den = den_u * Pre_K; (0, 1) when every group cancels.  ``_bare_pass``
+    den = den_u * Pre_K; 0 / 1 when every group cancels.  ``_bare_pass``
     builds them where ``_Layout.packs_whole`` allows it, ``_row_pass``
     elsewhere.  Every polynomial on the way is a sum of some groups times
     at most sum M_f binomials of L1 norm 2, or den_u times the prefix, so
@@ -428,7 +417,7 @@ def cleared_fraction(terms) -> tuple:
         max(sum(map(_l1, groups.values())), _l1(den_u)) << sum(count for _, count in factors)
     )
     if not groups:
-        return _Layout((), [den_u], exact), [], [(0, 0, 0, 1)]
+        return _Layout((), [den_u], exact), [], [1, 0, 0]
     layout = _Layout(factors, [den_u, *groups.values()], exact)
     index = {f: i for i, (f, _) in enumerate(factors)}
     joining = {}  # index of the first factor -> [(held pairs, poly, T shift)]

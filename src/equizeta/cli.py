@@ -234,10 +234,12 @@ def _cmd_oracle(args) -> int:
     sign = {"+1": 1, "-1": -1, "1": 1}[args.sign]
     germ = MonomialGerm(exponents, sign)
     if args.trivial_group:
+        if args.action is not None:
+            raise InvalidInput("--action and --trivial-group exclude each other")
         action = SignAction(trivial=True)
+    elif args.action is None:
+        raise InvalidInput("--action or --trivial-group is required")
     else:
-        if args.action is None:
-            raise InvalidInput("--action or --trivial-group is required")
         action = SignAction(_parse_int_list(args.action, "--action"))
     series = oracle_series(germ, action, args.variant, args.order)
     print(_emit(series))

@@ -1073,25 +1073,24 @@ class ZetaRational:
 
     @cached_property
     def _cleared(self):
-        """(layout, num, den): ``cleared.cleared_fraction`` of the terms,
-        imported here since that module builds on this one."""
+        """(num, den) of ``cleared.cleared_fraction`` of the terms, imported
+        here since that module builds on this one."""
         from .cleared import cleared_fraction
 
-        return cleared_fraction(self.terms)
+        return cleared_fraction(self.terms)[1:]
 
     def cleared_terms(self):
         """(num, den) of the cleared fraction, each as one interleaved list
         [c, t, u, c, t, u, ...] of its nonzero terms in (t, u) order."""
-        layout, *polys = self._cleared
-        return tuple(map(layout.terms, polys))
+        return self._cleared
 
     @cached_property
     def num(self) -> BiPoly:
-        return _bipoly(self._cleared[0].terms(self._cleared[1]))
+        return _bipoly(self._cleared[0])
 
     @cached_property
     def den(self) -> BiPoly:
-        return _bipoly(self._cleared[0].terms(self._cleared[2]))
+        return _bipoly(self._cleared[1])
 
     def __repr__(self):
         return f"ZetaRational({self.terms!r})"

@@ -545,6 +545,15 @@ class TestOracle:
         )
         assert code == 0
 
+    def test_trivial_group_with_an_action_exits_2(self, run):
+        # without --trivial-group this action is refused as not invariant;
+        # with it the action was dropped and the trivial-group series printed
+        argv = ("oracle", "--exponents=2,1", "--action=1,-1", "--order", "3")
+        assert run(*argv)[0] == 2
+        code, out, err = run(*argv, "--trivial-group")
+        assert code == 2 and not out
+        assert "--action" in err and "--trivial-group" in err
+
 
 class TestCatalogAndCohomology:
     def test_list_contains_key_names(self, run):

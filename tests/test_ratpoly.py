@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 from test_properties import variants_of
 
 from equizeta import catalog, cleared, ratpoly
-from equizeta.cleared import MAX_CLEARED_TERMS, _Layout, _times
+from equizeta.cleared import MAX_CLEARED_TERMS, _Layout, _row_terms, _times
 from equizeta.errors import (
     DivisionByZero,
     InvalidInput,
@@ -283,6 +283,12 @@ class TestExpansionBound:
         assert _expansion_work(groups, 10) == 1 + 5 + 10 * 3
 
 
+def layout_of(z: ZetaRational) -> _Layout:
+    """The ``_Layout`` of z's cleared fraction, which ``ZetaRational`` does
+    not keep."""
+    return cleared.cleared_fraction(z.terms)[0]
+
+
 class TestClearedBound:
     def test_the_largest_catalog_polynomial_stays_under_the_cap(self, monkeypatch):
         # of every catalog tree and variant within the divisor cap, gk(62,+,-)
@@ -303,7 +309,7 @@ class TestClearedBound:
     def test_the_largest_catalog_layout_spans_within_both_caps(self):
         # no polynomial on the way to gk(62,+,-) spans more digits than its
         # layout's span, so neither cap is counted for it
-        layout = denef_loeser(catalog.get("gk(62,+,-)"), "naive")._cleared[0]
+        layout = layout_of(denef_loeser(catalog.get("gk(62,+,-)"), "naive"))
         assert (layout.span, layout.exact) == (111316, 72)
         assert layout.span <= MAX_CLEARED_TERMS
         assert layout.span * layout.exact <= ratpoly.MAX_PACKED_BITS
@@ -312,26 +318,34 @@ class TestClearedBound:
         "name", [f"gk(14,{a},{b})" for a in "+-" for b in "+-"]
         + ["gk(62,+,-)", "gk(64,+,+)", "hk(129,+)"],
     )
-    def test_runs_hold_at_most_twice_the_bits_of_their_terms_and_rows(self, name):
+    def test_runs_hold_at_most_twice_the_bits_of_their_terms_and_rows(self, name, monkeypatch):
         # the skewed map keeps rows apart by their widest band, and the
         # density rule sends these trees to the bare-int pass only where its
-        # one int is dense: each term and each row is worth at most two
-        # digits.  The digits are the coefficient bound's width
-        # rounded up to a machine integer, and above 64 bits only to whole
-        # bytes
+        # one int is dense: each term and each row of num and den is worth
+        # at most two digits of the bare int that ``_Layout.terms`` reads.
+        # The digits are the coefficient bound's width rounded up to a
+        # machine integer, and above 64 bits only to whole bytes
         z = denef_loeser(catalog.get(name), "naive")
         need = cleared_width(z)
         w = next((size for size in (8, 16, 32, 64) if size >= need), -(-need // 8) * 8)
-        layout, *polys = z._cleared
-        assert layout.w == w
-        for runs, terms in zip(polys, z.cleared_terms()):
-            bits = sum(v.bit_length() for *_, v in runs)
-            assert bits <= 2 * w * (len(terms) // 3 + len(set(terms[1::3])))
+        read = []
+        terms = _Layout.terms
+
+        def recorded(layout, e, v, starts):
+            read.append((layout.w, v.bit_length()))
+            return terms(layout, e, v, starts)
+
+        monkeypatch.setattr(_Layout, "terms", recorded)
+        polys = z.cleared_terms()
+        assert len(read) == 2
+        for (width, bits), poly in zip(read, polys):
+            assert width == w
+            assert bits <= 2 * w * (len(poly) // 3 + len(set(poly[1::3])))
 
     @staticmethod
     def _read(layout, rows: dict) -> list:
-        """Packed rows read out as the row pass hands them to ``terms``."""
-        return layout.terms([(j, j, low + layout.k * j, v) for j, (low, v) in sorted(rows.items())])
+        """Packed rows read out as the row pass reads num and den."""
+        return _row_terms(rows, layout.w, layout.g)
 
     def test_times_factor_drops_cancelled_terms(self):
         # (u + T)(u - T) = u^2 - T^2: the u*T terms cancel and their row goes
@@ -366,16 +380,17 @@ class TestClearedBound:
                 summed(a, b)
 
     def test_num_and_den_each_read_one_polynomial(self, monkeypatch):
+        # once each, for the BiPolys and the printed terms alike
         readouts = []
         terms = _Layout.terms
 
-        def counted(layout, runs):
-            readouts.append(len(runs))
-            return terms(layout, runs)
+        def counted(layout, e, v, starts):
+            readouts.append(v)
+            return terms(layout, e, v, starts)
 
         monkeypatch.setattr(_Layout, "terms", counted)
         z = denef_loeser(catalog.get("gk(14,+,-)"), "naive")
-        _ = z.num, z.den
+        _ = z.num, z.den, z.cleared_terms()
         assert len(readouts) == 2
 
     def test_a_fold_drops_a_row_whose_digits_cancel(self):
@@ -395,7 +410,7 @@ class TestClearedBound:
         # 2274 bits, so a count on that readout refused the sum
         monkeypatch.setattr(ratpoly, "MAX_PACKED_BITS", 658)
         z = ZetaRational([(RatFunc((4, -2), (0, 1)), [(2, 1), (572, 3)])])
-        layout, *_ = z._cleared
+        layout = layout_of(z)
         assert (layout.w, layout.exact) == (8, 6) and not layout.proves_caps()
         assert z.cleared_terms() == (
             [4, 4, 0, -2, 4, 1],
@@ -420,6 +435,10 @@ SPARSE_DIVISORS = [(2, 1), (1000, 3), (3, 2000)]
 SPARSE_STRATA = ([1], [2], [3], [1, 2], [2, 3])
 ROW_SPARSE_DIVISORS = [(1, 2), (400, 2)]
 ROW_SPARSE_STRATA = ([1], [2], [1, 2])
+# CI's t_dense.json at 6 divisors, not 15: N = 2^i and nu = 1, every pair a
+# stratum, so that every T-row up to the last holds terms.
+T_DENSE_DIVISORS = [(1 << i, 1) for i in range(6)]
+T_DENSE_STRATA = [[a, b] for a in range(1, 7) for b in range(a + 1, 7)]
 
 
 def valued_one(divisors, strata) -> ZetaRational:
@@ -443,6 +462,8 @@ class TestTwoPasses:
         + ["gk(62,+,-)", "gk(64,+,+)", "hk(129,+)"],
     )
     def test_bare_ints_and_run_lists_clear_catalog_trees_alike(self, name):
+        # the bare-int pass and the row pass, which took the place of the run
+        # lists, read out the same terms on every catalog tree-variant
         res = catalog.get(name)
         for variant in variants_of(res):
             terms = denef_loeser(res, variant).terms
@@ -471,10 +492,40 @@ class TestTwoPasses:
         monkeypatch.setattr(cleared, "_bare_pass", refuse)
         assert z.cleared_terms() == want
 
+    @pytest.mark.parametrize(
+        "divisors, strata",
+        [(SPARSE_DIVISORS, SPARSE_STRATA), (ROW_SPARSE_DIVISORS, ROW_SPARSE_STRATA),
+         (T_DENSE_DIVISORS, T_DENSE_STRATA)],
+    )
+    def test_the_row_pass_reads_its_rows_without_the_layout(self, divisors, strata,
+                                                            monkeypatch):
+        def refuse(*_):
+            raise AssertionError("read through the layout")
+
+        z = valued_one(divisors, strata)
+        want = per_term_cleared(z)
+        monkeypatch.setattr(_Layout, "packs_whole", lambda layout, factors: False)
+        monkeypatch.setattr(_Layout, "terms", refuse)
+        assert (z.num, z.den) == want
+
+    @pytest.mark.parametrize("name", ["gk(14,+,-)", "gk(62,+,-)"])
+    def test_num_and_den_share_one_list_of_row_starts(self, name, monkeypatch):
+        # building the starts once per readout was slower on the benchmark
+        calls = []
+        row_starts = _Layout._row_starts
+
+        def counted(layout, j0, j1):
+            calls.append((j0, j1))
+            return row_starts(layout, j0, j1)
+
+        monkeypatch.setattr(_Layout, "_row_starts", counted)
+        num, den = denef_loeser(catalog.get(name), "naive").cleared_terms()
+        assert num and den and len(calls) == 1
+
     def test_the_row_sparse_sum_is_proved(self):
         # so only the density rule sends it to the row pass
         z = valued_one(ROW_SPARSE_DIVISORS, ROW_SPARSE_STRATA)
-        assert z._cleared[0].proves_caps()
+        assert layout_of(z).proves_caps()
 
 
 class TestBandSum:
@@ -1238,8 +1289,8 @@ class TestPackedWidth:
         # through T^3 the box of T^3 / (u^2 - T^3) is 1, so the T^3
         # coefficient 2^200 u^-2 is at the expansion's bound 2^200 * 1
         assert_matches_the_references(ZetaRational([(RatFunc(BIG), [(2, 3)])]), 3)
-        # runs store whole bytes, so the 202 bits of the bound take 208
-        assert ratpoly._width(BIG) == 202 and z._cleared[0].w == 208
+        # packed digits take whole bytes, so the 202 bits of the bound take 208
+        assert ratpoly._width(BIG) == 202 and layout_of(z).w == 208
 
 
 @st.composite
